@@ -23,6 +23,23 @@ so a reader can seek straight to any column.  Payload encodings:
 * ``str``   — ``n + 1`` little-endian ``int64`` offsets, then the
   concatenated UTF-8 bytes of all values
 
+Every payload is checked before it is decoded: it must be exactly as
+long as the header says and as ``rows`` requires, and string offsets
+must start at 0, never decrease and end at the blob length.  A chunk
+that fails (truncated, corrupt offsets, invalid UTF-8) raises
+:class:`~repro.util.errors.SchemaError` instead of decoding to wrong
+values.
+
+Strings decode without a per-row Python loop.  Rows are grouped by byte
+length; each group's values are gathered as fixed-width ``S`` keys
+through a zero-copy window view over the blob, and ``np.unique`` finds
+the distinct ones.  Each distinct byte string is decoded once, and one
+object-array ``take`` fans the results out, so rows with equal values
+share one ``str`` object.  Memory stays bounded by the payload bytes
+plus a few words per row — never rows x the longest value.  The cost
+is a few numpy calls per distinct byte length, which trace columns
+(tiers, event types, user names) keep small.
+
 Two read paths share the decoder:
 
 * **buffered** (default) — ``open`` + ``read``/``seek``; every wanted
@@ -85,39 +102,89 @@ def _encode_column(column: Column) -> bytes:
         return values.astype("<i8").tobytes()
     if kind == "bool":
         return values.astype(np.uint8).tobytes()
-    blobs = [v.encode("utf-8") for v in values]
+    blobs = list(map(str.encode, values))  # UTF-8
     offsets = np.zeros(len(blobs) + 1, dtype="<i8")
-    np.cumsum([len(b) for b in blobs], out=offsets[1:])
+    np.cumsum(np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs)),
+              out=offsets[1:])
     return offsets.tobytes() + b"".join(blobs)
 
 
-def _decode_column(kind: str, rows: int,
+#: Payload bytes per row of the fixed-width kinds.
+_ITEMSIZE = {"float": 8, "int": 8, "bool": 1}
+
+
+def _decode_column(meta: dict, rows: int,
                    payload: Union[bytes, memoryview]) -> Column:
     # ``payload`` is bytes (buffered path) or a memoryview over the
     # mapped region (mmap path).  ``<f8``/``<i8`` ARE float64/int64 on
     # every platform we target (little-endian), so frombuffer's view
     # needs no ``astype`` copy — the Column wraps the (read-only) view
     # directly; only ``bool`` genuinely converts (uint8 -> bool).
+    kind, name = meta["kind"], meta["name"]
     if kind not in KINDS:
         raise SchemaError(f"chunk column has unknown kind {kind!r}; "
                           f"this reader understands {KINDS}")
+    if len(payload) != meta["nbytes"]:
+        raise SchemaError(f"chunk column {name!r} is truncated: "
+                          f"{len(payload)} of {meta['nbytes']} payload bytes")
+    if kind == "str":
+        return Column(_decode_strings(name, rows, payload))
+    if len(payload) != rows * _ITEMSIZE[kind]:
+        raise SchemaError(f"chunk column {name!r} has {len(payload)} payload "
+                          f"bytes; {rows} {kind} rows need "
+                          f"{rows * _ITEMSIZE[kind]}")
     if kind == "float":
         return Column(np.frombuffer(payload, dtype="<f8", count=rows)
                       .astype(np.float64, copy=False))
     if kind == "int":
         return Column(np.frombuffer(payload, dtype="<i8", count=rows)
                       .astype(np.int64, copy=False))
-    if kind == "bool":
-        return Column(np.frombuffer(payload, dtype=np.uint8, count=rows)
-                      .astype(bool))
+    return Column(np.frombuffer(payload, dtype=np.uint8, count=rows)
+                  .astype(bool))
+
+
+def _decode_strings(name: str, rows: int,
+                    payload: Union[bytes, memoryview]) -> np.ndarray:
+    """The ``str`` payload as an object array, each distinct value
+    decoded once (see the module docstring)."""
+    head = (rows + 1) * 8
+    if rows < 0 or len(payload) < head:
+        raise SchemaError(f"chunk column {name!r} has {len(payload)} payload "
+                          f"bytes, too few for {rows + 1} string offsets")
     offsets = np.frombuffer(payload, dtype="<i8", count=rows + 1)
-    # Strings decode to fresh Python objects either way; one bytes()
-    # conversion keeps the slicing loop off memoryview objects.
-    blob = bytes(payload[(rows + 1) * 8:])
-    out = np.empty(rows, dtype=object)
-    for i in range(rows):
-        out[i] = blob[offsets[i]:offsets[i + 1]].decode("utf-8")
-    return Column(out)
+    lengths = np.diff(offsets)
+    blob_len = len(payload) - head
+    if offsets[0] != 0 or offsets[-1] != blob_len or (lengths < 0).any():
+        raise SchemaError(f"chunk column {name!r} has corrupt string offsets "
+                          f"(must rise from 0 to the {blob_len}-byte blob)")
+    codes = np.empty(rows, dtype=np.intp)
+    texts: List[str] = []
+    order = np.argsort(lengths, kind="stable")
+    firsts = np.flatnonzero(np.diff(lengths[order], prepend=-1)).tolist()
+    for lo, hi in zip(firsts, [*firsts[1:], rows]):
+        group = order[lo:hi]  # the rows whose values are `width` bytes
+        width = int(lengths[order[lo]])
+        if width == 0:
+            codes[group] = len(texts)
+            texts.append("")
+            continue
+        # Overlapping `width`-byte windows over the blob, one per start
+        # byte: a zero-copy view whose fancy index gathers the group's
+        # values as fixed-width keys.  Equal-width ``S`` keys compare
+        # byte for byte; ``tolist`` drops trailing NULs, which ``ljust``
+        # puts back.
+        windows = np.ndarray((blob_len - width + 1,), dtype=f"S{width}",
+                             buffer=payload, offset=head, strides=(1,))
+        distinct, inverse = np.unique(windows[offsets[group]],
+                                      return_inverse=True)
+        codes[group] = inverse + len(texts)
+        try:
+            texts.extend(value.ljust(width, b"\0").decode("utf-8")
+                         for value in distinct.tolist())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"chunk column {name!r} holds invalid UTF-8: "
+                              f"{exc}") from None
+    return np.array(texts, dtype=object).take(codes)
 
 
 def write_chunk(table: Table, dest: Union[str, os.PathLike, BinaryIO]) -> int:
@@ -195,7 +262,7 @@ def _read_chunk(f: BinaryIO, columns: Optional[Sequence[str]]) -> Table:
         if meta["name"] in wanted_set:
             payload = f.read(meta["nbytes"])
             bytes_read += len(payload)
-            decoded[meta["name"]] = _decode_column(meta["kind"], rows, payload)
+            decoded[meta["name"]] = _decode_column(meta, rows, payload)
         else:
             f.seek(meta["nbytes"], io.SEEK_CUR)
     registry = obs.get_registry()
@@ -238,7 +305,7 @@ def _read_chunk_mapped(path: Union[str, os.PathLike],
         if meta["name"] in wanted_set:
             payload = view[offset:offset + meta["nbytes"]]
             bytes_mapped += meta["nbytes"]
-            decoded[meta["name"]] = _decode_column(meta["kind"], rows, payload)
+            decoded[meta["name"]] = _decode_column(meta, rows, payload)
         offset += meta["nbytes"]
     registry = obs.get_registry()
     registry.inc("store.chunks_read")

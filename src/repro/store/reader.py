@@ -18,21 +18,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.store.cache import ChunkCache
 from repro.store.manifest import Manifest
 from repro.store.format import get_default_mmap, read_chunk
 from repro.store.scan import Scan
-from repro.table.column import Column
+from repro.table.column import empty_column
 from repro.table.table import Table, concat
-
-_EMPTY_ARRAYS = {
-    "float": lambda: np.empty(0, dtype=np.float64),
-    "int": lambda: np.empty(0, dtype=np.int64),
-    "bool": lambda: np.empty(0, dtype=bool),
-    "str": lambda: np.empty(0, dtype=object),
-}
 
 
 class TraceStore:
@@ -85,7 +76,7 @@ class TraceStore:
         kinds = self.manifest.column_kinds(table)
         names = list(columns) if columns is not None \
             else self.manifest.column_names(table)
-        return Table({n: Column(_EMPTY_ARRAYS[kinds[n]]()) for n in names})
+        return Table({n: empty_column(kinds[n]) for n in names})
 
     # -- queries -------------------------------------------------------------
 

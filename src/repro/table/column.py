@@ -23,6 +23,14 @@ from repro.util.errors import SchemaError
 #: codec and the trace schema declare kinds against this set).
 KINDS = ("float", "int", "bool", "str")
 _KINDS = KINDS
+_DTYPES = {"float": np.float64, "int": np.int64, "bool": bool, "str": object}
+
+
+def empty_column(kind: str) -> "Column":
+    """A zero-row column of ``kind`` (``Column([])`` would be float)."""
+    if kind not in _DTYPES:
+        raise SchemaError(f"unknown column kind {kind!r}")
+    return Column(np.empty(0, dtype=_DTYPES[kind]))
 
 
 def _coerce(values: Any) -> np.ndarray:
@@ -42,7 +50,15 @@ def _coerce(values: Any) -> np.ndarray:
     if np.issubdtype(arr.dtype, np.floating):
         return arr.astype(np.float64, copy=False)
     # Everything else (strings, mixed python objects) is stored as objects;
-    # require all elements to be strings for predictable semantics.
+    # require all elements to be strings for predictable semantics.  The
+    # common inputs pass in one C-level pass: a list of str (numpy makes
+    # it ``<U``, whose objects come back as plain str) or an object array
+    # holding only exact str.  Anything else — str subclasses such as
+    # ``np.str_``, or bad elements — takes the per-element check.
+    if arr.dtype.kind == "U":
+        return arr.astype(object)
+    if arr.dtype == object and set(map(type, arr)) <= {str}:
+        return arr.copy()
     out = np.empty(len(arr), dtype=object)
     for i, v in enumerate(arr):
         if not isinstance(v, str):
@@ -169,8 +185,8 @@ class Column:
         """Boolean mask of rows whose value is in ``values``."""
         vals = list(values)
         if self.kind == "str":
-            lookup = set(vals)
-            return np.fromiter((v in lookup for v in self._data), dtype=bool, count=len(self))
+            return np.fromiter(map(set(vals).__contains__, self._data),
+                               dtype=bool, count=len(self))
         return np.isin(self._data, vals)
 
     # -- reductions ----------------------------------------------------------

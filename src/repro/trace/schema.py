@@ -18,13 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
-from repro.table.column import Column
+from repro.table.column import empty_column
 from repro.table.table import Table
-
-_EMPTY_DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_,
-                 "str": object}
 
 #: Per-table column declarations: ``name -> ((column, kind), ...)``.
 #: Order is canonical — writers emit and readers verify this order.
@@ -142,10 +137,8 @@ def empty_table(table: str) -> Table:
     column to the float kind; this keeps int/str/bool columns typed so
     empty tables round-trip through the store with their declared kinds.
     """
-    return Table({
-        column: Column(np.empty(0, dtype=_EMPTY_DTYPES[kind]))
-        for column, kind in TABLE_SCHEMAS[table]
-    })
+    return Table({column: empty_column(kind)
+                  for column, kind in TABLE_SCHEMAS[table]})
 
 
 def ordered_columns(table: str, values: Mapping[str, object]) -> Dict[str, object]:

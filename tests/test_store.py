@@ -2,9 +2,11 @@
 pushdown, the parallel executor, the chunk cache, and end-to-end
 integration with the trace layer and the store-aware analysis reducers."""
 
+import hashlib
 import io
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,26 +82,101 @@ def store_dir(tmp_path):
     return tmp_path / "s", ds
 
 
+#: String payloads for the chunk round trips: embedded/trailing NULs,
+#: all empty, zero rows, non-ASCII, and one 64 KiB value among 10k
+#: one-char rows (the decode must not allocate rows x the longest value).
+_STRING_CASES = {
+    "mixed": ["", "héllo", "ユーザー", "a,b\nc", "True"],
+    "nul": ["a\x00b", "tail\x00", "\x00", "\x00\x00", "a"],
+    "all_empty": ["", "", "", ""],
+    "zero_rows": [],
+    "non_ascii": ["é", "ユーザー", "😀", "Ωmega", "naïve", "é"],
+    "one_wide": ["x", "y"] * 5000 + ["w" * 65536] + ["z"],
+}
+
+
+def _all_kinds_table(strings):
+    n = len(strings)
+    return Table({
+        "f": np.resize([1.5, float("inf"), float("-inf"), float("nan"), -0.0], n),
+        "i": np.resize(np.array([0, -1, 2**62, -(2**62), 7], dtype=np.int64), n),
+        "b": np.resize([True, False, True, True, False], n),
+        "s": np.array(strings, dtype=object),
+    })
+
+
 class TestChunkFormat:
     def test_roundtrip_all_kinds(self):
+        for strings in _STRING_CASES.values():
+            table = _all_kinds_table(strings)
+            buf = io.BytesIO()
+            write_chunk(table, buf)
+            buf.seek(0)
+            tracemalloc.start()
+            try:
+                back = read_chunk(buf)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # Bounded by payload bytes plus rows, far below rows x the
+            # longest value (655 MB for the 64 KiB case).
+            assert peak < 4 * len(buf.getvalue()) + 256 * len(table) + 2**16
+            assert back.column_names == table.column_names
+            for name in table.column_names:
+                assert back.column(name).kind == table.column(name).kind
+                if name == "s":
+                    assert back.column(name).to_list() == strings
+                    assert all(type(v) is str for v in back.column(name))
+                else:
+                    np.testing.assert_array_equal(back.column(name).values,
+                                                  table.column(name).values)
+
+    def test_chunk_bytes_are_pinned(self):
+        # The RSTORE1 layout must not drift: same table, same bytes.
         table = Table({
             "f": [1.5, float("inf"), float("-inf"), float("nan"), -0.0],
             "i": [0, -1, 2**62, -(2**62), 7],
             "b": [True, False, True, True, False],
-            "s": ["", "héllo", "ユーザー", "a,b\nc", "True"],
+            "s": ["prod", "", "héllo\x00", "ユーザー", "beb"],
         })
         buf = io.BytesIO()
-        write_chunk(table, buf)
-        buf.seek(0)
-        back = read_chunk(buf)
-        assert back.column_names == table.column_names
-        for name in table.column_names:
-            assert back.column(name).kind == table.column(name).kind
-            if name == "s":
-                assert back.column(name).values.tolist() == table.column(name).values.tolist()
-            else:
-                np.testing.assert_array_equal(back.column(name).values,
-                                              table.column(name).values)
+        assert write_chunk(table, buf) == 350
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+            "247870e21cac50a6681e91a5da14f429dadde2eddc024f7aefbeb7414a8a3b3e")
+
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    @pytest.mark.parametrize("corruption, match", [
+        ("raise_offset", "corrupt string offsets"),
+        ("cut_strings", "truncated"),
+        ("cut_numbers", "truncated"),
+        ("short_numbers", "rows need"),
+        ("bad_utf8", "invalid UTF-8"),
+    ])
+    def test_corrupt_chunks_raise_schema_error(self, tmp_path, corruption,
+                                               match, use_mmap):
+        numbers_last = corruption in ("cut_numbers", "short_numbers")
+        columns = {"s": ["prod", "beb", "mid"], "n": [1.0, 2.0, 3.0]}
+        order = ["s", "n"] if numbers_last else ["n", "s"]
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({name: columns[name] for name in order}), path)
+        data = bytearray(path.read_bytes())
+        last_at = len(data) - read_chunk_header(path)["columns"][-1]["nbytes"]
+        if corruption == "raise_offset":
+            # offsets[1] 4 -> 10 once decoded as ['prodbebmid', '', 'mid']
+            data[last_at + 8] = 10
+        elif corruption in ("cut_strings", "cut_numbers"):
+            # a lost tail once decoded 'mid' as '' / raised a bare ValueError
+            del data[-3:]
+        elif corruption == "short_numbers":
+            # header and file agree, but 3 float rows need 24 bytes
+            data = data.replace(b'"kind":"float","nbytes":24',
+                                b'"kind":"float","nbytes":16')
+            del data[-8:]
+        else:
+            data[-1] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match=match):
+            read_chunk(path, use_mmap=use_mmap)
 
     def test_projection_skips_columns(self, tmp_path):
         table = Table({"a": [1, 2], "b": ["x", "y"], "c": [0.5, 1.5]})
@@ -600,7 +677,8 @@ _KIND_STRATEGIES = {
     "float": st.floats(allow_nan=True, allow_infinity=True, width=64),
     "int": st.integers(min_value=-2**62, max_value=2**62),
     "bool": st.booleans(),
-    "str": st.text(max_size=12),
+    "str": st.one_of(st.text(max_size=12),
+                     st.text("\x00aéユ", max_size=4)),
 }
 
 

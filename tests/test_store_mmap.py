@@ -26,7 +26,7 @@ from repro.trace import load_trace
 from repro.trace.dataset import SCHEMA_2019, TraceDataset
 from repro.util.errors import SchemaError
 
-from tests.test_store import _dataset
+from tests.test_store import _STRING_CASES, _all_kinds_table, _dataset
 
 
 @pytest.fixture()
@@ -54,12 +54,19 @@ def assert_tables_byte_equal(a: Table, b: Table) -> None:
 
 
 class TestMappedChunkReads:
-    def test_byte_equal_to_buffered(self, chunk_path):
-        path, original = chunk_path
-        buffered = read_chunk(path, use_mmap=False)
-        mapped = read_chunk(path, use_mmap=True)
-        assert_tables_byte_equal(buffered, mapped)
-        assert_tables_byte_equal(original, mapped)
+    def test_byte_equal_to_buffered(self, chunk_path, tmp_path):
+        cases = [chunk_path]
+        for i, strings in enumerate(_STRING_CASES.values()):
+            table, path = _all_kinds_table(strings), tmp_path / f"case{i}.rsc"
+            write_chunk(table, path)
+            cases.append((path, table))
+        for path, original in cases:
+            buffered = read_chunk(path, use_mmap=False)
+            mapped = read_chunk(path, use_mmap=True)
+            assert_tables_byte_equal(buffered, mapped)
+            assert_tables_byte_equal(original, mapped)
+            for table in (buffered, mapped):
+                assert all(type(v) is str for v in table.column("s"))
 
     def test_projection_byte_equal(self, chunk_path):
         path, _ = chunk_path

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.table import Column
+from repro.table import Column, Table, concat
+from repro.table.column import empty_column
 from repro.util.errors import SchemaError
 
 
@@ -40,6 +41,43 @@ class TestConstruction:
     def test_rejects_mixed_objects(self):
         with pytest.raises(SchemaError):
             Column(["a", object()])
+
+    def test_object_array_with_one_non_str_keeps_message(self):
+        with pytest.raises(SchemaError, match=r"^unsupported column element 3 "
+                           r"of type int; columns hold floats, ints, bools, "
+                           r"or strings$"):
+            Column(np.array(["a", "b", 3], dtype=object))
+
+    def test_str_subclass_elements_accepted(self):
+        col = Column(np.array([np.str_("a"), "b"], dtype=object))
+        assert col.kind == "str"
+        assert col.to_list() == ["a", "b"]
+
+    def test_unicode_array_yields_plain_str(self):
+        for values in (["prod", "beb"], np.array(["prod", "beb"])):
+            col = Column(values)
+            assert col.kind == "str"
+            assert [type(v) for v in col] == [str, str]
+
+    def test_object_input_is_copied(self):
+        source = np.array(["a", "b"], dtype=object)
+        col = Column(source)
+        source[0] = 1
+        assert col.to_list() == ["a", "b"]
+
+    def test_string_table_ops_keep_str_kind(self):
+        t = Table({"s": ["x", "y", "z"]})
+        for out in (t.filter(np.array([True, False, True])), t.take([2, 0]),
+                    concat([t, t]), t.sort("s", descending=True)):
+            assert out.column("s").kind == "str"
+            assert all(type(v) is str for v in out.column("s"))
+
+    def test_empty_column_per_kind(self):
+        for kind in ("float", "int", "bool", "str"):
+            col = empty_column(kind)
+            assert (len(col), col.kind) == (0, kind)
+        with pytest.raises(SchemaError, match="unknown column kind"):
+            empty_column("complex")
 
     def test_empty_column(self):
         assert len(Column([])) == 0
