@@ -16,14 +16,29 @@ and commit the rewritten JSON files with the change that caused them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import consumption, failures, machine_util, submission, summary
-from repro.analysis.common import job_usage_integrals
+from repro.analysis import (
+    allocsets,
+    batch_queue,
+    constraints,
+    consumption,
+    failures,
+    machine_util,
+    report,
+    sched_delay,
+    submission,
+    summary,
+    tasks_per_job,
+    terminations,
+    transitions,
+)
+from repro.analysis.common import hourly_tier_series, job_usage_integrals
 from repro.queueing import compare_isolation, pollaczek_khinchine
 from repro.stats import squared_cv, top_share
 from repro.table import concat
@@ -161,3 +176,84 @@ def test_golden_resubmission_intervals(result_2019_faulty):
 def test_golden_archetype_usage_shares(trace_2019_faulty):
     _check_golden("archetype_usage_shares",
                   failures.archetype_usage_shares([trace_2019_faulty]))
+
+
+# -- event-table reducers: figures 2-5, 7, 10, 11, sections 5.1/5.2, extras --
+
+def test_golden_hourly_tier_series(trace_2011, trace_2019):
+    computed = {
+        f"{trace.era}.{quantity}.{resource}": hourly_tier_series(
+            trace, resource, quantity)
+        for trace in (trace_2011, trace_2019)
+        for quantity in ("usage", "allocation")
+        for resource in ("cpu", "mem")
+    }
+    _check_golden("fig2_fig4_hourly_tier_series", computed)
+
+
+def test_golden_fig7_transition_table(trace_2011, trace_2019,
+                                      trace_2019_faulty):
+    computed = {
+        name: transitions.transition_table(trace)
+        for name, trace in (("2011", trace_2011), ("2019", trace_2019),
+                            ("2019-faulty", trace_2019_faulty))
+    }
+    _check_golden("fig7_transition_table", computed)
+
+
+def test_golden_fig10_scheduling_delays(trace_2011, trace_2019,
+                                        trace_2019_faulty):
+    computed = {
+        name: sched_delay.scheduling_delays(trace).to_dict()
+        for name, trace in (("2011", trace_2011), ("2019", trace_2019),
+                            ("2019-faulty", trace_2019_faulty))
+    }
+    _check_golden("fig10_scheduling_delays", computed)
+
+
+def test_golden_fig11_tasks_per_job(trace_2019, trace_2019_faulty):
+    computed = {
+        name: tasks_per_job.tasks_per_job(trace)
+        for name, trace in (("2019", trace_2019),
+                            ("2019-faulty", trace_2019_faulty))
+    }
+    _check_golden("fig11_tasks_per_job", computed)
+
+
+def test_golden_sec51_sec52_reports(trace_2019, trace_2019_faulty):
+    computed = {
+        name: {
+            "alloc_sets": allocsets.alloc_set_report(traces).as_dict(),
+            "terminations": terminations.termination_report(traces).as_dict(),
+        }
+        for name, traces in (("2019", [trace_2019]),
+                             ("2019-faulty", [trace_2019_faulty]),
+                             ("pooled", [trace_2019, trace_2019_faulty]))
+    }
+    _check_golden("sec51_sec52_reports", computed)
+
+
+def test_golden_constraint_report(trace_2019, trace_2019_faulty):
+    computed = {}
+    for name, traces in (("2019", [trace_2019]),
+                         ("pooled", [trace_2019, trace_2019_faulty])):
+        rep = constraints.constraint_report(traces)
+        computed[name] = {**rep.as_dict(),
+                          "by_platform": rep.constraints_by_platform}
+    _check_golden("constraint_report", computed)
+
+
+def test_golden_batch_queue(trace_2019, trace_2019_faulty):
+    computed = {
+        name: {"waits": batch_queue.queue_waits(trace),
+               "depth": batch_queue.queue_depth_series(trace)}
+        for name, trace in (("2019", trace_2019),
+                            ("2019-faulty", trace_2019_faulty))
+    }
+    _check_golden("batch_queue", computed)
+
+
+def test_golden_full_report_sha256(traces_2011, traces_2019):
+    text = report.full_report(traces_2011, traces_2019)
+    _check_golden("full_report_sha256",
+                  hashlib.sha256(text.encode("utf-8")).hexdigest())
