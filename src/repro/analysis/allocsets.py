@@ -58,19 +58,14 @@ def alloc_set_report(traces: Sequence[TraceDataset]) -> AllocSetReport:
 
     for trace in traces:
         meta = collection_metadata(trace)
-        kinds = meta.column("collection_type").values
-        tiers = meta.column("tier").values
-        alloc_ids = meta.column("alloc_collection_id").values
+        is_alloc_set = meta.column("collection_type").values == "alloc_set"
+        in_an_alloc = ~is_alloc_set & (meta.column("alloc_collection_id").values >= 0)
         n_collections += len(meta)
-        for i in range(len(meta)):
-            if kinds[i] == "alloc_set":
-                n_alloc_sets += 1
-            else:
-                n_jobs += 1
-                if alloc_ids[i] >= 0:
-                    n_jobs_in_alloc += 1
-                    if tiers[i] in ("prod", "monitoring"):
-                        n_jobs_in_alloc_prod += 1
+        n_alloc_sets += int(is_alloc_set.sum())
+        n_jobs += int((~is_alloc_set).sum())
+        n_jobs_in_alloc += int(in_an_alloc.sum())
+        n_jobs_in_alloc_prod += int((in_an_alloc & np.isin(
+            meta.column("tier").values, ("prod", "monitoring"))).sum())
 
         iu = trace.instance_usage
         if len(iu) == 0:
@@ -80,9 +75,8 @@ def alloc_set_report(traces: Sequence[TraceDataset]) -> AllocSetReport:
         limit_mem = iu.column("limit_mem").values * hours
         used_mem = iu.column("avg_mem").values * hours
         in_alloc = iu.column("in_alloc").values
-        ids = iu.column("collection_id").values
-        allocs = alloc_set_ids(trace)
-        is_alloc_row = np.asarray([int(i) in allocs for i in ids], dtype=bool)
+        is_alloc_row = np.isin(iu.column("collection_id").values,
+                               alloc_set_ids(trace))
 
         # Allocation shares: alloc reservations vs everything that books
         # machine room (alloc rows + direct task rows; in-alloc task rows

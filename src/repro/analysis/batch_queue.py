@@ -9,13 +9,35 @@ QUEUED state, how many jobs queue at all, and the queue depth over time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.stats.ccdf import Ccdf, empirical_ccdf
+from repro.table import Table
 from repro.trace.dataset import TraceDataset
 from repro.util.timeutil import HOUR_SECONDS
+
+
+def _queue_stays(ce: Table, leave: Tuple[str, ...]) -> Tuple[np.ndarray, ...]:
+    """Row pairs (QUEUE, leaving event) and the rows of QUEUEs still open.
+
+    Within each collection, in row order, a ``leave`` event closes the
+    queue stay when the QUEUE/``leave`` event just before it is a QUEUE;
+    a QUEUE followed by another QUEUE is superseded.  Pairs come out in
+    the row order of their leaving events.
+    """
+    ids = ce.column("collection_id").values
+    types = ce.column("type").values
+    queue = types == "QUEUE"
+    rows = np.flatnonzero(queue | np.isin(types, leave))
+    rows = rows[np.argsort(ids[rows], kind="stable")]
+    same = ids[rows[1:]] == ids[rows[:-1]]
+    opens = queue[rows]
+    closed = same & opens[:-1] & ~opens[1:]
+    order = np.argsort(rows[1:][closed])
+    still_open = opens & ~np.r_[same, False]
+    return rows[:-1][closed][order], rows[1:][closed][order], rows[still_open]
 
 
 def queue_waits(trace: TraceDataset) -> np.ndarray:
@@ -25,18 +47,9 @@ def queue_waits(trace: TraceDataset) -> np.ndarray:
     like every duration statistic over a finite trace window.
     """
     ce = trace.collection_events
-    queued: Dict[int, float] = {}
-    waits = []
-    ids = ce.column("collection_id").values
-    types = ce.column("type").values
+    queued, enabled, _ = _queue_stays(ce, ("ENABLE",))
     times = ce.column("time").values
-    for i in range(len(ce)):
-        cid = int(ids[i])
-        if types[i] == "QUEUE":
-            queued[cid] = float(times[i])
-        elif types[i] == "ENABLE" and cid in queued:
-            waits.append(float(times[i]) - queued.pop(cid))
-    return np.asarray(waits)
+    return times[enabled] - times[queued]
 
 
 def queue_wait_ccdf(traces: Sequence[TraceDataset]) -> Ccdf:
@@ -52,25 +65,14 @@ def queue_depth_series(trace: TraceDataset) -> np.ndarray:
     """Number of collections sitting in the queue, sampled hourly."""
     ce = trace.collection_events
     n_hours = int(np.ceil(trace.horizon / HOUR_SECONDS))
-    delta = np.zeros(n_hours + 1)
-    ids = ce.column("collection_id").values
-    types = ce.column("type").values
-    times = ce.column("time").values
-    enter: Dict[int, float] = {}
-    for i in range(len(ce)):
-        cid = int(ids[i])
-        if types[i] == "QUEUE":
-            enter[cid] = float(times[i])
-        elif cid in enter and types[i] in ("ENABLE", "KILL", "FINISH",
-                                           "FAIL", "EVICT"):
-            start_h = int(enter.pop(cid) / HOUR_SECONDS)
-            end_h = min(int(times[i] / HOUR_SECONDS), n_hours - 1)
-            delta[start_h] += 1
-            delta[end_h + 1] -= 1
+    queued, left, still_queued = _queue_stays(
+        ce, ("ENABLE", "KILL", "FINISH", "FAIL", "EVICT"))
+    hour = (ce.column("time").values / HOUR_SECONDS).astype(np.int64)
     # Still-queued collections occupy the queue to the horizon.
-    for t in enter.values():
-        delta[int(t / HOUR_SECONDS)] += 1
-    return np.cumsum(delta[:n_hours])
+    delta = (np.bincount(hour[np.r_[queued, still_queued]], minlength=n_hours + 1)
+             - np.bincount(np.minimum(hour[left], n_hours - 1) + 1,
+                           minlength=n_hours + 1))
+    return np.cumsum(delta[:n_hours].astype(float))
 
 
 @dataclass(frozen=True)

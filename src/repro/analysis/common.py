@@ -11,17 +11,29 @@ across worker processes) and the partials merge associatively.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional, Set, Tuple
+import operator
+from itertools import repeat
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.table import Table
+from repro.table.column import empty_column
 from repro.trace.dataset import TraceDataset
 from repro.util.timeutil import HOUR_SECONDS
 
 #: Paper tier stacking order (monitoring merged into prod upstream).
 TIER_ORDER: Tuple[str, ...] = ("free", "beb", "mid", "prod")
+
+#: Row of each tier label in a per-tier series: monitoring folds into prod.
+_TIER_CODE = {**{tier: code for code, tier in enumerate(TIER_ORDER)},
+              "monitoring": TIER_ORDER.index("prod")}
+
+#: Column kinds of :func:`job_usage_integrals`'s result.
+_INTEGRAL_KINDS = {"collection_id": "int", "tier": "str", "in_alloc": "bool",
+                   "vertical_scaling": "str", "ncu_hours": "float",
+                   "nmu_hours": "float"}
 
 
 def merge_monitoring_tier(tiers: np.ndarray) -> np.ndarray:
@@ -31,23 +43,63 @@ def merge_monitoring_tier(tiers: np.ndarray) -> np.ndarray:
     return out
 
 
-def alloc_set_ids(trace: TraceDataset) -> Set[int]:
-    """Collection ids that are alloc sets."""
+def codes_of(labels: np.ndarray, codes: Mapping[str, int]) -> np.ndarray:
+    """``codes[label]`` for every label, -1 for labels it lacks (one
+    C-level pass: faster than one ``==`` mask per label)."""
+    return np.fromiter(map(codes.get, labels, repeat(-1)), np.int64,
+                       len(labels))
+
+
+def empty_result(kinds: Mapping[str, str]) -> Table:
+    """A zero-row table whose columns carry the declared ``kinds`` (a
+    table built from ``[]`` literals would make every column float)."""
+    return Table({name: empty_column(kind) for name, kind in kinds.items()})
+
+
+def alloc_set_ids(trace: TraceDataset) -> np.ndarray:
+    """Collection ids that are alloc sets (sorted, unique)."""
     ce = trace.collection_events
-    ids = ce.column("collection_id").values
     kinds = ce.column("collection_type").values
-    return {int(ids[i]) for i in range(len(ce)) if kinds[i] == "alloc_set"}
+    return np.unique(ce.column("collection_id").values[kinds == "alloc_set"])
 
 
 def group_reduce(keys: np.ndarray, values: np.ndarray,
                  reducer=np.add.reduceat) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce ``values`` per unique key; returns (unique_keys, reduced)."""
+    """Reduce ``values`` per unique key; returns (unique_keys, reduced).
+
+    Keys come back sorted, and each key's values reach ``reducer`` in
+    their input order.  Reducing row numbers with ``np.minimum.reduceat``
+    or ``np.maximum.reduceat`` gives each key's first or last row.
+    """
     if len(keys) == 0:
-        return np.empty(0, dtype=keys.dtype), np.empty(0)
+        return keys[:0], values[:0]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
     return sorted_keys[starts], reducer(values[order], starts)
+
+
+def _usage_integral_partial(table: Table) -> Tuple[np.ndarray, ...]:
+    """Per-collection resource-hour sums (+ first-row metadata) of a
+    usage table or of one store chunk of it."""
+    ids = table.column("collection_id").values
+    hours = table.column("duration").values / HOUR_SECONDS
+    ncu = table.column("avg_cpu").values * hours
+    nmu = table.column("avg_mem").values * hours
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_ids)) + 1]) \
+        if len(ids) else np.empty(0, dtype=np.int64)
+    unique_ids = sorted_ids[starts] if len(ids) else sorted_ids
+    rep = order[starts] if len(ids) else order
+    return (
+        unique_ids,
+        np.add.reduceat(ncu[order], starts) if len(ids) else ncu,
+        np.add.reduceat(nmu[order], starts) if len(ids) else nmu,
+        merge_monitoring_tier(table.column("tier").values[rep]),
+        table.column("in_alloc").values[rep],
+        table.column("vertical_scaling").values[rep],
+    )
 
 
 @obs.traced("analysis.job_usage_integrals")
@@ -62,37 +114,40 @@ def job_usage_integrals(trace: TraceDataset,
     """
     iu = trace.instance_usage
     if len(iu) == 0:
-        return Table({"collection_id": [], "tier": [], "in_alloc": [],
-                      "vertical_scaling": [], "ncu_hours": [], "nmu_hours": []})
-    ids = iu.column("collection_id").values
-    hours = iu.column("duration").values / HOUR_SECONDS
-    ncu = iu.column("avg_cpu").values * hours
-    nmu = iu.column("avg_mem").values * hours
-
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_ids)) + 1])
-    unique_ids = sorted_ids[starts]
-    ncu_sums = np.add.reduceat(ncu[order], starts)
-    nmu_sums = np.add.reduceat(nmu[order], starts)
-    rep = order[starts]
-    tiers = merge_monitoring_tier(iu.column("tier").values[rep])
-    in_alloc = iu.column("in_alloc").values[rep]
-    scaling = iu.column("vertical_scaling").values[rep]
-
+        return empty_result(_INTEGRAL_KINDS)
+    ids, ncu, nmu, tiers, in_alloc, scaling = _usage_integral_partial(iu)
     if not include_alloc_sets:
-        allocs = alloc_set_ids(trace)
-        keep = np.asarray([int(i) not in allocs for i in unique_ids], dtype=bool)
+        keep = ~np.isin(ids, alloc_set_ids(trace))
     else:
-        keep = np.ones(len(unique_ids), dtype=bool)
+        keep = np.ones(len(ids), dtype=bool)
     return Table({
-        "collection_id": unique_ids[keep],
+        "collection_id": ids[keep],
         "tier": tiers[keep],
         "in_alloc": in_alloc[keep],
         "vertical_scaling": scaling[keep],
-        "ncu_hours": ncu_sums[keep],
-        "nmu_hours": nmu_sums[keep],
+        "ncu_hours": ncu[keep],
+        "nmu_hours": nmu[keep],
     })
+
+
+def _tier_hour_sums(table: Table, column: str, n_hours: int,
+                    allocation: bool) -> np.ndarray:
+    """Resource-hours of ``column`` per (tier, hour), not yet scaled:
+    one row per :data:`TIER_ORDER` tier.  One ``bincount`` over
+    ``tier * n_hours + hour`` adds each bin's rows in row order, exactly
+    as a per-tier mask and ``bincount`` would.  Rows of other tiers (and,
+    for allocation, rows inside alloc sets) are dropped."""
+    values = table.column(column).values * (table.column("duration").values
+                                            / HOUR_SECONDS)
+    hour = (table.column("start_time").values / HOUR_SECONDS).astype(np.int64)
+    hour = np.clip(hour, 0, n_hours - 1)
+    code = codes_of(table.column("tier").values, _TIER_CODE)
+    keep = code >= 0
+    if allocation:
+        keep &= ~table.column("in_alloc").values
+    sums = np.bincount(code[keep] * n_hours + hour[keep], weights=values[keep],
+                       minlength=len(TIER_ORDER) * n_hours)
+    return sums.reshape(len(TIER_ORDER), n_hours)
 
 
 @obs.traced("analysis.hourly_tier_series")
@@ -121,20 +176,8 @@ def hourly_tier_series(trace: TraceDataset, resource: str = "cpu",
 
     column = {"usage": {"cpu": "avg_cpu", "mem": "avg_mem"},
               "allocation": {"cpu": "limit_cpu", "mem": "limit_mem"}}[quantity][resource]
-    values = iu.column(column).values * (iu.column("duration").values / HOUR_SECONDS)
-    hour = (iu.column("start_time").values / HOUR_SECONDS).astype(np.int64)
-    hour = np.clip(hour, 0, n_hours - 1)
-    tiers = merge_monitoring_tier(iu.column("tier").values)
-    mask_base = np.ones(len(iu), dtype=bool)
-    if quantity == "allocation":
-        mask_base = ~iu.column("in_alloc").values
-    for tier in TIER_ORDER:
-        mask = mask_base & (tiers == tier)
-        if not mask.any():
-            continue
-        out[tier] = np.bincount(hour[mask], weights=values[mask],
-                                minlength=n_hours) / capacity
-    return out
+    sums = _tier_hour_sums(iu, column, n_hours, quantity == "allocation")
+    return dict(zip(TIER_ORDER, sums / capacity))
 
 
 def average_tier_fractions(trace: TraceDataset, resource: str = "cpu",
@@ -144,30 +187,14 @@ def average_tier_fractions(trace: TraceDataset, resource: str = "cpu",
     return {tier: float(np.mean(values)) for tier, values in series.items()}
 
 
-def first_event_times(trace: TraceDataset, event: str,
-                      instance_level: bool = False) -> Dict[int, float]:
-    """Earliest time of ``event`` per collection (or per instance's collection)."""
-    table = trace.instance_events if instance_level else trace.collection_events
-    ids = table.column("collection_id").values
-    types = table.column("type").values
-    times = table.column("time").values
-    out: Dict[int, float] = {}
-    for i in range(len(table)):
-        if types[i] == event:
-            cid = int(ids[i])
-            t = float(times[i])
-            if cid not in out or t < out[cid]:
-                out[cid] = t
-    return out
-
-
 def collection_metadata(trace: TraceDataset) -> Table:
-    """One row per collection from its SUBMIT event (id, tier, type, ...)."""
+    """One row per collection from its first SUBMIT event (id, tier,
+    type, ...), in the order the collections were first submitted."""
     ce = trace.collection_events
-    if len(ce) == 0:
-        return ce.head(0)
-    submits = ce.filter(ce.column("type") == "SUBMIT")
-    return submits.distinct("collection_id")
+    submits = np.flatnonzero(ce.column("type").values == "SUBMIT")
+    _, first = group_reduce(ce.column("collection_id").values[submits],
+                            submits, np.minimum.reduceat)
+    return ce.take(np.sort(first))
 
 
 # -- store-aware variants -----------------------------------------------------
@@ -179,7 +206,7 @@ def collection_metadata(trace: TraceDataset) -> Table:
 # table.  The per-chunk map functions live at module scope (not closures)
 # because worker processes import them by name.
 
-def alloc_set_ids_store(store, workers: Optional[int] = None) -> Set[int]:
+def alloc_set_ids_store(store, workers: Optional[int] = None) -> np.ndarray:
     """Store-backed :func:`alloc_set_ids`: pushes the alloc-set filter
     and a two-column projection into the scan."""
     # Imported here, not at module top: repro.store's package init pulls
@@ -190,29 +217,7 @@ def alloc_set_ids_store(store, workers: Optional[int] = None) -> Set[int]:
                   .where(Compare("collection_type", "==", "alloc_set"))
                   .select("collection_id")
                   .to_table(workers=workers))
-    return {int(v) for v in table.column("collection_id").values}
-
-
-def _usage_integral_partial(table: Table) -> Tuple[np.ndarray, ...]:
-    """One chunk's per-collection partial sums (+ first-row metadata)."""
-    ids = table.column("collection_id").values
-    hours = table.column("duration").values / HOUR_SECONDS
-    ncu = table.column("avg_cpu").values * hours
-    nmu = table.column("avg_mem").values * hours
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_ids)) + 1]) \
-        if len(ids) else np.empty(0, dtype=np.int64)
-    unique_ids = sorted_ids[starts] if len(ids) else sorted_ids
-    rep = order[starts] if len(ids) else order
-    return (
-        unique_ids,
-        np.add.reduceat(ncu[order], starts) if len(ids) else ncu,
-        np.add.reduceat(nmu[order], starts) if len(ids) else nmu,
-        merge_monitoring_tier(table.column("tier").values[rep]),
-        table.column("in_alloc").values[rep],
-        table.column("vertical_scaling").values[rep],
-    )
+    return np.unique(table.column("collection_id").values)
 
 
 @obs.traced("analysis.job_usage_integrals_store")
@@ -225,8 +230,7 @@ def job_usage_integrals_store(store, include_alloc_sets: bool = False,
     partials = scan.map_reduce(_usage_integral_partial, workers=workers)
     partials = [p for p in partials if len(p[0])]
     if not partials:
-        return Table({"collection_id": [], "tier": [], "in_alloc": [],
-                      "vertical_scaling": [], "ncu_hours": [], "nmu_hours": []})
+        return empty_result(_INTEGRAL_KINDS)
     ids = np.concatenate([p[0] for p in partials])
     ncu = np.concatenate([p[1] for p in partials])
     nmu = np.concatenate([p[2] for p in partials])
@@ -241,8 +245,7 @@ def job_usage_integrals_store(store, include_alloc_sets: bool = False,
     rep = order[starts]  # earliest chunk wins, matching row-order semantics
 
     if not include_alloc_sets:
-        allocs = alloc_set_ids_store(store, workers=workers)
-        keep = np.asarray([int(i) not in allocs for i in unique_ids], dtype=bool)
+        keep = ~np.isin(unique_ids, alloc_set_ids_store(store, workers=workers))
     else:
         keep = np.ones(len(unique_ids), dtype=bool)
     return Table({
@@ -253,33 +256,6 @@ def job_usage_integrals_store(store, include_alloc_sets: bool = False,
         "ncu_hours": np.add.reduceat(ncu[order], starts)[keep],
         "nmu_hours": np.add.reduceat(nmu[order], starts)[keep],
     })
-
-
-def _hourly_tier_partial(table: Table, column: str, n_hours: int,
-                         allocation: bool) -> Dict[str, np.ndarray]:
-    """One chunk's per-tier hourly resource-hour sums (not yet scaled)."""
-    values = table.column(column).values * (table.column("duration").values
-                                            / HOUR_SECONDS)
-    hour = (table.column("start_time").values / HOUR_SECONDS).astype(np.int64)
-    hour = np.clip(hour, 0, n_hours - 1)
-    tiers = merge_monitoring_tier(table.column("tier").values)
-    mask_base = ~table.column("in_alloc").values if allocation \
-        else np.ones(len(table), dtype=bool)
-    out = {}
-    for tier in TIER_ORDER:
-        mask = mask_base & (tiers == tier)
-        if mask.any():
-            out[tier] = np.bincount(hour[mask], weights=values[mask],
-                                    minlength=n_hours)
-    return out
-
-
-def _merge_tier_series(a: Dict[str, np.ndarray],
-                       b: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    out = dict(a)
-    for tier, series in b.items():
-        out[tier] = out[tier] + series if tier in out else series
-    return out
 
 
 @obs.traced("analysis.hourly_tier_series_store")
@@ -301,12 +277,12 @@ def hourly_tier_series_store(store, resource: str = "cpu",
               "allocation": {"cpu": "limit_cpu", "mem": "limit_mem"}}[quantity][resource]
     scan = store.scan("instance_usage").select(
         "start_time", "duration", "tier", "in_alloc", column)
-    map_fn = functools.partial(_hourly_tier_partial, column=column,
+    map_fn = functools.partial(_tier_hour_sums, column=column,
                                n_hours=n_hours,
                                allocation=quantity == "allocation")
-    merged = scan.map_reduce(map_fn, _merge_tier_series, workers=workers) or {}
-    for tier, series in merged.items():
-        out[tier] = series / capacity
+    sums = scan.map_reduce(map_fn, operator.add, workers=workers)
+    if sums is not None:
+        out = dict(zip(TIER_ORDER, sums / capacity))
     return out
 
 

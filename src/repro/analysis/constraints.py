@@ -9,11 +9,13 @@ cell, so they queue longer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.common import group_reduce
 from repro.analysis.sched_delay import scheduling_delays
 from repro.trace.dataset import TraceDataset
 
@@ -37,66 +39,64 @@ class ConstraintReport:
         }
 
 
-def _constraints_of(trace: TraceDataset) -> Dict[int, str]:
+def _constraints_of(trace: TraceDataset) -> Tuple[np.ndarray, np.ndarray]:
+    """Constrained job ids (sorted) and each one's required platform,
+    from its last job SUBMIT that names a constraint."""
     ce = trace.collection_events
-    out: Dict[int, str] = {}
-    ids = ce.column("collection_id").values
-    types = ce.column("type").values
     constraints = ce.column("constraint").values
-    kinds = ce.column("collection_type").values
-    for i in range(len(ce)):
-        if types[i] == "SUBMIT" and kinds[i] == "job" and constraints[i]:
-            out[int(ids[i])] = constraints[i]
-    return out
+    rows = np.flatnonzero((ce.column("type").values == "SUBMIT")
+                          & (ce.column("collection_type").values == "job")
+                          & (constraints != ""))
+    ids, last = group_reduce(ce.column("collection_id").values[rows], rows,
+                             np.maximum.reduceat)
+    return ids, constraints[last]
 
 
 def constraint_report(traces: Sequence[TraceDataset]) -> ConstraintReport:
     n_jobs = 0
-    by_platform: Dict[str, int] = {}
+    by_platform: Counter = Counter()
     satisfied = 0
     total_placements = 0
     delays_constrained: List[float] = []
     delays_unconstrained: List[float] = []
 
     for trace in traces:
-        constrained = _constraints_of(trace)
+        constrained, required = _constraints_of(trace)
         ce = trace.collection_events
         submits = ((ce.column("type").values == "SUBMIT")
                    & (ce.column("collection_type").values == "job"))
         n_jobs += int(submits.sum())
-        for platform in constrained.values():
-            by_platform[platform] = by_platform.get(platform, 0) + 1
+        by_platform.update(required.tolist())
 
-        attrs = trace.machine_attributes
-        platform_of = dict(zip(attrs.column("machine_id").values.tolist(),
-                               attrs.column("platform").values.tolist()))
+        # Join each SCHEDULE of a constrained job to the platform of its
+        # machine (the last attributes row of that machine wins).
         ie = trace.instance_events
-        ids = ie.column("collection_id").values
-        types = ie.column("type").values
-        machines = ie.column("machine_id").values
-        for i in range(len(ie)):
-            if types[i] != "SCHEDULE":
-                continue
-            required = constrained.get(int(ids[i]))
-            if required is None:
-                continue
-            total_placements += 1
-            if platform_of.get(int(machines[i])) == required:
-                satisfied += 1
+        schedule = ie.column("type").values == "SCHEDULE"
+        job_ids = ie.column("collection_id").values[schedule]
+        hit = np.isin(job_ids, constrained)
+        total_placements += int(hit.sum())
+        wanted = required[np.searchsorted(constrained, job_ids[hit])]
+        attrs = trace.machine_attributes
+        machine_ids, last = group_reduce(attrs.column("machine_id").values,
+                                         np.arange(len(attrs)),
+                                         np.maximum.reduceat)
+        machines = ie.column("machine_id").values[schedule][hit]
+        known = np.isin(machines, machine_ids)
+        platforms = attrs.column("platform").values[
+            last[np.searchsorted(machine_ids, machines[known])]]
+        satisfied += int((platforms == wanted[known]).sum())
 
         delays = scheduling_delays(trace)
-        d_ids = delays.column("collection_id").values
+        is_constrained = np.isin(delays.column("collection_id").values,
+                                 constrained)
         d_vals = delays.column("delay").values
-        for cid, delay in zip(d_ids, d_vals):
-            if int(cid) in constrained:
-                delays_constrained.append(float(delay))
-            else:
-                delays_unconstrained.append(float(delay))
+        delays_constrained.extend(d_vals[is_constrained].tolist())
+        delays_unconstrained.extend(d_vals[~is_constrained].tolist())
 
     n_constrained = sum(by_platform.values())
     return ConstraintReport(
         constrained_job_fraction=n_constrained / n_jobs if n_jobs else 0.0,
-        constraints_by_platform=by_platform,
+        constraints_by_platform=dict(by_platform),
         satisfied_fraction=(satisfied / total_placements
                             if total_placements else 1.0),
         median_delay_constrained=(float(np.median(delays_constrained))

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.analysis.common import merge_monitoring_tier
+from repro.analysis.common import empty_result, group_reduce, merge_monitoring_tier
 from repro.stats.ccdf import Ccdf, empirical_ccdf
 from repro.table import Table
 from repro.trace.dataset import TraceDataset
@@ -23,55 +23,57 @@ def scheduling_delays(trace: TraceDataset,
                       skip_warmup_hours: float = 1.0) -> Table:
     """Per-job (collection_id, tier, delay_seconds).
 
-    Ready time is the ENABLE event when one exists (batch-queued jobs)
-    and the SUBMIT event otherwise; first-running is the earliest
-    SCHEDULE among the job's instances.  Jobs submitted in the first
-    ``skip_warmup_hours`` are dropped (warm-start artifacts), as are
-    jobs that never started.
+    Ready time is the last ENABLE event when one exists (batch-queued
+    jobs: the queue wait is deliberate and excluded from the metric) and
+    the first SUBMIT event otherwise; tier and kind come from the last
+    SUBMIT; first-running is the earliest SCHEDULE among the job's
+    instances.  Jobs submitted in the first ``skip_warmup_hours`` are
+    dropped (warm-start artifacts), as are jobs that never started.
+    Rows come in the order each job first appears among the SUBMIT and
+    ENABLE events.
     """
     ce = trace.collection_events
+    if len(ce) == 0:
+        return empty_result({"collection_id": "int", "tier": "str",
+                             "delay": "float"})
+    ids = ce.column("collection_id").values
+    types = ce.column("type").values
+    times = ce.column("time").values
+    rows = np.arange(len(ce))
+    submit = types == "SUBMIT"
+    enable = types == "ENABLE"
+    job_ids, first_submit = group_reduce(ids[submit], rows[submit],
+                                         np.minimum.reduceat)
+    _, last_submit = group_reduce(ids[submit], rows[submit],
+                                  np.maximum.reduceat)
+    ready = times[first_submit]
+    enabled_ids, last_enable = group_reduce(ids[enable], rows[enable],
+                                            np.maximum.reduceat)
+    enabled = np.isin(job_ids, enabled_ids)
+    ready[enabled] = times[last_enable[np.searchsorted(enabled_ids,
+                                                       job_ids[enabled])]]
+
     ie = trace.instance_events
-    ready: Dict[int, float] = {}
-    tier_of: Dict[int, str] = {}
-    is_job: Dict[int, bool] = {}
-    c_ids = ce.column("collection_id").values
-    c_types = ce.column("type").values
-    c_times = ce.column("time").values
-    c_kinds = ce.column("collection_type").values
-    c_tiers = merge_monitoring_tier(ce.column("tier").values)
-    for i in range(len(ce)):
-        cid = int(c_ids[i])
-        if c_types[i] == "SUBMIT":
-            ready.setdefault(cid, float(c_times[i]))
-            tier_of[cid] = c_tiers[i]
-            is_job[cid] = c_kinds[i] == "job"
-        elif c_types[i] == "ENABLE":
-            # ENABLE supersedes SUBMIT: the batch queue wait is deliberate
-            # and excluded from the metric.
-            ready[cid] = float(c_times[i])
+    schedule = ie.column("type").values == "SCHEDULE"
+    run_ids, first_run = group_reduce(
+        ie.column("collection_id").values[schedule],
+        ie.column("time").values[schedule], np.minimum.reduceat)
+    keep = np.flatnonzero(
+        np.isin(job_ids, run_ids)
+        & (ce.column("collection_type").values[last_submit] == "job")
+        & (ready >= skip_warmup_hours * HOUR_SECONDS))
 
-    first_run: Dict[int, float] = {}
-    i_ids = ie.column("collection_id").values
-    i_types = ie.column("type").values
-    i_times = ie.column("time").values
-    for i in range(len(ie)):
-        if i_types[i] == "SCHEDULE":
-            cid = int(i_ids[i])
-            t = float(i_times[i])
-            if cid not in first_run or t < first_run[cid]:
-                first_run[cid] = t
-
-    cutoff = skip_warmup_hours * HOUR_SECONDS
-    rows = {"collection_id": [], "tier": [], "delay": []}
-    for cid, t_ready in ready.items():
-        if not is_job.get(cid, False) or cid not in first_run:
-            continue
-        if t_ready < cutoff:
-            continue
-        rows["collection_id"].append(cid)
-        rows["tier"].append(tier_of[cid])
-        rows["delay"].append(max(0.0, first_run[cid] - t_ready))
-    return Table(rows)
+    # ``job_ids`` is sorted: restore the order of first appearance.
+    seen_ids, first_seen = group_reduce(ids[submit | enable],
+                                        rows[submit | enable],
+                                        np.minimum.reduceat)
+    keep = keep[np.argsort(first_seen[np.searchsorted(seen_ids, job_ids[keep])])]
+    delay = first_run[np.searchsorted(run_ids, job_ids[keep])] - ready[keep]
+    return Table({
+        "collection_id": job_ids[keep],
+        "tier": merge_monitoring_tier(ce.column("tier").values[last_submit[keep]]),
+        "delay": np.where(delay > 0.0, delay, 0.0),
+    })
 
 
 def delay_ccdf(trace: TraceDataset) -> Ccdf:
@@ -84,15 +86,15 @@ def delay_ccdf(trace: TraceDataset) -> Ccdf:
 
 def delay_ccdf_by_tier(traces: Sequence[TraceDataset]) -> Dict[str, Ccdf]:
     """Figure 10b: delay CCDF per tier, aggregated across cells."""
-    pooled: Dict[str, List[float]] = {}
+    pooled: Dict[str, List[np.ndarray]] = {}
     for trace in traces:
         table = scheduling_delays(trace)
         tiers = table.column("tier").values
         delays = table.column("delay").values
-        for tier, delay in zip(tiers, delays):
-            pooled.setdefault(tier, []).append(float(delay))
-    return {tier: empirical_ccdf(values) for tier, values in pooled.items()
-            if len(values) > 0}
+        for tier in dict.fromkeys(tiers.tolist()):
+            pooled.setdefault(tier, []).append(delays[tiers == tier])
+    return {tier: empirical_ccdf(np.concatenate(parts))
+            for tier, parts in pooled.items()}
 
 
 def median_delay(trace: TraceDataset) -> float:

@@ -11,30 +11,24 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.analysis.common import merge_monitoring_tier
+from repro.analysis.common import group_reduce, merge_monitoring_tier
 from repro.stats.ccdf import Ccdf, empirical_ccdf
 from repro.trace.dataset import TraceDataset
 
 
 def tasks_per_job(trace: TraceDataset) -> Dict[str, np.ndarray]:
-    """Per-tier arrays of job widths (number of tasks), jobs only."""
+    """Per-tier arrays of job widths (number of tasks), jobs only, from
+    each job's first SUBMIT, in submission order."""
     ce = trace.collection_events
-    out: Dict[str, List[int]] = {}
-    types = ce.column("type").values
-    kinds = ce.column("collection_type").values
-    tiers = merge_monitoring_tier(ce.column("tier").values)
-    counts = ce.column("num_instances").values
-    seen = set()
-    ids = ce.column("collection_id").values
-    for i in range(len(ce)):
-        if types[i] != "SUBMIT" or kinds[i] != "job":
-            continue
-        cid = int(ids[i])
-        if cid in seen:
-            continue
-        seen.add(cid)
-        out.setdefault(tiers[i], []).append(int(counts[i]))
-    return {tier: np.asarray(values) for tier, values in out.items()}
+    rows = np.flatnonzero((ce.column("type").values == "SUBMIT")
+                          & (ce.column("collection_type").values == "job"))
+    _, first = group_reduce(ce.column("collection_id").values[rows], rows,
+                            np.minimum.reduceat)
+    first = np.sort(first)
+    tiers = merge_monitoring_tier(ce.column("tier").values[first])
+    counts = ce.column("num_instances").values[first]
+    return {tier: counts[tiers == tier]
+            for tier in dict.fromkeys(tiers.tolist())}
 
 
 def tasks_per_job_ccdf(traces: Sequence[TraceDataset]) -> Dict[str, Ccdf]:

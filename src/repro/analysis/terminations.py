@@ -10,10 +10,13 @@ and 52% of those only once.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
+import numpy as np
+
+from repro.analysis.common import group_reduce
 from repro.trace.dataset import TraceDataset
 
 TERMINAL = ("FINISH", "EVICT", "KILL", "FAIL")
@@ -46,53 +49,62 @@ class TerminationReport:
 
 
 def termination_report(traces: Sequence[TraceDataset]) -> TerminationReport:
-    """Compute section 5.2's statistics pooled across cells."""
+    """Compute section 5.2's statistics pooled across cells.
+
+    Collection ids are pooled across cells as given: a collection's
+    tier is that of its last SUBMIT in the last cell that submits it.
+    """
     end_counts: Counter = Counter()
     killed_with_parent = total_with_parent = 0
     killed_without_parent = total_without_parent = 0
     n_collections = 0
-    eviction_counts: Dict[int, int] = defaultdict(int)
-    collection_tier: Dict[int, str] = {}
+    submit_ids = [np.empty(0, dtype=np.int64)]
+    submit_tiers = [np.empty(0, dtype=object)]
+    evicted_ids = [np.empty(0, dtype=np.int64)]
 
     for trace in traces:
         ce = trace.collection_events
         ids = ce.column("collection_id").values
         types = ce.column("type").values
-        parents = ce.column("parent_collection_id").values
-        tiers = ce.column("tier").values
-        has_parent: Dict[int, bool] = {}
-        for i in range(len(ce)):
-            cid = int(ids[i])
-            if types[i] == "SUBMIT":
-                if cid not in has_parent:
-                    n_collections += 1
-                has_parent[cid] = parents[i] >= 0
-                collection_tier[cid] = tiers[i]
-            elif types[i] in TERMINAL:
-                end_counts[types[i]] += 1
-                if has_parent.get(cid, False):
-                    total_with_parent += 1
-                    if types[i] == "KILL":
-                        killed_with_parent += 1
-                else:
-                    total_without_parent += 1
-                    if types[i] == "KILL":
-                        killed_without_parent += 1
+        submit = types == "SUBMIT"
+        terminal = np.isin(types, TERMINAL)
+        n_collections += len(np.unique(ids[submit]))
+        submit_ids.append(ids[submit])
+        submit_tiers.append(ce.column("tier").values[submit])
+        end_counts.update(types[terminal].tolist())
+
+        # A terminal event counts as "with parent" when the latest SUBMIT
+        # of its collection before it had a parent: walk each
+        # collection's rows in row order, carrying the last SUBMIT row.
+        rows = np.flatnonzero(submit | terminal)
+        rows = rows[np.argsort(ids[rows], kind="stable")]
+        cids = ids[rows]
+        step = np.arange(len(rows))
+        last_submit = np.maximum.accumulate(np.where(submit[rows], step, -1))
+        segment_start = np.maximum.accumulate(
+            np.where(np.r_[True, cids[1:] != cids[:-1]], step, 0))
+        parent = ce.column("parent_collection_id").values[rows[last_submit]] >= 0
+        with_parent = (last_submit >= segment_start) & parent
+        ends = terminal[rows]
+        kills = types[rows] == "KILL"
+        total_with_parent += int((ends & with_parent).sum())
+        killed_with_parent += int((kills & with_parent).sum())
+        total_without_parent += int((ends & ~with_parent).sum())
+        killed_without_parent += int((kills & ~with_parent).sum())
 
         ie = trace.instance_events
-        i_ids = ie.column("collection_id").values
-        i_types = ie.column("type").values
-        for i in range(len(ie)):
-            if i_types[i] == "EVICT":
-                eviction_counts[int(i_ids[i])] += 1
+        evicted_ids.append(
+            ie.column("collection_id").values[ie.column("type").values == "EVICT"])
 
-    evicted = set(eviction_counts)
-    evicted_nonprod = sum(1 for cid in evicted
-                          if collection_tier.get(cid) not in ("prod", "monitoring"))
-    prod_ids = {cid for cid, tier in collection_tier.items()
-                if tier in ("prod", "monitoring")}
-    prod_evicted = evicted & prod_ids
-    prod_single = sum(1 for cid in prod_evicted if eviction_counts[cid] == 1)
+    tiered_ids, last = group_reduce(np.concatenate(submit_ids),
+                                    np.arange(sum(map(len, submit_ids))),
+                                    np.maximum.reduceat)
+    prod_ids = tiered_ids[np.isin(np.concatenate(submit_tiers)[last],
+                                  ("prod", "monitoring"))]
+    evicted, evictions = np.unique(np.concatenate(evicted_ids),
+                                   return_counts=True)
+    prod_evicted = np.isin(evicted, prod_ids)
+    n_prod_evicted = int(prod_evicted.sum())
 
     def ratio(a: float, b: float) -> float:
         return a / b if b > 0 else 0.0
@@ -102,7 +114,9 @@ def termination_report(traces: Sequence[TraceDataset]) -> TerminationReport:
         kill_rate_with_parent=ratio(killed_with_parent, total_with_parent),
         kill_rate_without_parent=ratio(killed_without_parent, total_without_parent),
         collections_with_evictions_fraction=ratio(len(evicted), n_collections),
-        evicted_collections_nonprod_fraction=ratio(evicted_nonprod, len(evicted)),
-        prod_collections_evicted_fraction=ratio(len(prod_evicted), len(prod_ids)),
-        prod_evicted_single_eviction_fraction=ratio(prod_single, len(prod_evicted)),
+        evicted_collections_nonprod_fraction=ratio(len(evicted) - n_prod_evicted,
+                                                   len(evicted)),
+        prod_collections_evicted_fraction=ratio(n_prod_evicted, len(prod_ids)),
+        prod_evicted_single_eviction_fraction=ratio(
+            int((prod_evicted & (evictions == 1)).sum()), n_prod_evicted),
     )

@@ -9,9 +9,13 @@ event sequence and counting state changes.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, List, Tuple
+from collections import Counter
+from typing import List, Tuple
 
+import numpy as np
+
+from repro.analysis.common import codes_of
+from repro.table import Table
 from repro.trace.dataset import TraceDataset
 
 #: State entered after each event type.
@@ -27,50 +31,53 @@ _EVENT_TO_STATE = {
     "UPDATE_RUNNING": "RUNNING",
 }
 
+# Terminal events name the cause, not just DEAD, so figure 7's per-cause
+# arrows are reconstructible.  An evicted instance's follow-up SUBMIT
+# produces the DEAD(evict) -> PENDING resubmission arc naturally.
+_LABEL_OF = {event: state if state != "DEAD" else f"DEAD({event.lower()})"
+             for event, state in _EVENT_TO_STATE.items()}
+#: Code 0 is the state before an entity's first event.
+_LABELS = ("NONE", *dict.fromkeys(_LABEL_OF.values()))
+_CODE_OF = {event: _LABELS.index(label) for event, label in _LABEL_OF.items()}
+
 Transition = Tuple[str, str]
 
 
-def _count_stream(ids: List[Tuple[int, ...]], events: List[str],
-                  times: List[float]) -> Counter:
-    """Count state transitions within each entity's time-ordered events."""
-    per_entity: Dict[Tuple[int, ...], List[Tuple[float, int, str]]] = defaultdict(list)
-    for seq, (key, event, t) in enumerate(zip(ids, events, times)):
-        per_entity[key].append((t, seq, event))
-    counts: Counter = Counter()
-    for entries in per_entity.values():
-        entries.sort()
-        state = "NONE"
-        for _, __, event in entries:
-            nxt = _EVENT_TO_STATE.get(event)
-            if nxt is None:
-                continue
-            # Terminal events name the cause, not just DEAD, so figure 7's
-            # per-cause arrows are reconstructible.  An evicted instance's
-            # follow-up SUBMIT produces the DEAD(evict) -> PENDING
-            # resubmission arc naturally.
-            label = nxt if nxt != "DEAD" else f"DEAD({event.lower()})"
-            if label != state:
-                counts[(state, label)] += 1
-            state = label
-    return counts
+def _count_stream(table: Table, *keys: str) -> Counter:
+    """Count state transitions within each entity's time-ordered events.
+
+    An entity is one value of the ``keys`` columns.  Rows whose event
+    type enters no state are dropped; a stable sort by (entity, time)
+    keeps tied events in row order.  Each row's label is then compared
+    with the previous label of its entity (``NONE`` at its first row).
+    """
+    code = codes_of(table.column("type").values, _CODE_OF)
+    rows = np.flatnonzero(code >= 0)
+    entity = [table.column(k).values[rows] for k in keys]
+    order = np.lexsort([table.column("time").values[rows], *reversed(entity)])
+    label = code[rows[order]]
+    same_entity = np.zeros(len(order), dtype=bool)
+    same_entity[1:] = True
+    for values in entity:
+        values = values[order]
+        same_entity[1:] &= values[1:] == values[:-1]
+    prev = np.where(same_entity, np.roll(label, 1), 0)
+    changed = label != prev
+    n = len(_LABELS)
+    pairs = np.bincount(prev[changed] * n + label[changed], minlength=n * n)
+    return Counter({(_LABELS[p // n], _LABELS[p % n]): int(pairs[p])
+                    for p in np.flatnonzero(pairs)})
 
 
 def collection_transitions(trace: TraceDataset) -> Counter:
     """Transition counts over collection lifecycles."""
-    ce = trace.collection_events
-    ids = [(int(i),) for i in ce.column("collection_id").values]
-    return _count_stream(ids, list(ce.column("type").values),
-                         list(ce.column("time").values))
+    return _count_stream(trace.collection_events, "collection_id")
 
 
 def instance_transitions(trace: TraceDataset) -> Counter:
     """Transition counts over instance lifecycles (figure 7's bulk)."""
-    ie = trace.instance_events
-    ids = list(zip(ie.column("collection_id").values.tolist(),
-                   ie.column("instance_index").values.tolist()))
-    return _count_stream([tuple(i) for i in ids],
-                         list(ie.column("type").values),
-                         list(ie.column("time").values))
+    return _count_stream(trace.instance_events, "collection_id",
+                         "instance_index")
 
 
 def transition_table(trace: TraceDataset) -> List[Tuple[str, str, int, int]]:

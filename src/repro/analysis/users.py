@@ -14,7 +14,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.analysis.common import job_usage_integrals
+from repro.analysis.common import collection_metadata, job_usage_integrals
 from repro.trace.dataset import TraceDataset
 
 
@@ -38,8 +38,7 @@ def usage_per_user(traces: Sequence[TraceDataset]) -> Dict[str, float]:
         if len(table) == 0:
             continue
         # Attribute each job's integral to its submitting user.
-        ce = trace.collection_events
-        submits = ce.filter(ce.column("type") == "SUBMIT").distinct("collection_id")
+        submits = collection_metadata(trace)
         user_of = dict(zip(submits.column("collection_id").values.tolist(),
                            submits.column("user").values.tolist()))
         ids = table.column("collection_id").values

@@ -37,7 +37,8 @@ from repro.util.timeutil import HOUR_SECONDS
 class TestCommon:
     def test_alloc_set_ids(self, trace_2019):
         ids = alloc_set_ids(trace_2019)
-        assert ids  # the 2019 workload creates alloc sets
+        assert ids.size  # the 2019 workload creates alloc sets
+        assert (np.diff(ids) > 0).all()  # sorted and unique
         kinds = dict(zip(
             trace_2019.collection_events.column("collection_id").values.tolist(),
             trace_2019.collection_events.column("collection_type").values.tolist(),

@@ -668,7 +668,8 @@ class TestStoreAwareAnalysis:
             assert got[tier] == pytest.approx(expected[tier])
 
     def test_alloc_set_ids(self, trace_2019, stored_trace):
-        assert alloc_set_ids_store(stored_trace) == alloc_set_ids(trace_2019)
+        np.testing.assert_array_equal(alloc_set_ids_store(stored_trace),
+                                      alloc_set_ids(trace_2019))
 
 
 # -- property test: exact value + dtype preservation --------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.common import job_usage_integrals, job_usage_integrals_store
+from repro.analysis.sched_delay import scheduling_delays
 from repro.store import (
     Agg,
     Compare,
@@ -21,7 +23,7 @@ from repro.store import (
     write_store,
 )
 from repro.store.format import get_default_mmap, set_default_mmap
-from repro.table import Table
+from repro.table import Table, concat
 from repro.trace import load_trace
 from repro.trace.dataset import SCHEMA_2019, TraceDataset
 from repro.util.errors import SchemaError
@@ -181,3 +183,15 @@ def test_empty_tables_map_cleanly(tmp_path):
     write_store(ds, tmp_path / "s", chunk_rows=16)
     store = open_store(tmp_path / "s", use_mmap=True)
     assert len(store.scan("instance_events").to_table()) == 0
+    # Empty reducer results carry their declared kinds, so stacking one
+    # onto a non-empty result keeps collection ids integral.
+    integral_kinds = ["int", "str", "bool", "str", "float", "float"]
+    for empty in (job_usage_integrals(ds), job_usage_integrals_store(store)):
+        assert len(empty) == 0
+        assert [empty.column(c).kind for c in empty.column_names] == integral_kinds
+    delays = scheduling_delays(ds)
+    assert len(delays) == 0
+    one = Table({"collection_id": [1], "tier": ["prod"], "delay": [0.5]})
+    stacked = concat([delays, one])
+    assert [stacked.column(c).kind for c in stacked.column_names] == \
+        ["int", "str", "float"]
