@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,12 @@ from repro.analysis.common import hourly_tier_series, job_usage_integrals
 from repro.queueing import compare_isolation, pollaczek_khinchine
 from repro.stats import squared_cv, top_share
 from repro.table import concat
+from tests.trace_fixtures import (
+    ALL_CELLS_2019,
+    FAULTY_SCALE,
+    TEST_SCALE,
+    build_scenarios,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -84,6 +91,57 @@ def _check_golden(name: str, computed) -> None:
         f"{name} drifted from its golden snapshot ({path}). If this "
         "change is intentional, regenerate with REPRO_REGEN_GOLDENS=1 "
         "and commit the updated golden with the code change.")
+
+
+def _column_sha256(values: np.ndarray) -> str:
+    """sha256 of one column: its dtype, then its bytes (numeric) or the
+    ``repr`` of its elements (object), which tells ``str`` from ``np.str_``."""
+    digest = hashlib.sha256(str(values.dtype).encode("ascii"))
+    if values.dtype == object:
+        digest.update(repr(values.tolist()).encode("utf-8"))
+    else:
+        digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()
+
+
+def _workload_sha256(workload) -> str:
+    """sha256 over every generated field of every collection, in order
+    (``repr`` keeps floats exact and tells ``int`` from ``np.int64``)."""
+    digest = hashlib.sha256()
+    for c in workload:
+        digest.update(repr((
+            c.collection_id, c.collection_type.value, c.priority,
+            c.tier.value, c.user, c.submit_time, c.scheduler.value,
+            c.parent_id, c.alloc_collection_id, c.autopilot_mode,
+            c.constraint, c.planned_duration, c.planned_end.value,
+            c.cpu_usage_fraction, c.mem_usage_fraction, c.child_ids,
+            [(i.index, i.request.cpu, i.request.mem) for i in c.instances],
+        )).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_golden_trace_bytes_sha256(trace_2011, trace_2019, trace_2019_faulty):
+    """Every column of every encoded table, and the generated workloads,
+    pinned at their source rather than through the figures they feed."""
+    tables = {
+        name: {table: {column: _column_sha256(
+                           trace.tables[table].column(column).values)
+                       for column in trace.tables[table].column_names}
+               for table in sorted(trace.tables)}
+        for name, trace in (("2011", trace_2011), ("2019", trace_2019),
+                            ("2019-faulty", trace_2019_faulty))
+    }
+    workloads = {
+        "2011": _workload_sha256(
+            build_scenarios("2011", TEST_SCALE)[0].workload),
+        "2019-faulty": _workload_sha256(
+            build_scenarios("2019", FAULTY_SCALE)[0].workload),
+        **{f"2019-{s.name}": _workload_sha256(s.workload)
+           for s in build_scenarios(
+               "2019", replace(TEST_SCALE, cells_2019=ALL_CELLS_2019))},
+    }
+    _check_golden("trace_bytes_sha256",
+                  {"tables": tables, "workloads": workloads})
 
 
 def test_golden_fig6_machine_utilization(trace_2011, trace_2019):

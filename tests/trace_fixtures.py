@@ -80,23 +80,24 @@ def build_result(era: str, scale: TraceScale):
     For the 2019 era this runs the *first* cell of ``scale.cells_2019``
     (the unit scale pins exactly one).
     """
-    return _scenarios(era, scale)[0].run()
+    return build_scenarios(era, scale)[0].run()
 
 
 def build_trace(era: str, scale: TraceScale,
                 verbose: bool = False) -> TraceDataset:
     """Simulate + encode one cell of ``era`` at ``scale``."""
-    return _encode(_scenarios(era, scale)[0], verbose)
+    return _encode(build_scenarios(era, scale)[0], verbose)
 
 
 def build_traces_2019(scale: TraceScale,
                       verbose: bool = False) -> List[TraceDataset]:
     """Simulate + encode every 2019 cell in ``scale.cells_2019``."""
     return [_encode(scenario, verbose)
-            for scenario in _scenarios("2019", scale)]
+            for scenario in build_scenarios("2019", scale)]
 
 
-def _scenarios(era: str, scale: TraceScale):
+def build_scenarios(era: str, scale: TraceScale):
+    """Fresh (unrun) scenarios of ``era`` at ``scale``; one per cell."""
     if era == "2011":
         return [scenario_2011(seed=scale.seed,
                               machines_per_cell=scale.machines,
