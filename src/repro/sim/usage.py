@@ -3,8 +3,9 @@
 Real tasks use only a fraction of their requested limit, with diurnal
 modulation and short-term noise; the 2019 trace records this as 5-minute
 samples (average and maximum usage within each window).  This module
-generates those samples for a completed run interval in one vectorized
-pass, which is what keeps month-scale simulations tractable.
+generates those samples for all of a run's closed intervals in one
+blocked, vectorized flush, which is what keeps month-scale simulations
+tractable.
 
 CPU is work-conserving (usage may burst past the limit); memory is a
 hard bound (usage never exceeds the limit) — paper section 2.
@@ -12,9 +13,8 @@ hard bound (usage never exceeds the limit) — paper section 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -45,17 +45,6 @@ class UsageModelParams:
     burst_sigma: float = 0.12
     #: CPU usage may exceed the limit by up to this factor (work conserving).
     cpu_overage_factor: float = 1.15
-    #: Implementation knob, not a model parameter: draw all per-window
-    #: noise from one fused standard-normal block per cell per flush
-    #: (bit-identical to the per-interval reference path — see
-    #: :class:`UsageBatch`).  Off by default: the fused block must
-    #: re-derive the two lognormal streams from full-stream generator
-    #: clones plus four block-wide gathers, which at paper scale (~100M
-    #: draws) costs more than the per-interval draw loop it replaces —
-    #: the batched-capture + one-vectorized-pass structure, shared by
-    #: both settings, is where the speedup lives.  Kept selectable so
-    #: the paper-scale bench can measure one kernel against the other.
-    fused_sampling: bool = False
 
 
 class UsageModel:
@@ -70,62 +59,11 @@ class UsageModel:
         self.sample_period = sample_period
         self.utc_offset_hours = utc_offset_hours
 
-    def window_starts(self, start: float, end: float) -> np.ndarray:
-        """Grid-aligned sample-window start times covering [start, end)."""
-        if end <= start:
-            return np.empty(0)
-        first = np.floor(start / self.sample_period) * self.sample_period
-        return np.arange(first, end, self.sample_period)
-
     def _diurnal(self, t: np.ndarray) -> np.ndarray:
         """Multiplicative diurnal factor peaking mid-afternoon local time."""
         local_hours = (t / HOUR_SECONDS + self.utc_offset_hours) % 24.0
         phase = 2.0 * np.pi * (local_hours - 15.0) / 24.0
         return 1.0 + self.params.diurnal_amplitude * np.cos(phase)
-
-    def sample_interval(self, rng: np.random.Generator, start: float, end: float,
-                        cpu_limit: float, mem_limit: float,
-                        cpu_fraction: float, mem_fraction: float) -> Dict[str, np.ndarray]:
-        """Usage samples for one run interval.
-
-        Returns a dict of equal-length arrays: ``window_start``,
-        ``duration`` (seconds of the window actually overlapped by the
-        run), ``avg_cpu``, ``max_cpu``, ``avg_mem``, ``max_mem``.
-        """
-        starts = self.window_starts(start, end)
-        n = len(starts)
-        if n == 0:
-            return {k: np.empty(0) for k in
-                    ("window_start", "duration", "avg_cpu", "max_cpu", "avg_mem", "max_mem")}
-        p = self.params
-
-        window_ends = np.minimum(starts + self.sample_period, end)
-        window_begin = np.maximum(starts, start)
-        duration = window_ends - window_begin
-
-        diurnal = self._diurnal(starts + self.sample_period / 2.0)
-        noise = rng.lognormal(mean=0.0, sigma=p.noise_sigma, size=n)
-        avg_cpu = cpu_limit * cpu_fraction * diurnal * noise
-        # CPU is work-conserving: clip at a soft overage above the limit.
-        avg_cpu = np.clip(avg_cpu, 0.0, cpu_limit * p.cpu_overage_factor)
-
-        burst = np.maximum(1.0, rng.normal(p.burst_mean, p.burst_sigma, size=n))
-        max_cpu = np.clip(avg_cpu * burst, avg_cpu, cpu_limit * p.cpu_overage_factor)
-
-        # Memory: slow random walk around the target fraction, hard-capped.
-        mem_noise = rng.lognormal(mean=0.0, sigma=p.noise_sigma * 0.5, size=n)
-        avg_mem = np.clip(mem_limit * mem_fraction * mem_noise, 0.0, mem_limit)
-        mem_burst = np.maximum(1.0, rng.normal(1.05, 0.03, size=n))
-        max_mem = np.clip(avg_mem * mem_burst, avg_mem, mem_limit)
-
-        return {
-            "window_start": starts,
-            "duration": duration,
-            "avg_cpu": avg_cpu,
-            "max_cpu": max_cpu,
-            "avg_mem": avg_mem,
-            "max_mem": max_mem,
-        }
 
 
 class _IntervalRecord(NamedTuple):
@@ -167,62 +105,51 @@ _F_CPU_FRACTION = _IntervalRecord._fields.index("cpu_fraction")
 _F_MEM_FRACTION = _IntervalRecord._fields.index("mem_fraction")
 
 
-def _libm_exp(x: np.ndarray) -> np.ndarray:
-    """``exp(x)`` through the C library's *scalar* ``exp``.
-
-    ``Generator.lognormal`` exponentiates each normal draw with libm's
-    ``exp``; numpy's vectorized ``np.exp`` uses a SIMD implementation
-    that agrees only to within ULPs.  Mapping ``math.exp`` (the same
-    libm symbol) keeps the fused RNG block bit-identical to the
-    per-interval draws while staying ~15x cheaper than issuing
-    per-interval ``Generator`` calls.
-    """
-    return np.fromiter(map(math.exp, x.tolist()), dtype=np.float64,
-                       count=len(x))
+#: Most output windows one flush block holds.  A block's working set —
+#: its slice of every output column plus four noise draws per window —
+#: stays cache-sized.  Records never split across blocks; a record longer
+#: than this forms a block of its own.
+BLOCK_WINDOWS = 1 << 14
+#: Blocks whose task intervals average fewer windows than this draw all
+#: four noise streams as one block; longer ones draw per interval.
+BLOCK_DRAW_MEAN_WINDOWS = 16
 
 
 class UsageBatch:
     """Accumulates run intervals and materializes usage samples in bulk.
 
-    The simulator used to call :meth:`UsageModel.sample_interval` once per
-    closed run interval (tens of thousands of small numpy calls per cell).
-    ``UsageBatch`` instead records each interval as a scalar tuple and
-    generates all sample columns in one vectorized pass at finalize time.
+    The simulator records each closed run interval as a scalar tuple and
+    generates every sample column at finalize time, walking the records
+    in consecutive blocks of at most :data:`BLOCK_WINDOWS` output windows.
+    Each block writes its rows into output columns allocated once for
+    the whole flush.
 
-    Bit-exactness contract: the output is byte-identical to the
-    per-interval path.  Three things make that hold:
+    Bit-exactness contract: the output, and the usage RNG's end state,
+    equal those of drawing every interval on its own (the per-interval
+    reference, ``tests/usage_oracles.py``): for an interval with ``n``
+    windows, ``lognormal(0, noise_sigma, n)``, ``normal(burst_mean,
+    burst_sigma, n)``, ``lognormal(0, noise_sigma / 2, n)`` and
+    ``normal(1.05, 0.03, n)``, in record order, skipping empty intervals.
 
-    * One RNG block per cell per flush: a single
-      ``rng.standard_normal(4 * n)`` call consumes exactly the bit
-      stream the per-interval path consumed through its interleaved
-      ``lognormal``/``normal`` calls (the generator fills normals
-      element-by-element, so call partitioning never changes the
-      drawn sequence), and the block is indexed back into the four
-      per-interval streams (cpu noise, cpu burst, mem noise, mem
-      burst) in record order.
-    * ``normal(loc, scale, n)`` is exactly ``loc + scale * z``; but
-      ``lognormal`` routes through the C library's scalar ``exp``,
-      which a vectorized ``np.exp`` (SIMD) matches only to within
-      ULPs.  The fused path therefore replays the identical normal
-      stream through ``Generator.lognormal`` on two throwaway clones
-      of the generator — numpy's C loop applies libm ``exp`` per draw
-      — and gathers each stream's positions from the replayed block
-      (:func:`_libm_exp` documents the equivalent ``math.exp`` map).
-    * All arithmetic keeps the scalar path's operation order (e.g.
-      ``(limit * fraction) * diurnal * noise``), with per-interval
-      scalars broadcast via ``np.repeat``.
+    A block draws those four streams in one of two bit-equal ways:
 
-    ``UsageModelParams.fused_sampling`` selects which of two bit-equal
-    draw kernels fills the four noise streams: the default blocked
-    per-interval loop (4 ``Generator`` calls per record, zero redundant
-    draws, no gathers), or the fused one-block kernel above.  Measured
-    at paper scale (25.6M windows) the fused kernel loses: its clone
-    replays generate 3x the random numbers (discarding 3/4 of each
-    lognormal stream) and its four gathers touch ~800 MB arrays, which
-    costs more than the ~1M small generator calls it eliminates.  Both
-    kernels share the vectorized materialization tail — the part that
-    actually replaced the old per-interval ``sample_interval`` calls
-    and per-record autopilot loop.
+    * Short intervals (fewer than :data:`BLOCK_DRAW_MEAN_WINDOWS` windows
+      on average): four ``Generator`` calls per interval would dominate,
+      so the block draws its ``4 * m`` standard normals in one call.  The
+      generator fills normals one after another, so that block is the
+      exact concatenation of the per-interval draws, and ``normal(loc,
+      scale)`` is exactly ``loc + scale * z``.  ``lognormal`` applies
+      libm's scalar ``exp``, which ``np.exp`` (SIMD) matches only to
+      within ULPs, so a clone generator set to the primary's state
+      replays the same normals through ``Generator.lognormal`` with a
+      per-position sigma; gathers then pick each stream's positions.
+    * Long intervals: the four calls per interval cost little next to
+      their draws, and the block draw would generate and gather twice
+      the numbers.
+
+    All arithmetic keeps the per-interval operation order (e.g.
+    ``(limit * fraction) * diurnal * noise``), with per-interval scalars
+    broadcast via ``np.repeat``.
     """
 
     COLUMNS = (
@@ -264,189 +191,197 @@ class UsageBatch:
 
     def finalize(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
         """Materialize all queued intervals into usage-sample columns."""
-        model = self._model
-        period = model.sample_period
+        period = self._model.sample_period
         records = self._records
         if not records:
             return {c: np.empty(0) for c in self.COLUMNS}
 
         # One pass from the namedtuple list into a (n, 13) float matrix;
         # every scalar field (ints, bools, floats) is exact in float64.
-        # Column slices replace the dozen per-field list comprehensions
-        # the flush used to pay.
         rec = np.array(records, dtype=np.float64)
-        start_arr = rec[:, _F_START]
-        end_arr = rec[:, _F_END]
-        # The grid :meth:`UsageModel.window_starts` builds per interval
-        # is ``np.arange(first, end, period)``, which has
-        # ``ceil((end - first) / period)`` elements and equals
-        # ``first + k * period`` element-for-element — so the full
-        # concatenated grid can be produced directly, without an arange
-        # call per interval.
-        first = np.floor(start_arr / period) * period
-        counts = np.maximum(
-            np.ceil((end_arr - first) / period).astype(np.int64), 0)
-        n_rows = int(counts.sum())
+        # The per-interval grid ``np.arange(first, end, period)`` has
+        # ``ceil((end - first) / period)`` elements and equals ``first +
+        # k * period`` element for element, so it is built directly.  An
+        # interval with ``end <= start`` has no grid.
+        start, end = rec[:, _F_START], rec[:, _F_END]
+        first = np.floor(start / period) * period
+        counts = np.where(
+            end > start, np.ceil((end - first) / period).astype(np.int64), 0)
+        # bounds[j] is the first output row of record j.
+        bounds = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        n_rows = int(bounds[-1])
         if n_rows == 0:
             return {c: np.empty(0) for c in self.COLUMNS}
-        row_offsets = np.cumsum(counts) - counts
-        within = np.arange(n_rows) - np.repeat(row_offsets, counts)
-        window_start = np.repeat(first, counts) + within * period
-
-        start_rep = np.repeat(start_arr, counts)
-        end_rep = np.repeat(end_arr, counts)
-        duration = (np.minimum(window_start + period, end_rep)
-                    - np.maximum(window_start, start_rep))
-        cpu_limit = np.repeat(rec[:, _F_CPU_LIMIT], counts)
-        mem_limit = np.repeat(rec[:, _F_MEM_LIMIT], counts)
-        avg_cpu = np.zeros(n_rows)
-        max_cpu = np.zeros(n_rows)
-        avg_mem = np.zeros(n_rows)
-        max_mem = np.zeros(n_rows)
-
-        task_j = np.flatnonzero(rec[:, _F_IS_ALLOC] == 0.0)
-        if task_j.size:
-            t_counts = counts[task_j]
-            n_task = int(t_counts.sum())
-            t_excl = np.cumsum(t_counts) - t_counts
-            within_task = np.arange(n_task) - np.repeat(t_excl, t_counts)
-            task_rows = (np.repeat(row_offsets[task_j] - t_excl, t_counts)
-                         + np.arange(n_task))
-            p = model.params
-            noise_sigma = p.noise_sigma
-            mem_sigma = p.noise_sigma * 0.5
-            burst_mean, burst_sigma = p.burst_mean, p.burst_sigma
-            if p.fused_sampling and n_task:
-                # One RNG block per cell per flush.  The per-interval
-                # path drew, for interval i with n_i windows, 4 * n_i
-                # consecutive standard normals in stream order (noise,
-                # burst, mem noise, mem burst); the block reproduces
-                # that exact sequence, and the index arrays below
-                # scatter it back into the four streams.
-                #
-                # The two lognormal streams need ``exp(sigma * z)``
-                # computed by the *same* libm ``exp`` the generator's C
-                # code applies (np.exp's SIMD kernel differs in the last
-                # ULP; see :func:`_libm_exp`).  Rather than a Python-
-                # level ``math.exp`` map, two clones of the generator
-                # replay the identical normal stream through
-                # ``Generator.lognormal`` — numpy's C loop applies libm
-                # ``exp`` per draw, so ``clone.lognormal(0, sigma,
-                # m)[i] == exp(sigma * z[i])`` bit-for-bit — and the
-                # fused path gathers the positions belonging to each
-                # stream.  Only the primary ``rng`` advances; the clones
-                # are throwaways.
-                state = rng.bit_generator.state
-                clone_n = np.random.Generator(type(rng.bit_generator)())
-                clone_n.bit_generator.state = state
-                clone_m = np.random.Generator(type(rng.bit_generator)())
-                clone_m.bit_generator.state = state
-                z = rng.standard_normal(4 * n_task)
-                base = np.repeat(4 * t_excl, t_counts) + within_task
-                repc = np.repeat(t_counts, t_counts)
-                noise = clone_n.lognormal(0.0, noise_sigma, 4 * n_task)[base]
-                burst_raw = burst_mean + burst_sigma * z[base + repc]
-                mem_noise = clone_m.lognormal(
-                    0.0, mem_sigma, 4 * n_task)[base + 2 * repc]
-                mem_burst_raw = 1.05 + 0.03 * z[base + 3 * repc]
-                del z
-            else:
-                noise = np.empty(n_task)
-                burst_raw = np.empty(n_task)
-                mem_noise = np.empty(n_task)
-                mem_burst_raw = np.empty(n_task)
-                lognormal, normal = rng.lognormal, rng.normal
-                off = 0
-                for n in t_counts.tolist():
-                    if n == 0:
-                        # The per-interval path returned before drawing
-                        # when the grid was empty; consume nothing here.
-                        continue
-                    # Four draws per interval, record order: the scalar
-                    # path's exact RNG call sequence (class docstring).
-                    end = off + n
-                    noise[off:end] = lognormal(mean=0.0, sigma=noise_sigma,
-                                               size=n)
-                    burst_raw[off:end] = normal(burst_mean, burst_sigma,
-                                                size=n)
-                    mem_noise[off:end] = lognormal(mean=0.0, sigma=mem_sigma,
-                                                   size=n)
-                    mem_burst_raw[off:end] = normal(1.05, 0.03, size=n)
-                    off = end
-
-            diurnal = model._diurnal(window_start[task_rows] + period / 2.0)
-            cl = rec[task_j, _F_CPU_LIMIT]
-            ml = rec[task_j, _F_MEM_LIMIT]
-            cf = rec[task_j, _F_CPU_FRACTION]
-            mf = rec[task_j, _F_MEM_FRACTION]
-            cpu_cap = np.repeat(cl * p.cpu_overage_factor, t_counts)
-            avg_c = np.clip(np.repeat(cl * cf, t_counts) * diurnal * noise,
-                            0.0, cpu_cap)
-            burst = np.maximum(1.0, burst_raw)
-            max_c = np.clip(avg_c * burst, avg_c, cpu_cap)
-            ml_rep = np.repeat(ml, t_counts)
-            avg_m = np.clip(np.repeat(ml * mf, t_counts) * mem_noise,
-                            0.0, ml_rep)
-            mem_burst = np.maximum(1.0, mem_burst_raw)
-            max_m = np.clip(avg_m * mem_burst, avg_m, ml_rep)
-
-            # Autopilot limit trajectories are causal *within* one run
-            # interval; mode NONE (the common case) is just the repeated
-            # request limit, already in place.  The flagged minority of
-            # records runs through one row-vectorized controller pass
-            # (bit-equal to per-record limit_trajectory calls) instead
-            # of two Python calls per record.
-            cpu_lim_t = np.repeat(cl, t_counts)
-            mem_lim_t = np.repeat(ml, t_counts)
-            ap_codes = rec[task_j, _F_AUTOPILOT]
-            ap = np.flatnonzero(ap_codes)
-            if ap.size:
-                seg_counts = t_counts[ap]
-                m = int(seg_counts.sum())
-                if m:
-                    excl = np.cumsum(seg_counts) - seg_counts
-                    rows = (np.repeat(t_excl[ap] - excl, seg_counts)
-                            + np.arange(m))
-                    wpos = np.arange(m) - np.repeat(excl, seg_counts)
-                    auto = self._autopilot
-                    frac = np.where(
-                        ap_codes[ap] == AUTOPILOT_CODES["fully"],
-                        auto.min_limit_fraction_fully,
-                        auto.min_limit_fraction_constrained)
-                    frac_rows = np.repeat(frac, seg_counts)
-                    init_c = np.repeat(cl[ap], seg_counts)
-                    cpu_lim_t[rows] = limit_trajectory_rows(
-                        wpos, max_c[rows], init_c, init_c * frac_rows, auto)
-                    init_m = np.repeat(ml[ap], seg_counts)
-                    mem_lim_t[rows] = limit_trajectory_rows(
-                        wpos, max_m[rows], init_m, init_m * frac_rows, auto)
-
-            avg_cpu[task_rows] = avg_c
-            max_cpu[task_rows] = max_c
-            avg_mem[task_rows] = avg_m
-            max_mem[task_rows] = max_m
-            cpu_limit[task_rows] = cpu_lim_t
-            mem_limit[task_rows] = mem_lim_t
 
         def rep(col: int, dtype) -> np.ndarray:
             return np.repeat(rec[:, col].astype(dtype), counts)
 
-        return {
+        out = {
             "collection_id": rep(_F_COLLECTION_ID, np.int64),
             "instance_index": rep(_F_INSTANCE_INDEX, np.int32),
             "machine_id": rep(_F_MACHINE_ID, np.int32),
             "tier_code": rep(_F_TIER_CODE, np.int8),
             "autopilot_code": rep(_F_AUTOPILOT, np.int8),
             "in_alloc": rep(_F_IN_ALLOC, bool),
-            "window_start": window_start,
-            "duration": duration,
-            "avg_cpu": avg_cpu,
-            "max_cpu": max_cpu,
-            "avg_mem": avg_mem,
-            "max_mem": max_mem,
-            "cpu_limit": cpu_limit,
-            "mem_limit": mem_limit,
+            "window_start": np.empty(n_rows),
+            "duration": np.empty(n_rows),
+            # Alloc rows carry zero usage.
+            "avg_cpu": np.zeros(n_rows),
+            "max_cpu": np.zeros(n_rows),
+            "avg_mem": np.zeros(n_rows),
+            "max_mem": np.zeros(n_rows),
+            "cpu_limit": np.empty(n_rows),
+            "mem_limit": np.empty(n_rows),
         }
+        # The lognormal replays of the block draw run on this clone.
+        clone = np.random.Generator(type(rng.bit_generator)(0))
+        n_records = len(records)
+        j0 = 0
+        while j0 < n_records:
+            # The longest run of whole records within BLOCK_WINDOWS rows,
+            # or one record on its own when it alone is longer.
+            j1 = int(np.searchsorted(bounds, bounds[j0] + BLOCK_WINDOWS,
+                                     side="right")) - 1
+            j1 = max(j1, j0 + 1)
+            self._fill_block(rng, clone, rec[j0:j1], first[j0:j1],
+                             counts[j0:j1], bounds[j0:j1 + 1], out)
+            j0 = j1
+        return out
+
+    def _fill_block(self, rng: np.random.Generator,
+                    clone: np.random.Generator, rec: np.ndarray,
+                    first: np.ndarray, counts: np.ndarray,
+                    bounds: np.ndarray, out: Dict[str, np.ndarray]) -> None:
+        """Write one block's rows (``bounds[0]:bounds[-1]``) into ``out``."""
+        model = self._model
+        period = model.sample_period
+        r0, r1 = int(bounds[0]), int(bounds[-1])
+        within = np.arange(r1 - r0) - np.repeat(bounds[:-1] - r0, counts)
+        window_start = out["window_start"][r0:r1]
+        np.add(np.repeat(first, counts), within * period, out=window_start)
+        np.subtract(
+            np.minimum(window_start + period, np.repeat(rec[:, _F_END], counts)),
+            np.maximum(window_start, np.repeat(rec[:, _F_START], counts)),
+            out=out["duration"][r0:r1])
+        out["cpu_limit"][r0:r1] = np.repeat(rec[:, _F_CPU_LIMIT], counts)
+        out["mem_limit"][r0:r1] = np.repeat(rec[:, _F_MEM_LIMIT], counts)
+
+        is_task = rec[:, _F_IS_ALLOC] == 0.0
+        rows: Union[slice, np.ndarray]
+        if is_task.all():
+            t_counts = counts
+            rows = slice(r0, r1)
+        else:
+            t_counts = counts[is_task]
+            rows = r0 + np.flatnonzero(np.repeat(is_task, counts))
+            rec = rec[is_task]
+        m = int(t_counts.sum())
+        if m == 0:
+            return
+        p = model.params
+        if m < BLOCK_DRAW_MEAN_WINDOWS * len(t_counts):
+            noise, burst_raw, mem_noise, mem_burst_raw = _draw_block(
+                rng, clone, p, t_counts, m)
+        else:
+            noise, burst_raw, mem_noise, mem_burst_raw = _draw_intervals(
+                rng, p, t_counts, m)
+
+        diurnal = model._diurnal(out["window_start"][rows] + period / 2.0)
+        cl = rec[:, _F_CPU_LIMIT]
+        ml = rec[:, _F_MEM_LIMIT]
+        cpu_cap = np.repeat(cl * p.cpu_overage_factor, t_counts)
+        avg_c = np.clip(
+            np.repeat(cl * rec[:, _F_CPU_FRACTION], t_counts) * diurnal * noise,
+            0.0, cpu_cap)
+        max_c = np.clip(avg_c * np.maximum(1.0, burst_raw), avg_c, cpu_cap)
+        ml_rep = np.repeat(ml, t_counts)
+        avg_m = np.clip(
+            np.repeat(ml * rec[:, _F_MEM_FRACTION], t_counts) * mem_noise,
+            0.0, ml_rep)
+        max_m = np.clip(avg_m * np.maximum(1.0, mem_burst_raw), avg_m, ml_rep)
+        out["avg_cpu"][rows] = avg_c
+        out["max_cpu"][rows] = max_c
+        out["avg_mem"][rows] = avg_m
+        out["max_mem"][rows] = max_m
+
+        # Autopilot limit trajectories are causal *within* one run
+        # interval; mode NONE (the common case) is just the repeated
+        # request limit, already in place.  The flagged minority of
+        # records runs through one row-vectorized controller pass
+        # (bit-equal to per-record limit_trajectory calls).
+        ap_codes = rec[:, _F_AUTOPILOT]
+        ap = np.flatnonzero(ap_codes)
+        if not ap.size:
+            return
+        seg_counts = t_counts[ap]
+        n_ap = int(seg_counts.sum())
+        if not n_ap:
+            return
+        t_excl = np.cumsum(t_counts) - t_counts
+        excl = np.cumsum(seg_counts) - seg_counts
+        ap_rows = np.repeat(t_excl[ap] - excl, seg_counts) + np.arange(n_ap)
+        wpos = np.arange(n_ap) - np.repeat(excl, seg_counts)
+        auto = self._autopilot
+        frac = np.where(ap_codes[ap] == AUTOPILOT_CODES["fully"],
+                        auto.min_limit_fraction_fully,
+                        auto.min_limit_fraction_constrained)
+        frac_rows = np.repeat(frac, seg_counts)
+        dest = r0 + ap_rows if isinstance(rows, slice) else rows[ap_rows]
+        init_c = np.repeat(cl[ap], seg_counts)
+        out["cpu_limit"][dest] = limit_trajectory_rows(
+            wpos, max_c[ap_rows], init_c, init_c * frac_rows, auto)
+        init_m = np.repeat(ml[ap], seg_counts)
+        out["mem_limit"][dest] = limit_trajectory_rows(
+            wpos, max_m[ap_rows], init_m, init_m * frac_rows, auto)
+
+
+def _draw_block(rng: np.random.Generator, clone: np.random.Generator,
+                p: UsageModelParams, t_counts: np.ndarray, m: int):
+    """The four noise streams of a block's task intervals, from one
+    ``4 * m`` standard-normal draw (see :class:`UsageBatch`)."""
+    clone.bit_generator.state = rng.bit_generator.state
+    z = rng.standard_normal(4 * m)
+    # Interval i draws [noise, burst, mem noise, mem burst] x n_i in turn;
+    # the normal positions get sigma 0 and their replays are discarded.
+    sigma = np.repeat(
+        np.tile((p.noise_sigma, 0.0, p.noise_sigma * 0.5, 0.0), len(t_counts)),
+        np.repeat(t_counts, 4))
+    lognormal = clone.lognormal(0.0, sigma)
+    # Window w of interval i sits at 4 * o_i + w (o_i: the interval's
+    # first task window), and each later stream n_i positions further.
+    excl = np.cumsum(t_counts) - t_counts
+    base = np.arange(m) + np.repeat(3 * excl, t_counts)
+    step = np.repeat(t_counts, t_counts)
+    return (lognormal[base],
+            p.burst_mean + p.burst_sigma * z[base + step],
+            lognormal[base + 2 * step],
+            1.05 + 0.03 * z[base + 3 * step])
+
+
+def _draw_intervals(rng: np.random.Generator, p: UsageModelParams,
+                    t_counts: np.ndarray, m: int):
+    """The four noise streams of a block's task intervals, with the four
+    ``Generator`` calls of each interval."""
+    noise = np.empty(m)
+    burst_raw = np.empty(m)
+    mem_noise = np.empty(m)
+    mem_burst_raw = np.empty(m)
+    lognormal, normal = rng.lognormal, rng.normal
+    noise_sigma, mem_sigma = p.noise_sigma, p.noise_sigma * 0.5
+    burst_mean, burst_sigma = p.burst_mean, p.burst_sigma
+    off = 0
+    for n in t_counts.tolist():
+        if n == 0:
+            # An empty interval draws nothing.
+            continue
+        end = off + n
+        noise[off:end] = lognormal(mean=0.0, sigma=noise_sigma, size=n)
+        burst_raw[off:end] = normal(burst_mean, burst_sigma, size=n)
+        mem_noise[off:end] = lognormal(mean=0.0, sigma=mem_sigma, size=n)
+        mem_burst_raw[off:end] = normal(1.05, 0.03, size=n)
+        off = end
+    return noise, burst_raw, mem_noise, mem_burst_raw
 
 
 def diurnal_rate_factor(t: float, utc_offset_hours: float,

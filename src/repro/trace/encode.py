@@ -18,6 +18,25 @@ from repro.trace.dataset import TraceDataset
 from repro.trace.schema import empty_table, ordered_columns
 
 
+def _code_names(names: dict) -> np.ndarray:
+    """Object lookup array: ``out[code]`` is the string of ``code``."""
+    out = np.empty(max(names) + 1, dtype=object)
+    for code, name in names.items():
+        out[code] = name
+    return out
+
+
+#: Usage-row tier and vertical-scaling codes -> trace strings.
+_TIER_NAMES = _code_names({c: t.value for c, t in TIER_FROM_CODE.items()})
+_AUTOPILOT_NAMES = _code_names(AUTOPILOT_FROM_CODE)
+
+
+def _strings(values: list) -> np.ndarray:
+    """A string column built straight as an object array (a list of str
+    would take a detour through a fixed-width ``<U`` array)."""
+    return np.array(values, dtype=object)
+
+
 def _build(name: str, values: dict) -> Table:
     """Schema-ordered :class:`Table` (typed empty when there are no rows)."""
     table = Table(ordered_columns(name, values))
@@ -31,16 +50,18 @@ def _collection_events_table(result: CellResult) -> Table:
     return _build("collection_events", {
         "time": [e.time for e in events],
         "collection_id": [e.collection_id for e in events],
-        "type": [e.event.value for e in events],
-        "collection_type": [e.collection_type for e in events],
+        # ._value_ is the enum member's plain value attribute; .value
+        # routes through a descriptor call per row.
+        "type": _strings([e.event._value_ for e in events]),
+        "collection_type": _strings([e.collection_type for e in events]),
         "priority": [e.priority for e in events],
-        "tier": [e.tier for e in events],
-        "user": [e.user for e in events],
-        "scheduler": [e.scheduler for e in events],
+        "tier": _strings([e.tier for e in events]),
+        "user": _strings([e.user for e in events]),
+        "scheduler": _strings([e.scheduler for e in events]),
         "parent_collection_id": [e.parent_id for e in events],
         "alloc_collection_id": [e.alloc_collection_id for e in events],
-        "vertical_scaling": [e.autopilot_mode for e in events],
-        "constraint": [e.constraint for e in events],
+        "vertical_scaling": _strings([e.autopilot_mode for e in events]),
+        "constraint": _strings([e.constraint for e in events]),
         "num_instances": [e.num_instances for e in events],
     })
 
@@ -51,10 +72,10 @@ def _instance_events_table(result: CellResult) -> Table:
         "time": [e.time for e in events],
         "collection_id": [e.collection_id for e in events],
         "instance_index": [e.instance_index for e in events],
-        "type": [e.event.value for e in events],
+        "type": _strings([e.event._value_ for e in events]),
         "machine_id": [e.machine_id for e in events],
         "priority": [e.priority for e in events],
-        "tier": [e.tier for e in events],
+        "tier": _strings([e.tier for e in events]),
         "resource_request_cpu": [e.cpu_request for e in events],
         "resource_request_mem": [e.mem_request for e in events],
         "is_new": [e.is_new for e in events],
@@ -63,22 +84,18 @@ def _instance_events_table(result: CellResult) -> Table:
 
 def _instance_usage_table(result: CellResult) -> Table:
     u = result.usage
-    n = len(u["window_start"])
-    tier_strings = np.empty(n, dtype=object)
-    for code, tier in TIER_FROM_CODE.items():
-        tier_strings[u["tier_code"] == code] = tier.value
-    autopilot_strings = np.empty(n, dtype=object)
-    for code, mode in AUTOPILOT_FROM_CODE.items():
-        autopilot_strings[u["autopilot_code"] == code] = mode
+    if not len(u["window_start"]):
+        return empty_table("instance_usage")
+    # Column() widens the int32/int8 key columns to int64 itself.
     return _build("instance_usage", {
         "start_time": Column(u["window_start"]),
         "duration": Column(u["duration"]),
-        "collection_id": Column(u["collection_id"].astype(np.int64)),
-        "instance_index": Column(u["instance_index"].astype(np.int64)),
-        "machine_id": Column(u["machine_id"].astype(np.int64)),
-        "tier": Column(tier_strings),
-        "vertical_scaling": Column(autopilot_strings),
-        "in_alloc": Column(u["in_alloc"].astype(bool)),
+        "collection_id": Column(u["collection_id"]),
+        "instance_index": Column(u["instance_index"]),
+        "machine_id": Column(u["machine_id"]),
+        "tier": Column(_TIER_NAMES[u["tier_code"]]),
+        "vertical_scaling": Column(_AUTOPILOT_NAMES[u["autopilot_code"]]),
+        "in_alloc": Column(u["in_alloc"]),
         "avg_cpu": Column(u["avg_cpu"]),
         "max_cpu": Column(u["max_cpu"]),
         "avg_mem": Column(u["avg_mem"]),

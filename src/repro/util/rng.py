@@ -9,9 +9,11 @@ spawning, which guarantees independence between streams.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 class RngFactory:
@@ -64,3 +66,19 @@ class RngFactory:
 
     def __repr__(self) -> str:
         return f"RngFactory(seed={self._seed}, streams={sorted(self._streams)})"
+
+
+# Scalar draws without numpy's per-call argument conversion and dispatch.
+# Each consumes exactly the bits, and returns exactly the value, of the
+# numpy call it replaces (the trace-bytes golden pins this).
+
+def pick(rng: np.random.Generator, options: Sequence[T]) -> T:
+    """``rng.choice(options)`` for one uniform pick: numpy draws
+    ``integers(0, len(options))`` and indexes with it."""
+    return options[int(rng.integers(0, len(options)))]
+
+
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """Scalar ``rng.uniform(low, high)``, which numpy computes as
+    ``low + (high - low) * random()``."""
+    return low + (high - low) * rng.random()

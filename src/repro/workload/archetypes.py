@@ -35,6 +35,7 @@ import numpy as np
 from repro.sim.entities import Collection, EndReason
 from repro.sim.priority import Tier
 from repro.sim.resources import Resources
+from repro.util.rng import pick, uniform
 from repro.util.timeutil import HOUR_SECONDS
 from repro.workload.jobs import build_simple_job
 from repro.workload.params import EraParams
@@ -116,7 +117,7 @@ class ArchetypeWorkload:
         return Tier.BEB
 
     def _priority(self, tier: Tier) -> int:
-        return int(self._rng.choice(self.era.tiers[tier].priorities))
+        return pick(self._rng, self.era.tiers[tier].priorities)
 
     def _end(self, fail_prob: float) -> EndReason:
         return (EndReason.FAIL if self._rng.random() < fail_prob
@@ -147,10 +148,10 @@ class ArchetypeWorkload:
         for _ in range(1 + int(self._rng.integers(0, 2))):
             out.append(self._job(
                 tier=tier, user=user,
-                submit_time=float(self._rng.uniform(0.0, 0.5 * self.horizon)),
+                submit_time=uniform(self._rng, 0.0, 0.5 * self.horizon),
                 n_tasks=int(self._rng.integers(16, 48)),
-                duration=float(self._rng.uniform(0.3, 0.6) * self.horizon),
-                cpu_usage=float(self._rng.uniform(0.015, 0.04)),
+                duration=uniform(self._rng, 0.3, 0.6) * self.horizon,
+                cpu_usage=uniform(self._rng, 0.015, 0.04),
                 fail_prob=0.05,
             ))
         return out
@@ -162,10 +163,10 @@ class ArchetypeWorkload:
         for _ in range(1 + int(self._rng.poisson(3.0))):
             out.append(self._job(
                 tier=tier, user=user,
-                submit_time=float(self._rng.uniform(0.0, self.horizon)),
+                submit_time=uniform(self._rng, 0.0, self.horizon),
                 n_tasks=1,
-                duration=float(self._rng.uniform(60.0, 900.0)),
-                cpu_usage=float(self._rng.uniform(0.002, 0.006)),
+                duration=uniform(self._rng, 60.0, 900.0),
+                cpu_usage=uniform(self._rng, 0.002, 0.006),
                 fail_prob=0.08,
             ))
         return out
@@ -173,11 +174,11 @@ class ArchetypeWorkload:
     def _cron_jobs(self, user: str) -> List[Collection]:
         """The same small job on a fixed cadence with a per-user phase."""
         tier = self._tier(Tier.MID, Tier.BEB)
-        period = float(self._rng.choice((0.25, 0.5, 1.0))) * HOUR_SECONDS
-        phase = float(self._rng.uniform(0.0, period))
-        duration = float(self._rng.uniform(0.1, 0.4)) * period
+        period = pick(self._rng, (0.25, 0.5, 1.0)) * HOUR_SECONDS
+        phase = uniform(self._rng, 0.0, period)
+        duration = uniform(self._rng, 0.1, 0.4) * period
         n_tasks = int(self._rng.integers(1, 3))
-        cpu_usage = float(self._rng.uniform(0.003, 0.008))
+        cpu_usage = uniform(self._rng, 0.003, 0.008)
         out = []
         t = phase
         while t < self.horizon:
@@ -195,14 +196,14 @@ class ArchetypeWorkload:
             self.horizon / (4.0 * HOUR_SECONDS)))
         out = []
         for _ in range(n_bursts):
-            burst_at = float(self._rng.uniform(0.0, self.horizon))
+            burst_at = uniform(self._rng, 0.0, self.horizon)
             for _ in range(4 + int(self._rng.integers(0, 8))):
                 out.append(self._job(
                     tier=tier, user=user,
-                    submit_time=burst_at + float(self._rng.uniform(0.0, 120.0)),
+                    submit_time=burst_at + uniform(self._rng, 0.0, 120.0),
                     n_tasks=int(self._rng.integers(1, 3)),
-                    duration=float(self._rng.uniform(120.0, 1200.0)),
-                    cpu_usage=float(self._rng.uniform(0.003, 0.008)),
+                    duration=uniform(self._rng, 120.0, 1200.0),
+                    cpu_usage=uniform(self._rng, 0.003, 0.008),
                     fail_prob=0.25,
                 ))
         return out

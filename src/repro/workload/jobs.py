@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,9 +34,9 @@ from repro.stats.distributions import (
     bounded_pareto_sample,
     stratified_uniforms,
 )
-from repro.util.rng import RngFactory
+from repro.util.rng import RngFactory, pick, uniform
 from repro.util.timeutil import HOUR_SECONDS
-from repro.workload.params import EraParams
+from repro.workload.params import AUTOPILOT_MODES, EraParams
 
 #: Planned job durations are clamped to at least this (seconds).
 MIN_DURATION = 30.0
@@ -134,6 +135,12 @@ class WorkloadGenerator:
         #: constraint would mostly sit unplaceable).
         self.platforms = sorted(platforms) if platforms else []
         self._rng = rng.stream("workload")
+        # The CDF ``rng.choice(AUTOPILOT_MODES, p=...)`` builds per call,
+        # with numpy's own arithmetic; a uniform draw bisects it the way
+        # choice's searchsorted does.
+        cdf = np.cumsum(np.asarray(era.autopilot_probs, dtype=np.float64))
+        cdf /= cdf[-1]
+        self._autopilot_cdf = cdf.tolist()
         self._next_id = id_offset
         self._alloc_sets: List[_AllocSetInfo] = []
         #: (submit_time, est_end_time, collection) of recent parent candidates.
@@ -330,10 +337,10 @@ class WorkloadGenerator:
         else:
             mem_fraction = params.mem_usage_fraction * f_mem_mult
         cpu_fraction = params.cpu_usage_fraction * f_cpu_mult
-        cpu_fraction = float(np.clip(cpu_fraction * self._rng.lognormal(0.0, 0.20),
-                                     0.05, 0.95))
-        mem_fraction = float(np.clip(mem_fraction * self._rng.lognormal(0.0, 0.15),
-                                     0.05, 0.95))
+        cpu_fraction = min(max(
+            cpu_fraction * self._rng.lognormal(0.0, 0.20), 0.05), 0.95)
+        mem_fraction = min(max(
+            mem_fraction * self._rng.lognormal(0.0, 0.15), 0.05), 0.95)
 
         cpu_request = min(u0 / cpu_fraction, MAX_TASK_REQUEST)
         mem_request = min(m0 / mem_fraction, MAX_TASK_REQUEST)
@@ -387,15 +394,15 @@ class WorkloadGenerator:
             n_instances = int(self._rng.integers(4, 16))
             cpu_each = total_cpu / n_sets / n_instances
             mem_each = total_mem / n_sets / n_instances
-            cpu_each = float(np.clip(cpu_each * self._rng.lognormal(0.0, 0.3),
-                                     0.02, MAX_TASK_REQUEST))
-            mem_each = float(np.clip(mem_each * self._rng.lognormal(0.0, 0.3),
-                                     0.02, MAX_TASK_REQUEST))
-            submit = float(self._rng.uniform(0.0, 0.5 * self.horizon))
+            cpu_each = min(max(cpu_each * self._rng.lognormal(0.0, 0.3),
+                               0.02), MAX_TASK_REQUEST)
+            mem_each = min(max(mem_each * self._rng.lognormal(0.0, 0.3),
+                               0.02), MAX_TASK_REQUEST)
+            submit = uniform(self._rng, 0.0, 0.5 * self.horizon)
             collection = Collection(
                 collection_id=self._new_id(),
                 collection_type=CollectionType.ALLOC_SET,
-                priority=int(self._rng.choice((120, 200, 359))),
+                priority=pick(self._rng, (120, 200, 359)),
                 tier=Tier.PROD,
                 user=self._draw_user(),
                 submit_time=submit,
@@ -528,10 +535,10 @@ class WorkloadGenerator:
             remaining = max(60.0, parent_est_end - t)
             if self._rng.random() < 0.70:
                 forced_duration = remaining
-                planned_override = remaining * float(self._rng.uniform(1.1, 3.0))
+                planned_override = remaining * uniform(self._rng, 1.1, 3.0)
             else:
                 forced_duration = max(MIN_DURATION,
-                                      remaining * float(self._rng.uniform(0.1, 0.9)))
+                                      remaining * uniform(self._rng, 0.1, 0.9))
         elif is_hog:
             # Deliver the whole hog before the horizon (minus a placement
             # margin), at a usage rate backed out from its size.
@@ -549,7 +556,7 @@ class WorkloadGenerator:
             if t + duration <= 0:
                 return None
             duration = t + duration
-            t = float(self._rng.uniform(0.0, 120.0))
+            t = uniform(self._rng, 0.0, 120.0)
         if parent is not None and t < parent.submit_time:
             # Warm-start remapping can reorder submits; a child never
             # predates its parent.
@@ -561,9 +568,8 @@ class WorkloadGenerator:
             constraint = str(self.platforms[int(self._rng.integers(
                 0, len(self.platforms)))])
 
-        autopilot = str(self._rng.choice(
-            ("none", "fully", "constrained"), p=era.autopilot_probs
-        ))
+        autopilot = AUTOPILOT_MODES[
+            bisect_right(self._autopilot_cdf, self._rng.random())]
         scheduler = (SchedulerKind.BATCH
                      if tier is Tier.BEB and era.batch_queueing
                      else SchedulerKind.BORG)
@@ -571,7 +577,7 @@ class WorkloadGenerator:
         collection = Collection(
             collection_id=self._new_id(),
             collection_type=CollectionType.JOB,
-            priority=int(self._rng.choice(params.priorities)),
+            priority=pick(self._rng, params.priorities),
             tier=tier,
             user=self._draw_user(),
             submit_time=t,

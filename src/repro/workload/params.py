@@ -16,6 +16,9 @@ from typing import Dict, Tuple
 
 from repro.sim.priority import Tier
 
+#: Autopilot modes, in the order of :attr:`EraParams.autopilot_probs`.
+AUTOPILOT_MODES = ("none", "fully", "constrained")
+
 
 @dataclass(frozen=True)
 class SizeMixture:
@@ -102,6 +105,8 @@ class TierParams:
         total = self.end_finish + self.end_kill + self.end_fail
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"end probabilities must sum to 1, got {total}")
+        if not self.priorities:
+            raise ValueError("priorities must not be empty")
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,14 @@ class EraParams:
         share = sum(t.arrival_share for t in self.tiers.values())
         if abs(share - 1.0) > 1e-6:
             raise ValueError(f"tier arrival shares must sum to 1, got {share}")
-        if abs(sum(self.autopilot_probs) - 1.0) > 1e-9:
+        probs = self.autopilot_probs
+        if len(probs) != len(AUTOPILOT_MODES):
+            raise ValueError(f"autopilot_probs needs one entry per mode "
+                             f"{AUTOPILOT_MODES}, got {len(probs)}")
+        if not all(math.isfinite(p) and p >= 0 for p in probs):
+            raise ValueError(
+                f"autopilot_probs must be finite and >= 0, got {probs}")
+        if abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError("autopilot_probs must sum to 1")
 
 

@@ -10,6 +10,7 @@ from repro.sim.dependencies import DependencyManager
 from repro.sim.entities import Collection, CollectionType, EndReason, Instance
 from repro.sim.scheduler import PendingQueue, PlacementPolicy, SchedulerParams
 from repro.sim.usage import UsageModel, UsageModelParams, diurnal_rate_factor
+from tests.usage_oracles import sample_interval, window_starts
 
 
 def _collection(tier=Tier.PROD, cid=1, n=0, cpu=0.1, mem=0.1):
@@ -340,17 +341,17 @@ class TestUsageModel:
 
     def test_window_grid_alignment(self):
         model = self._model()
-        starts = model.window_starts(450.0, 1000.0)
+        starts = window_starts(model, 450.0, 1000.0)
         assert starts.tolist() == [300.0, 600.0, 900.0]
 
     def test_empty_interval(self):
         model = self._model()
-        assert len(model.window_starts(100.0, 100.0)) == 0
+        assert len(window_starts(model, 100.0, 100.0)) == 0
 
     def test_sample_interval_columns_and_lengths(self):
         model = self._model()
         rng = np.random.default_rng(0)
-        out = model.sample_interval(rng, 0.0, 1500.0, 0.4, 0.5, 0.5, 0.6)
+        out = sample_interval(model, rng, 0.0, 1500.0, 0.4, 0.5, 0.5, 0.6)
         assert len(out["window_start"]) == 5
         assert set(out) == {"window_start", "duration", "avg_cpu", "max_cpu",
                             "avg_mem", "max_mem"}
@@ -358,34 +359,34 @@ class TestUsageModel:
     def test_partial_windows_have_short_durations(self):
         model = self._model()
         rng = np.random.default_rng(0)
-        out = model.sample_interval(rng, 100.0, 500.0, 0.4, 0.5, 0.5, 0.6)
+        out = sample_interval(model, rng, 100.0, 500.0, 0.4, 0.5, 0.5, 0.6)
         assert out["duration"][0] == pytest.approx(200.0)
         assert out["duration"][-1] == pytest.approx(200.0)
 
     def test_memory_hard_capped_at_limit(self):
         model = self._model()
         rng = np.random.default_rng(1)
-        out = model.sample_interval(rng, 0.0, 86400.0, 0.4, 0.5, 0.9, 0.95)
+        out = sample_interval(model, rng, 0.0, 86400.0, 0.4, 0.5, 0.9, 0.95)
         assert (out["avg_mem"] <= 0.5 + 1e-12).all()
         assert (out["max_mem"] <= 0.5 + 1e-12).all()
 
     def test_cpu_can_exceed_limit_but_bounded(self):
         model = self._model()
         rng = np.random.default_rng(2)
-        out = model.sample_interval(rng, 0.0, 86400.0, 0.4, 0.5, 0.95, 0.5)
+        out = sample_interval(model, rng, 0.0, 86400.0, 0.4, 0.5, 0.95, 0.5)
         assert (out["max_cpu"] <= 0.4 * 1.15 + 1e-12).all()
 
     def test_max_at_least_avg(self):
         model = self._model()
         rng = np.random.default_rng(3)
-        out = model.sample_interval(rng, 0.0, 86400.0, 0.4, 0.5, 0.5, 0.5)
+        out = sample_interval(model, rng, 0.0, 86400.0, 0.4, 0.5, 0.5, 0.5)
         assert (out["max_cpu"] >= out["avg_cpu"] - 1e-12).all()
         assert (out["max_mem"] >= out["avg_mem"] - 1e-12).all()
 
     def test_mean_usage_near_fraction(self):
         model = UsageModel(UsageModelParams(diurnal_amplitude=0.0), 300.0)
         rng = np.random.default_rng(4)
-        out = model.sample_interval(rng, 0.0, 30 * 86400.0, 1.0, 1.0, 0.5, 0.5)
+        out = sample_interval(model, rng, 0.0, 30 * 86400.0, 1.0, 1.0, 0.5, 0.5)
         assert float(out["avg_cpu"].mean()) == pytest.approx(0.5, rel=0.05)
 
     def test_bad_period(self):

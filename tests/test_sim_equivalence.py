@@ -1,9 +1,8 @@
 """Whole-simulation bit-equality across the performance knobs.
 
-Neither the event-queue implementation (heap vs calendar) nor the usage
-noise kernel (blocked per-interval draws vs the fused one-RNG-block
-path) may move a single byte of simulator output: event tuples,
-counters, and every float in the usage trajectories must be identical.
+The event-queue implementation (heap vs calendar) may not move a single
+byte of simulator output: event tuples, counters, and every float in the
+usage trajectories must be identical.
 These are the acceptance tests behind the goldens' stability — a golden
 failure points at *what* changed, these point at *which knob* broke it.
 
@@ -14,22 +13,16 @@ determinism does the rest.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.workload.scenarios import small_test_scenario
 
 
-def run_config(era: str, queue=None, fused: bool = False):
-    sc = small_test_scenario(seed=13, era=era, machines_per_cell=40,
-                             horizon_hours=18.0, arrival_scale=0.03,
-                             queue=queue)
-    cfg = dataclasses.replace(
-        sc.config,
-        usage=dataclasses.replace(sc.config.usage, fused_sampling=fused))
-    return dataclasses.replace(sc, config=cfg).run()
+def run_config(era: str, queue=None):
+    return small_test_scenario(seed=13, era=era, machines_per_cell=40,
+                               horizon_hours=18.0, arrival_scale=0.03,
+                               queue=queue).run()
 
 
 def assert_results_byte_equal(a, b, label: str) -> None:
@@ -49,13 +42,11 @@ def assert_results_byte_equal(a, b, label: str) -> None:
 
 @pytest.mark.parametrize("era", ["2019", "2011"])
 def test_all_knob_combinations_byte_identical(era):
-    base = run_config(era, queue="heap", fused=False)
+    base = run_config(era, queue="heap")
     assert base.counters.jobs_submitted > 20  # non-trivial run
-    for queue, fused in (("calendar", False), ("heap", True),
-                         ("calendar", True), (None, False)):
-        other = run_config(era, queue=queue, fused=fused)
-        assert_results_byte_equal(
-            base, other, f"era={era} queue={queue} fused={fused}")
+    for queue in ("calendar", None):
+        other = run_config(era, queue=queue)
+        assert_results_byte_equal(base, other, f"era={era} queue={queue}")
 
 
 def test_usage_rows_are_nontrivial():

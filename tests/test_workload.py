@@ -1,5 +1,6 @@
 """Unit tests for workload parameters, fleets, and the generator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,23 @@ class TestParams:
                        mem_usage_fraction=0.5,
                        tasks=TaskCountModel(0.5, 0.5, 10), priorities=(1,),
                        end_finish=0.5, end_kill=0.4, end_fail=0.3)
+
+    def test_tier_priorities_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="priorities"):
+            dataclasses.replace(era_2019().tiers[Tier.BEB], priorities=())
+
+    @pytest.mark.parametrize("probs", [
+        (1.2, -0.1, -0.1),             # sums to 1, one entry negative
+        (float("nan"), 0.5, 0.5),      # NaN slips past a sum check
+        (0.5, 0.5),                    # one mode short
+        (0.5, 0.25, 0.25, 0.0),        # one mode too many
+    ])
+    def test_autopilot_probs_validated(self, probs):
+        # numpy's choice() used to reject these when a job drew its
+        # mode; the generator now bisects a precomputed CDF, so the era
+        # has to.
+        with pytest.raises(ValueError, match="autopilot_probs"):
+            dataclasses.replace(era_2019(), autopilot_probs=probs)
 
 
 class TestFleet:
