@@ -14,7 +14,7 @@ hard bound (usage never exceeds the limit) — paper section 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -108,11 +108,14 @@ _F_MEM_FRACTION = _IntervalRecord._fields.index("mem_fraction")
 #: Most output windows one flush block holds.  A block's working set —
 #: its slice of every output column plus four noise draws per window —
 #: stays cache-sized.  Records never split across blocks; a record longer
-#: than this forms a block of its own.
+#: than this forms a block of its own.  Sizes from 2^12 to 2^16 flush
+#: within run-to-run noise of each other (EXPERIMENTS.md).
 BLOCK_WINDOWS = 1 << 14
 #: Blocks whose task intervals average fewer windows than this draw all
-#: four noise streams as one block; longer ones draw per interval.
-BLOCK_DRAW_MEAN_WINDOWS = 16
+#: four noise streams as one block; longer ones draw per interval.  The
+#: two draw paths cost about the same on blocks averaging 32-64 windows
+#: (EXPERIMENTS.md).
+BLOCK_DRAW_MEAN_WINDOWS = 32
 
 
 class UsageBatch:
@@ -129,7 +132,7 @@ class UsageBatch:
     reference, ``tests/usage_oracles.py``): for an interval with ``n``
     windows, ``lognormal(0, noise_sigma, n)``, ``normal(burst_mean,
     burst_sigma, n)``, ``lognormal(0, noise_sigma / 2, n)`` and
-    ``normal(1.05, 0.03, n)``, in record order, skipping empty intervals.
+    ``normal(1.05, 0.03, n)``, in record order.
 
     A block draws those four streams in one of two bit-equal ways:
 
@@ -171,7 +174,11 @@ class UsageBatch:
                  in_alloc: bool, start: float, end: float,
                  cpu_limit: float, mem_limit: float,
                  cpu_fraction: float, mem_fraction: float) -> None:
-        """Queue a task run interval (samples drawn at finalize)."""
+        """Queue a task run interval (samples drawn at finalize).
+
+        The interval must be non-empty (``end > start``); the simulator
+        never queues an empty one.
+        """
         self._records.append(_IntervalRecord(
             False, collection_id, instance_index, machine_id, tier_code,
             autopilot_code, in_alloc, start, end, cpu_limit, mem_limit,
@@ -182,7 +189,8 @@ class UsageBatch:
                   machine_id: int, tier_code: int, autopilot_code: int,
                   start: float, end: float,
                   cpu_limit: float, mem_limit: float) -> None:
-        """Queue an alloc-instance reservation interval (zero usage)."""
+        """Queue an alloc-instance reservation interval (zero usage);
+        ``end > start`` as for :meth:`add_task`."""
         self._records.append(_IntervalRecord(
             True, collection_id, instance_index, machine_id, tier_code,
             autopilot_code, False, start, end, cpu_limit, mem_limit,
@@ -201,18 +209,13 @@ class UsageBatch:
         rec = np.array(records, dtype=np.float64)
         # The per-interval grid ``np.arange(first, end, period)`` has
         # ``ceil((end - first) / period)`` elements and equals ``first +
-        # k * period`` element for element, so it is built directly.  An
-        # interval with ``end <= start`` has no grid.
-        start, end = rec[:, _F_START], rec[:, _F_END]
-        first = np.floor(start / period) * period
-        counts = np.where(
-            end > start, np.ceil((end - first) / period).astype(np.int64), 0)
+        # k * period`` element for element, so it is built directly.
+        first = np.floor(rec[:, _F_START] / period) * period
+        counts = np.ceil((rec[:, _F_END] - first) / period).astype(np.int64)
         # bounds[j] is the first output row of record j.
         bounds = np.zeros(len(records) + 1, dtype=np.int64)
         np.cumsum(counts, out=bounds[1:])
         n_rows = int(bounds[-1])
-        if n_rows == 0:
-            return {c: np.empty(0) for c in self.COLUMNS}
 
         def rep(col: int, dtype) -> np.ndarray:
             return np.repeat(rec[:, col].astype(dtype), counts)
@@ -268,14 +271,9 @@ class UsageBatch:
         out["mem_limit"][r0:r1] = np.repeat(rec[:, _F_MEM_LIMIT], counts)
 
         is_task = rec[:, _F_IS_ALLOC] == 0.0
-        rows: Union[slice, np.ndarray]
-        if is_task.all():
-            t_counts = counts
-            rows = slice(r0, r1)
-        else:
-            t_counts = counts[is_task]
-            rows = r0 + np.flatnonzero(np.repeat(is_task, counts))
-            rec = rec[is_task]
+        t_counts = counts[is_task]
+        rows = r0 + np.flatnonzero(np.repeat(is_task, counts))
+        rec = rec[is_task]
         m = int(t_counts.sum())
         if m == 0:
             return
@@ -327,7 +325,7 @@ class UsageBatch:
                         auto.min_limit_fraction_fully,
                         auto.min_limit_fraction_constrained)
         frac_rows = np.repeat(frac, seg_counts)
-        dest = r0 + ap_rows if isinstance(rows, slice) else rows[ap_rows]
+        dest = rows[ap_rows]
         init_c = np.repeat(cl[ap], seg_counts)
         out["cpu_limit"][dest] = limit_trajectory_rows(
             wpos, max_c[ap_rows], init_c, init_c * frac_rows, auto)
@@ -372,9 +370,6 @@ def _draw_intervals(rng: np.random.Generator, p: UsageModelParams,
     burst_mean, burst_sigma = p.burst_mean, p.burst_sigma
     off = 0
     for n in t_counts.tolist():
-        if n == 0:
-            # An empty interval draws nothing.
-            continue
         end = off + n
         noise[off:end] = lognormal(mean=0.0, sigma=noise_sigma, size=n)
         burst_raw[off:end] = normal(burst_mean, burst_sigma, size=n)

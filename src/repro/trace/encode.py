@@ -31,12 +31,6 @@ _TIER_NAMES = _code_names({c: t.value for c, t in TIER_FROM_CODE.items()})
 _AUTOPILOT_NAMES = _code_names(AUTOPILOT_FROM_CODE)
 
 
-def _strings(values: list) -> np.ndarray:
-    """A string column built straight as an object array (a list of str
-    would take a detour through a fixed-width ``<U`` array)."""
-    return np.array(values, dtype=object)
-
-
 def _build(name: str, values: dict) -> Table:
     """Schema-ordered :class:`Table` (typed empty when there are no rows)."""
     table = Table(ordered_columns(name, values))
@@ -45,6 +39,8 @@ def _build(name: str, values: dict) -> Table:
     return table
 
 
+# The event-table builders pass string columns as object arrays: a list
+# of str would take a detour through a fixed-width ``<U`` array.
 def _collection_events_table(result: CellResult) -> Table:
     events = result.events.collection_events
     return _build("collection_events", {
@@ -52,16 +48,16 @@ def _collection_events_table(result: CellResult) -> Table:
         "collection_id": [e.collection_id for e in events],
         # ._value_ is the enum member's plain value attribute; .value
         # routes through a descriptor call per row.
-        "type": _strings([e.event._value_ for e in events]),
-        "collection_type": _strings([e.collection_type for e in events]),
+        "type": np.array([e.event._value_ for e in events], dtype=object),
+        "collection_type": np.array([e.collection_type for e in events], dtype=object),
         "priority": [e.priority for e in events],
-        "tier": _strings([e.tier for e in events]),
-        "user": _strings([e.user for e in events]),
-        "scheduler": _strings([e.scheduler for e in events]),
+        "tier": np.array([e.tier for e in events], dtype=object),
+        "user": np.array([e.user for e in events], dtype=object),
+        "scheduler": np.array([e.scheduler for e in events], dtype=object),
         "parent_collection_id": [e.parent_id for e in events],
         "alloc_collection_id": [e.alloc_collection_id for e in events],
-        "vertical_scaling": _strings([e.autopilot_mode for e in events]),
-        "constraint": _strings([e.constraint for e in events]),
+        "vertical_scaling": np.array([e.autopilot_mode for e in events], dtype=object),
+        "constraint": np.array([e.constraint for e in events], dtype=object),
         "num_instances": [e.num_instances for e in events],
     })
 
@@ -72,10 +68,10 @@ def _instance_events_table(result: CellResult) -> Table:
         "time": [e.time for e in events],
         "collection_id": [e.collection_id for e in events],
         "instance_index": [e.instance_index for e in events],
-        "type": _strings([e.event._value_ for e in events]),
+        "type": np.array([e.event._value_ for e in events], dtype=object),
         "machine_id": [e.machine_id for e in events],
         "priority": [e.priority for e in events],
-        "tier": _strings([e.tier for e in events]),
+        "tier": np.array([e.tier for e in events], dtype=object),
         "resource_request_cpu": [e.cpu_request for e in events],
         "resource_request_mem": [e.mem_request for e in events],
         "is_new": [e.is_new for e in events],

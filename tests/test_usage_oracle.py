@@ -3,8 +3,8 @@
 ``UsageBatch.finalize`` must return exactly what drawing each interval on
 its own returns (``tests/usage_oracles.py``), byte for byte, and leave
 the usage generator in exactly the same state.  The inputs mix task and
-alloc records, empty and one-window intervals, records longer than a
-flush block and all three Autopilot modes, so runs cross block
+alloc records, sub-window and one-window intervals, records longer
+than a flush block and all three Autopilot modes, so runs cross block
 boundaries and use both draw paths.
 """
 
@@ -56,11 +56,12 @@ def assert_matches_reference(model: UsageModel, records, seed: int) -> None:
         assert a.tobytes() == b.tobytes(), column
 
 
-#: Interval lengths in windows: empty, sub-window, one window, short
-#: (the block draw), long (per-interval draws), longer than a block.
+#: Interval lengths in windows: sub-window, one window, short (the block
+#: draw), long (per-interval draws), longer than a block.  Intervals are
+#: never empty (``UsageBatch.add_task``).
 _WINDOWS = st.one_of(
-    st.just(0.0), st.floats(0.01, 1.0), st.just(1.0),
-    st.floats(1.0, 12.0), st.floats(12.0, 400.0),
+    st.floats(0.01, 1.0), st.just(1.0),
+    st.floats(1.0, 24.0), st.floats(24.0, 400.0),
     st.floats(BLOCK_WINDOWS - 2.0, BLOCK_WINDOWS + 300.0))
 
 _RECORD = st.tuples(
@@ -89,7 +90,7 @@ def test_finalize_matches_per_interval_reference(specs, period, utc, seed):
 def test_block_boundaries_and_both_draw_paths(monkeypatch):
     """Thousands of short intervals span several blocks (block draw), a
     record longer than a block forms its own (per-interval draws), and
-    alloc records and empty intervals sit among them."""
+    alloc records and sub-window intervals sit among them."""
     calls = {"_draw_block": 0, "_draw_intervals": 0}
     for name in calls:
         def spy(*args, _name=name, _fn=getattr(usage, name)):
@@ -102,7 +103,7 @@ def test_block_boundaries_and_both_draw_paths(monkeypatch):
     records = []
     for i in range(6_000):
         start = float(draw.uniform(0.0, 86_400.0))
-        windows = float(draw.choice((0.0, 0.5, 1.0, 3.0, 9.0)))
+        windows = float(draw.choice((0.25, 0.5, 1.0, 3.0, 9.0)))
         records.append(_record(
             i % 97 == 0, start, windows * 60.0, i % 3, i,
             0.2, 0.3, 0.5, 0.6, i % 2 == 0))
@@ -116,7 +117,7 @@ def test_empty_flushes():
     model = UsageModel(UsageModelParams(), sample_period=300.0)
     empty, _ = _flush(model, [], seed=1)
     assert all(len(v) == 0 for v in empty.values())
-    # Only empty intervals: no rows and no draws.
-    records = [_record(False, 600.0, 0.0, 0, 0, 0.2, 0.3, 0.5, 0.6, False),
-               _record(False, 650.0, -10.0, 2, 1, 0.2, 0.3, 0.5, 0.6, False)]
+    # Only alloc records: zero-usage rows and no draws.
+    records = [_record(True, 600.0, 900.0, 0, 0, 0.2, 0.3, 0.0, 0.0, False),
+               _record(True, 650.0, 10.0, 2, 1, 0.2, 0.3, 0.0, 0.0, False)]
     assert_matches_reference(model, records, seed=3)
