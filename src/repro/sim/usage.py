@@ -111,11 +111,6 @@ _F_MEM_FRACTION = _IntervalRecord._fields.index("mem_fraction")
 #: than this forms a block of its own.  Sizes from 2^12 to 2^16 flush
 #: within run-to-run noise of each other (EXPERIMENTS.md).
 BLOCK_WINDOWS = 1 << 14
-#: Blocks whose task intervals average fewer windows than this draw all
-#: four noise streams as one block; longer ones draw per interval.  The
-#: two draw paths cost about the same on blocks averaging 32-64 windows
-#: (EXPERIMENTS.md).
-BLOCK_DRAW_MEAN_WINDOWS = 32
 
 
 class UsageBatch:
@@ -134,21 +129,15 @@ class UsageBatch:
     burst_sigma, n)``, ``lognormal(0, noise_sigma / 2, n)`` and
     ``normal(1.05, 0.03, n)``, in record order.
 
-    A block draws those four streams in one of two bit-equal ways:
-
-    * Short intervals (fewer than :data:`BLOCK_DRAW_MEAN_WINDOWS` windows
-      on average): four ``Generator`` calls per interval would dominate,
-      so the block draws its ``4 * m`` standard normals in one call.  The
-      generator fills normals one after another, so that block is the
-      exact concatenation of the per-interval draws, and ``normal(loc,
-      scale)`` is exactly ``loc + scale * z``.  ``lognormal`` applies
-      libm's scalar ``exp``, which ``np.exp`` (SIMD) matches only to
-      within ULPs, so a clone generator set to the primary's state
-      replays the same normals through ``Generator.lognormal`` with a
-      per-position sigma; gathers then pick each stream's positions.
-    * Long intervals: the four calls per interval cost little next to
-      their draws, and the block draw would generate and gather twice
-      the numbers.
+    A block draws those four streams of all its task intervals at once:
+    its ``4 * m`` standard normals in one call.  The generator fills
+    normals one after another, so that block is the exact concatenation
+    of the per-interval draws, and ``normal(loc, scale)`` is exactly
+    ``loc + scale * z``.  ``lognormal`` applies libm's scalar ``exp``,
+    which ``np.exp`` (SIMD) matches only to within ULPs, so a clone
+    generator set to the primary's state replays the same normals
+    through ``Generator.lognormal`` with a per-position sigma; gathers
+    then pick each stream's positions.
 
     All arithmetic keeps the per-interval operation order (e.g.
     ``(limit * fraction) * diurnal * noise``), with per-interval scalars
@@ -278,12 +267,8 @@ class UsageBatch:
         if m == 0:
             return
         p = model.params
-        if m < BLOCK_DRAW_MEAN_WINDOWS * len(t_counts):
-            noise, burst_raw, mem_noise, mem_burst_raw = _draw_block(
-                rng, clone, p, t_counts, m)
-        else:
-            noise, burst_raw, mem_noise, mem_burst_raw = _draw_intervals(
-                rng, p, t_counts, m)
+        noise, burst_raw, mem_noise, mem_burst_raw = _draw_block(
+            rng, clone, p, t_counts, m)
 
         diurnal = model._diurnal(out["window_start"][rows] + period / 2.0)
         cl = rec[:, _F_CPU_LIMIT]
@@ -355,28 +340,6 @@ def _draw_block(rng: np.random.Generator, clone: np.random.Generator,
             p.burst_mean + p.burst_sigma * z[base + step],
             lognormal[base + 2 * step],
             1.05 + 0.03 * z[base + 3 * step])
-
-
-def _draw_intervals(rng: np.random.Generator, p: UsageModelParams,
-                    t_counts: np.ndarray, m: int):
-    """The four noise streams of a block's task intervals, with the four
-    ``Generator`` calls of each interval."""
-    noise = np.empty(m)
-    burst_raw = np.empty(m)
-    mem_noise = np.empty(m)
-    mem_burst_raw = np.empty(m)
-    lognormal, normal = rng.lognormal, rng.normal
-    noise_sigma, mem_sigma = p.noise_sigma, p.noise_sigma * 0.5
-    burst_mean, burst_sigma = p.burst_mean, p.burst_sigma
-    off = 0
-    for n in t_counts.tolist():
-        end = off + n
-        noise[off:end] = lognormal(mean=0.0, sigma=noise_sigma, size=n)
-        burst_raw[off:end] = normal(burst_mean, burst_sigma, size=n)
-        mem_noise[off:end] = lognormal(mean=0.0, sigma=mem_sigma, size=n)
-        mem_burst_raw[off:end] = normal(1.05, 0.03, size=n)
-        off = end
-    return noise, burst_raw, mem_noise, mem_burst_raw
 
 
 def diurnal_rate_factor(t: float, utc_offset_hours: float,

@@ -5,7 +5,7 @@ its own returns (``tests/usage_oracles.py``), byte for byte, and leave
 the usage generator in exactly the same state.  The inputs mix task and
 alloc records, sub-window and one-window intervals, records longer
 than a flush block and all three Autopilot modes, so runs cross block
-boundaries and use both draw paths.
+boundaries.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ def assert_matches_reference(model: UsageModel, records, seed: int) -> None:
         assert a.tobytes() == b.tobytes(), column
 
 
-#: Interval lengths in windows: sub-window, one window, short (the block
-#: draw), long (per-interval draws), longer than a block.  Intervals are
-#: never empty (``UsageBatch.add_task``).
+#: Interval lengths in windows: sub-window, one window, short, long,
+#: longer than a block.  Intervals are never empty
+#: (``UsageBatch.add_task``).
 _WINDOWS = st.one_of(
     st.floats(0.01, 1.0), st.just(1.0),
     st.floats(1.0, 24.0), st.floats(24.0, 400.0),
@@ -87,16 +87,18 @@ def test_finalize_matches_per_interval_reference(specs, period, utc, seed):
     assert_matches_reference(model, records, seed)
 
 
-def test_block_boundaries_and_both_draw_paths(monkeypatch):
-    """Thousands of short intervals span several blocks (block draw), a
-    record longer than a block forms its own (per-interval draws), and
-    alloc records and sub-window intervals sit among them."""
-    calls = {"_draw_block": 0, "_draw_intervals": 0}
-    for name in calls:
-        def spy(*args, _name=name, _fn=getattr(usage, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(usage, name, spy)
+def test_block_boundaries_and_long_records(monkeypatch):
+    """Thousands of short intervals span several blocks, a record longer
+    than a block forms its own, and alloc records and sub-window
+    intervals sit among them."""
+    blocks = []
+
+    def spy(rng, clone, p, t_counts, m):
+        blocks.append(m)
+        return draw_block(rng, clone, p, t_counts, m)
+
+    draw_block = usage._draw_block
+    monkeypatch.setattr(usage, "_draw_block", spy)
 
     model = UsageModel(UsageModelParams(), sample_period=60.0)
     draw = np.random.default_rng(5)
@@ -110,7 +112,7 @@ def test_block_boundaries_and_both_draw_paths(monkeypatch):
     records.insert(2_500, _record(False, 30.0, (BLOCK_WINDOWS + 7) * 60.0,
                                   1, 9_999, 0.2, 0.3, 0.5, 0.6, False))
     assert_matches_reference(model, records, seed=21)
-    assert calls["_draw_block"] >= 2 and calls["_draw_intervals"] >= 1
+    assert len(blocks) >= 3 and max(blocks) > BLOCK_WINDOWS
 
 
 def test_empty_flushes():
