@@ -299,8 +299,6 @@ class UsageBatch:
             return
         seg_counts = t_counts[ap]
         n_ap = int(seg_counts.sum())
-        if not n_ap:
-            return
         t_excl = np.cumsum(t_counts) - t_counts
         excl = np.cumsum(seg_counts) - seg_counts
         ap_rows = np.repeat(t_excl[ap] - excl, seg_counts) + np.arange(n_ap)
