@@ -1,22 +1,14 @@
 """Paper-scale simulation bench: one 2019 cell, 2k machines, one week.
 
-This is the tentpole measurement for the event-queue / batched-usage /
-store-decode speed push: a single cell at a meaningful fraction of the
-paper's scale (the real cells run ~12k machines for a month).  At this
-size the run produces ~3.9M instance events and ~25M usage windows, so
-each round takes on the order of a minute — the tests are marked
-``slow`` and run once per invocation (``rounds=1``); deselect them with
-``-m 'not slow'``.
+A single cell at a meaningful fraction of the paper's scale (the real
+cells run ~12k machines for a month).  At this size the run produces
+~3.9M instance events and ~25M usage windows and needs about a minute
+of CPU and ~4.5 GB of memory, so the test is marked ``slow`` and runs
+once per invocation (``rounds=1``); deselect it with ``-m 'not slow'``.
 
 Scenario construction is excluded from the timed region (it is
 workload generation, not the engine under test), via ``pedantic``'s
 ``setup`` hook.
-
-``test_paper_week_baseline`` deliberately passes no ``queue`` argument:
-with ``CellConfig(queue=None)`` the module default (the binary heap)
-applies, and the identical test body runs against revisions that
-predate the queue knob — that is how the ``BENCH_history/`` *pre*
-entry for this bench was captured.
 """
 
 from __future__ import annotations
@@ -29,34 +21,20 @@ from repro.workload.scenarios import scenarios_2019
 PAPER_SCALE = dict(seed=7, machines_per_cell=2000, horizon_hours=168.0,
                    arrival_scale=0.02, sample_period=300.0, cells=["a"])
 
-#: The run is fully deterministic at fixed seed; every configuration
-#: below must reproduce exactly this event count (bit-exactness is
-#: asserted structurally by tests/test_eventq.py; here we just pin the
-#: scenario identity so a silent scenario drift can't masquerade as a
-#: speedup).
+#: The run is fully deterministic at fixed seed; pinning its event count
+#: keeps a silent scenario drift from masquerading as a speed-up.
 EXPECTED_EVENTS = 3_889_504
 
 
-def _run_week(benchmark, **scenario_kwargs):
+@pytest.mark.slow
+def test_paper_week(benchmark):
+    """Simulate the paper-scale week and check its instance-event count."""
     def setup():
         # CellSim mutates the scenario's machines/workload in place, so
         # every round needs a scenario built from scratch.
-        sc = scenarios_2019(**PAPER_SCALE, **scenario_kwargs)[0]
+        sc = scenarios_2019(**PAPER_SCALE)[0]
         return (sc,), {}
 
     result = benchmark.pedantic(lambda sc: sc.run(), setup=setup,
                                 rounds=1, iterations=1, warmup_rounds=0)
     assert len(result.events.instance_events) == EXPECTED_EVENTS
-    return result
-
-
-@pytest.mark.slow
-def test_paper_week_baseline(benchmark):
-    """Heap event queue (the module default) — the pre-PR baseline."""
-    _run_week(benchmark)
-
-
-@pytest.mark.slow
-def test_paper_week_optimized(benchmark):
-    """Calendar event queue — the optimized configuration."""
-    _run_week(benchmark, queue="calendar")

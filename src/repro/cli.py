@@ -61,7 +61,6 @@ from repro.campaign import (
     render_report_json,
     run_campaign,
 )
-from repro.lint import DEFAULT_CACHE_DIR as LINT_CACHE_DIR
 from repro.lint import lint_project
 from repro.lint import render as render_lint
 from repro.lint.reporting import LintRunStats
@@ -82,7 +81,6 @@ from repro.obs.regress import (
     compare_files,
 )
 from repro.sim.driver import run_cells
-from repro.sim.eventq import QUEUE_KINDS
 from repro.store import (
     Agg,
     And,
@@ -113,15 +111,6 @@ def _write_obs_report(args, command: str, meta: dict,
         return
     obs.write_report(args.obs_out, command=command, meta=meta, profile=profile)
     print(f"obs report written to {args.obs_out}", file=sys.stderr)
-
-
-def _add_store_mmap_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--store-mmap", dest="store_mmap", default=None,
-                        action="store_true",
-                        help="serve store chunk reads as zero-copy read-only "
-                             "views over a shared mmap (numeric columns "
-                             "decode without buffer copies; the mapping is "
-                             "shared across --workers)")
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -161,8 +150,7 @@ def _simulate(args) -> int:
                                            arrival_scale=args.scale,
                                            faults=args.faults,
                                            fault_rate=args.fault_rate,
-                                           archetype_mix=args.archetype_mix,
-                                           queue=args.queue))
+                                           archetype_mix=args.archetype_mix))
         else:
             scenarios.append(scenarios_2019(seed=args.seed,
                                             machines_per_cell=args.machines,
@@ -171,15 +159,13 @@ def _simulate(args) -> int:
                                             cells=[name],
                                             faults=args.faults,
                                             fault_rate=args.fault_rate,
-                                            archetype_mix=args.archetype_mix,
-                                            queue=args.queue)[0])
+                                            archetype_mix=args.archetype_mix)[0])
     meta = {"cells": ",".join(cells), "machines": args.machines,
             "hours": args.hours, "scale": args.scale,
             "seed": args.seed, "format": args.format,
             "workers": args.workers, "faults": args.faults,
             "fault_rate": args.fault_rate,
-            "archetype_mix": args.archetype_mix,
-            "queue": args.queue}
+            "archetype_mix": args.archetype_mix}
     record: Optional[RunRecorder] = None
     if args.record:
         record = RunRecorder(args.record, interval=args.record_interval)
@@ -233,7 +219,7 @@ def _simulate(args) -> int:
 
 
 def _validate(args) -> int:
-    trace = load_trace(args.trace_dir, use_mmap=args.store_mmap)
+    trace = load_trace(args.trace_dir)
     violations = validate_trace(trace)
     if not violations:
         print(f"{args.trace_dir}: all invariants hold "
@@ -257,7 +243,7 @@ def _report(args) -> int:
         return 1
     traces_2011, traces_2019 = [], []
     for d in dirs:
-        trace = load_trace(d, use_mmap=args.store_mmap)
+        trace = load_trace(d)
         (traces_2011 if trace.era == "2011" else traces_2019).append(trace)
         print(f"loaded {d.name} (era {trace.era})", file=sys.stderr)
     if not traces_2011 or not traces_2019:
@@ -335,7 +321,7 @@ def _parse_agg(spec: str) -> Agg:
 
 
 def _query(args) -> int:
-    store = open_store(args.store_dir, use_mmap=args.store_mmap)
+    store = open_store(args.store_dir)
     scan = store.scan(args.table)
     predicates = [_parse_where(clause) for clause in args.where or []]
     if predicates:
@@ -511,16 +497,11 @@ def _lint(args) -> int:
                          for spec in args.select
                          for rule_id in spec.split(",") if rule_id.strip()})
     try:
-        result = lint_project(args.paths, select=select,
-                              cache_dir=args.cache_dir,
-                              use_cache=not args.no_cache,
-                              changed_only=args.changed_only)
+        result = lint_project(args.paths, select=select)
     except (OSError, ValueError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
     run_stats = LintRunStats(
-        files_analyzed=result.files_analyzed,
-        files_reused=result.files_reused,
         rule_timings={rule_id: hist.summary()
                       for rule_id, hist in result.timings.items()
                       if hist.count})
@@ -543,11 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int, default=None,
                        help="worker processes for the parallel multi-cell "
                             "driver (default: serial; one cell per task)")
-    p_sim.add_argument("--queue", choices=QUEUE_KINDS, default=None,
-                       help="event-queue implementation: 'heap' (binary "
-                            "heap) or 'calendar' (bucketed calendar queue); "
-                            "both produce bit-identical traces (default: "
-                            "module default, normally heap)")
     p_sim.add_argument("--record", nargs="?", const="frames.jsonl",
                        default=None, metavar="FRAMES.jsonl",
                        help="stream flight-recorder frames (one JSONL frame "
@@ -570,13 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check trace invariants")
     p_val.add_argument("trace_dir", help="directory written by 'simulate'")
-    _add_store_mmap_arg(p_val)
     p_val.set_defaults(func=_validate)
 
     p_rep = sub.add_parser("report", help="render the full paper report")
     p_rep.add_argument("trace_root", help="directory containing cell subdirs")
     p_rep.add_argument("--out", default=None, help="write the report here")
-    _add_store_mmap_arg(p_rep)
     p_rep.set_defaults(func=_report)
 
     p_conv = sub.add_parser(
@@ -611,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: serial)")
     p_query.add_argument("--limit", type=int, default=10,
                          help="max rows to print without --agg (default 10)")
-    _add_store_mmap_arg(p_query)
     _add_obs_out_arg(p_query)
     p_query.set_defaults(func=_query)
 
@@ -704,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="run the repo's static-analysis rules (RPR001-RPR010, "
-                     "incl. whole-program flow rules; incremental cache)")
+                     "incl. whole-program flow rules)")
     p_lint.add_argument("paths", nargs="+",
                         help="files or directories to lint (e.g. src/)")
     p_lint.add_argument("--format", choices=("text", "json"), default="text",
@@ -716,17 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--statistics", action="store_true",
                         help="append per-rule violation counts and wall-time "
                              "histograms (text format)")
-    p_lint.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the incremental cache "
-                             "(analyze every file)")
-    p_lint.add_argument("--changed-only", action="store_true",
-                        help="report only files re-analyzed this run "
-                             "(changed files + their reverse imports); "
-                             "the cache is still updated for the whole tree")
-    p_lint.add_argument("--cache-dir", default=LINT_CACHE_DIR,
-                        metavar="DIR",
-                        help=f"incremental cache directory "
-                             f"(default {LINT_CACHE_DIR})")
     p_lint.set_defaults(func=_lint)
 
     return parser

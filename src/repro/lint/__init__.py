@@ -14,15 +14,14 @@ syntactic rules (RPR001–RPR007).  The **project** driver
 (:func:`lint_project`) additionally builds an import/call graph over
 the whole tree (:mod:`repro.lint.graph`), runs the taint engine
 (:mod:`repro.lint.flow`) behind the whole-program rules
-(RPR008–RPR010), and caches results incrementally by content hash with
-import-graph invalidation (:mod:`repro.lint.cache`).
+(RPR008–RPR010).  Every run analyzes every file.
 
 Quick use::
 
     from repro.lint import lint_paths, lint_project
     violations = lint_paths(["src"])          # per-file rules only
-    result = lint_project(["src"])            # all rules + cache
-    result = lint_project(["src"], select=["RPR008"], use_cache=False)
+    result = lint_project(["src"])            # all rules
+    result = lint_project(["src"], select=["RPR008"])
 
 Suppress a single finding with a line comment::
 
@@ -56,14 +55,12 @@ from repro.lint.reporting import (
 )
 import repro.lint.rules  # noqa: F401,E402  (registers the built-in rules)
 from repro.lint.project import (  # noqa: E402
-    DEFAULT_CACHE_DIR,
     ProjectContext,
     ProjectLintResult,
     lint_project,
 )
 
 __all__ = [
-    "DEFAULT_CACHE_DIR",
     "EXIT_CLEAN",
     "EXIT_ERROR",
     "EXIT_VIOLATIONS",

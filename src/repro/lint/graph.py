@@ -9,8 +9,7 @@ roots once and answers three questions:
 
 * **imports** — which project modules does module M import (directly or
   transitively), and — the reverse index — who imports M?  The reverse
-  closure is what the incremental cache invalidates through: editing
-  ``repro/util/rng.py`` dirties every module that can observe it.
+  closure is every module that can observe an edit to M.
 * **symbols** — which module-level functions and classes does M define,
   including re-exports (``repro/lint/__init__`` re-exporting
   ``lint_paths`` from ``repro.lint.core`` resolves to the defining
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.names import ImportMap, dotted_name
 
@@ -159,8 +158,8 @@ class ProjectGraph:
         self._by_path: Dict[str, ModuleInfo] = {}
         #: Direct reverse-import edges: module -> modules importing it.
         self._importers: Dict[str, Set[str]] = {}
-        #: All module names in the *project* (may exceed the parsed set
-        #: in incremental runs, where unchanged modules stay unparsed).
+        #: All module names in the *project* (may exceed the parsed set:
+        #: a file with a syntax error is declared but not parsed).
         self.known_modules: Set[str] = set()
 
     # -- construction --------------------------------------------------------
@@ -198,9 +197,9 @@ class ProjectGraph:
         return info
 
     def declare_module(self, name: str) -> None:
-        """Register a module *name* without parsing it (incremental runs
-        pass the full project's names so import edges resolve even when
-        only a subset of files is parsed)."""
+        """Register a module *name* without parsing it (the driver
+        declares every lint-set file, so imports of one that fails to
+        parse still resolve)."""
         self.known_modules.add(name)
 
     def link(self) -> None:
@@ -232,20 +231,6 @@ class ProjectGraph:
                 continue
             out.add(current)
             frontier.extend(self._importers.get(current, ()))
-        return out
-
-    def dependency_closure(self, names: Iterable[str]) -> Set[str]:
-        """``names`` plus everything they transitively import."""
-        out: Set[str] = set()
-        frontier = list(names)
-        while frontier:
-            current = frontier.pop()
-            if current in out:
-                continue
-            out.add(current)
-            info = self.modules.get(current)
-            if info is not None:
-                frontier.extend(info.imports)
         return out
 
     # -- symbol / call resolution --------------------------------------------

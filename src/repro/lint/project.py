@@ -1,29 +1,20 @@
-"""The whole-program lint driver: graph + flow + incremental cache.
+"""The whole-program lint driver: graph + flow rules over the full tree.
 
 :func:`lint_project` is what ``borg-repro lint`` actually runs.  It
 extends the per-file driver (:func:`repro.lint.core.lint_source`) with
 everything the flow rules need:
 
-1. hash every file and split the set into *fresh* (cache hash matches)
-   and *changed*;
-2. dirty = changed ∪ reverse-import-closure(changed ∪ removed) — the
-   forward-flow facts (RPR008/RPR010 taint, symbol resolution) travel
-   along import edges, so everything that can observe a change is
-   re-analyzed and nothing else is;
-3. parse dirty ∪ its forward dependency closure into a
-   :class:`~repro.lint.graph.ProjectGraph` (analysis of a dirty file
-   needs its dependencies' summaries, not the whole tree);
-4. run every selected rule over each dirty file, timing each rule with
-   :mod:`repro.obs` histograms; reuse cached violations for the rest —
-   *except* RPR009, whose facts flow against import edges (the
-   submission site importing the worker decides the worker's verdict).
-   Its verdict map is recomputed globally every run from per-file fact
-   summaries (fresh for parsed files, cached for unchanged ones), and
-   any non-dirty file whose RPR009 verdicts changed is *promoted*: its
-   cache entry is rewritten and it is reported as analyzed.  Warm
-   verdicts therefore match cold ones by construction;
-5. write the cache back (content hashes, import edges, violations, and
-   RPR009 fact summaries).
+1. read and parse every file into one
+   :class:`~repro.lint.graph.ProjectGraph` (import and call resolution
+   across modules);
+2. let each selected rule warm its project-wide analysis once — the
+   taint fixpoints behind RPR008/RPR010 and RPR009's fork-share verdict
+   map, which is built from a fact summary of every parsed module;
+3. run every selected rule over every file, timing each rule with
+   :mod:`repro.obs` histograms.
+
+Every run analyzes the whole tree from scratch, so a result depends
+only on the files linted, never on an earlier run.
 
 Suppression semantics are unchanged from per-file mode — and because
 flow violations anchor at the *source* line (where taint enters the
@@ -34,22 +25,14 @@ same sink need two justifications.
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Union,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro import obs
-from repro.lint.cache import LintCache, cache_signature, file_digest
 from repro.lint.core import (
     FileContext,
     Violation,
@@ -59,29 +42,15 @@ from repro.lint.core import (
     parse_noqa,
 )
 from repro.lint.flow import FlowAnalysis, FlowSpec
-from repro.lint.graph import ProjectGraph, extract_imports, module_name
-from repro.lint.rules import fork_share
+from repro.lint.graph import ProjectGraph, module_name
 from repro.obs.timing import TimingHistogram
-
-import ast
-
-#: Default cache location (kept out of the repo by .gitignore; CI
-#: persists it between runs and main runs with --no-cache).
-DEFAULT_CACHE_DIR = ".repro_lint_cache"
 
 
 class ProjectContext:
     """What project-mode rules see via ``FileContext.project``."""
 
-    def __init__(self, graph: ProjectGraph,
-                 share_summaries: Optional[Dict[str, Dict[str, object]]]
-                 = None):
+    def __init__(self, graph: ProjectGraph):
         self.graph = graph
-        #: module name -> RPR009 fact summary, for *every* current file
-        #: (fresh for parsed files, cache-recovered for the rest); the
-        #: global fork-share analysis is a pure function of this map.
-        self.share_summaries: Dict[str, Dict[str, object]] = \
-            share_summaries or {}
         self._memo: Dict[str, object] = {}
 
     def flow(self, spec: FlowSpec) -> FlowAnalysis:
@@ -100,20 +69,12 @@ class ProjectContext:
 
 @dataclass
 class ProjectLintResult:
-    """Everything the CLI reports: findings plus incremental accounting."""
+    """Everything the CLI reports: findings plus per-rule timings."""
 
     violations: List[Violation]
     files_total: int
-    files_analyzed: int
-    files_reused: int
     #: rule id -> wall-time histogram over per-file check calls.
     timings: Dict[str, TimingHistogram] = field(default_factory=dict)
-    analyzed_paths: List[str] = field(default_factory=list)
-
-
-def _violation_from_dict(data: dict) -> Violation:
-    return Violation(str(data["rule"]), str(data["path"]), int(data["line"]),
-                     int(data["column"]), str(data["message"]))
 
 
 def _module_names(path_strs: Sequence[str]) -> Dict[str, str]:
@@ -123,7 +84,7 @@ def _module_names(path_strs: Sequence[str]) -> Dict[str, str]:
     scripts in different non-package directories, e.g. ``tests/x.py``
     vs ``benchmarks/x.py``).  The first occurrence keeps the plain name
     (and stays import-resolvable); later ones get a path-derived unique
-    suffix so per-module bookkeeping (import edges, dirty state, fact
+    suffix so per-module bookkeeping (graph entries, import edges, fact
     summaries) never silently collides.  The ``@`` can never appear in
     a real dotted name, so disambiguated modules are unreachable from
     ``extract_imports`` — deliberately conservative.
@@ -133,149 +94,30 @@ def _module_names(path_strs: Sequence[str]) -> Dict[str, str]:
     for s in path_strs:
         name = module_name(Path(s))
         if name in taken:
-            name = f"{name}@{file_digest(s)[:8]}"
+            name = f"{name}@{hashlib.sha256(s.encode('utf-8')).hexdigest()[:8]}"
         taken.add(name)
         out[s] = name
     return out
 
 
-def _share_violations(analysis: "fork_share._ShareAnalysis",
-                      module: str, path_str: str,
-                      source: str) -> List[Violation]:
-    """RPR009 violations for one file, derived from the global verdict
-    map with the same suppression semantics as :func:`_analyze_file`."""
-    noqa = parse_noqa(source)
-    found = [Violation("RPR009", path_str, hit.line, hit.col, hit.message)
-             for hit in analysis.hits_by_module.get(module, [])]
-    out = [v for v in found if not _suppressed(v, noqa)]
-    out.sort(key=lambda v: (v.line, v.column, v.rule))
-    return out
-
-
 def lint_project(paths: Iterable[Union[str, Path]],
-                 select: Optional[Sequence[str]] = None,
-                 cache_dir: Optional[Union[str, Path]] = DEFAULT_CACHE_DIR,
-                 use_cache: bool = True,
-                 changed_only: bool = False) -> ProjectLintResult:
-    """Lint ``paths`` with whole-program rules and incremental caching.
-
-    ``use_cache=False`` ignores and does not write the cache (every
-    file is analyzed).  ``changed_only=True`` restricts *reporting* to
-    the files whose verdicts were (re)computed this run — the dirty set
-    plus any file promoted by RPR009 reconciliation — the PR fast path;
-    the cache is still updated for everything.
-    """
+                 select: Optional[Sequence[str]] = None) -> ProjectLintResult:
+    """Lint ``paths`` with every selected rule, whole-program rules
+    included, analyzing every file."""
     checkers = _selected_rules(select)
     rule_ids = [type(c).id for c in checkers]
-    signature = cache_signature(rule_ids, [type(c).summary for c in checkers])
-    needs_share = "RPR009" in rule_ids
 
-    files = list(iter_python_files(paths))
-    sources: Dict[str, str] = {}
-    digests: Dict[str, str] = {}
-    for path in files:
-        text = path.read_text(encoding="utf-8")
-        sources[str(path)] = text
-        digests[str(path)] = file_digest(text)
-
-    caching = use_cache and cache_dir is not None
-    cache = LintCache(Path(cache_dir or DEFAULT_CACHE_DIR), signature)
-    if caching:
-        cache.load()
-
-    path_strs = [str(p) for p in files]
+    path_strs = [str(p) for p in iter_python_files(paths)]
+    sources = {s: Path(s).read_text(encoding="utf-8") for s in path_strs}
     modnames = _module_names(path_strs)
-    known_modules = set(modnames.values())
-
-    def entry_fresh(s: str) -> bool:
-        if not cache.is_fresh(s, digests[s]):
-            return False
-        entry = cache.entry(s) or {}
-        # A renamed module (collision reshuffle after files came or
-        # went) invalidates its bookkeeping even with identical bytes.
-        if entry.get("module") != modnames[s]:
-            return False
-        return not needs_share or isinstance(entry.get("rpr009"), dict)
-
-    changed: Set[str] = {s for s in path_strs if not entry_fresh(s)}
-    removed = [p for p in cache.entries if p not in sources]
-    removed_modules = {cache.entries[p].get("module", "") for p in removed}
-
-    # Import edges for every current file: cached for fresh files,
-    # freshly parsed for changed ones (trees kept for the graph).
-    imports_by_module: Dict[str, Set[str]] = {}
-    changed_trees: Dict[str, Optional[ast.Module]] = {}
-    for s in path_strs:
-        name = modnames[s]
-        if s not in changed:
-            entry = cache.entry(s) or {}
-            imports_by_module[name] = set(entry.get("imports", ()))
-            continue
-        try:
-            tree = ast.parse(sources[s], filename=s)
-        except SyntaxError:
-            tree = None
-        changed_trees[s] = tree
-        if tree is None:
-            imports_by_module[name] = set()
-        else:
-            package = name if Path(s).name == "__init__.py" \
-                else name.rpartition(".")[0]
-            imports_by_module[name] = extract_imports(tree, package,
-                                                      known_modules)
-
-    importers: Dict[str, Set[str]] = {}
-    for name, deps in imports_by_module.items():
-        for dep in deps:
-            importers.setdefault(dep, set()).add(name)
-
-    dirty_modules: Set[str] = set()
-    frontier = sorted(modnames[s] for s in changed) + sorted(removed_modules)
-    while frontier:
-        current = frontier.pop()
-        if current in dirty_modules:
-            continue
-        dirty_modules.add(current)
-        frontier.extend(importers.get(current, ()))
-
-    parse_modules: Set[str] = set()
-    frontier = sorted(dirty_modules)
-    while frontier:
-        current = frontier.pop()
-        if current in parse_modules:
-            continue
-        parse_modules.add(current)
-        frontier.extend(imports_by_module.get(current, ()))
-
-    dirty_paths = sorted(s for s in path_strs if modnames[s] in dirty_modules)
 
     graph = ProjectGraph()
-    for name in known_modules:
-        graph.declare_module(name)
     for s in path_strs:
-        if modnames[s] in parse_modules:
-            graph.add_source(Path(s), sources[s], name=modnames[s])
+        # Declared even when unparsable, so imports of it still resolve.
+        graph.declare_module(modnames[s])
+        graph.add_source(Path(s), sources[s], name=modnames[s])
     graph.link()
-
-    # RPR009 fact summaries for every current file: parsed files get a
-    # fresh summary, unchanged unparsed ones recover theirs from cache
-    # (valid because a summary depends only on the file and its forward
-    # closure — exactly what the dirty rule invalidates on).
-    share_summaries: Dict[str, Dict[str, object]] = {}
-    if needs_share:
-        for s in path_strs:
-            name = modnames[s]
-            info = graph.module_for_path(Path(s))
-            if info is not None:
-                share_summaries[name] = fork_share.summarize_module(info,
-                                                                    graph)
-                continue
-            cached = (cache.entry(s) or {}).get("rpr009")
-            if s not in changed and isinstance(cached, dict):
-                share_summaries[name] = cached
-            else:
-                share_summaries[name] = fork_share.empty_summary()
-    context = ProjectContext(graph, share_summaries=share_summaries)
+    context = ProjectContext(graph)
 
     timings: Dict[str, TimingHistogram] = {tid: TimingHistogram()
                                            for tid in rule_ids}
@@ -288,98 +130,27 @@ def lint_project(paths: Iterable[Union[str, Path]],
         obs.observe(f"lint.rule.{rule_id}", elapsed)
         return result
 
-    if dirty_paths:
-        for checker in checkers:
-            warm = getattr(checker, "warm", None)
-            if warm is not None:
-                timed(type(checker).id, lambda w=warm: w(context))
-
-    # The global RPR009 verdict map must be rebuilt whenever anything
-    # in the project changed — even when *no current file* is dirty
-    # (e.g. a removed file carried the only pool submission).
-    share_analysis: Optional["fork_share._ShareAnalysis"] = None
-    if needs_share and (changed or removed):
-        share_analysis = timed(
-            "RPR009", lambda: fork_share.project_analysis(context)
-        )  # type: ignore[assignment]
+    for checker in checkers:
+        warm = getattr(checker, "warm", None)
+        if warm is not None:
+            timed(type(checker).id, lambda w=warm: w(context))
 
     violations: List[Violation] = []
-    promoted: List[str] = []
-    fresh_count = 0
     with obs.span("lint.project"):
-        for s in dirty_paths:
-            file_violations = _analyze_file(s, sources[s], context, checkers,
-                                            changed_trees, timed)
-            violations.extend(file_violations)
-            cache.put(s, digests[s], modnames[s],
-                      sorted(imports_by_module.get(modnames[s], ())),
-                      [v.to_dict() for v in file_violations],
-                      rpr009=share_summaries.get(modnames[s])
-                      if needs_share else None)
-        # RPR009 reconciliation: facts flow against import edges, so a
-        # non-dirty file's cached verdict can be stale (its submitter
-        # changed, or a writer of a global it reads did).  Re-derive
-        # every non-dirty file's RPR009 verdicts from the global map
-        # and promote the ones that differ.
-        if share_analysis is not None:
-            for s in path_strs:
-                if modnames[s] in dirty_modules:
-                    continue
-                entry = cache.entry(s)
-                if entry is None:
-                    continue
-                stored = [v for v in entry.get("violations", ())
-                          if v.get("rule") == "RPR009"]
-                derived = _share_violations(share_analysis, modnames[s], s,
-                                            sources[s])
-                if [v.to_dict() for v in derived] != stored:
-                    merged = [v for v in entry.get("violations", ())
-                              if v.get("rule") != "RPR009"]
-                    merged += [v.to_dict() for v in derived]
-                    merged.sort(key=lambda d: (d["line"], d["column"],
-                                               d["rule"]))
-                    entry["violations"] = merged
-                    promoted.append(s)
-        promoted_set = set(promoted)
         for s in path_strs:
-            if modnames[s] in dirty_modules:
-                continue
-            entry = cache.entry(s) or {}
-            if s in promoted_set:
-                violations.extend(_violation_from_dict(v)
-                                  for v in entry.get("violations", ()))
-                continue
-            fresh_count += 1
-            if not changed_only:
-                violations.extend(_violation_from_dict(v)
-                                  for v in entry.get("violations", ()))
-
-    if caching:
-        cache.prune(path_strs)
-        cache.save()
-
-    analyzed_paths = sorted(set(dirty_paths) | promoted_set)
+            violations.extend(_analyze_file(s, sources[s], context, checkers,
+                                            timed))
     violations.sort(key=lambda v: (v.path, v.line, v.column, v.rule))
-    obs.inc("lint.files_analyzed", len(analyzed_paths))
-    obs.inc("lint.files_reused", fresh_count)
-    return ProjectLintResult(
-        violations=violations,
-        files_total=len(analyzed_paths) if changed_only else len(path_strs),
-        files_analyzed=len(analyzed_paths),
-        files_reused=fresh_count,
-        timings=timings,
-        analyzed_paths=analyzed_paths,
-    )
+    obs.inc("lint.files_analyzed", len(path_strs))
+    return ProjectLintResult(violations=violations,
+                             files_total=len(path_strs), timings=timings)
 
 
 def _analyze_file(path_str: str, source: str, context: ProjectContext,
-                  checkers, changed_trees, timed) -> List[Violation]:
+                  checkers, timed) -> List[Violation]:
     path = Path(path_str)
-    if path_str in changed_trees:
-        tree = changed_trees[path_str]
-    else:
-        info = context.graph.module_for_path(path)
-        tree = info.tree if info is not None else None
+    info = context.graph.module_for_path(path)
+    tree = info.tree if info is not None else None
     if tree is None:
         try:
             tree = ast.parse(source, filename=path_str)

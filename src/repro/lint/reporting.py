@@ -6,11 +6,9 @@ Exit-code contract (mirrors the common linter convention):
 * ``1`` — at least one violation (including suppressible ones);
 * ``2`` — a file could not be analyzed (syntax error, ``RPR000``).
 
-Project mode feeds the reporters a :class:`LintRunStats` so the summary
-line and ``--statistics`` can show the incremental accounting (files
-analyzed vs. reused from cache) and per-rule wall time (count / total /
-p50 / p95 over per-file check calls, from :mod:`repro.obs` timing
-histograms).
+Project mode feeds the reporters a :class:`LintRunStats` so
+``--statistics`` can show per-rule wall time (count / total / p50 / p95
+over per-file check calls, from :mod:`repro.obs` timing histograms).
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ EXIT_ERROR = 2
 class LintRunStats:
     """Run accounting the reporters show next to the findings."""
 
-    files_analyzed: int = 0
-    files_reused: int = 0
     #: rule id -> TimingHistogram summary() dict (count/sum/p50/p95/...).
     rule_timings: Dict[str, dict] = field(default_factory=dict)
 
@@ -74,11 +70,8 @@ def render_text(violations: Sequence[Violation], files_checked: int,
                   f"p50={_format_seconds(timing['p50'])}  "
                   f"p95={_format_seconds(timing['p95'])}", file=out)
     noun = "violation" if len(violations) == 1 else "violations"
-    tail = f"{len(violations)} {noun} in {files_checked} file(s) checked"
-    if run_stats is not None:
-        tail += (f" ({run_stats.files_analyzed} analyzed, "
-                 f"{run_stats.files_reused} from cache)")
-    print(tail, file=out)
+    print(f"{len(violations)} {noun} in {files_checked} file(s) checked",
+          file=out)
 
 
 def render_json(violations: Sequence[Violation], files_checked: int,
@@ -96,8 +89,6 @@ def render_json(violations: Sequence[Violation], files_checked: int,
         "exit_code": exit_code(violations),
     }
     if run_stats is not None:
-        document["files_analyzed"] = run_stats.files_analyzed
-        document["files_reused"] = run_stats.files_reused
         document["rule_timings"] = {rule_id: run_stats.rule_timings[rule_id]
                                     for rule_id in
                                     sorted(run_stats.rule_timings)}

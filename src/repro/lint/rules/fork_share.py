@@ -30,21 +30,14 @@ the race.
 Unlike RPR008/RPR010, whose facts flow *with* the import direction
 (a file's verdict depends only on modules it imports), RPR009 facts
 flow *against* it: the submission site importing the worker decides
-the worker's verdict.  Reverse-import invalidation therefore cannot
-make cached per-file verdicts sound.  Instead the analysis is split
-into two stages:
+the worker's verdict.  The analysis therefore runs in two stages over
+the whole project:
 
-1. :func:`summarize_module` extracts a small JSON-able **fact summary**
-   per module (mutable globals, global accesses, resolved call edges,
-   pool-submission seeds).  A summary depends only on the module's own
-   source and its forward dependency closure, so the ordinary dirty
-   rule (changed ∪ reverse-import-closure) keeps cached summaries
-   valid.
-2. :class:`_ShareAnalysis` is a pure function of the full summary map
-   — worker closure, runtime-write facts, and verdicts are recomputed
-   *globally* on every run, from fresh summaries for parsed files and
-   cached ones for the rest.  Warm verdicts are therefore identical to
-   cold ones by construction.
+1. :func:`summarize_module` extracts a small **fact summary** per
+   module (mutable globals, global accesses, resolved call edges,
+   pool-submission seeds).
+2. :class:`_ShareAnalysis` combines every module's summary into the
+   worker closure, the runtime-write facts, and the verdicts.
 """
 
 from __future__ import annotations
@@ -96,14 +89,17 @@ class _Access(NamedTuple):
     kind: str  # "read" | "write" | "rebind"
 
 
-#: One access as serialized in a summary: [module, var, line, col, kind].
-_AccessRow = Tuple[str, str, int, int, str]
+class _Summary(NamedTuple):
+    """One module's RPR009 facts (see :func:`summarize_module`)."""
 
-
-def empty_summary() -> Dict[str, object]:
-    """The fact summary of a module contributing nothing (e.g. one that
-    failed to parse)."""
-    return {"mutables": [], "accesses": {}, "calls": {}, "seeds": []}
+    #: Names of module-level globals holding mutable state.
+    mutables: List[str]
+    #: qualname -> candidate global accesses inside that function.
+    accesses: Dict[str, List[_Access]]
+    #: qualname -> resolved project callees (module, qualname).
+    calls: Dict[str, List[Tuple[str, str]]]
+    #: (callee module, callee qualname, entry) per pool submission.
+    seeds: List[Tuple[str, str, str]]
 
 
 def _mutable_globals(info: ModuleInfo, graph: ProjectGraph) -> Set[str]:
@@ -161,7 +157,7 @@ def _local_names(fn: ast.AST) -> Set[str]:
 
 
 # ---------------------------------------------------------------------------
-# stage 1 — per-module fact summaries (cacheable)
+# stage 1 — per-module fact summaries
 
 
 def _candidate_ref(node: ast.AST, info: ModuleInfo,
@@ -172,8 +168,7 @@ def _candidate_ref(node: ast.AST, info: ModuleInfo,
     Candidates are filtered locally only (own globals for bare names,
     project-module attribute roots for dotted ones); whether the target
     is actually tracked mutable state is decided later, globally, in
-    :class:`_ShareAnalysis` — other modules' shapes may change between
-    the summary being cached and being used.
+    :class:`_ShareAnalysis`, once every module's globals are known.
     """
     if isinstance(node, ast.Name):
         if node.id in local or node.id not in info.global_values:
@@ -341,30 +336,21 @@ def _call_edges(info: ModuleInfo,
     return out
 
 
-def summarize_module(info: ModuleInfo,
-                     graph: ProjectGraph) -> Dict[str, object]:
-    """The cacheable RPR009 fact summary of one parsed module.
+def summarize_module(info: ModuleInfo, graph: ProjectGraph) -> _Summary:
+    """The RPR009 fact summary of one parsed module.
 
     Everything here depends only on ``info``'s own source plus symbol
-    resolution through its forward dependency closure — exactly the
-    inputs the cache's dirty rule (changed ∪ reverse-import-closure)
-    already invalidates on, so a cached summary of an unchanged,
-    non-dirty file is always current.
+    resolution through the modules it imports.
     """
     known = graph.known_modules
-    accesses: Dict[str, List[_AccessRow]] = {}
+    accesses: Dict[str, List[_Access]] = {}
     for qual in sorted(info.functions):
         found = _scan_function(info, info.functions[qual], known)
         if found:
-            accesses[qual] = [(a.target.module, a.target.name,
-                               a.line, a.col, a.kind) for a in found]
-    return {
-        "mutables": sorted(_mutable_globals(info, graph)),
-        "accesses": accesses,
-        "calls": {qual: [list(edge) for edge in edges]
-                  for qual, edges in _call_edges(info, graph).items()},
-        "seeds": [list(seed) for seed in _submission_seeds(info, graph)],
-    }
+            accesses[qual] = found
+    return _Summary(mutables=sorted(_mutable_globals(info, graph)),
+                    accesses=accesses, calls=_call_edges(info, graph),
+                    seeds=_submission_seeds(info, graph))
 
 
 # ---------------------------------------------------------------------------
@@ -373,59 +359,35 @@ def summarize_module(info: ModuleInfo,
 
 class _ShareAnalysis:
     """Worker closure, runtime-write facts, and verdicts — a pure
-    function of the per-module summary map, recomputed globally on
-    every run so warm results always match cold ones."""
+    function of the per-module summary map."""
 
-    def __init__(self, summaries: Dict[str, Dict[str, object]]):
+    def __init__(self, summaries: Dict[str, _Summary]):
+        modules = sorted(summaries)
         #: (module, name) of every tracked mutable global.
-        self.mutables: Set[_Global] = set()
-        for module in sorted(summaries):
-            if module in EXEMPT_MODULES:
-                continue
-            for name in summaries[module].get("mutables", ()):  # type: ignore[union-attr]
-                self.mutables.add(_Global(module, str(name)))
+        self.mutables: Set[_Global] = {
+            _Global(module, name) for module in modules
+            if module not in EXEMPT_MODULES
+            for name in summaries[module].mutables}
         #: function key -> accesses of tracked globals inside it.
         self.accesses: Dict[Tuple[str, str], List[_Access]] = {}
         #: globals written at runtime (from any project function).
         self.runtime_written: Set[_Global] = set()
-        for module in sorted(summaries):
-            raw = summaries[module].get("accesses", {})
-            if not isinstance(raw, dict):
-                continue
-            for qual in sorted(raw):
-                found: List[_Access] = []
-                for row in raw[qual]:
-                    target_mod, var, line, col, kind = row
-                    target = _Global(str(target_mod), str(var))
-                    if kind != "rebind" and target not in self.mutables:
-                        continue
-                    found.append(_Access(target, int(line), int(col),
-                                         str(kind)))
-                    if kind in ("write", "rebind"):
-                        self.runtime_written.add(target)
+        for module in modules:
+            by_function = summaries[module].accesses
+            for qual in sorted(by_function):
+                found = [a for a in by_function[qual]
+                         if a.kind == "rebind" or a.target in self.mutables]
+                self.runtime_written.update(
+                    a.target for a in found if a.kind in ("write", "rebind"))
                 if found:
                     self.accesses[(module, qual)] = found
         #: worker-callable closure: function key -> entry description.
         self.worker_entry: Dict[Tuple[str, str], str] = {}
-        self._build_closure(summaries)
-        #: module name -> hits, computed once per project.
-        self.hits_by_module: Dict[str, List[Hit]] = self._hits()
-
-    def _build_closure(self,
-                       summaries: Dict[str, Dict[str, object]]) -> None:
-        calls: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
-        seeds: List[Tuple[str, str, str]] = []
-        for module in sorted(summaries):
-            summary = summaries[module]
-            raw_calls = summary.get("calls", {})
-            if isinstance(raw_calls, dict):
-                for qual in sorted(raw_calls):
-                    calls[(module, qual)] = [
-                        (str(edge[0]), str(edge[1]))
-                        for edge in raw_calls[qual]]
-            for seed in summary.get("seeds", ()):  # type: ignore[union-attr]
-                seeds.append((str(seed[0]), str(seed[1]), str(seed[2])))
-        frontier = sorted(seeds, reverse=True)
+        calls = {(module, qual): edges for module in modules
+                 for qual, edges in summaries[module].calls.items()}
+        frontier = sorted((seed for module in modules
+                           for seed in summaries[module].seeds),
+                          reverse=True)
         while frontier:
             module, qual, entry = frontier.pop()
             key = (module, qual)
@@ -434,6 +396,8 @@ class _ShareAnalysis:
             self.worker_entry[key] = entry
             for callee in calls.get(key, ()):
                 frontier.append((callee[0], callee[1], entry))
+        #: module name -> hits, computed once per project.
+        self.hits_by_module: Dict[str, List[Hit]] = self._hits()
 
     def _hits(self) -> Dict[str, List[Hit]]:
         """module name -> flow hits for worker-side global accesses."""
@@ -467,17 +431,13 @@ class _ShareAnalysis:
 
 
 def project_analysis(project: object) -> _ShareAnalysis:
-    """The (memoized) global RPR009 analysis for one project run.
-
-    The driver calls this too — even when no file needs re-analysis —
-    to reconcile cached verdicts whenever the summary map could have
-    changed (RPR009 facts flow against import edges, so per-file cache
-    invalidation alone cannot keep them sound).
-    """
-    summaries: Dict[str, Dict[str, object]] = \
-        getattr(project, "share_summaries", {})
+    """The (memoized) global RPR009 analysis for one project run, over
+    the fact summary of every parsed module."""
+    graph: ProjectGraph = project.graph  # type: ignore[attr-defined]
     return project.memo(  # type: ignore[attr-defined, no-any-return]
-        "rpr009.share", lambda: _ShareAnalysis(summaries))
+        "rpr009.share", lambda: _ShareAnalysis(
+            {name: summarize_module(info, graph)
+             for name, info in sorted(graph.modules.items())}))
 
 
 @rule

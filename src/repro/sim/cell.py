@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import itertools
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,7 +32,6 @@ from repro.sim.entities import (
     InstanceState,
     SchedulerKind,
 )
-from repro.sim.eventq import QUEUE_KINDS, make_queue
 from repro.sim.events import EventLog, EventType
 from repro.sim.fleet import FleetState
 from repro.sim.machine import Machine
@@ -96,20 +96,12 @@ class CellConfig:
     #: the cell byte-identical to a pre-fault-injection run: no extra
     #: RNG draws, no extra events (DESIGN.md §14).
     faults: Optional[FaultParams] = None
-    #: Event-queue implementation: ``"heap"``, ``"calendar"``, or
-    #: ``None`` to use the library default
-    #: (:func:`repro.sim.eventq.set_default_queue`).  Both produce
-    #: bit-identical runs (DESIGN.md §15); calendar is faster at scale.
-    queue: Optional[str] = None
 
     def __post_init__(self):
         if self.era not in ("2011", "2019"):
             raise ValueError(f"era must be '2011' or '2019', got {self.era!r}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.queue is not None and self.queue not in QUEUE_KINDS:
-            raise ValueError(f"queue must be one of {QUEUE_KINDS} or None, "
-                             f"got {self.queue!r}")
 
 
 @dataclass
@@ -218,8 +210,10 @@ class CellSim:
         self.counters = SimCounters()
 
         self._horizon = config.horizon
-        self._queue = make_queue(config.queue, config.horizon)
-        self._queue_push = self._queue.push
+        #: The event queue: a binary heap of ``(time, seq, kind, payload)``
+        #: entries (see :meth:`_push`).
+        self._queue: List[Tuple[float, int, str, object]] = []
+        self._seq = itertools.count()
         self._pending = PendingQueue()
         #: Tasks that failed placement wait here and are retried on a
         #: slower cadence than fresh arrivals — re-scanning a saturated
@@ -300,8 +294,12 @@ class CellSim:
         # Observable behavior is identical; the queue stays dramatically
         # smaller, because most hazard delays (hours to years, per tier
         # rate) overshoot the horizon.
+        #
+        # ``seq`` is a per-cell monotone counter, so the heap pops the
+        # smallest ``(time, seq)``: ties at one timestamp resolve in push
+        # order (FIFO), and ``kind``/``payload`` are never compared.
         if time < self._horizon:
-            self._queue_push(time, kind, payload)
+            heappush(self._queue, (time, next(self._seq), kind, payload))
 
     def _seed_events(self) -> None:
         for collection in self.workload:
@@ -371,10 +369,9 @@ class CellSim:
         recorder = self.recorder
         # _push drops anything at or past the horizon, so the loop drains
         # the queue to empty — no boundary check per event.  Exhaustion
-        # is signalled by pop() raising IndexError rather than a truth
+        # is signalled by heappop() raising IndexError rather than a truth
         # test per iteration (zero-cost try in 3.11).
         queue = self._queue
-        pop = queue.pop
         with obs.span("sim.event_loop"):
             if recorder is None:
                 # One dict probe per event: the handler and its per-kind
@@ -385,7 +382,7 @@ class CellSim:
                 n_events = 0
                 while True:
                     try:
-                        time, _, kind, payload = pop()
+                        time, _, kind, payload = heappop(queue)
                     except IndexError:
                         break
                     n_events += 1
@@ -399,7 +396,7 @@ class CellSim:
                 # Flight-recorder variant: counters stay live because
                 # recorder frames sample them mid-run.
                 while queue:
-                    time, _, kind, payload = pop()
+                    time, _, kind, payload = heappop(queue)
                     # Sampled *before* the boundary-crossing event runs,
                     # so a frame at t=k·interval holds exactly the state
                     # of all events strictly before it.

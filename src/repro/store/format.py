@@ -40,25 +40,22 @@ plus a few words per row — never rows x the longest value.  The cost
 is a few numpy calls per distinct byte length, which trace columns
 (tiers, event types, user names) keep small.
 
-Two read paths share the decoder:
+Reads are buffered: ``open`` + ``read``/``seek``, so every wanted
+payload is copied into process memory once and unwanted ones are
+skipped with a seek.  Numeric columns are read-only views over those
+bytes.
 
-* **buffered** (default) — ``open`` + ``read``/``seek``; every wanted
-  payload is copied into process memory once.
-* **mmap** (``use_mmap=True`` or :func:`set_default_mmap`) — the file is
-  memory-mapped and numeric columns become *read-only zero-copy views*
-  over the mapped pages; nothing is copied until a page is actually
-  touched.  The map is kept alive by the views' buffer references (no
-  explicit close — closing a map with live views would raise
-  ``BufferError``), and because the pages live in the OS page cache they
-  are physically shared across ``--workers`` scan processes mapping the
-  same chunk.
+The header is checked as strictly as the payloads: a chunk cut inside
+its length prefix or its header, a length prefix above
+:data:`MAX_HEADER_BYTES`, a header that is not JSON, one without
+``rows`` and ``columns``, or a malformed column entry raises
+:class:`~repro.util.errors.SchemaError`.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import mmap
 import os
 import struct
 from typing import BinaryIO, List, Optional, Sequence, Union
@@ -75,22 +72,9 @@ CHUNK_SUFFIX = ".rsc"
 
 _LEN = struct.Struct("<Q")
 
-_DEFAULT_MMAP = False
-
-
-def set_default_mmap(enabled: bool) -> None:
-    """Set what ``read_chunk(..., use_mmap=None)`` resolves to.
-
-    Harness-level hook (CLI flag, conftest) — library code defaults to
-    the buffered path so behavior only changes when explicitly asked.
-    """
-    global _DEFAULT_MMAP
-    _DEFAULT_MMAP = bool(enabled)
-
-
-def get_default_mmap() -> bool:
-    """The current default for the mmap read path (``False`` unless set)."""
-    return _DEFAULT_MMAP
+#: Largest header a reader accepts.  A real header is a few dozen bytes
+#: per column, so anything near this is a corrupt length prefix.
+MAX_HEADER_BYTES = 1 << 24
 
 
 def _encode_column(column: Column) -> bytes:
@@ -113,12 +97,10 @@ def _encode_column(column: Column) -> bytes:
 _ITEMSIZE = {"float": 8, "int": 8, "bool": 1}
 
 
-def _decode_column(meta: dict, rows: int,
-                   payload: Union[bytes, memoryview]) -> Column:
-    # ``payload`` is bytes (buffered path) or a memoryview over the
-    # mapped region (mmap path).  ``<f8``/``<i8`` ARE float64/int64 on
-    # every platform we target (little-endian), so frombuffer's view
-    # needs no ``astype`` copy — the Column wraps the (read-only) view
+def _decode_column(meta: dict, rows: int, payload: bytes) -> Column:
+    # ``<f8``/``<i8`` ARE float64/int64 on every platform we target
+    # (little-endian), so frombuffer's view needs no ``astype`` copy —
+    # the Column wraps the (read-only) view over the payload bytes
     # directly; only ``bool`` genuinely converts (uint8 -> bool).
     kind, name = meta["kind"], meta["name"]
     if kind not in KINDS:
@@ -143,8 +125,7 @@ def _decode_column(meta: dict, rows: int,
                   .astype(bool))
 
 
-def _decode_strings(name: str, rows: int,
-                    payload: Union[bytes, memoryview]) -> np.ndarray:
+def _decode_strings(name: str, rows: int, payload: bytes) -> np.ndarray:
     """The ``str`` payload as an object array, each distinct value
     decoded once (see the module docstring)."""
     head = (rows + 1) * 8
@@ -220,26 +201,47 @@ def _read_header(f: BinaryIO) -> dict:
     magic = f.read(len(MAGIC))
     if magic != MAGIC:
         raise SchemaError(f"not a repro store chunk (bad magic {magic!r})")
-    (header_len,) = _LEN.unpack(f.read(_LEN.size))
-    return json.loads(f.read(header_len).decode("utf-8"))
+    prefix = f.read(_LEN.size)
+    if len(prefix) != _LEN.size:
+        raise SchemaError(f"chunk header is truncated: {len(prefix)} of "
+                          f"{_LEN.size} length-prefix bytes")
+    (header_len,) = _LEN.unpack(prefix)
+    if header_len > MAX_HEADER_BYTES:
+        # Checked before reading: ``read`` allocates the length it is
+        # asked for, and a corrupt prefix can ask for up to 2^64 bytes.
+        raise SchemaError(f"chunk header length {header_len} exceeds "
+                          f"{MAX_HEADER_BYTES} bytes")
+    raw = f.read(header_len)
+    if len(raw) != header_len:
+        raise SchemaError(f"chunk header is truncated: {len(raw)} of "
+                          f"{header_len} header bytes")
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise SchemaError(f"chunk header is not JSON: {exc}") from None
+    if not (isinstance(header, dict)
+            and isinstance(header.get("rows"), int)
+            and isinstance(header.get("columns"), list)):
+        raise SchemaError("chunk header lacks an integer 'rows' and a "
+                          "'columns' list")
+    for meta in header["columns"]:
+        if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
+                and isinstance(meta.get("nbytes"), int)
+                and meta["nbytes"] >= 0 and "kind" in meta):
+            raise SchemaError(f"chunk header has a malformed column entry "
+                              f"{meta!r}")
+    return header
 
 
 def read_chunk(source: Union[str, os.PathLike, BinaryIO],
-               columns: Optional[Sequence[str]] = None,
-               use_mmap: Optional[bool] = None) -> Table:
+               columns: Optional[Sequence[str]] = None) -> Table:
     """Decode a chunk file into a :class:`Table`.
 
     ``columns``, if given, selects and orders a projection; the payloads
-    of unrequested columns are skipped with seeks (buffered path) or
-    simply never touched (mmap path).  ``use_mmap=None`` resolves to the
-    module default (:func:`set_default_mmap`); file-like sources always
-    use the buffered path since they need not be mappable.
+    of unrequested columns are skipped with seeks.
     """
     if hasattr(source, "read"):
         return _read_chunk(source, columns)
-    resolved = _DEFAULT_MMAP if use_mmap is None else use_mmap
-    if resolved:
-        return _read_chunk_mapped(source, columns)
     with open(source, "rb") as f:
         return _read_chunk(f, columns)
 
@@ -270,45 +272,3 @@ def _read_chunk(f: BinaryIO, columns: Optional[Sequence[str]]) -> Table:
     registry.inc("store.bytes_read", bytes_read)
     return Table({name: decoded[name] for name in wanted})
 
-
-def _read_chunk_mapped(path: Union[str, os.PathLike],
-                       columns: Optional[Sequence[str]]) -> Table:
-    """The zero-copy read path: decode columns as views over an mmap.
-
-    The map object is deliberately *not* closed: every numeric column is
-    a numpy view holding a buffer reference into it, and closing a map
-    with exported buffers raises ``BufferError``.  The map (and its file
-    handle) is released by refcounting once the last view dies.
-    """
-    with open(path, "rb") as f:
-        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    if mapped[:len(MAGIC)] != MAGIC:
-        raise SchemaError(
-            f"not a repro store chunk (bad magic {mapped[:len(MAGIC)]!r})")
-    (header_len,) = _LEN.unpack_from(mapped, len(MAGIC))
-    base = len(MAGIC) + _LEN.size
-    header = json.loads(bytes(mapped[base:base + header_len]).decode("utf-8"))
-    rows = header["rows"]
-    available = {c["name"]: c for c in header["columns"]}
-    wanted: List[str] = list(columns) if columns is not None else list(available)
-    for name in wanted:
-        if name not in available:
-            raise SchemaError(
-                f"chunk has no column {name!r}; available: {sorted(available)}"
-            )
-    view = memoryview(mapped)
-    decoded = {}
-    bytes_mapped = 0
-    wanted_set = set(wanted)
-    offset = base + header_len
-    for meta in header["columns"]:
-        if meta["name"] in wanted_set:
-            payload = view[offset:offset + meta["nbytes"]]
-            bytes_mapped += meta["nbytes"]
-            decoded[meta["name"]] = _decode_column(meta, rows, payload)
-        offset += meta["nbytes"]
-    registry = obs.get_registry()
-    registry.inc("store.chunks_read")
-    registry.inc("store.chunks_mapped")
-    registry.inc("store.bytes_mapped", bytes_mapped)
-    return Table({name: decoded[name] for name in wanted})

@@ -109,8 +109,7 @@ def _build_scenario(name: str, era: EraParams, seed: int, machines_per_cell: int
                     sample_period: float, id_offset: int,
                     tier_fraction_multipliers: Optional[Dict[Tier, Tuple[float, float]]] = None,
                     faults: Optional[FaultParams] = None,
-                    archetype_mix: Optional[ArchetypeMix] = None,
-                    queue: Optional[str] = None,
+                    archetype_mix: Optional[ArchetypeMix] = None
                     ) -> CellScenario:
     rng = RngFactory(seed).child(f"cell-{name}")
     shapes = fleet_2011() if era.era == "2011" else fleet_2019()
@@ -164,7 +163,6 @@ def _build_scenario(name: str, era: EraParams, seed: int, machines_per_cell: int
         eviction_rate_per_hour=dict(era.eviction_rate_per_hour),
         restart_rate_per_hour=era.restart_rate_per_hour,
         faults=faults,
-        queue=queue,
     )
     workload = generator.generate()
     if archetype_mix is not None and archetype_mix.n_users > 0:
@@ -184,8 +182,7 @@ def scenario_2011(seed: int = 0, machines_per_cell: int = 100,
                   horizon_hours: float = 96.0, arrival_scale: float = 0.02,
                   sample_period: float = 900.0,
                   faults: FaultsKnob = None, fault_rate: float = 1.0,
-                  archetype_mix: ArchetypeKnob = None,
-                  queue: Optional[str] = None) -> CellScenario:
+                  archetype_mix: ArchetypeKnob = None) -> CellScenario:
     """The single 2011 cell."""
     return _build_scenario(
         name="2011", era=era_2011(), seed=seed,
@@ -194,7 +191,6 @@ def scenario_2011(seed: int = 0, machines_per_cell: int = 100,
         tier_multipliers=None, sample_period=sample_period, id_offset=0,
         faults=resolve_faults(faults, fault_rate),
         archetype_mix=resolve_archetype_mix(archetype_mix),
-        queue=queue,
     )
 
 
@@ -203,8 +199,7 @@ def scenarios_2019(seed: int = 0, machines_per_cell: int = 100,
                    sample_period: float = 900.0,
                    cells: Optional[List[str]] = None,
                    faults: FaultsKnob = None, fault_rate: float = 1.0,
-                   archetype_mix: ArchetypeKnob = None,
-                   queue: Optional[str] = None) -> List[CellScenario]:
+                   archetype_mix: ArchetypeKnob = None) -> List[CellScenario]:
     """The eight 2019 cells a-h (or a subset via ``cells``)."""
     wanted = cells or sorted(CELL_PROFILES_2019)
     unknown = set(wanted) - set(CELL_PROFILES_2019)
@@ -222,7 +217,7 @@ def scenarios_2019(seed: int = 0, machines_per_cell: int = 100,
             tier_multipliers=multipliers, sample_period=sample_period,
             id_offset=(i + 1) * 10_000_000,
             tier_fraction_multipliers=fraction_multipliers,
-            faults=fault_params, archetype_mix=mix, queue=queue,
+            faults=fault_params, archetype_mix=mix,
         ))
     return out
 
@@ -232,8 +227,7 @@ def small_test_scenario(seed: int = 0, era: str = "2019",
                         horizon_hours: float = 12.0,
                         arrival_scale: float = 0.012,
                         faults: FaultsKnob = None, fault_rate: float = 1.0,
-                        archetype_mix: ArchetypeKnob = None,
-                        queue: Optional[str] = None) -> CellScenario:
+                        archetype_mix: ArchetypeKnob = None) -> CellScenario:
     """A seconds-fast scenario for unit tests and quick exploration.
 
     ``faults``/``archetype_mix`` default to off, so every pre-existing
@@ -246,10 +240,10 @@ def small_test_scenario(seed: int = 0, era: str = "2019",
                              arrival_scale=arrival_scale * 3.5,
                              sample_period=300.0, faults=faults,
                              fault_rate=fault_rate,
-                             archetype_mix=archetype_mix, queue=queue)
+                             archetype_mix=archetype_mix)
     return scenarios_2019(seed=seed, machines_per_cell=machines_per_cell,
                           horizon_hours=horizon_hours,
                           arrival_scale=arrival_scale,
                           sample_period=300.0, cells=["d"], faults=faults,
                           fault_rate=fault_rate,
-                          archetype_mix=archetype_mix, queue=queue)[0]
+                          archetype_mix=archetype_mix)[0]

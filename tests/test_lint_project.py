@@ -1,4 +1,4 @@
-"""Whole-program lint: graph, flow rules, incremental cache, suppression.
+"""Whole-program lint: graph, flow rules, suppression.
 
 Each flow-rule fixture splits source, propagation, and sink across
 *different modules*, then proves the per-file driver is blind to the
@@ -6,7 +6,6 @@ violation while the project driver reports it — the reason RPR008–010
 exist at all.
 """
 
-import json
 import textwrap
 
 import pytest
@@ -106,7 +105,7 @@ RPR008_TREE = {
 
 def test_rpr008_cross_module_wall_clock(tmp_path):
     root = write_tree(tmp_path, RPR008_TREE)
-    result = lint_project([root], select=["RPR008"], use_cache=False)
+    result = lint_project([root], select=["RPR008"])
     hits = violations_of(result, "RPR008")
     assert len(hits) == 1
     assert hits[0].path.endswith("driver.py")
@@ -138,7 +137,7 @@ def test_rpr008_seeded_generator_is_clean(tmp_path):
                 return step(rng)
             """,
     })
-    result = lint_project([root], select=["RPR008"], use_cache=False)
+    result = lint_project([root], select=["RPR008"])
     assert violations_of(result, "RPR008") == []
 
 
@@ -178,7 +177,7 @@ RPR009_TREE = {
 
 def test_rpr009_cross_module_pool_write(tmp_path):
     root = write_tree(tmp_path, RPR009_TREE)
-    result = lint_project([root], select=["RPR009"], use_cache=False)
+    result = lint_project([root], select=["RPR009"])
     hits = violations_of(result, "RPR009")
     assert len(hits) == 1
     # Reported where the access happens — two modules away from the pool.
@@ -207,7 +206,7 @@ def test_rpr009_import_time_registry_read_is_clean(tmp_path):
             return CACHE[key]
         """)
     root = write_tree(tmp_path, tree)
-    result = lint_project([root], select=["RPR009"], use_cache=False)
+    result = lint_project([root], select=["RPR009"])
     assert violations_of(result, "RPR009") == []
 
 
@@ -226,7 +225,7 @@ def test_rpr009_partial_wrapped_callable(tmp_path):
                 return list(pool.imap(bound, items))
         """)
     root = write_tree(tmp_path, tree)
-    result = lint_project([root], select=["RPR009"], use_cache=False)
+    result = lint_project([root], select=["RPR009"])
     assert len(violations_of(result, "RPR009")) == 1
 
 
@@ -254,7 +253,7 @@ RPR010_TREE = {
 
 def test_rpr010_cross_module_set_to_json(tmp_path):
     root = write_tree(tmp_path, RPR010_TREE)
-    result = lint_project([root], select=["RPR010"], use_cache=False)
+    result = lint_project([root], select=["RPR010"])
     hits = violations_of(result, "RPR010")
     assert len(hits) == 1
     assert hits[0].path.endswith("emit.py")
@@ -280,7 +279,7 @@ def test_rpr010_sorted_sanitizes(tmp_path):
             return json.dumps(sorted(uniq(items)))
         """)
     root = write_tree(tmp_path, tree)
-    result = lint_project([root], select=["RPR010"], use_cache=False)
+    result = lint_project([root], select=["RPR010"])
     assert violations_of(result, "RPR010") == []
 
 
@@ -297,7 +296,7 @@ def test_rpr010_comprehension_over_sorted_is_clean(tmp_path):
                 return json.dumps([str(p) for p in sorted(found)])
             """,
     })
-    result = lint_project([root], select=["RPR010"], use_cache=False)
+    result = lint_project([root], select=["RPR010"])
     assert violations_of(result, "RPR010") == []
 
 
@@ -316,7 +315,7 @@ def test_flow_noqa_on_sink_line_does_not_hide_source(tmp_path):
                 return json.dumps(data)  # repro: noqa[RPR010]
             """,
     })
-    result = lint_project([root], select=["RPR010"], use_cache=False)
+    result = lint_project([root], select=["RPR010"])
     hits = violations_of(result, "RPR010")
     # The violation anchors at the *source* line (set(xs)); the noqa on
     # the sink line suppresses nothing.
@@ -335,7 +334,7 @@ def test_flow_noqa_on_source_line_suppresses(tmp_path):
                 return json.dumps(data)
             """,
     })
-    result = lint_project([root], select=["RPR010"], use_cache=False)
+    result = lint_project([root], select=["RPR010"])
     assert violations_of(result, "RPR010") == []
 
 
@@ -351,7 +350,7 @@ def test_two_sources_need_two_suppressions(tmp_path):
                 return json.dumps([a, b])
             """,
     })
-    result = lint_project([root], select=["RPR010"], use_cache=False)
+    result = lint_project([root], select=["RPR010"])
     hits = violations_of(result, "RPR010")
     assert len(hits) == 1
     assert hits[0].line == 6
@@ -380,10 +379,87 @@ def test_duplicate_rule_id_rejected():
 
 
 # ---------------------------------------------------------------------------
-# incremental cache
+# RPR009 facts flow against import edges
 
 
-CACHE_TREE = {
+READ_TREE = {
+    "repro/__init__.py": "",
+    "repro/state.py": "CACHE = {}\n",
+    "repro/work.py": """\
+        from repro import state
+
+
+        def task(item):
+            return state.CACHE[item]
+        """,
+    "repro/runner.py": """\
+        from multiprocessing import Pool
+
+        from repro.work import task
+
+
+        def run(items):
+            with Pool() as pool:
+                return list(pool.imap(task, items))
+        """,
+    "repro/writer.py": """\
+        from repro import state
+
+
+        def poke():
+            return None
+        """,
+}
+
+
+def test_rpr009_read_verdict_follows_unrelated_writer(tmp_path):
+    # A worker READ of a never-written global is safe.  A module with no
+    # import relationship to the worker gaining a runtime write flips
+    # the worker's verdict.
+    root = write_tree(tmp_path / "clean", READ_TREE)
+    assert lint_project([root], select=["RPR009"]).violations == []
+    tree = dict(READ_TREE)
+    tree["repro/writer.py"] = """\
+        from repro import state
+
+
+        def poke():
+            state.CACHE["k"] = 1
+        """
+    root = write_tree(tmp_path / "written", tree)
+    paths = {v.path.rsplit("/", 1)[-1]
+             for v in violations_of(lint_project([root], select=["RPR009"]),
+                                    "RPR009")}
+    assert "work.py" in paths
+
+
+# ---------------------------------------------------------------------------
+# module-name collisions
+
+
+def test_same_stem_scripts_do_not_collide(tmp_path):
+    # Two files resolving to the same dotted module name (same-stem
+    # scripts in non-package directories) must keep separate graph
+    # entries: the clean one never hides or inherits the other's
+    # violation.
+    write_tree(tmp_path, {
+        "a/tool.py": "import json\n\n\ndef dump(xs):\n"
+                     "    return json.dumps(list(set(xs)))\n",
+        "b/tool.py": "X = 1\n",
+    })
+    for roots in ([tmp_path / "a", tmp_path / "b"],
+                  [tmp_path / "b", tmp_path / "a"]):
+        result = lint_project(roots, select=["RPR010"])
+        assert result.files_total == 2
+        assert [v.path.rsplit("/", 2)[-2:] for v in result.violations] \
+            == [["a", "tool.py"]]
+
+
+# ---------------------------------------------------------------------------
+# per-rule timings
+
+
+TIMING_TREE = {
     "repro/__init__.py": "",
     "repro/base.py": "def origin():\n    return [1, 2]\n",
     "repro/mid.py": textwrap.dedent("""\
@@ -406,304 +482,9 @@ CACHE_TREE = {
 }
 
 
-def test_cache_warm_run_analyzes_zero_files(tmp_path):
-    root = write_tree(tmp_path / "proj", CACHE_TREE)
-    cache_dir = tmp_path / "cache"
-    cold = lint_project([root], cache_dir=cache_dir)
-    assert cold.files_analyzed == len(CACHE_TREE)
-    assert cold.files_reused == 0
-    warm = lint_project([root], cache_dir=cache_dir)
-    assert warm.files_analyzed == 0
-    assert warm.files_reused == len(CACHE_TREE)
-    assert warm.violations == cold.violations
-
-
-def test_cache_one_edit_reanalyzes_reverse_deps_only(tmp_path):
-    root = write_tree(tmp_path / "proj", CACHE_TREE)
-    cache_dir = tmp_path / "cache"
-    lint_project([root], cache_dir=cache_dir)
-    base = root / "repro/base.py"
-    base.write_text(base.read_text() + "\n# edited\n")
-    incremental = lint_project([root], cache_dir=cache_dir)
-    analyzed = {p.rsplit("/", 1)[-1] for p in incremental.analyzed_paths}
-    assert analyzed == {"base.py", "mid.py", "top.py"}
-    assert incremental.files_reused == 2  # __init__.py and leaf.py
-
-
-def test_cache_edit_introducing_violation_propagates(tmp_path):
-    root = write_tree(tmp_path / "proj", CACHE_TREE)
-    cache_dir = tmp_path / "cache"
-    clean = lint_project([root], select=["RPR010"], cache_dir=cache_dir)
-    assert clean.violations == []
-    # base.py now returns unordered data; the sink is two modules away
-    # in top.py, which must be re-analyzed purely via the import graph.
-    (root / "repro/base.py").write_text(
-        "def origin():\n    return list(set([1, 2]))\n")
-    dirty = lint_project([root], select=["RPR010"], cache_dir=cache_dir)
-    hits = violations_of(dirty, "RPR010")
-    assert len(hits) == 1
-    assert hits[0].path.endswith("top.py")
-    # And the warm rerun reports it again, from cache, analyzing nothing.
-    warm = lint_project([root], select=["RPR010"], cache_dir=cache_dir)
-    assert warm.files_analyzed == 0
-    assert [v.to_dict() for v in warm.violations] \
-        == [v.to_dict() for v in dirty.violations]
-
-
-def test_cache_changed_only_restricts_reporting(tmp_path):
-    root = write_tree(tmp_path / "proj", CACHE_TREE)
-    cache_dir = tmp_path / "cache"
-    lint_project([root], cache_dir=cache_dir)
-    leaf = root / "repro/leaf.py"
-    leaf.write_text("Z = 4\n")
-    result = lint_project([root], cache_dir=cache_dir, changed_only=True)
-    assert [p.rsplit("/", 1)[-1] for p in result.analyzed_paths] \
-        == ["leaf.py"]
-    assert result.files_total == 1
-
-
-def test_cache_disabled_analyzes_everything(tmp_path):
-    root = write_tree(tmp_path / "proj", CACHE_TREE)
-    cache_dir = tmp_path / "cache"
-    lint_project([root], cache_dir=cache_dir)
-    result = lint_project([root], cache_dir=cache_dir, use_cache=False)
-    assert result.files_analyzed == len(CACHE_TREE)
-    assert result.files_reused == 0
-
-
-def test_cache_different_selects_do_not_collide(tmp_path):
-    root = write_tree(tmp_path / "proj", CACHE_TREE)
-    cache_dir = tmp_path / "cache"
-    lint_project([root], select=["RPR008"], cache_dir=cache_dir)
-    lint_project([root], select=["RPR010"], cache_dir=cache_dir)
-    warm = lint_project([root], select=["RPR008"], cache_dir=cache_dir)
-    assert warm.files_analyzed == 0
-    assert len(list(cache_dir.glob("lint-*.json"))) == 2
-
-
-def test_cache_file_is_deterministic_json(tmp_path):
-    root = write_tree(tmp_path / "proj", CACHE_TREE)
-    cache_dir = tmp_path / "cache"
-    lint_project([root], cache_dir=cache_dir)
-    cache_file = next(cache_dir.glob("lint-*.json"))
-    first = cache_file.read_text()
-    document = json.loads(first)
-    assert document["schema"] == "repro.lint.cache/2"
-    lint_project([root], cache_dir=cache_dir)
-    assert cache_file.read_text() == first
-
-
-# ---------------------------------------------------------------------------
-# RPR009 cache soundness: its facts flow AGAINST import edges, so plain
-# reverse-import invalidation cannot keep per-file verdicts fresh.  The
-# driver recomputes the fork-share verdict map globally from cached fact
-# summaries and promotes any file whose verdicts changed — warm results
-# must always equal a cold --no-cache run.
-
-
-SUBMITTER_TREE = {
-    "repro/__init__.py": "",
-    "repro/state.py": "CACHE = {}\n",
-    "repro/work.py": textwrap.dedent("""\
-        from repro import state
-
-
-        def task(item):
-            state.CACHE[item] = 1
-            return item
-        """),
-    "repro/driver.py": textwrap.dedent("""\
-        from repro.work import task
-
-
-        def run(items):
-            return [task(item) for item in items]
-        """),
-}
-
-SUBMITTER_POOL = textwrap.dedent("""\
-    from multiprocessing import Pool
-
-    from repro.work import task
-
-
-    def run(items):
-        with Pool() as pool:
-            return list(pool.imap(task, items))
-    """)
-
-
-def test_rpr009_submitter_edit_reverdicts_worker_on_warm_run(tmp_path):
-    # The conditions for the violation (the pool submission) live in a
-    # module that IMPORTS the worker: editing driver.py must re-verdict
-    # work.py even though work.py is not in driver.py's reverse closure.
-    root = write_tree(tmp_path / "proj", SUBMITTER_TREE)
-    cache_dir = tmp_path / "cache"
-    clean = lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    assert clean.violations == []
-    (root / "repro/driver.py").write_text(SUBMITTER_POOL)
-    warm = lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    cold = lint_project([root], select=["RPR009"], use_cache=False)
-    assert [v.to_dict() for v in warm.violations] \
-        == [v.to_dict() for v in cold.violations]
-    hits = violations_of(warm, "RPR009")
-    assert len(hits) == 1
-    assert hits[0].path.endswith("work.py")
-    # And the next warm run serves the same verdict straight from cache.
-    again = lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    assert again.files_analyzed == 0
-    assert [v.to_dict() for v in again.violations] \
-        == [v.to_dict() for v in warm.violations]
-
-
-def test_rpr009_submission_removal_clears_stale_verdict(tmp_path):
-    tree = dict(SUBMITTER_TREE)
-    tree["repro/driver.py"] = SUBMITTER_POOL
-    root = write_tree(tmp_path / "proj", tree)
-    cache_dir = tmp_path / "cache"
-    dirty = lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    assert len(violations_of(dirty, "RPR009")) == 1
-    (root / "repro/driver.py").write_text(SUBMITTER_TREE["repro/driver.py"])
-    warm = lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    assert warm.violations == []
-    assert lint_project([root], select=["RPR009"],
-                        use_cache=False).violations == []
-
-
-def test_rpr009_changed_only_reports_promoted_files(tmp_path):
-    # The PR fast path must surface verdict flips in files outside the
-    # dirty set, or a cached PR build passes while uncached main fails.
-    root = write_tree(tmp_path / "proj", SUBMITTER_TREE)
-    cache_dir = tmp_path / "cache"
-    lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    (root / "repro/driver.py").write_text(SUBMITTER_POOL)
-    warm = lint_project([root], select=["RPR009"], cache_dir=cache_dir,
-                        changed_only=True)
-    assert [v.path.rsplit("/", 1)[-1]
-            for v in violations_of(warm, "RPR009")] == ["work.py"]
-    analyzed = {p.rsplit("/", 1)[-1] for p in warm.analyzed_paths}
-    assert "work.py" in analyzed
-
-
-FLIP_TREE = {
-    "repro/__init__.py": "",
-    "repro/state.py": "CACHE = {}\n",
-    "repro/work.py": textwrap.dedent("""\
-        from repro import state
-
-
-        def task(item):
-            return state.CACHE[item]
-        """),
-    "repro/runner.py": textwrap.dedent("""\
-        from multiprocessing import Pool
-
-        from repro.work import task
-
-
-        def run(items):
-            with Pool() as pool:
-                return list(pool.imap(task, items))
-        """),
-    "repro/writer.py": textwrap.dedent("""\
-        from repro import state
-
-
-        def poke():
-            return None
-        """),
-}
-
-
-def test_rpr009_unrelated_writer_flips_read_verdict_on_warm_run(tmp_path):
-    # A worker READ of a never-written global is safe.  A module with no
-    # import relationship to the worker gaining a runtime write must flip
-    # the worker's verdict — even though the worker is neither changed,
-    # dirty, nor even re-parsed on the warm run.
-    root = write_tree(tmp_path / "proj", FLIP_TREE)
-    cache_dir = tmp_path / "cache"
-    clean = lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    assert clean.violations == []
-    (root / "repro/writer.py").write_text(textwrap.dedent("""\
-        from repro import state
-
-
-        def poke():
-            state.CACHE["k"] = 1
-        """))
-    warm = lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    cold = lint_project([root], select=["RPR009"], use_cache=False)
-    assert [v.to_dict() for v in warm.violations] \
-        == [v.to_dict() for v in cold.violations]
-    paths = {v.path.rsplit("/", 1)[-1]
-             for v in violations_of(warm, "RPR009")}
-    assert "work.py" in paths
-    # Reverting the writer clears the read verdict again.
-    (root / "repro/writer.py").write_text(FLIP_TREE["repro/writer.py"])
-    reverted = lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    assert violations_of(reverted, "RPR009") == []
-
-
-def test_rpr009_removed_submitter_clears_verdict(tmp_path):
-    tree = dict(SUBMITTER_TREE)
-    tree["repro/driver.py"] = SUBMITTER_POOL
-    root = write_tree(tmp_path / "proj", tree)
-    cache_dir = tmp_path / "cache"
-    assert len(violations_of(
-        lint_project([root], select=["RPR009"], cache_dir=cache_dir),
-        "RPR009")) == 1
-    (root / "repro/driver.py").unlink()
-    warm = lint_project([root], select=["RPR009"], cache_dir=cache_dir)
-    assert warm.violations == []
-
-
-# ---------------------------------------------------------------------------
-# module-name collisions and the cache signature
-
-
-def test_same_stem_scripts_do_not_collide(tmp_path):
-    # Two files resolving to the same dotted module name (same-stem
-    # scripts in non-package directories) must keep separate import
-    # edges and dirty state.
-    write_tree(tmp_path, {
-        "a/tool.py": "import json\n\n\ndef dump(xs):\n"
-                     "    return json.dumps(list(set(xs)))\n",
-        "b/tool.py": "X = 1\n",
-    })
-    roots = [tmp_path / "a", tmp_path / "b"]
-    cache_dir = tmp_path / "cache"
-    cold = lint_project(roots, select=["RPR010"], cache_dir=cache_dir)
-    assert [v.path.rsplit("/", 2)[-2:] for v in cold.violations] \
-        == [["a", "tool.py"]]
-    warm = lint_project(roots, select=["RPR010"], cache_dir=cache_dir)
-    assert warm.files_analyzed == 0
-    assert [v.to_dict() for v in warm.violations] \
-        == [v.to_dict() for v in cold.violations]
-    # Editing one of them re-analyzes only that file, and the shadowed
-    # file's verdicts survive untouched.
-    (tmp_path / "b/tool.py").write_text("X = 2\n")
-    edited = lint_project(roots, select=["RPR010"], cache_dir=cache_dir)
-    assert [p.rsplit("/", 2)[-2:] for p in edited.analyzed_paths] \
-        == [["b", "tool.py"]]
-    assert [v.to_dict() for v in edited.violations] \
-        == [v.to_dict() for v in cold.violations]
-
-
-def test_cache_signature_tracks_engine_sources(monkeypatch):
-    from repro.lint import cache as cache_mod
-    baseline = cache_mod.cache_signature(["RPR001"], ["summary"])
-    assert cache_mod.cache_signature(["RPR001"], ["summary"]) == baseline
-    monkeypatch.setattr(cache_mod, "_ENGINE_DIGEST", "0" * 16)
-    assert cache_mod.cache_signature(["RPR001"], ["summary"]) != baseline
-
-
-# ---------------------------------------------------------------------------
-# per-rule timings
-
-
 def test_project_result_reports_rule_timings(tmp_path):
-    root = write_tree(tmp_path / "proj", CACHE_TREE)
-    result = lint_project([root], use_cache=False)
+    root = write_tree(tmp_path / "proj", TIMING_TREE)
+    result = lint_project([root])
     assert set(result.timings) == set(RULES)
     for rule_id in ("RPR008", "RPR009", "RPR010"):
         assert result.timings[rule_id].count > 0

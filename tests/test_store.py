@@ -23,6 +23,7 @@ from repro.analysis.common import (
     job_usage_integrals,
     job_usage_integrals_store,
 )
+from repro.analysis.sched_delay import scheduling_delays
 from repro.store import (
     Agg,
     And,
@@ -41,7 +42,8 @@ from repro.store import (
     write_chunk,
     write_store,
 )
-from repro.table import Table
+from repro.store.format import MAGIC
+from repro.table import Table, concat
 from repro.trace import load_trace, save_trace
 from repro.trace.dataset import SCHEMA_2019, TraceDataset
 from repro.util.errors import SchemaError
@@ -144,16 +146,22 @@ class TestChunkFormat:
         assert hashlib.sha256(buf.getvalue()).hexdigest() == (
             "247870e21cac50a6681e91a5da14f429dadde2eddc024f7aefbeb7414a8a3b3e")
 
-    @pytest.mark.parametrize("use_mmap", [False, True])
     @pytest.mark.parametrize("corruption, match", [
         ("raise_offset", "corrupt string offsets"),
         ("cut_strings", "truncated"),
         ("cut_numbers", "truncated"),
         ("short_numbers", "rows need"),
         ("bad_utf8", "invalid UTF-8"),
+        ("cut_length_prefix", "header is truncated"),
+        ("short_header", "header is truncated"),
+        ("huge_header_length", "exceeds"),
+        ("header_not_json", "not JSON"),
+        ("header_without_rows", "lacks an integer 'rows'"),
+        ("header_without_columns", "lacks an integer 'rows'"),
+        ("column_without_nbytes", "malformed column entry"),
     ])
     def test_corrupt_chunks_raise_schema_error(self, tmp_path, corruption,
-                                               match, use_mmap):
+                                               match):
         numbers_last = corruption in ("cut_numbers", "short_numbers")
         columns = {"s": ["prod", "beb", "mid"], "n": [1.0, 2.0, 3.0]}
         order = ["s", "n"] if numbers_last else ["n", "s"]
@@ -161,6 +169,11 @@ class TestChunkFormat:
         write_chunk(Table({name: columns[name] for name in order}), path)
         data = bytearray(path.read_bytes())
         last_at = len(data) - read_chunk_header(path)["columns"][-1]["nbytes"]
+
+        def with_header(header: bytes) -> bytearray:
+            return bytearray(MAGIC + len(header).to_bytes(8, "little")
+                             + header)
+
         if corruption == "raise_offset":
             # offsets[1] 4 -> 10 once decoded as ['prodbebmid', '', 'mid']
             data[last_at + 8] = 10
@@ -172,11 +185,44 @@ class TestChunkFormat:
             data = data.replace(b'"kind":"float","nbytes":24',
                                 b'"kind":"float","nbytes":16')
             del data[-8:]
-        else:
+        elif corruption == "bad_utf8":
             data[-1] = 0xFF
+        elif corruption == "cut_length_prefix":
+            # cut inside the 8-byte length: once a bare struct.error
+            del data[len(MAGIC) + 3:]
+        elif corruption == "short_header":
+            # declares 10**6 header bytes, holds 2: once KeyError 'rows'
+            data = bytearray(MAGIC + (10**6).to_bytes(8, "little") + b"{}")
+        elif corruption == "huge_header_length":
+            # read() would try to allocate the declared 2^62 bytes
+            data = bytearray(MAGIC + (2**62).to_bytes(8, "little") + b"{}")
+        elif corruption == "header_not_json":
+            data = with_header(b"\xffnot json")
+        elif corruption == "header_without_rows":
+            data = with_header(b'{"columns":[]}')
+        elif corruption == "header_without_columns":
+            data = with_header(b'{"rows":3}')
+        else:
+            # once a bare KeyError: 'nbytes'
+            data = with_header(b'{"rows":1,"columns":[{"name":"n",'
+                               b'"kind":"int"}]}') + bytes(8)
         path.write_bytes(bytes(data))
         with pytest.raises(SchemaError, match=match):
-            read_chunk(path, use_mmap=use_mmap)
+            read_chunk(path)
+        if corruption.startswith(("cut_length", "short_header", "huge",
+                                  "header", "column")):
+            with pytest.raises(SchemaError, match=match):
+                read_chunk_header(path)
+
+    def test_numeric_columns_are_readonly_views(self, tmp_path):
+        path = tmp_path / "c.rsc"
+        write_chunk(Table({"f": [1.5, -0.0], "i": [1, 2**62]}), path)
+        back = read_chunk(path)
+        for name in ("f", "i"):
+            values = back.column(name).values
+            assert not values.flags.writeable
+            with pytest.raises((ValueError, RuntimeError)):
+                values[0] = 0
 
     def test_projection_skips_columns(self, tmp_path):
         table = Table({"a": [1, 2], "b": ["x", "y"], "c": [0.5, 1.5]})
@@ -725,3 +771,28 @@ class TestStoreRoundTripProperty:
                 else:
                     np.testing.assert_array_equal(restored.values,
                                                   original.values)
+
+
+def test_empty_tables_read_cleanly(tmp_path):
+    ds = TraceDataset(cell="t", era="2019", horizon=10.0, sample_period=1.0,
+                      utc_offset_hours=0.0, capacity_cpu=1.0,
+                      capacity_mem=1.0,
+                      tables={name: Table({c: [] for c in cols})
+                              for name, cols in SCHEMA_2019.items()})
+    write_store(ds, tmp_path / "s", chunk_rows=16)
+    store = open_store(tmp_path / "s")
+    assert len(store.scan("instance_events").to_table()) == 0
+    assert len(load_trace(tmp_path / "s").instance_usage) == 0
+    # Empty reducer results carry their declared kinds, so stacking one
+    # onto a non-empty result keeps collection ids integral.
+    integral_kinds = ["int", "str", "bool", "str", "float", "float"]
+    for empty in (job_usage_integrals(ds), job_usage_integrals_store(store)):
+        assert len(empty) == 0
+        assert [empty.column(c).kind for c in empty.column_names] == \
+            integral_kinds
+    delays = scheduling_delays(ds)
+    assert len(delays) == 0
+    one = Table({"collection_id": [1], "tier": ["prod"], "delay": [0.5]})
+    stacked = concat([delays, one])
+    assert [stacked.column(c).kind for c in stacked.column_names] == \
+        ["int", "str", "float"]
