@@ -146,6 +146,7 @@ class TestChunkFormat:
         assert hashlib.sha256(buf.getvalue()).hexdigest() == (
             "247870e21cac50a6681e91a5da14f429dadde2eddc024f7aefbeb7414a8a3b3e")
 
+    @pytest.mark.parametrize("from_file_object", [False, True])
     @pytest.mark.parametrize("corruption, match", [
         ("raise_offset", "corrupt string offsets"),
         ("cut_strings", "truncated"),
@@ -161,7 +162,7 @@ class TestChunkFormat:
         ("column_without_nbytes", "malformed column entry"),
     ])
     def test_corrupt_chunks_raise_schema_error(self, tmp_path, corruption,
-                                               match):
+                                               match, from_file_object):
         numbers_last = corruption in ("cut_numbers", "short_numbers")
         columns = {"s": ["prod", "beb", "mid"], "n": [1.0, 2.0, 3.0]}
         order = ["s", "n"] if numbers_last else ["n", "s"]
@@ -207,12 +208,17 @@ class TestChunkFormat:
             data = with_header(b'{"rows":1,"columns":[{"name":"n",'
                                b'"kind":"int"}]}') + bytes(8)
         path.write_bytes(bytes(data))
+
+        def source():
+            # read_chunk takes a path or an already open binary file.
+            return io.BytesIO(bytes(data)) if from_file_object else path
+
         with pytest.raises(SchemaError, match=match):
-            read_chunk(path)
+            read_chunk(source())
         if corruption.startswith(("cut_length", "short_header", "huge",
                                   "header", "column")):
             with pytest.raises(SchemaError, match=match):
-                read_chunk_header(path)
+                read_chunk_header(source())
 
     def test_numeric_columns_are_readonly_views(self, tmp_path):
         path = tmp_path / "c.rsc"
