@@ -24,9 +24,9 @@ stats
     ``simulate`` or ``query``) or a flight-recorder frames file
     (written with ``--record``) as text or JSON.
 bench
-    Compare the current benchmark run against the committed
-    ``BENCH_history/`` (noise-aware, exits nonzero on regression), or
-    append a run to the history.
+    The perf gate: ``bench compare PARENT_DIR CHANGE_DIR`` judges a
+    change's ``perfbench`` runs against its parent's with the metrics
+    and bounds of ``BENCHMARK.json`` (exit 1 on regression).
 campaign
     Run a declarative parameter-sweep campaign from a JSON spec
     (content-addressed point cache, parallel workers, fault-tolerant),
@@ -73,13 +73,7 @@ from repro.obs.recorder import (
     iter_frames,
     render_frames,
 )
-from repro.obs.regress import (
-    DEFAULT_NOISE_FACTOR,
-    DEFAULT_THRESHOLD,
-    BenchDataError,
-    append_history,
-    compare_files,
-)
+from repro.obs.regress import BenchDataError, compare_dirs, load_contract
 from repro.sim.driver import run_cells
 from repro.store import (
     Agg,
@@ -394,30 +388,12 @@ def _stats(args) -> int:
 
 def _bench_compare(args) -> int:
     try:
-        result = compare_files(args.current, args.history,
-                               threshold=args.threshold,
-                               noise_factor=args.noise_factor,
-                               last=args.last)
+        result = compare_dirs(args.parent, args.change, load_contract())
     except BenchDataError as exc:
         print(f"bench compare: {exc}", file=sys.stderr)
         return 2
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as f:
-            json.dump(result.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"verdict written to {args.json_out}", file=sys.stderr)
     sys.stdout.write(result.render())
     return 0 if result.passed else 1
-
-
-def _bench_append(args) -> int:
-    try:
-        entry = append_history(args.history, args.current, label=args.label)
-    except (OSError, ValueError) as exc:
-        print(f"bench append: {exc}", file=sys.stderr)
-        return 2
-    print(f"history entry written: {entry}")
-    return 0
 
 
 def _campaign_run(args) -> int:
@@ -598,38 +574,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_stats)
 
     p_bench = sub.add_parser(
-        "bench", help="noise-aware benchmark comparison and history")
+        "bench", help="the perf gate over perfbench results")
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
     p_cmp = bench_sub.add_parser(
-        "compare", help="diff a benchmark run against BENCH_history/ "
+        "compare", help="judge a change's perfbench runs against its "
+                        "parent's with BENCHMARK.json's bounds "
                         "(exit 1 on regression, 2 on bad input)")
-    p_cmp.add_argument("current",
-                       help="pytest-benchmark JSON of the current run")
-    p_cmp.add_argument("--history", default="BENCH_history",
-                       help="history directory (default BENCH_history)")
-    p_cmp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                       help="relative regression threshold "
-                            f"(default {DEFAULT_THRESHOLD:g})")
-    p_cmp.add_argument("--noise-factor", type=float,
-                       default=DEFAULT_NOISE_FACTOR,
-                       help="historical-spread multiplier widening the gate "
-                            f"(default {DEFAULT_NOISE_FACTOR:g})")
-    p_cmp.add_argument("--last", type=int, default=0,
-                       help="compare against only the last N history "
-                            "entries (default: all)")
-    p_cmp.add_argument("--json-out", default=None, metavar="VERDICT.json",
-                       help="also write the machine-readable verdict here")
+    p_cmp.add_argument("parent", help="directory of the parent's "
+                                      "<workload>.jsonl result lines")
+    p_cmp.add_argument("change", help="directory of the change's "
+                                      "<workload>.jsonl result lines")
     p_cmp.set_defaults(func=_bench_compare)
-    p_app = bench_sub.add_parser(
-        "append", help="compact a benchmark run into the next numbered "
-                       "history entry")
-    p_app.add_argument("current",
-                       help="pytest-benchmark JSON of the run to record")
-    p_app.add_argument("--history", default="BENCH_history",
-                       help="history directory (default BENCH_history)")
-    p_app.add_argument("--label", default=None,
-                       help="entry label (default: the run's short commit)")
-    p_app.set_defaults(func=_bench_append)
 
     p_camp = sub.add_parser(
         "campaign", help="declarative what-if sweeps with a "

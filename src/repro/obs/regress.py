@@ -1,34 +1,17 @@
-"""Noise-aware performance-regression detection over benchmark history.
+"""The perf gate: a change's benchmark runs against its parent's.
 
-``BENCH_simulator.json`` (written by the ``simulator-bench`` CI job
-since PR 4) records the simulator's throughput, but until this module
-nothing ever *read* it — the perf trajectory was ungated.  ``borg-repro
-bench compare`` closes the loop: it diffs the current benchmark run
-against a committed history (``BENCH_history/``) and exits nonzero on a
-regression, so a slowdown fails CI instead of silently accumulating.
-
-Methodology (DESIGN.md §11):
-
-* **Minimum-of-rounds statistic.**  Wall-clock benchmark numbers on
-  shared machines are the true cost plus nonnegative noise (scheduler
-  preemption, thermal drift, cache pollution), so the *minimum* over a
-  run's interleaved rounds is the best available estimator of the true
-  cost; means and medians move with the noise floor.  The comparison
-  statistic is ``min(current rounds)`` against ``min over history of
-  min(rounds)`` — the same interleaved-minima discipline PR 4 used for
-  its A/B measurements, applied across commits.
-* **Relative threshold with a noise band.**  A benchmark regresses when
-  ``current_min > baseline_min * (1 + threshold)``.  The threshold is
-  the larger of the configured relative threshold (default 10%) and the
-  observed historical spread of that benchmark's minima scaled by a
-  noise factor — the gate never fires inside the band the history
-  itself demonstrates to be noise.  An injected 20% slowdown is flagged
-  at the default settings; an unchanged re-run passes.
-* **Compact history entries.**  History files store only what the
-  comparison needs (per-benchmark round data and summary stats, commit
-  id, timestamp) in the ``repro.bench/1`` schema, so a growing history
-  stays reviewable in diffs; ``bench append`` compacts a raw
-  pytest-benchmark JSON into the next numbered entry.
+``borg-repro bench compare PARENT_DIR CHANGE_DIR`` reads ``perfbench``
+results of two checkouts run interleaved on one machine.  Each directory
+holds ``<workload>.jsonl``: per run, the last line (the result JSON) of
+``python3 perfbench/run.py --trace 0``.  Workloads, end-to-end metrics,
+their ``better`` directions and bounds come from this checkout's
+``BENCHMARK.json``; none of them is an option.  Per workload and metric
+the change *regresses* when its median is worse than the parent's by
+more than the bound.  When the parent's own spread, (Q3 − Q1) / median,
+is wider than the bound the metric is *unresolved*, reported and not
+failed, unless every change run reads worse (a regression) or better
+(ok) than every parent run.  A workload also fails when the change's
+total ``failed / attempted`` is higher than the parent's (DESIGN.md §11).
 
 Exit-code contract (the CI gate): 0 pass, 1 regression, 2 bad input.
 """
@@ -37,280 +20,192 @@ from __future__ import annotations
 
 import json
 import os
-import re
-from dataclasses import dataclass, field
+import statistics
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, NamedTuple, Sequence, Union
 
-#: Compact history-entry schema (bump on incompatible layout changes).
-BENCH_SCHEMA = "repro.bench/1"
+#: The benchmark contract of this checkout (``src/repro/obs`` -> root).
+CONTRACT = Path(__file__).resolve().parents[3] / "BENCHMARK.json"
 
-#: Verdict JSON schema (the CI artifact).
-VERDICT_SCHEMA = "repro.bench.verdict/1"
-
-#: Default relative regression threshold (10%): trips on a 20% slowdown,
-#: tolerates round-to-round jitter on an unchanged build.
-DEFAULT_THRESHOLD = 0.10
-
-#: Historical spread is scaled by this factor when widening the band.
-DEFAULT_NOISE_FACTOR = 1.5
-
-#: History filenames: ``00012-abc1234.json`` (index, short label).
-_HISTORY_RE = re.compile(r"^(\d{5})-(.+)\.json$")
+#: The row name of a workload's failure-share verdict.
+FAILED = "failed/attempted"
 
 
 class BenchDataError(ValueError):
-    """A benchmark file that cannot be read or has no usable stats."""
+    """A contract or result file the gate cannot read."""
 
 
-# ---------------------------------------------------------------------------
-# loading / compaction
-# ---------------------------------------------------------------------------
-
-def _normalize(payload: dict, source: str) -> dict:
-    """Either accepted format -> ``{name: {"min":…, "data": […]}}`` map.
-
-    Accepts raw pytest-benchmark JSON (a ``benchmarks`` list of objects
-    with ``stats``) and the compact ``repro.bench/1`` form; everything
-    else is a :class:`BenchDataError`.
-    """
-    if payload.get("schema") == BENCH_SCHEMA:
-        benchmarks = payload.get("benchmarks")
-        if not isinstance(benchmarks, dict) or not benchmarks:
-            raise BenchDataError(f"{source}: compact entry has no benchmarks")
-        return {str(k): dict(v) for k, v in benchmarks.items()}
-    entries = payload.get("benchmarks")
-    if not isinstance(entries, list) or not entries:
-        raise BenchDataError(
-            f"{source}: neither a pytest-benchmark JSON nor a "
-            f"{BENCH_SCHEMA} entry (no benchmarks found)")
-    out: Dict[str, dict] = {}
-    for entry in entries:
-        stats = entry.get("stats") or {}
-        name = entry.get("name") or entry.get("fullname")
-        if not name or "min" not in stats:
-            continue
-        out[str(name)] = {
-            "min": float(stats["min"]),
-            "median": float(stats.get("median", stats["min"])),
-            "mean": float(stats.get("mean", stats["min"])),
-            "stddev": float(stats.get("stddev", 0.0)),
-            "rounds": int(stats.get("rounds", len(stats.get("data", [])) or 1)),
-            "data": [float(x) for x in stats.get("data", [])],
-        }
-    if not out:
-        raise BenchDataError(f"{source}: no benchmark entries with stats")
-    return out
-
-
-def load_bench(path: Union[str, os.PathLike]) -> dict:
-    """Load a benchmark file (either format) into the normalized map."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise BenchDataError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        raise BenchDataError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise BenchDataError(f"{path}: not a JSON object")
-    return _normalize(payload, str(path))
-
-
-def compact_bench(path: Union[str, os.PathLike],
-                  label: Optional[str] = None) -> dict:
-    """A raw benchmark JSON compacted into a ``repro.bench/1`` entry."""
-    path = Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    commit = (payload.get("commit_info") or {}).get("id", "")
-    return {
-        "schema": BENCH_SCHEMA,
-        "label": label or (commit[:7] if commit else path.stem),
-        "commit": commit,
-        "datetime": payload.get("datetime", ""),
-        "machine": (payload.get("machine_info") or {}).get("node", ""),
-        "benchmarks": _normalize(payload, str(path)),
-    }
-
-
-def history_entries(directory: Union[str, os.PathLike]) -> List[Path]:
-    """The history files of ``directory``, oldest first (by index)."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    entries = []
-    for path in directory.iterdir():
-        match = _HISTORY_RE.match(path.name)
-        if match:
-            entries.append((int(match.group(1)), path))
-    return [path for _, path in sorted(entries)]
-
-
-def load_history(directory: Union[str, os.PathLike],
-                 last: int = 0) -> List[dict]:
-    """Normalized benchmark maps of the (last N) history entries."""
-    paths = history_entries(directory)
-    if last > 0:
-        paths = paths[-last:]
-    return [load_bench(path) for path in paths]
-
-
-def append_history(directory: Union[str, os.PathLike],
-                   bench_path: Union[str, os.PathLike],
-                   label: Optional[str] = None) -> Path:
-    """Compact ``bench_path`` into the next numbered history entry."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    existing = history_entries(directory)
-    next_index = 1
-    if existing:
-        next_index = int(_HISTORY_RE.match(existing[-1].name).group(1)) + 1
-    entry = compact_bench(bench_path, label=label)
-    out = directory / f"{next_index:05d}-{entry['label']}.json"
-    out.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# comparison
-# ---------------------------------------------------------------------------
-
-def robust_min(stats: dict) -> float:
-    """The run's comparison statistic: minimum over its rounds."""
-    data = stats.get("data") or []
-    if data:
-        return min(float(x) for x in data)
-    return float(stats["min"])
-
-
-@dataclass
-class BenchVerdict:
-    """One benchmark's comparison outcome."""
-
+class Metric(NamedTuple):
     name: str
-    status: str  # "ok" | "regression" | "improvement" | "new" | "missing"
-    current_min: Optional[float] = None
-    baseline_min: Optional[float] = None
-    ratio: Optional[float] = None
-    threshold: Optional[float] = None
-    history_runs: int = 0
+    better: str  # "lower" | "higher"
+    bound: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "current_min": self.current_min,
-            "baseline_min": self.baseline_min,
-            "ratio": self.ratio,
-            "threshold": self.threshold,
-            "history_runs": self.history_runs,
-        }
+
+class Contract(NamedTuple):
+    workloads: List[str]
+    metrics: List[Metric]
+
+
+class Run(NamedTuple):
+    attempted: int
+    failed: int
+    values: dict  # metric name -> value
+
+
+def load_contract(path: Union[str, os.PathLike] = CONTRACT) -> Contract:
+    """The workload names and end-to-end metrics of ``BENCHMARK.json``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        workloads = [str(w["name"]) for w in payload["workloads"]]
+        metrics = [Metric(str(m["name"]), m["better"], float(m["bound"]))
+                   for m in payload["end_to_end"]]
+    except OSError as exc:
+        raise BenchDataError(f"{path}: {exc.strerror or exc}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BenchDataError(
+            f"{path}: not a benchmark contract ({exc!r})") from None
+    if not workloads or not metrics or any(
+            m.better not in ("lower", "higher") or not m.bound > 0
+            for m in metrics):
+        raise BenchDataError(f"{path}: needs workloads and end_to_end metrics, "
+                             f"each with better lower|higher and a bound > 0")
+    return Contract(workloads, metrics)
+
+
+def load_runs(path: Path, names: Sequence[str]) -> List[Run]:
+    """The runs of one ``<workload>.jsonl`` file (blank lines skipped)."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise BenchDataError(f"{path}: {exc.strerror or exc}") from None
+    runs = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            result = json.loads(line)
+            runs.append(Run(
+                int(result["attempted"]), int(result["failed"]),
+                {n: float(result["metrics"][n]["value"]) for n in names}))
+        except KeyError as exc:
+            raise BenchDataError(
+                f"{where}: result has no {exc.args[0]!r}") from None
+        except (ValueError, TypeError) as exc:
+            raise BenchDataError(
+                f"{where}: not a perfbench result line ({exc})") from None
+        if runs[-1].attempted <= 0 or min(runs[-1].values.values()) <= 0:
+            raise BenchDataError(
+                f"{where}: needs attempted operations and positive metrics")
+    if not runs:
+        raise BenchDataError(f"{path}: no runs")
+    return runs
+
+
+def spread(values: Sequence[float]) -> float:
+    """(Q3 − Q1) / median; zero for fewer than two values."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / statistics.median(values)
 
 
 @dataclass
-class CompareResult:
-    """The whole comparison: per-benchmark verdicts + the overall call."""
+class Verdict:
+    """One (workload, metric) row: medians, or failure shares."""
 
-    verdicts: List[BenchVerdict] = field(default_factory=list)
-    threshold: float = DEFAULT_THRESHOLD
-    noise_factor: float = DEFAULT_NOISE_FACTOR
-    history_runs: int = 0
+    workload: str
+    metric: str
+    parent: float
+    change: float
+    delta: float  # median's relative change (share's absolute), + = worse
+    spread: float  # the parent's (Q3 − Q1) / median
+    bound: float
+    status: str  # "ok" | "unresolved" | "regression"
+
+
+def judge(workload: str, metric: Metric, parent: Sequence[float],
+          change: Sequence[float]) -> Verdict:
+    """The verdict on one metric of one workload (see module docstring)."""
+    sign = 1.0 if metric.better == "lower" else -1.0
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    delta = sign * (c_med - p_med) / p_med
+    p_spread = spread(parent)
+    if p_spread > metric.bound:
+        # Resolved only when no change run overlaps the parent's runs.
+        c, p = [sign * v for v in change], [sign * v for v in parent]
+        status = ("regression" if min(c) > max(p) else
+                  "ok" if max(c) < min(p) else "unresolved")
+    else:
+        status = "regression" if delta > metric.bound else "ok"
+    return Verdict(workload, metric.name, p_med, c_med, delta, p_spread,
+                   metric.bound, status)
+
+
+def failure_share(workload: str, parent: Sequence[Run],
+                  change: Sequence[Run]) -> Verdict:
+    """The verdict on a workload's total failed / attempted share."""
+    def share(runs):
+        return sum(r.failed for r in runs) / sum(r.attempted for r in runs)
+    p, c = share(parent), share(change)
+    return Verdict(workload, FAILED, p, c, c - p, 0.0, 0.0,
+                   "regression" if c > p else "ok")
+
+
+@dataclass
+class GateResult:
+    """Every verdict, in contract order, plus the run counts per side."""
+
+    verdicts: List[Verdict]
+    runs: dict  # workload -> (parent runs, change runs)
 
     @property
-    def regressions(self) -> List[BenchVerdict]:
+    def regressions(self) -> List[Verdict]:
         return [v for v in self.verdicts if v.status == "regression"]
 
     @property
     def passed(self) -> bool:
         return not self.regressions
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": VERDICT_SCHEMA,
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "noise_factor": self.noise_factor,
-            "history_runs": self.history_runs,
-            "benchmarks": [v.to_dict() for v in self.verdicts],
-        }
-
     def render(self) -> str:
-        lines = [f"bench compare  ({len(self.verdicts)} benchmark(s) vs "
-                 f"{self.history_runs} history run(s), "
-                 f"threshold {self.threshold:.0%}, "
-                 f"noise factor {self.noise_factor:g})"]
+        lines = ["bench compare  (medians, parent vs change; bounds from "
+                 "BENCHMARK.json)",
+                 f"  {'workload':<15s} {'metric':<17s} {'runs':>5s} "
+                 f"{'parent':>9s} {'change':>9s} {'delta':>7s} "
+                 f"{'spread':>7s} {'bound':>6s}  verdict"]
         for v in self.verdicts:
-            if v.current_min is None or v.baseline_min is None:
-                lines.append(f"  {v.status.upper():<11s} {v.name}")
-                continue
+            runs = "{}/{}".format(*self.runs[v.workload])
             lines.append(
-                f"  {v.status.upper():<11s} {v.name}: "
-                f"{v.current_min * 1e3:.1f}ms vs baseline "
-                f"{v.baseline_min * 1e3:.1f}ms "
-                f"(x{v.ratio:.3f}, gate at x{1.0 + (v.threshold or 0):.3f})")
-        lines.append("PASS" if self.passed else
-                     f"FAIL: {len(self.regressions)} regression(s)")
+                f"  {v.workload:<15s} {v.metric:<17s} {runs:>5s} "
+                f"{v.parent:>9.4g} {v.change:>9.4g} {v.delta:>+7.1%} "
+                f"{v.spread:>7.1%} {v.bound:>6.0%}  {v.status}")
+        unresolved = sum(v.status == "unresolved" for v in self.verdicts)
+        if self.passed:
+            lines.append("PASS" + (f" ({unresolved} unresolved)"
+                                   if unresolved else ""))
+        else:
+            names = ", ".join(f"{v.workload} {v.metric}"
+                              for v in self.regressions)
+            lines.append(f"FAIL: {len(self.regressions)} regression(s): "
+                         f"{names}")
         return "\n".join(lines) + "\n"
 
 
-def compare(current: dict, history: Sequence[dict],
-            threshold: float = DEFAULT_THRESHOLD,
-            noise_factor: float = DEFAULT_NOISE_FACTOR) -> CompareResult:
-    """Compare a normalized current run against normalized history runs.
-
-    Per benchmark: the baseline is the best (smallest) minimum any
-    history run achieved; the gate widens beyond ``threshold`` when the
-    history's own minima are spread wider than the threshold (noise
-    band).  Benchmarks new in the current run are reported ``new`` and
-    never fail; benchmarks that disappeared are reported ``missing``
-    and never fail (removals are reviewable in the diff that removed
-    them).
-    """
-    if not history:
-        raise BenchDataError("no history to compare against "
-                             "(seed it with 'bench append')")
-    result = CompareResult(threshold=threshold, noise_factor=noise_factor,
-                           history_runs=len(history))
-    baseline_names = set()
-    for run in history:
-        baseline_names.update(run.keys())
-    for name in sorted(set(current) | baseline_names):
-        stats = current.get(name)
-        if stats is None:
-            result.verdicts.append(BenchVerdict(name, "missing",
-                                                history_runs=len(history)))
-            continue
-        mins = [robust_min(run[name]) for run in history if name in run]
-        if not mins:
-            result.verdicts.append(BenchVerdict(name, "new",
-                                                history_runs=0))
-            continue
-        baseline = min(mins)
-        spread = (max(mins) - min(mins)) / baseline if len(mins) > 1 else 0.0
-        gate = max(threshold, noise_factor * spread)
-        current_min = robust_min(stats)
-        ratio = current_min / baseline
-        if ratio > 1.0 + gate:
-            status = "regression"
-        elif ratio < 1.0 - gate:
-            status = "improvement"
-        else:
-            status = "ok"
-        result.verdicts.append(BenchVerdict(
-            name, status, current_min=current_min, baseline_min=baseline,
-            ratio=round(ratio, 4), threshold=round(gate, 4),
-            history_runs=len(mins)))
+def compare_dirs(parent_dir: Union[str, os.PathLike],
+                 change_dir: Union[str, os.PathLike],
+                 contract: Contract) -> GateResult:
+    """Judge every contract workload's runs in ``change_dir`` against
+    the same workload's runs in ``parent_dir``."""
+    names = [m.name for m in contract.metrics]
+    result = GateResult([], {})
+    for workload in contract.workloads:
+        parent = load_runs(Path(parent_dir) / f"{workload}.jsonl", names)
+        change = load_runs(Path(change_dir) / f"{workload}.jsonl", names)
+        result.runs[workload] = (len(parent), len(change))
+        for metric in contract.metrics:
+            result.verdicts.append(judge(
+                workload, metric, [r.values[metric.name] for r in parent],
+                [r.values[metric.name] for r in change]))
+        result.verdicts.append(failure_share(workload, parent, change))
     return result
-
-
-def compare_files(current_path: Union[str, os.PathLike],
-                  history_dir: Union[str, os.PathLike],
-                  threshold: float = DEFAULT_THRESHOLD,
-                  noise_factor: float = DEFAULT_NOISE_FACTOR,
-                  last: int = 0) -> CompareResult:
-    """File-level convenience wrapper used by the CLI and CI."""
-    current = load_bench(current_path)
-    history = load_history(history_dir, last=last)
-    return compare(current, history, threshold=threshold,
-                   noise_factor=noise_factor)

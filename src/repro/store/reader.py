@@ -131,7 +131,7 @@ class _LazyTables(Mapping):
 
 # Imported late to dodge the repro.trace <-> repro.store import cycle
 # (trace.io imports the writer/reader; the dataset only needs the class).
-from repro.trace.dataset import SCHEMA_2019, TraceDataset  # noqa: E402
+from repro.trace.dataset import SCHEMA_2019, TraceDataset
 
 
 @dataclass
