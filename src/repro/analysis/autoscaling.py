@@ -15,6 +15,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from repro.sim.autopilot import peak_slack
 from repro.stats.ccdf import Ccdf, empirical_ccdf
 from repro.trace.dataset import TraceDataset
 
@@ -38,7 +39,7 @@ def peak_slack_samples(trace: TraceDataset) -> Dict[str, np.ndarray]:
     # Rows with zero usage and zero peak are alloc reservations.
     task_rows = (peaks > 0) & (limits > 0)
     slack = np.zeros(len(iu))
-    slack[task_rows] = np.maximum(0.0, limits[task_rows] - peaks[task_rows]) / limits[task_rows]
+    slack[task_rows] = peak_slack(limits[task_rows], peaks[task_rows])
     for mode in MODES:
         mask = task_rows & (modes == mode)
         out[mode] = slack[mask]

@@ -18,7 +18,7 @@ order-of-magnitude regressions in phase timings.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 #: Geometric bucket grid: 10 buckets per decade over [1e-6, 1e4) seconds.
 _LOG_MIN = -6.0
@@ -151,15 +151,3 @@ class TimingHistogram:
     def __repr__(self) -> str:
         return (f"TimingHistogram(count={self.count}, mean={self.mean:.6f}, "
                 f"max={self.max})")
-
-
-def merge_histogram_dicts(into: Dict[str, TimingHistogram],
-                          others: Sequence[Dict[str, object]]) -> None:
-    """Merge serialized histogram dicts (name -> to_dict form) into live ones."""
-    for data in others:
-        for name, payload in data.items():
-            histogram = into.get(name)
-            if histogram is None:
-                into[name] = TimingHistogram.from_dict(payload)
-            else:
-                histogram.merge(TimingHistogram.from_dict(payload))

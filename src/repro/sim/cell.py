@@ -6,6 +6,12 @@ batch-queue admission, round-based scheduling with preemption, task
 restarts, machine maintenance, dependency cascade kills, and usage
 sampling.  The output is a :class:`CellResult` holding the event log,
 the usage-sample arrays, and the final collection states.
+
+There is one event loop, with or without a flight recorder: the
+recorder only adds a guarded sampling step before boundary-crossing
+events, so a recorded run produces the same trace and counters.  The
+outage handlers share one take-down path and every stop that sends
+work back to the scheduler shares one requeue path.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import gc
 import itertools
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,8 +150,7 @@ class CellResult:
         return Resources(cpu, mem)
 
 
-def _reconcile_machine_usage(usage: Dict[str, np.ndarray],
-                             machines: Union[Sequence[Machine], FleetState],
+def _reconcile_machine_usage(usage: Dict[str, np.ndarray], fleet: FleetState,
                              sample_period: float) -> None:
     """Throttle sampled usage to physical machine capacity, in place.
 
@@ -157,16 +162,13 @@ def _reconcile_machine_usage(usage: Dict[str, np.ndarray],
     what makes the section-9 "usage <= machine capacity" trace invariant
     hold by construction rather than by luck.
 
-    ``machines`` may be a :class:`FleetState` (the simulator passes its
-    own) or a plain machine sequence (snapshotted here); either way the
-    per-group capacity lookup is one vectorized
-    :meth:`FleetState.capacity_by_id` gather, not a Python loop.
+    The per-group capacity lookup is one vectorized
+    :meth:`FleetState.capacity_by_id` gather over the cell's fleet, not a
+    Python loop.
     """
     n = len(usage["window_start"])
     if n == 0:
         return
-    fleet = (machines if isinstance(machines, FleetState)
-             else FleetState(machines, attach=False))
     machine_ids = usage["machine_id"].astype(np.int64)
     window = (usage["window_start"] / sample_period).astype(np.int64)
     key = machine_ids * 10_000_000 + window
@@ -188,6 +190,17 @@ def _reconcile_machine_usage(usage: Dict[str, np.ndarray],
         scale[order] = row_factors
         usage[col_avg] *= scale
         usage[col_max] *= scale
+
+
+def _flush_tallies(dispatch: Dict[str, list], counters: Dict[str, obs.Counter],
+                   total: obs.Counter) -> None:
+    """Move the event loop's per-kind tallies into the obs counters."""
+    n = 0
+    for kind, entry in dispatch.items():
+        counters[kind].inc(entry[1])
+        n += entry[1]
+        entry[1] = 0
+    total.inc(n)
 
 
 class CellSim:
@@ -360,12 +373,17 @@ class CellSim:
             "fault": self._on_fault,
             "resubmit": self._on_resubmit,
         }
-        # Counter handles are bound once so the hot loop pays one integer
-        # add per event, not a registry lookup (instrumentation overhead
-        # is budgeted at <= 5% of simulator throughput).
-        events_processed = obs.counter("sim.events_processed")
-        kind_counters = {kind: obs.counter("sim.events." + kind)
-                         for kind in handlers}
+        # The loop only bumps plain integers: one dict probe per event
+        # finds the handler and its per-kind tally in a shared slot.  The
+        # tallies move into the obs counters before every recorder frame
+        # (so a frame holds exactly the events before it) and once after
+        # the loop, so the totals never depend on whether a recorder is
+        # attached (instrumentation overhead is budgeted at <= 5% of
+        # simulator throughput).
+        dispatch = {kind: [handler, 0] for kind, handler in handlers.items()}
+        counters = {kind: obs.counter("sim.events." + kind)
+                    for kind in handlers}
+        total = obs.counter("sim.events_processed")
         recorder = self.recorder
         # _push drops anything at or past the horizon, so the loop drains
         # the queue to empty — no boundary check per event.  Exhaustion
@@ -373,38 +391,21 @@ class CellSim:
         # test per iteration (zero-cost try in 3.11).
         queue = self._queue
         with obs.span("sim.event_loop"):
-            if recorder is None:
-                # One dict probe per event: the handler and its per-kind
-                # tally share a slot, and both tallies flush into the
-                # obs counters once after the loop (identical totals).
-                dispatch = {kind: [handler, 0]
-                            for kind, handler in handlers.items()}
-                n_events = 0
-                while True:
-                    try:
-                        time, _, kind, payload = heappop(queue)
-                    except IndexError:
-                        break
-                    n_events += 1
-                    entry = dispatch[kind]
-                    entry[1] += 1
-                    entry[0](time, payload)
-                events_processed.inc(n_events)
-                for kind, entry in dispatch.items():
-                    kind_counters[kind].inc(entry[1])
-            else:
-                # Flight-recorder variant: counters stay live because
-                # recorder frames sample them mid-run.
-                while queue:
+            while True:
+                try:
                     time, _, kind, payload = heappop(queue)
-                    # Sampled *before* the boundary-crossing event runs,
-                    # so a frame at t=k·interval holds exactly the state
-                    # of all events strictly before it.
-                    if time >= recorder.next_due:
-                        recorder.tick(time)
-                    events_processed.inc()
-                    kind_counters[kind].inc()
-                    handlers[kind](time, payload)
+                except IndexError:
+                    break
+                # Sampled *before* the boundary-crossing event runs, so a
+                # frame at t=k·interval holds exactly the state of all
+                # events strictly before it.
+                if recorder is not None and time >= recorder.next_due:
+                    _flush_tallies(dispatch, counters, total)
+                    recorder.tick(time)
+                entry = dispatch[kind]
+                entry[1] += 1
+                entry[0](time, payload)
+            _flush_tallies(dispatch, counters, total)
         with obs.span("sim.finalize"):
             self._finalize(horizon)
             usage = self._usage.finalize(self._rng_usage)
@@ -743,6 +744,10 @@ class CellSim:
         self.counters.evictions += 1
         self.events.instance(t, instance, EventType.EVICT, machine_id=machine_id,
                              is_new=False)
+        self._requeue(t, instance)
+
+    def _requeue(self, t: float, instance: Instance) -> None:
+        """Send a stopped instance back to the pending queue (new SUBMIT)."""
         instance.state = InstanceState.PENDING
         instance.pending_since = t
         self.events.instance(t, instance, EventType.SUBMIT, is_new=False)
@@ -778,11 +783,7 @@ class CellSim:
             self.events.instance(t, instance, EventType.FAIL,
                                  machine_id=machine_id, is_new=False)
             self._stop_run(t, instance)
-            instance.state = InstanceState.PENDING
-            instance.pending_since = t
-            self.events.instance(t, instance, EventType.SUBMIT, is_new=False)
-            self._pending.push(instance)
-            self._ensure_round(t)
+            self._requeue(t, instance)
             return
         # The common crash-loop case: the local agent restarts the task in
         # place within seconds.  Modeled as a logical restart — new SUBMIT
@@ -805,20 +806,31 @@ class CellSim:
         if not machine.up:
             return
         self.counters.machine_downtimes += 1
+        # Maintenance is planned: production work is *drained* — migrated
+        # ahead of the outage rather than evicted.  This is Borg's
+        # eviction-rate SLO protecting important collections (section
+        # 5.2: <0.2% of prod collections ever see an eviction despite ~1
+        # maintenance/machine/month).
+        self._take_down(t, machine, self.config.machine_downtime_duration,
+                        drain=True)
+
+    def _take_down(self, t: float, machine: Machine, duration: float,
+                   drain: bool) -> None:
+        """Take an up machine offline for ``duration`` seconds.
+
+        Its instances are stopped: with ``drain``, preempting-tier work
+        is drained (requeued without an EVICT) and the rest evicted;
+        without it, everything is evicted.
+        """
         machine.up = False
         self.events.machine(t, machine.machine_id, "REMOVE",
                             machine.capacity.cpu, machine.capacity.mem)
         for instance in list(machine.instances):
-            if instance.tier in self.config.preempting_tiers:
-                # Maintenance is planned: production work is *drained* —
-                # migrated ahead of the outage rather than evicted.  This
-                # is Borg's eviction-rate SLO protecting important
-                # collections (section 5.2: <0.2% of prod collections ever
-                # see an eviction despite ~1 maintenance/machine/month).
+            if drain and instance.tier in self.config.preempting_tiers:
                 self._drain_instance(t, instance)
             else:
                 self._evict_instance(t, instance)
-        self._push(t + self.config.machine_downtime_duration, "machine_up", machine)
+        self._push(t + duration, "machine_up", machine)
 
     def _drain_instance(self, t: float, instance: Instance) -> None:
         """Gracefully migrate an instance off its machine (no EVICT)."""
@@ -828,11 +840,7 @@ class CellSim:
             for tenant in list(self._alloc_tenants.get(instance.instance_id, [])):
                 self._drain_instance(t, tenant)
         self._stop_run(t, instance)
-        instance.state = InstanceState.PENDING
-        instance.pending_since = t
-        self.events.instance(t, instance, EventType.SUBMIT, is_new=False)
-        self._pending.push(instance)
-        self._ensure_round(t)
+        self._requeue(t, instance)
 
     def _on_machine_up(self, t: float, machine: Machine) -> None:
         machine.up = True
@@ -857,15 +865,7 @@ class CellSim:
             if not machine.up:
                 continue
             self.counters.fault_machine_outages += 1
-            machine.up = False
-            self.events.machine(t, machine.machine_id, "REMOVE",
-                                machine.capacity.cpu, machine.capacity.mem)
-            for instance in list(machine.instances):
-                if planned and instance.tier in self.config.preempting_tiers:
-                    self._drain_instance(t, instance)
-                else:
-                    self._evict_instance(t, instance)
-            self._push(t + fault.duration, "machine_up", machine)
+            self._take_down(t, machine, fault.duration, drain=planned)
 
     # --------------------------------------------------------- terminations
 

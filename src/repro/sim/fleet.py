@@ -5,15 +5,17 @@ list as parallel numpy arrays (capacity, allocation, up/down, platform
 code), so admissibility and best-fit scoring over candidate sets become
 a handful of vector operations instead of a Python loop per machine.
 
-The arrays are kept in sync *incrementally*: an attached machine writes
-its post-mutation allocation and up/down state through the sync hooks
-below on every :meth:`~repro.sim.machine.Machine.place`,
+Building a ``FleetState`` attaches every machine to it.  From then on
+the arrays, and the Python-list mirrors ``py_alloc``/``py_up`` the
+sampled placement path reads, are kept in sync *incrementally*: a
+machine writes its post-mutation allocation and up/down state through
+the sync hooks below on every :meth:`~repro.sim.machine.Machine.place`,
 :meth:`~repro.sim.machine.Machine.remove`, and ``up`` transition.  The
 synced values are copied verbatim from the machine's own accounting (not
-recomputed), so ``allocated_cpu[i]`` is bit-identical to
-``machines[i].allocated.cpu`` at all times — the invariant that makes
-the vectorized kernel's arithmetic exactly equal to the per-object
-reference path (see DESIGN.md §10).
+recomputed), so ``allocated_cpu[i]`` and ``py_alloc[i][0]`` are
+bit-identical to ``machines[i].allocated.cpu`` at all times — the
+invariant that makes the kernel's arithmetic exactly equal to the
+per-object reference path (see DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -29,15 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 class FleetState:
     """Columnar mirror of a machine fleet.
 
-    With ``attach=True`` (the default) each machine is bound to this
-    state and keeps it current through the sync hooks; a machine belongs
-    to at most one attached ``FleetState`` at a time.  ``attach=False``
-    builds a one-shot snapshot of the fleet's current state without
-    claiming ownership — used when a plain machine sequence is passed to
-    the placement policy directly (tests, diagnostics).
+    Each machine is bound to this state and keeps it current through the
+    sync hooks; a machine belongs to one ``FleetState`` at a time (the
+    latest one built over it).
     """
 
-    def __init__(self, machines: Sequence["Machine"], attach: bool = True):
+    def __init__(self, machines: Sequence["Machine"]):
         self.machines: List["Machine"] = list(machines)
         n = len(self.machines)
         self.n = n
@@ -77,9 +76,8 @@ class FleetState:
             codes[i] = self._platform_codes.setdefault(
                 machine.platform, len(self._platform_codes))
         self.platform_code = codes
-        if attach:
-            for i, machine in enumerate(self.machines):
-                machine.attach_fleet(self, i)
+        for i, machine in enumerate(self.machines):
+            machine.attach_fleet(self, i)
 
     def platform_code_of(self, platform: str) -> int:
         """The integer code of ``platform``; -1 if no machine has it."""
@@ -128,19 +126,19 @@ class FleetState:
     # -- diagnostics ----------------------------------------------------------
 
     def check_consistency(self) -> None:
-        """Assert the arrays equal the machines' own accounting (tests)."""
+        """Assert both mirrors equal the machines' own accounting (tests).
+
+        The sampled placement path reads ``py_alloc``/``py_up`` and the
+        full scan reads ``alloc``/``up``, so both are compared.
+        """
         for i, machine in enumerate(self.machines):
-            if (self.allocated_cpu[i] != machine.allocated.cpu
-                    or self.allocated_mem[i] != machine.allocated.mem
-                    or bool(self.up[i]) != machine.up
-                    or self.alloc[0, i] != machine.allocated.cpu
-                    or self.alloc[1, i] != machine.allocated.mem):
+            own = (machine.allocated.cpu, machine.allocated.mem, machine.up)
+            arrays = (self.alloc[0, i], self.alloc[1, i], bool(self.up[i]))
+            lists = (*self.py_alloc[i], self.py_up[i])
+            if arrays != own or lists != own:
                 raise AssertionError(
                     f"FleetState out of sync at machine index {i}: "
-                    f"arrays=({self.allocated_cpu[i]}, {self.allocated_mem[i]}, "
-                    f"{self.up[i]}) machine=({machine.allocated.cpu}, "
-                    f"{machine.allocated.mem}, {machine.up})"
-                )
+                    f"arrays={arrays} lists={lists} machine={own}")
 
     def __repr__(self) -> str:
         return (f"FleetState(n={self.n}, up={int(self.up.sum())}, "

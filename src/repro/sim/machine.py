@@ -3,7 +3,10 @@
 A machine tracks the sum of schedule-time limits of the instances placed
 on it.  Borg over-commits: the admission check allows the allocated sum
 to exceed physical capacity by a per-tier over-commit factor, betting
-that instances under-use their limits (paper section 4, figure 4).
+that instances under-use their limits (paper section 4, figure 4).  That
+check lives in the placement kernel
+(:class:`~repro.sim.scheduler.PlacementPolicy`), which reads each
+machine's allocation through its :class:`~repro.sim.fleet.FleetState`.
 """
 
 from __future__ import annotations
@@ -67,24 +70,6 @@ class Machine:
                 f" {self.capacity.mem:.2f}), alloc=({self.allocated.cpu:.2f},"
                 f" {self.allocated.mem:.2f}), n={len(self.instances)})")
 
-    # -- admission ----------------------------------------------------------------
-
-    def admission_capacity(self, overcommit: float) -> Resources:
-        """Capacity inflated by the over-commit factor for admission checks."""
-        if overcommit < 1.0:
-            raise SimulationError(f"overcommit factor must be >= 1, got {overcommit}")
-        return self.capacity * overcommit
-
-    def fits(self, request: Resources, overcommit: float = 1.0) -> bool:
-        """Can ``request`` be admitted under the given over-commit factor?"""
-        if not self.up:
-            return False
-        return (self.allocated + request).fits_in(self.admission_capacity(overcommit))
-
-    def headroom(self, overcommit: float = 1.0) -> Resources:
-        """Remaining admittable resources."""
-        return self.admission_capacity(overcommit) - self.allocated
-
     # -- placement ----------------------------------------------------------------
 
     def place(self, instance: Instance) -> None:
@@ -137,10 +122,3 @@ class Machine:
                                     -(i.request.cpu + i.request.mem),
                                     i.instance_id))
         return victims
-
-    def allocation_ratio(self) -> Dict[str, float]:
-        """allocated / capacity per dimension (over-commit diagnostics)."""
-        return {
-            "cpu": self.allocated.cpu / self.capacity.cpu if self.capacity.cpu > 0 else 0.0,
-            "mem": self.allocated.mem / self.capacity.mem if self.capacity.mem > 0 else 0.0,
-        }

@@ -69,24 +69,6 @@ class Resources:
         """True if this request fits inside ``capacity`` on both dimensions."""
         return self.cpu <= capacity.cpu + 1e-12 and self.mem <= capacity.mem + 1e-12
 
-    def scale_to(self, other: "Resources") -> float:
-        """Largest k such that k * self fits in other (both dims)."""
-        ks = []
-        if self.cpu > 0:
-            ks.append(other.cpu / self.cpu)
-        if self.mem > 0:
-            ks.append(other.mem / self.mem)
-        return min(ks) if ks else float("inf")
-
-    def dominant_share(self, capacity: "Resources") -> float:
-        """The larger of cpu/capacity.cpu and mem/capacity.mem (DRF-style)."""
-        shares = []
-        if capacity.cpu > 0:
-            shares.append(self.cpu / capacity.cpu)
-        if capacity.mem > 0:
-            shares.append(self.mem / capacity.mem)
-        return max(shares) if shares else 0.0
-
     def is_zero(self) -> bool:
         return self.cpu <= 1e-12 and self.mem <= 1e-12
 

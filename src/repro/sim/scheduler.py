@@ -7,21 +7,21 @@ sampled candidate set (power-of-k-choices keeps month-scale runs fast
 without changing behavior materially), and priority preemption — a
 production-tier task may evict lower-tier instances to make room.
 
-The hot path runs as a structure-of-arrays kernel over a
-:class:`~repro.sim.fleet.FleetState`: candidate sampling draws from a
-pre-drawn index block, admissibility and best-fit scoring are vector
-operations, and the full-scan fallback is one masked ``argmin``.  The
-kernel is bit-equivalent to the per-machine reference methods
-:meth:`PlacementPolicy._admissible` / :meth:`PlacementPolicy._score`
-(same float operations in the same order; see DESIGN.md §10 and the
-equivalence property test).
+Every entry point takes the cell's :class:`~repro.sim.fleet.FleetState`,
+and placement runs as a kernel over it: candidate sampling draws from a
+pre-drawn index block, the sampled candidates are swept over the
+fleet's Python-list mirrors, and the full-scan fallback is one masked
+``argmin`` over its arrays.  The kernel is bit-equivalent to the
+per-machine reference methods :meth:`PlacementPolicy._admissible` /
+:meth:`PlacementPolicy._score` (same float operations in the same
+order; see DESIGN.md §10 and the equivalence property test).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -177,24 +177,14 @@ class PlacementPolicy:
             filled += take
         return out
 
-    def _admissible_mask(self, fleet: FleetState, idx: Optional[np.ndarray],
-                         request: Resources, constraint: str,
-                         code: int) -> np.ndarray:
-        """Vector admissibility over ``idx`` (or the whole fleet)."""
-        if idx is None:
-            up = fleet.up
-            a_cpu, a_mem = fleet.allocated_cpu, fleet.allocated_mem
-            adm_cpu, adm_mem = self._adm_cpu, self._adm_mem
-        else:
-            up = fleet.up[idx]
-            a_cpu, a_mem = fleet.allocated_cpu[idx], fleet.allocated_mem[idx]
-            adm_cpu, adm_mem = self._adm_cpu[idx], self._adm_mem[idx]
-        ok = (up
-              & (a_cpu + request.cpu <= adm_cpu)
-              & (a_mem + request.mem <= adm_mem))
+    def _admissible_mask(self, fleet: FleetState, request: Resources,
+                         constraint: str, code: int) -> np.ndarray:
+        """Vector admissibility over the whole fleet."""
+        ok = (fleet.up
+              & (fleet.allocated_cpu + request.cpu <= self._adm_cpu)
+              & (fleet.allocated_mem + request.mem <= self._adm_mem))
         if constraint:
-            codes = fleet.platform_code if idx is None else fleet.platform_code[idx]
-            ok = ok & (codes == code)
+            ok = ok & (fleet.platform_code == code)
         return ok
 
     def _score_at(self, fleet: FleetState, idx: np.ndarray,
@@ -207,19 +197,14 @@ class PlacementPolicy:
         return np.maximum(free_cpu / self._den_cpu[idx],
                           free_mem / self._den_mem[idx])
 
-    def find_machine(self, fleet: Union[FleetState, Sequence[Machine]],
-                     request: Resources,
+    def find_machine(self, fleet: FleetState, request: Resources,
                      constraint: str = "") -> Optional[Machine]:
         """Best-fit over a sampled candidate set; None if nothing admits.
 
         ``constraint``, when non-empty, restricts placement to machines of
-        that platform (a machine-attribute constraint).  Accepts either a
-        live :class:`FleetState` (the simulator's hot path) or a plain
-        machine sequence (snapshotted on the fly).
+        that platform (a machine-attribute constraint).
         """
         self._ctr_attempts.inc()
-        if not isinstance(fleet, FleetState):
-            fleet = FleetState(fleet, attach=False)
         n = fleet.n
         if n == 0:
             return None
@@ -270,7 +255,7 @@ class PlacementPolicy:
         # The sampled indices were just proven inadmissible, so they are
         # masked out instead of being examined a second time.
         self._ctr_full_scans.inc()
-        ok = self._admissible_mask(fleet, None, request, constraint, code)
+        ok = self._admissible_mask(fleet, request, constraint, code)
         if sampled is not None:
             ok[sampled] = False
         hits = np.flatnonzero(ok)
@@ -279,8 +264,8 @@ class PlacementPolicy:
         best = hits[self._score_at(fleet, hits, request).argmin()]
         return fleet.machines[int(best)]
 
-    def find_preemption(self, fleet: Union[FleetState, Sequence[Machine]],
-                        request: Resources, rank: int,
+    def find_preemption(self, fleet: FleetState, request: Resources,
+                        rank: int,
                         constraint: str = "") -> Optional[Tuple[Machine, List[Instance]]]:
         """A machine where evicting lower-rank instances admits ``request``.
 
@@ -290,8 +275,8 @@ class PlacementPolicy:
         production never evicts production (section 2).
         """
         self._ctr_preemptions.inc()
-        machines = fleet.machines if isinstance(fleet, FleetState) else fleet
-        n = len(machines)
+        machines = fleet.machines
+        n = fleet.n
         if n == 0:
             return None
         # Preemption search is expensive (victim enumeration per machine);

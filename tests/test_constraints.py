@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import constraints as constraints_analysis
 from repro.sim import CellConfig, CellSim, Machine, Resources, Tier
 from repro.sim.entities import Collection, CollectionType, EndReason, Instance
+from repro.sim.fleet import FleetState
 from repro.sim.scheduler import PlacementPolicy, SchedulerParams
 from repro.trace import encode_cell, validate_trace
 from repro.util.rng import RngFactory
@@ -15,14 +16,14 @@ PARAMS = SchedulerParams(overcommit_cpu=1.0, overcommit_mem=1.0)
 
 class TestPolicyConstraints:
     def _fleet(self):
-        return [Machine(0, Resources(1.0, 1.0), platform="A"),
-                Machine(1, Resources(1.0, 1.0), platform="B")]
+        return FleetState([Machine(0, Resources(1.0, 1.0), platform="A"),
+                           Machine(1, Resources(1.0, 1.0), platform="B")])
 
     def test_constraint_restricts_platform(self):
         policy = PlacementPolicy(PARAMS, np.random.default_rng(0))
-        machines = self._fleet()
+        fleet = self._fleet()
         for _ in range(10):
-            found = policy.find_machine(machines, Resources(0.1, 0.1),
+            found = policy.find_machine(fleet, Resources(0.1, 0.1),
                                         constraint="B")
             assert found is not None and found.platform == "B"
 
@@ -37,16 +38,16 @@ class TestPolicyConstraints:
                                    constraint="") is not None
 
     def test_preemption_respects_constraint(self):
-        machines = self._fleet()
+        fleet = self._fleet()
         filler = Collection(collection_id=1, collection_type=CollectionType.JOB,
                             priority=25, tier=Tier.FREE, user="u", submit_time=0.0)
         inst = Instance(collection=filler, index=0, request=Resources(0.9, 0.9))
         filler.instances.append(inst)
-        machines[0].place(inst)  # platform A full of preemptible work
+        fleet.machines[0].place(inst)  # platform A full of preemptible work
         policy = PlacementPolicy(PARAMS, np.random.default_rng(0))
-        found_a = policy.find_preemption(machines, Resources(0.5, 0.5),
+        found_a = policy.find_preemption(fleet, Resources(0.5, 0.5),
                                          Tier.PROD.rank, constraint="A")
-        found_b = policy.find_preemption(machines, Resources(0.5, 0.5),
+        found_b = policy.find_preemption(fleet, Resources(0.5, 0.5),
                                          Tier.PROD.rank, constraint="B")
         assert found_a is not None and found_a[0].platform == "A"
         assert found_b is None  # nothing preemptible on B

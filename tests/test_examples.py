@@ -40,12 +40,6 @@ class TestExamples:
         assert "kill rate by tier" in out
         assert "2011 CSV layout" in out
 
-    def test_explain_scheduling(self, capsys):
-        load_example("explain_scheduling").main(seed=3)
-        out = capsys.readouterr().out
-        assert "decision" in out
-        assert "machine-sized monster" in out
-
     def test_ascii_figures(self, capsys):
         load_example("ascii_figures").main(seed=3)
         out = capsys.readouterr().out

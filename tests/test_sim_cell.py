@@ -1,8 +1,12 @@
 """Integration tests for the cell engine on a small, hand-built workload."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.obs.recorder import CellRecorder
 from repro.sim import CellConfig, CellSim, EventType, Machine, Resources, Tier
 from repro.sim.cell import TIER_CODES, _reconcile_machine_usage
 from repro.sim.entities import (
@@ -13,7 +17,10 @@ from repro.sim.entities import (
     InstanceState,
     SchedulerKind,
 )
+from repro.sim.fleet import FleetState
+from repro.trace import encode_cell
 from repro.util.rng import RngFactory
+from repro.workload import small_test_scenario
 
 
 def make_config(**overrides):
@@ -288,7 +295,7 @@ class TestReconcile:
             "max_mem": np.array([0.1, 0.1]),
         }
         machines = [Machine(0, Resources(1.0, 1.0))]
-        _reconcile_machine_usage(usage, machines, 300.0)
+        _reconcile_machine_usage(usage, FleetState(machines), 300.0)
         assert float(usage["avg_cpu"].sum()) == pytest.approx(0.98)
         assert float(usage["avg_mem"].sum()) == pytest.approx(0.2)  # untouched
 
@@ -301,12 +308,13 @@ class TestReconcile:
             "avg_mem": np.array([0.3]),
             "max_mem": np.array([0.4]),
         }
-        _reconcile_machine_usage(usage, [Machine(0, Resources(1.0, 1.0))], 300.0)
+        _reconcile_machine_usage(
+            usage, FleetState([Machine(0, Resources(1.0, 1.0))]), 300.0)
         assert usage["avg_cpu"][0] == 0.3
 
     def test_empty_usage_ok(self):
         usage = {"window_start": np.empty(0)}
-        _reconcile_machine_usage(usage, [], 300.0)
+        _reconcile_machine_usage(usage, FleetState([]), 300.0)
 
 
 class TestDeterminism:
@@ -322,3 +330,64 @@ class TestDeterminism:
         a = run_cell(workload(), seed=1)
         b = run_cell(workload(), seed=2)
         assert a.usage["avg_cpu"].tolist() != b.usage["avg_cpu"].tolist()
+
+
+def _trace_sha256(result) -> str:
+    """SHA-256 over every encoded table's columns, byte-exact."""
+    trace = encode_cell(result)
+    h = hashlib.sha256()
+    for name in sorted(trace.tables):
+        table = trace.tables[name]
+        h.update(name.encode())
+        for col in table.column_names:
+            values = table.column(col).values
+            h.update(col.encode())
+            if values.dtype == object:
+                h.update(str(values.tolist()).encode())
+            else:
+                h.update(np.ascontiguousarray(values).tobytes())
+    return h.hexdigest()
+
+
+class TestRecorderParity:
+    """Recording a run must not change it, and a frame at ``t`` must hold
+    exactly the events before ``t``."""
+
+    @staticmethod
+    def _run(recorder):
+        scenario = small_test_scenario(seed=11, machines_per_cell=12,
+                                       horizon_hours=6.0, faults="heavy",
+                                       archetype_mix="mixed")
+        with obs.scoped_registry() as registry:
+            result = scenario.run(recorder=recorder)
+        counters = {k: v for k, v in registry.snapshot().counters.items()
+                    if k.startswith("sim.")}
+        return scenario, result, counters
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        recorder = CellRecorder("g", interval=1800.0)
+        return self._run(None), self._run(recorder), recorder.frames
+
+    def test_trace_bytes_identical(self, runs):
+        (_, plain, _), (_, recorded, _), _ = runs
+        assert recorded.counters.resubmissions > 0  # the faulted paths ran
+        assert _trace_sha256(recorded) == _trace_sha256(plain)
+
+    def test_final_counters_identical(self, runs):
+        (_, _, plain), (_, _, recorded), _ = runs
+        assert plain["sim.events_processed"] > 0
+        assert recorded == plain
+
+    def test_frame_holds_exactly_the_events_before_it(self, runs):
+        _, (scenario, result, _), frames = runs
+        assert len(frames) == 12
+        submits = [c.submit_time for c in scenario.workload]
+        resubmits = [e.time for e in result.events.resubmit_events]
+        for frame in frames:
+            t = frame["t_sim"]
+            counters = frame["counters"]
+            assert counters["sim.events.submit"] == \
+                sum(1 for s in submits if s < t)
+            assert counters["sim.events.resubmit"] == \
+                sum(1 for s in resubmits if s < t)

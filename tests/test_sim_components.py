@@ -8,6 +8,7 @@ from repro.sim.autopilot import AutopilotMode, AutopilotParams, limit_trajectory
 from repro.sim.batch import BatchParams, BatchQueue
 from repro.sim.dependencies import DependencyManager
 from repro.sim.entities import Collection, CollectionType, EndReason, Instance
+from repro.sim.fleet import FleetState
 from repro.sim.scheduler import PendingQueue, PlacementPolicy, SchedulerParams
 from repro.sim.usage import UsageModel, UsageModelParams, diurnal_rate_factor
 from tests.usage_oracles import sample_interval, window_starts
@@ -27,21 +28,37 @@ class TestPlacementPolicy:
         return PlacementPolicy(SchedulerParams(**kw), np.random.default_rng(0))
 
     def test_finds_feasible_machine(self):
-        machines = [Machine(i, Resources(0.5, 0.5)) for i in range(10)]
+        fleet = FleetState([Machine(i, Resources(0.5, 0.5)) for i in range(10)])
         policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        assert policy.find_machine(machines, Resources(0.3, 0.3)) is not None
+        assert policy.find_machine(fleet, Resources(0.3, 0.3)) is not None
 
     def test_none_when_infeasible(self):
-        machines = [Machine(i, Resources(0.2, 0.2)) for i in range(10)]
+        fleet = FleetState([Machine(i, Resources(0.2, 0.2)) for i in range(10)])
         policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        assert policy.find_machine(machines, Resources(0.5, 0.1)) is None
+        assert policy.find_machine(fleet, Resources(0.5, 0.1)) is None
+
+    def test_overcommit_admits_above_capacity(self):
+        request = Resources(1.2, 0.5)  # above capacity x 1.0 on CPU
+        for overcommit, admitted in ((1.0, False), (1.5, True)):
+            fleet = FleetState([Machine(0, Resources(1.0, 1.0))])
+            policy = self._policy(overcommit_cpu=overcommit,
+                                  overcommit_mem=overcommit)
+            found = policy.find_machine(fleet, request)
+            assert (found is not None) is admitted
+
+    def test_down_machine_admits_nothing(self):
+        m = Machine(0, Resources(1.0, 1.0))
+        fleet = FleetState([m])
+        m.up = False
+        policy = self._policy(overcommit_cpu=1.5, overcommit_mem=1.5)
+        assert policy.find_machine(fleet, Resources(0.01, 0.01)) is None
 
     def test_full_scan_rescues_rare_fit(self):
         # Only 1 of 200 machines fits; sampling alone would often miss it.
         machines = [Machine(i, Resources(0.1, 0.1)) for i in range(199)]
         machines.append(Machine(199, Resources(1.0, 1.0)))
         policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0, candidates=4)
-        found = policy.find_machine(machines, Resources(0.5, 0.5))
+        found = policy.find_machine(FleetState(machines), Resources(0.5, 0.5))
         assert found is not None and found.machine_id == 199
 
     def test_best_fit_prefers_tighter_machine(self):
@@ -50,7 +67,8 @@ class TestPlacementPolicy:
         near_full.instances = set()
         empty = Machine(1, Resources(1.0, 1.0))
         policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0, candidates=16)
-        found = policy.find_machine([near_full, empty], Resources(0.1, 0.1))
+        found = policy.find_machine(FleetState([near_full, empty]),
+                                    Resources(0.1, 0.1))
         assert found is near_full
 
     def test_preemption_finds_victims(self):
@@ -58,7 +76,8 @@ class TestPlacementPolicy:
         victim = _collection(Tier.FREE, 1, n=1, cpu=0.9, mem=0.9).instances[0]
         m.place(victim)
         policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        found = policy.find_preemption([m], Resources(0.5, 0.5), Tier.PROD.rank)
+        found = policy.find_preemption(FleetState([m]), Resources(0.5, 0.5),
+                                       Tier.PROD.rank)
         assert found is not None
         machine, victims = found
         assert machine is m and victims == [victim]
@@ -68,19 +87,22 @@ class TestPlacementPolicy:
         prod = _collection(Tier.PROD, 1, n=1, cpu=0.9, mem=0.9).instances[0]
         m.place(prod)
         policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        assert policy.find_preemption([m], Resources(0.5, 0.5), Tier.PROD.rank) is None
+        assert policy.find_preemption(FleetState([m]), Resources(0.5, 0.5),
+                                      Tier.PROD.rank) is None
 
     def test_preemption_skips_too_small_machines(self):
         m = Machine(0, Resources(0.3, 0.3))
         victim = _collection(Tier.FREE, 1, n=1, cpu=0.2, mem=0.2).instances[0]
         m.place(victim)
         policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        assert policy.find_preemption([m], Resources(0.5, 0.5), Tier.PROD.rank) is None
+        assert policy.find_preemption(FleetState([m]), Resources(0.5, 0.5),
+                                      Tier.PROD.rank) is None
 
     def test_empty_fleet(self):
         policy = self._policy()
-        assert policy.find_machine([], Resources(0.1, 0.1)) is None
-        assert policy.find_preemption([], Resources(0.1, 0.1), 3) is None
+        assert policy.find_machine(FleetState([]), Resources(0.1, 0.1)) is None
+        assert policy.find_preemption(FleetState([]), Resources(0.1, 0.1),
+                                      3) is None
 
 
 class TestPendingQueue:

@@ -36,17 +36,9 @@ class TestResources:
         assert not Resources(0.6, 0.1).fits_in(Resources(0.5, 0.5))
         assert not Resources(0.1, 0.6).fits_in(Resources(0.5, 0.5))
 
-    def test_dominant_share(self):
-        share = Resources(0.2, 0.4).dominant_share(Resources(1.0, 1.0))
-        assert share == 0.4
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Resources(-1.0, 0.0)
-
-    def test_scale_to(self):
-        k = Resources(0.1, 0.2).scale_to(Resources(1.0, 1.0))
-        assert k == pytest.approx(5.0)
 
 
 class TestTiers:
@@ -134,22 +126,6 @@ class TestMachine:
         with pytest.raises(SimulationError):
             m.remove(_instance(_collection()))
 
-    def test_fits_respects_overcommit(self):
-        m = Machine(0, Resources(1.0, 1.0))
-        big = _instance(_collection(), cpu=1.2, mem=0.5)
-        assert not m.fits(big.request, overcommit=1.0)
-        assert m.fits(big.request, overcommit=1.5)
-
-    def test_down_machine_never_fits(self):
-        m = Machine(0, Resources(1.0, 1.0))
-        m.up = False
-        assert not m.fits(Resources(0.01, 0.01))
-
-    def test_overcommit_below_one_rejected(self):
-        m = Machine(0, Resources(1.0, 1.0))
-        with pytest.raises(SimulationError):
-            m.fits(Resources(0.1, 0.1), overcommit=0.5)
-
     def test_preemptible_below_rank_and_order(self):
         m = Machine(0, Resources(2.0, 2.0))
         free = _instance(_collection(Tier.FREE, 1), cpu=0.1, mem=0.1)
@@ -162,17 +138,3 @@ class TestMachine:
         assert prod not in victims
         assert victims[0] is free            # lowest tier first
         assert victims[1] is beb_big         # then biggest within tier
-
-    def test_allocation_ratio(self):
-        m = Machine(0, Resources(0.5, 1.0))
-        m.place(_instance(_collection(), cpu=0.25, mem=0.5))
-        ratios = m.allocation_ratio()
-        assert ratios["cpu"] == pytest.approx(0.5)
-        assert ratios["mem"] == pytest.approx(0.5)
-
-    def test_headroom(self):
-        m = Machine(0, Resources(1.0, 1.0))
-        m.place(_instance(_collection(), cpu=0.4, mem=0.3))
-        head = m.headroom(overcommit=1.0)
-        assert head.cpu == pytest.approx(0.6)
-        assert head.mem == pytest.approx(0.7)
