@@ -8,8 +8,9 @@ The package rebuilds the paper's full stack from scratch:
   published 2011 and 2019 statistics, including the eight 2019 cells.
 * ``repro.trace`` — the trace-generation pipeline: 2019 BigQuery-style
   and 2011 CSV-style schemas, plus the section-9 invariant validator.
-* ``repro.table`` — an in-memory columnar query engine (the BigQuery
-  substitute all analyses run on).
+* ``repro.table`` — in-memory typed columns, tables and the one
+  sort-and-segment group-by kernel; ``repro.store``'s scans over them
+  are the BigQuery substitute.
 * ``repro.stats`` / ``repro.queueing`` — CCDFs, Pareto tail fits, C²,
   hogs-and-mice decomposition, M/G/1 Pollaczek-Khinchine analysis.
 * ``repro.analysis`` — one module per paper figure/table.

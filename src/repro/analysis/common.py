@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.table import Table
+from repro.table import Table, segments
 from repro.table.column import empty_column
 from repro.trace.dataset import TraceDataset
 from repro.util.timeutil import HOUR_SECONDS
@@ -71,12 +71,8 @@ def group_reduce(keys: np.ndarray, values: np.ndarray,
     their input order.  Reducing row numbers with ``np.minimum.reduceat``
     or ``np.maximum.reduceat`` gives each key's first or last row.
     """
-    if len(keys) == 0:
-        return keys[:0], values[:0]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
-    return sorted_keys[starts], reducer(values[order], starts)
+    order, starts = segments(keys)
+    return keys[order[starts]], reducer(values[order], starts)
 
 
 def _usage_integral_partial(table: Table) -> Tuple[np.ndarray, ...]:
@@ -86,16 +82,12 @@ def _usage_integral_partial(table: Table) -> Tuple[np.ndarray, ...]:
     hours = table.column("duration").values / HOUR_SECONDS
     ncu = table.column("avg_cpu").values * hours
     nmu = table.column("avg_mem").values * hours
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_ids)) + 1]) \
-        if len(ids) else np.empty(0, dtype=np.int64)
-    unique_ids = sorted_ids[starts] if len(ids) else sorted_ids
-    rep = order[starts] if len(ids) else order
+    order, starts = segments(ids)
+    rep = order[starts]
     return (
-        unique_ids,
-        np.add.reduceat(ncu[order], starts) if len(ids) else ncu,
-        np.add.reduceat(nmu[order], starts) if len(ids) else nmu,
+        ids[rep],
+        np.add.reduceat(ncu[order], starts),
+        np.add.reduceat(nmu[order], starts),
         merge_monitoring_tier(table.column("tier").values[rep]),
         table.column("in_alloc").values[rep],
         table.column("vertical_scaling").values[rep],
@@ -238,11 +230,9 @@ def job_usage_integrals_store(store, include_alloc_sets: bool = False,
     in_alloc = np.concatenate([p[4] for p in partials])
     scaling = np.concatenate([p[5].astype(object) for p in partials])
 
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_ids)) + 1])
-    unique_ids = sorted_ids[starts]
+    order, starts = segments(ids)
     rep = order[starts]  # earliest chunk wins, matching row-order semantics
+    unique_ids = ids[rep]
 
     if not include_alloc_sets:
         keep = ~np.isin(unique_ids, alloc_set_ids_store(store, workers=workers))

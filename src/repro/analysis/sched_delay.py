@@ -76,14 +76,6 @@ def scheduling_delays(trace: TraceDataset,
     })
 
 
-def delay_ccdf(trace: TraceDataset) -> Ccdf:
-    """Figure 10a: one cell's job scheduling delay CCDF."""
-    delays = scheduling_delays(trace).column("delay").values
-    if len(delays) == 0:
-        raise ValueError(f"cell {trace.cell}: no schedulable jobs to measure")
-    return empirical_ccdf(delays)
-
-
 def delay_ccdf_by_tier(traces: Sequence[TraceDataset]) -> Dict[str, Ccdf]:
     """Figure 10b: delay CCDF per tier, aggregated across cells."""
     pooled: Dict[str, List[np.ndarray]] = {}

@@ -75,11 +75,6 @@ def task_submission_counts(trace: TraceDataset, which: str = "all") -> np.ndarra
     return _hourly_counts(ie.column("time").values[mask], trace.horizon)
 
 
-def task_submission_ccdf(trace: TraceDataset, which: str = "all") -> Ccdf:
-    """Figure 9: CCDF of tasks submitted per hour."""
-    return empirical_ccdf(task_submission_counts(trace, which=which))
-
-
 @dataclass(frozen=True)
 class SubmissionSummary:
     """The numbers section 6 quotes."""

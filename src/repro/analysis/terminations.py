@@ -17,6 +17,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.analysis.common import group_reduce
+from repro.table import segments
 from repro.trace.dataset import TraceDataset
 
 TERMINAL = ("FINISH", "EVICT", "KILL", "FAIL")
@@ -77,12 +78,11 @@ def termination_report(traces: Sequence[TraceDataset]) -> TerminationReport:
         # of its collection before it had a parent: walk each
         # collection's rows in row order, carrying the last SUBMIT row.
         rows = np.flatnonzero(submit | terminal)
-        rows = rows[np.argsort(ids[rows], kind="stable")]
-        cids = ids[rows]
+        order, starts = segments(ids[rows])
+        rows = rows[order]
         step = np.arange(len(rows))
         last_submit = np.maximum.accumulate(np.where(submit[rows], step, -1))
-        segment_start = np.maximum.accumulate(
-            np.where(np.r_[True, cids[1:] != cids[:-1]], step, 0))
+        segment_start = np.repeat(starts, np.diff(starts, append=len(rows)))
         parent = ce.column("parent_collection_id").values[rows[last_submit]] >= 0
         with_parent = (last_submit >= segment_start) & parent
         ends = terminal[rows]

@@ -30,7 +30,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.campaign.cache_key import point_key
 from repro.faults import FAULT_PROFILES
@@ -178,9 +178,6 @@ class CampaignSpec:
     def grid_axes(self) -> List[str]:
         """Grid parameter names in expansion (sorted) order."""
         return sorted(self.grid)
-
-    def iter_points(self) -> Iterator[EvalPoint]:
-        return iter(self.points)
 
 
 def _expand_points(base: Dict[str, object], grid: Dict[str, List[object]],

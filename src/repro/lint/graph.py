@@ -96,10 +96,6 @@ class ModuleInfo:
                     and isinstance(node.target, ast.Name):
                 self.global_values[node.target.id] = node.value
 
-    def defines(self, name: str) -> bool:
-        return (name in self.functions or name in self.classes
-                or name in self.global_values)
-
     @property
     def package(self) -> str:
         """The package this module's relative imports resolve against."""

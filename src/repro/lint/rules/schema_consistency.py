@@ -29,14 +29,11 @@ from repro.trace.schema import TABLE_COLUMNS
 TABLE_PROPERTIES = frozenset(TABLE_COLUMNS)
 
 #: Table methods whose string arguments are column names of that table.
-TABLE_COLUMN_METHODS = frozenset({
-    "column", "select", "distinct", "sort", "group_by",
-})
+TABLE_COLUMN_METHODS = frozenset({"column", "select", "distinct", "sort"})
 
 #: Table methods returning the same table shape (tracking survives;
 #: ``distinct`` dedupes rows but keeps every column).
-TABLE_PRESERVING_METHODS = frozenset({"filter", "head", "take", "sort",
-                                      "distinct"})
+TABLE_PRESERVING_METHODS = frozenset({"filter", "take", "sort", "distinct"})
 
 #: Scan methods returning a scan over the same table.
 SCAN_PRESERVING_METHODS = frozenset({"where", "select"})

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-from typing import Dict, List, Optional, TextIO, Union
+from typing import Dict, List, Optional, Union
 
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.snapshot import Snapshot
@@ -170,10 +169,6 @@ def render_report(report: dict) -> str:
                 f"p99={_fmt_seconds(summary['p99'])} "
                 f"sum={_fmt_seconds(summary['sum'])}")
     return "\n".join(lines) + "\n"
-
-
-def print_report(report: dict, stream: Optional[TextIO] = None) -> None:
-    (stream or sys.stdout).write(render_report(report))
 
 
 def snapshot_report(snapshot: Snapshot, command: str = "") -> dict:

@@ -51,6 +51,7 @@ from repro.sim.usage import (
     UsageModel,
     UsageModelParams,
 )
+from repro.table.segment import segments
 
 # Re-exported for consumers that treat the cell module as the simulator
 # façade (tests import TIER_CODES from here).
@@ -172,12 +173,9 @@ def _reconcile_machine_usage(usage: Dict[str, np.ndarray], fleet: FleetState,
     machine_ids = usage["machine_id"].astype(np.int64)
     window = (usage["window_start"] / sample_period).astype(np.int64)
     key = machine_ids * 10_000_000 + window
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_key)) + 1])
-    group_machines = machine_ids[order][starts]
-    limit_cpu, limit_mem = fleet.capacity_by_id(group_machines)
-    counts = np.diff(np.append(starts, n))
+    order, starts = segments(key)
+    limit_cpu, limit_mem = fleet.capacity_by_id(machine_ids[order[starts]])
+    counts = np.diff(starts, append=n)
     for col_avg, col_max, limits in (("avg_cpu", "max_cpu", limit_cpu),
                                      ("avg_mem", "max_mem", limit_mem)):
         sums = np.add.reduceat(usage[col_avg][order], starts)

@@ -103,9 +103,6 @@ class Collection:
     def num_instances(self) -> int:
         return len(self.instances)
 
-    def live_instances(self) -> List["Instance"]:
-        return [i for i in self.instances if i.state is not InstanceState.DEAD]
-
     def scheduling_delay(self) -> Optional[float]:
         """Ready-to-first-task-running latency (the figure 10 metric)."""
         if self.enable_time is None or self.first_running_time is None:

@@ -60,11 +60,6 @@ class Machine:
         self._fleet = fleet
         self._fleet_index = index
 
-    def _sync_allocated(self) -> None:
-        if self._fleet is not None:
-            self._fleet.sync_allocated(self._fleet_index,
-                                       self.allocated.cpu, self.allocated.mem)
-
     def __repr__(self) -> str:
         return (f"Machine({self.machine_id}, cap=({self.capacity.cpu:.2f},"
                 f" {self.capacity.mem:.2f}), alloc=({self.allocated.cpu:.2f},"

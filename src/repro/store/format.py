@@ -64,6 +64,7 @@ import numpy as np
 
 from repro import obs
 from repro.table.column import KINDS, Column
+from repro.table.segment import segments
 from repro.table.table import Table
 from repro.util.errors import SchemaError
 
@@ -140,8 +141,8 @@ def _decode_strings(name: str, rows: int, payload: bytes) -> np.ndarray:
                           f"(must rise from 0 to the {blob_len}-byte blob)")
     codes = np.empty(rows, dtype=np.intp)
     texts: List[str] = []
-    order = np.argsort(lengths, kind="stable")
-    firsts = np.flatnonzero(np.diff(lengths[order], prepend=-1)).tolist()
+    order, starts = segments(lengths)
+    firsts = starts.tolist()
     for lo, hi in zip(firsts, [*firsts[1:], rows]):
         group = order[lo:hi]  # the rows whose values are `width` bytes
         width = int(lengths[order[lo]])

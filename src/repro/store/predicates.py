@@ -10,9 +10,9 @@ Every predicate answers two questions:
 * :meth:`Predicate.mask` — given a decoded :class:`Table`, the exact
   boolean row mask.
 
-Unlike :class:`repro.table.expr.Expr` (closures, not picklable), these
-are plain data objects, so the parallel executor can ship them to worker
-processes, and scans can reason about which columns they touch.
+Predicates are plain data objects, not closures, so the parallel
+executor can ship them to worker processes, and scans can reason about
+which columns they touch.
 """
 
 from __future__ import annotations

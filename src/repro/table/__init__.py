@@ -1,35 +1,37 @@
-"""An in-memory columnar table engine.
+"""An in-memory columnar table.
 
-The paper's analyses were run on Google BigQuery; this subpackage is the
-from-scratch substrate that replaces it.  It provides typed columns over
-numpy arrays, a relational :class:`Table` with select / filter / sort /
-group-by / join operators, a small expression language for predicates and
-derived columns, and CSV serialization (the 2011 trace's native format).
+The paper's analyses were run on Google BigQuery; ``repro.store``'s
+scans are the query engine that replaces it, and this subpackage is the
+substrate under them: typed columns over numpy arrays, a :class:`Table`
+with select / filter / take / sort / distinct / concat, one group-by
+kernel (:func:`segments`), and CSV serialization (the 2011 trace's
+native format).
 
-Quick tour:
+Quick tour — filters take boolean masks, group-bys sort once and reduce
+each run of equal keys:
 
->>> from repro.table import Table, col
+>>> import numpy as np
+>>> from repro.table import Table, segments
 >>> t = Table({"tier": ["prod", "beb", "beb"], "cpu": [0.5, 0.1, 0.2]})
->>> t.filter(col("tier") == "beb").column("cpu").sum()
+>>> t.filter(t["tier"] == "beb").column("cpu").sum()
 0.30000000000000004
->>> t.group_by("tier").agg(total=("cpu", "sum")).sort("tier").column("total").to_list()
+>>> order, starts = segments(t["tier"].values)
+>>> t["tier"].values[order[starts]].tolist()
+['beb', 'prod']
+>>> np.add.reduceat(t["cpu"].values[order], starts).tolist()
 [0.30000000000000004, 0.5]
 """
 
 from repro.table.column import Column
-from repro.table.expr import Expr, col, lit
-from repro.table.groupby import GroupBy
 from repro.table.io_csv import read_csv, write_csv
+from repro.table.segment import segments
 from repro.table.table import Table, concat
 
 __all__ = [
     "Column",
-    "Expr",
-    "col",
-    "lit",
-    "GroupBy",
     "Table",
     "concat",
     "read_csv",
+    "segments",
     "write_csv",
 ]

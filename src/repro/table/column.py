@@ -22,7 +22,6 @@ from repro.util.errors import SchemaError
 #: The four storage kinds every column normalizes to (public: the store
 #: codec and the trace schema declare kinds against this set).
 KINDS = ("float", "int", "bool", "str")
-_KINDS = KINDS
 _DTYPES = {"float": np.float64, "int": np.int64, "bool": bool, "str": object}
 
 
@@ -146,40 +145,7 @@ class Column:
             return np.asarray(self._data >= rhs, dtype=bool)
         raise AssertionError(op)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _binop(self, other, fn) -> "Column":
-        rhs = other._data if isinstance(other, Column) else other
-        return Column(fn(self._data, rhs))
-
-    def __add__(self, other) -> "Column":
-        return self._binop(other, np.add)
-
-    def __radd__(self, other) -> "Column":
-        return Column(np.add(other, self._data))
-
-    def __sub__(self, other) -> "Column":
-        return self._binop(other, np.subtract)
-
-    def __rsub__(self, other) -> "Column":
-        return Column(np.subtract(other, self._data))
-
-    def __mul__(self, other) -> "Column":
-        return self._binop(other, np.multiply)
-
-    def __rmul__(self, other) -> "Column":
-        return Column(np.multiply(other, self._data))
-
-    def __truediv__(self, other) -> "Column":
-        return self._binop(other, np.true_divide)
-
-    def __rtruediv__(self, other) -> "Column":
-        return Column(np.true_divide(other, self._data))
-
-    def __neg__(self) -> "Column":
-        return Column(np.negative(self._data))
-
-    # -- membership & null-ish helpers --------------------------------------
+    # -- membership -----------------------------------------------------------
 
     def isin(self, values: Iterable) -> np.ndarray:
         """Boolean mask of rows whose value is in ``values``."""
@@ -212,40 +178,8 @@ class Column:
             raise SchemaError("max of empty column")
         return self._data.max()
 
-    def var(self) -> float:
-        """Unbiased (ddof=1) sample variance; 0 for singleton columns."""
-        arr = self._numeric()
-        if len(arr) < 2:
-            return 0.0
-        return float(arr.var(ddof=1))
-
-    def median(self) -> float:
-        return float(np.median(self._numeric()))
-
-    def percentile(self, q: float) -> float:
-        """The q-th percentile (q in [0, 100])."""
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        return float(np.percentile(self._numeric(), q))
-
-    def unique(self) -> List:
-        """Sorted unique values."""
-        return sorted(set(self._data.tolist())) if self.kind == "str" else np.unique(self._data).tolist()
-
     def to_list(self) -> List:
         return self._data.tolist()
-
-    def astype(self, kind: str) -> "Column":
-        """Cast to another supported kind."""
-        if kind not in _KINDS:
-            raise SchemaError(f"unknown column kind {kind!r}")
-        if kind == "str":
-            return Column([str(v) for v in self._data])
-        if kind == "bool":
-            return Column(self._data.astype(bool))
-        if kind == "int":
-            return Column(self._data.astype(np.int64))
-        return Column(self._data.astype(np.float64))
 
     def __repr__(self) -> str:
         preview = ", ".join(repr(v) for v in self._data[:6])

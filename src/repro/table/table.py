@@ -1,21 +1,20 @@
-"""The relational :class:`Table` — the workhorse of every analysis.
+"""The columnar :class:`Table` — the workhorse of every analysis.
 
 A table is an ordered mapping of column names to equal-length
 :class:`~repro.table.column.Column` objects.  All operators return new
-tables; nothing mutates in place.
+tables; nothing mutates in place.  Row selection takes boolean masks
+(``Column`` comparisons, or a store ``Predicate.mask``); grouping goes
+through :func:`repro.table.segment.segments`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.table.column import Column
-from repro.table.expr import Expr
 from repro.util.errors import SchemaError
-
-FilterArg = Union[Expr, np.ndarray, Sequence[bool]]
 
 
 class Table:
@@ -36,27 +35,6 @@ class Table:
                 )
             self._columns[name] = column
         self._length = length or 0
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Mapping[str, object]], columns: Optional[List[str]] = None) -> "Table":
-        """Build a table from an iterable of row dicts.
-
-        All rows must share the same keys; ``columns`` fixes the column
-        order (and is required for an empty iterable with a known schema).
-        """
-        rows = list(rows)
-        if not rows:
-            return cls({name: [] for name in (columns or [])})
-        names = columns or list(rows[0].keys())
-        data: Dict[str, list] = {name: [] for name in names}
-        for i, row in enumerate(rows):
-            if set(row.keys()) != set(names):
-                raise SchemaError(f"row {i} keys {sorted(row)} != expected {sorted(names)}")
-            for name in names:
-                data[name].append(row[name])
-        return cls(data)
 
     # -- basic protocol --------------------------------------------------------
 
@@ -82,45 +60,19 @@ class Table:
     def __getitem__(self, name: str) -> Column:
         return self.column(name)
 
-    def row(self, i: int) -> Dict[str, object]:
-        """Row ``i`` as a dict (supports negative indices)."""
-        if not -self._length <= i < self._length:
-            raise IndexError(f"row {i} out of range for table of {self._length} rows")
-        return {name: c.values[i] for name, c in self._columns.items()}
-
-    def iter_rows(self) -> Iterator[Dict[str, object]]:
-        for i in range(self._length):
-            yield self.row(i)
-
-    # -- relational operators ------------------------------------------------
+    # -- operators -------------------------------------------------------------
 
     def select(self, *names: str) -> "Table":
         """Keep only the named columns, in the given order."""
         return Table({name: self.column(name) for name in names})
 
-    def drop(self, *names: str) -> "Table":
-        """Remove the named columns."""
-        for name in names:
-            self.column(name)  # raise early on unknown names
-        return Table({n: c for n, c in self._columns.items() if n not in names})
-
-    def rename(self, mapping: Mapping[str, str]) -> "Table":
-        """Rename columns; unknown source names are an error."""
-        for src in mapping:
-            self.column(src)
-        return Table({mapping.get(n, n): c for n, c in self._columns.items()})
-
-    def _resolve_mask(self, predicate: FilterArg) -> np.ndarray:
-        mask = predicate.evaluate(self) if isinstance(predicate, Expr) else np.asarray(predicate)
+    def filter(self, mask: Union[np.ndarray, Sequence[bool]]) -> "Table":
+        """Rows where the boolean ``mask`` is true."""
+        mask = np.asarray(mask)
         if mask.dtype != bool:
-            raise SchemaError(f"filter predicate must be boolean, got dtype {mask.dtype}")
+            raise SchemaError(f"filter mask must be boolean, got dtype {mask.dtype}")
         if len(mask) != self._length:
             raise SchemaError(f"filter mask has {len(mask)} rows, table has {self._length}")
-        return mask
-
-    def filter(self, predicate: FilterArg) -> "Table":
-        """Rows for which the predicate holds."""
-        mask = self._resolve_mask(predicate)
         return Table({n: Column(c.values[mask]) for n, c in self._columns.items()})
 
     def take(self, indices: Union[np.ndarray, Sequence[int]]) -> "Table":
@@ -128,23 +80,7 @@ class Table:
         idx = np.asarray(indices, dtype=np.int64)
         return Table({n: Column(c.values[idx]) for n, c in self._columns.items()})
 
-    def head(self, n: int = 10) -> "Table":
-        return self.take(np.arange(min(n, self._length)))
-
-    def with_column(self, name: str, values: Union[Expr, Column, Sequence, np.ndarray]) -> "Table":
-        """Return a copy with ``name`` added (or replaced)."""
-        if isinstance(values, Expr):
-            values = Column(values.evaluate(self))
-        column = values if isinstance(values, Column) else Column(values)
-        if len(column) != self._length:
-            raise SchemaError(
-                f"new column {name!r} has {len(column)} rows, table has {self._length}"
-            )
-        data = dict(self._columns)
-        data[name] = column
-        return Table(data)
-
-    def sort(self, *names: str, descending: bool = False) -> "Table":
+    def sort(self, *names: str) -> "Table":
         """Stable sort by one or more columns."""
         if not names:
             raise SchemaError("sort requires at least one column name")
@@ -153,10 +89,7 @@ class Table:
         for name in reversed(names):
             values = self.column(name).values
             keys.append(values if values.dtype != object else np.asarray([str(v) for v in values]))
-        order = np.lexsort(keys)
-        if descending:
-            order = order[::-1]
-        return self.take(order)
+        return self.take(np.lexsort(keys))
 
     def distinct(self, *names: str) -> "Table":
         """Unique rows (by the named columns, or all columns)."""
@@ -170,19 +103,6 @@ class Table:
                 seen.add(key)
                 keep.append(i)
         return self.take(np.asarray(keep, dtype=np.int64))
-
-    def group_by(self, *names: str) -> "GroupBy":  # noqa: F821
-        """Start a group-by over the named key columns."""
-        from repro.table.groupby import GroupBy
-
-        return GroupBy(self, list(names))
-
-    def join(self, other: "Table", on: Union[str, Sequence[str]], how: str = "inner",
-             suffix: str = "_right") -> "Table":
-        """Hash join with ``other`` on shared key column(s)."""
-        from repro.table.join import join as _join
-
-        return _join(self, other, on=on, how=how, suffix=suffix)
 
     # -- output ------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ Two derived views are computed from the same declaration:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.table.column import empty_column
 from repro.table.table import Table
@@ -118,16 +118,6 @@ def columns_of(table: str) -> List[str]:
         raise KeyError(
             f"unknown trace table {table!r}; known: {sorted(TABLE_SCHEMAS)}"
         ) from None
-
-
-def has_column(table: str, column: str) -> bool:
-    """Whether ``table`` declares ``column``."""
-    return column in COLUMN_KINDS.get(table, ())
-
-
-def time_column_of(table: str) -> Optional[str]:
-    """The time-ordering column of ``table`` (None for dimension tables)."""
-    return TIME_COLUMNS.get(table)
 
 
 def empty_table(table: str) -> Table:

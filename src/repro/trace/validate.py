@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.sim.priority import tier_of_priority_2011, tier_of_priority_2019
+from repro.table.segment import segments
 from repro.trace.dataset import TraceDataset
 from repro.trace.schema import EVENT_TABLES
 from repro.util.errors import ValidationError
@@ -120,12 +121,10 @@ def _check_machine_usage_within_capacity(trace: TraceDataset) -> List[Violation]
     cpu = iu.column("avg_cpu").values
     mem = iu.column("avg_mem").values
     key = machine.astype(np.int64) * 10_000_000 + (window / trace.sample_period).astype(np.int64)
-    order = np.argsort(key)
-    k = key[order]
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(k)) + 1])
+    order, bounds = segments(key)
     cpu_sums = np.add.reduceat(cpu[order], bounds)
     mem_sums = np.add.reduceat(mem[order], bounds)
-    machines = machine[order][bounds]
+    machines = machine[order[bounds]]
     out = []
     for i in range(len(bounds)):
         m = int(machines[i])

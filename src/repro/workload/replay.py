@@ -35,6 +35,7 @@ from repro.sim.entities import (
 from repro.sim.machine import Machine
 from repro.sim.priority import Tier
 from repro.sim.resources import Resources
+from repro.table.segment import segments
 from repro.trace.dataset import TraceDataset
 
 _END_REASON = {
@@ -58,15 +59,13 @@ def _usage_fractions(trace: TraceDataset) -> Dict[int, Tuple[float, float]]:
     cpu_lim = iu.column("limit_cpu").values * iu.column("duration").values
     mem_used = iu.column("avg_mem").values * iu.column("duration").values
     mem_lim = iu.column("limit_mem").values * iu.column("duration").values
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_ids)) + 1])
+    order, starts = segments(ids)
     out: Dict[int, Tuple[float, float]] = {}
     cu = np.add.reduceat(cpu_used[order], starts)
     cl = np.add.reduceat(cpu_lim[order], starts)
     mu = np.add.reduceat(mem_used[order], starts)
     ml = np.add.reduceat(mem_lim[order], starts)
-    uids = sorted_ids[starts]
+    uids = ids[order[starts]]
     for i, cid in enumerate(uids):
         cpu_frac = float(np.clip(cu[i] / cl[i], 0.05, 0.95)) if cl[i] > 0 \
             else _DEFAULT_FRACTION

@@ -6,10 +6,13 @@ breaks the public API surface fails here rather than in a user's shell.
 """
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
-import pytest
+import numpy as np
+
+from repro.store import open_store
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -37,8 +40,28 @@ class TestExamples:
     def test_trace_explorer(self, capsys):
         load_example("trace_explorer").main(seed=3)
         out = capsys.readouterr().out
-        assert "kill rate by tier" in out
-        assert "2011 CSV layout" in out
+        for header in ("== Q1: who submits the most jobs? ==",
+                       "== Q2: kill rate by tier ==",
+                       "== Q3: join usage against machine capacity",
+                       "== Q4: export in the 2011 CSV layout =="):
+            assert header in out
+        # Q1's top row against a brute force over the store it wrote.
+        lines = out.splitlines()
+        workdir = next(line.split(" to ", 1)[1] for line in lines
+                       if line.startswith("  to "))
+        try:
+            ce = open_store(workdir).read_table("collection_events")
+        finally:
+            shutil.rmtree(workdir)
+        rows = ((ce["type"].values == "SUBMIT")
+                & (ce["collection_type"].values == "job"))
+        pairs = set(zip(ce["user"].values[rows],
+                        ce["collection_id"].values[rows].tolist()))
+        users, jobs = np.unique([user for user, _ in pairs],
+                                return_counts=True)
+        top = int(np.argmax(jobs))
+        q1 = lines.index("== Q1: who submits the most jobs? ==")
+        assert lines[q1 + 3].split() == [users[top], str(jobs[top])]
 
     def test_ascii_figures(self, capsys):
         load_example("ascii_figures").main(seed=3)

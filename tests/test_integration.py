@@ -10,9 +10,7 @@ import pytest
 
 from repro.analysis import allocsets, autoscaling, sched_delay, submission, terminations
 from repro.analysis.common import job_usage_integrals
-from repro.sim.entities import CollectionType, EndReason
 from repro.trace import encode_cell, validate_trace
-from repro.util.timeutil import HOUR_SECONDS
 from repro.workload import small_test_scenario
 
 

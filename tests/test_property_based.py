@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.queueing import pollaczek_khinchine
@@ -19,7 +19,7 @@ from repro.stats import (
 )
 from repro.stats.distributions import bounded_pareto_quantile, stratified_uniforms
 from repro.stats.tails import split_hogs_mice
-from repro.table import Table
+from repro.table import Table, segments
 
 finite_floats = st.floats(min_value=0.0, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -158,13 +158,15 @@ class TestPriorityProperties:
 
 
 class TestTableProperties:
-    @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1,
-                    max_size=100))
-    def test_groupby_count_partitions_rows(self, keys):
-        t = Table({"k": keys, "v": [1.0] * len(keys)})
-        out = t.group_by("k").agg(n=("v", "count"))
-        assert int(out.column("n").sum()) == len(keys)
-        assert len(out) == len(set(keys))
+    @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=100))
+    def test_segments_partition_rows(self, values):
+        keys = np.asarray(values, dtype=np.int64)
+        order, starts = segments(keys)
+        unique, counts = np.unique(keys, return_counts=True)
+        assert keys[order][starts].tolist() == unique.tolist()
+        assert np.diff(starts, append=len(keys)).tolist() == counts.tolist()
+        for group in np.split(order, starts[1:]):
+            assert (np.diff(group) > 0).all()  # stable: input order kept
 
     @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False),
                     min_size=1, max_size=100))
@@ -177,7 +179,6 @@ class TestTableProperties:
                     min_size=1, max_size=50))
     def test_filter_complement(self, values):
         t = Table({"x": values})
-        from repro.table import col
-        above = t.filter(col("x") > 0)
-        below = t.filter(~(col("x") > 0))
+        above = t.filter(t["x"] > 0)
+        below = t.filter(~(t["x"] > 0))
         assert len(above) + len(below) == len(t)

@@ -1,11 +1,10 @@
-"""Unit tests for the expression language and CSV round-trips."""
+"""Unit tests for boolean row masks and CSV round-trips."""
 
 import io
 
-import numpy as np
 import pytest
 
-from repro.table import Table, col, lit, read_csv, write_csv
+from repro.table import Table, read_csv, write_csv
 from repro.util.errors import SchemaError
 
 
@@ -15,50 +14,29 @@ def table():
 
 
 class TestExpr:
+    """Row predicates are boolean masks built from column comparisons."""
+
     def test_column_reference(self, table):
-        assert col("x").evaluate(table).tolist() == [1.0, 2.0, 3.0]
-
-    def test_literal_broadcast(self, table):
-        assert lit(7).evaluate(table).tolist() == [7, 7, 7]
-
-    def test_arithmetic(self, table):
-        expr = (col("x") + 1) * 2 - col("n")
-        assert expr.evaluate(table).tolist() == [3.0, 4.0, 5.0]
-
-    def test_reflected_arithmetic(self, table):
-        assert (10 - col("x")).evaluate(table).tolist() == [9.0, 8.0, 7.0]
-        assert (12 / col("x")).evaluate(table).tolist() == [12.0, 6.0, 4.0]
-
-    def test_negation(self, table):
-        assert (-col("n")).evaluate(table).tolist() == [-1, -2, -3]
+        assert table["x"] is table.column("x")
+        assert table["x"].to_list() == [1.0, 2.0, 3.0]
 
     def test_comparison_chain(self, table):
-        mask = ((col("x") > 1) & (col("x") < 3)).evaluate(table)
+        mask = (table["x"] > 1) & (table["x"] < 3)
         assert mask.tolist() == [False, True, False]
+        assert table.filter(mask).column("name").to_list() == ["b"]
 
     def test_or_and_invert(self, table):
-        mask = (~((col("n") == 1) | (col("n") == 3))).evaluate(table)
+        mask = ~((table["n"] == 1) | (table["n"] == 3))
         assert mask.tolist() == [False, True, False]
 
     def test_isin(self, table):
-        assert col("name").isin(["a", "c"]).evaluate(table).tolist() == [True, False, True]
+        assert table["name"].isin(["a", "c"]).tolist() == [True, False, True]
 
     def test_isin_numeric(self, table):
-        assert col("n").isin([2]).evaluate(table).tolist() == [False, True, False]
-
-    def test_between_inclusive(self, table):
-        assert col("n").between(2, 3).evaluate(table).tolist() == [False, True, True]
+        assert table["n"].isin([2]).tolist() == [False, True, False]
 
     def test_expr_vs_expr_comparison(self, table):
-        assert (col("x") == col("n")).evaluate(table).tolist() == [True, True, True]
-
-    def test_description_readable(self):
-        expr = (col("a") + 1) > col("b")
-        assert "a" in expr.description and ">" in expr.description
-
-    def test_not_hashable(self):
-        with pytest.raises(TypeError):
-            hash(col("a"))
+        assert (table["x"] == table["n"]).tolist() == [True, True, True]
 
 
 class TestCsv:

@@ -1,9 +1,9 @@
-"""Unit tests for the Table relational operators."""
+"""Unit tests for the Table operators."""
 
 import numpy as np
 import pytest
 
-from repro.table import Table, col, concat
+from repro.table import Table, concat
 from repro.util.errors import SchemaError
 
 
@@ -34,20 +34,6 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Table({"": [1]})
 
-    def test_from_rows(self):
-        t = Table.from_rows([{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])
-        assert t.column("a").to_list() == [1, 2]
-        assert t.column("b").to_list() == ["x", "y"]
-
-    def test_from_rows_empty_with_schema(self):
-        t = Table.from_rows([], columns=["a", "b"])
-        assert t.column_names == ["a", "b"]
-        assert len(t) == 0
-
-    def test_from_rows_key_mismatch(self):
-        with pytest.raises(SchemaError):
-            Table.from_rows([{"a": 1}, {"b": 2}])
-
 
 class TestAccess:
     def test_unknown_column_raises_with_suggestions(self, table):
@@ -58,38 +44,13 @@ class TestAccess:
         assert "cpu" in table
         assert "nope" not in table
 
-    def test_row(self, table):
-        assert table.row(0) == {"tier": "prod", "cpu": 0.5, "tasks": 3}
-
-    def test_row_negative_index(self, table):
-        assert table.row(-1)["tier"] == "free"
-
-    def test_row_out_of_range(self, table):
-        with pytest.raises(IndexError):
-            table.row(4)
-
-    def test_iter_rows(self, table):
-        rows = list(table.iter_rows())
-        assert len(rows) == 4 and rows[1]["tier"] == "beb"
-
 
 class TestOperators:
     def test_select_orders_columns(self, table):
         assert table.select("cpu", "tier").column_names == ["cpu", "tier"]
 
-    def test_drop(self, table):
-        assert table.drop("tasks").column_names == ["tier", "cpu"]
-
-    def test_drop_unknown_raises(self, table):
-        with pytest.raises(SchemaError):
-            table.drop("nope")
-
-    def test_rename(self, table):
-        t = table.rename({"cpu": "ncu"})
-        assert "ncu" in t and "cpu" not in t
-
     def test_filter_expr(self, table):
-        t = table.filter(col("tier") == "beb")
+        t = table.filter(table["tier"] == "beb")
         assert len(t) == 2
         assert t.column("cpu").to_list() == [0.1, 0.2]
 
@@ -106,32 +67,15 @@ class TestOperators:
             table.filter(np.array([1, 2, 3, 4]))
 
     def test_compound_predicate(self, table):
-        t = table.filter((col("tier") == "beb") & (col("cpu") > 0.15))
+        t = table.filter((table["tier"] == "beb") & (table["cpu"] > 0.15))
         assert len(t) == 1
 
-    def test_take_and_head(self, table):
+    def test_take(self, table):
         assert table.take([2, 0]).column("tier").to_list() == ["beb", "prod"]
-        assert len(table.head(2)) == 2
-
-    def test_with_column_from_expr(self, table):
-        t = table.with_column("double", col("cpu") * 2)
-        assert t.column("double").to_list() == [1.0, 0.2, 0.4, 0.1]
-
-    def test_with_column_replaces(self, table):
-        t = table.with_column("cpu", [1.0, 1.0, 1.0, 1.0])
-        assert t.column("cpu").sum() == 4.0
-
-    def test_with_column_wrong_length(self, table):
-        with pytest.raises(SchemaError):
-            table.with_column("x", [1.0])
 
     def test_sort_single_key(self, table):
         t = table.sort("cpu")
         assert t.column("cpu").to_list() == [0.05, 0.1, 0.2, 0.5]
-
-    def test_sort_descending(self, table):
-        t = table.sort("cpu", descending=True)
-        assert t.column("cpu").to_list() == [0.5, 0.2, 0.1, 0.05]
 
     def test_sort_multi_key_stable(self, table):
         t = table.sort("tier", "tasks")

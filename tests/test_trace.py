@@ -15,6 +15,7 @@ from repro.trace.dataset import SCHEMA_2019, TraceDataset
 from repro.trace.legacy import band_of_raw_priority
 from repro.trace.validate import INVARIANTS, Violation
 from repro.util.errors import SchemaError, ValidationError
+from tests.trace_fixtures import rows_table
 
 
 class TestEncode:
@@ -85,7 +86,7 @@ class TestValidate:
     def test_detects_terminal_without_submit(self, trace_2019):
         ce = trace_2019.collection_events
         broken = dict(trace_2019.tables)
-        extra = Table.from_rows([{
+        extra = rows_table([{
             "time": 10.0, "collection_id": 999_999_999, "type": "KILL",
             "collection_type": "job", "priority": 200, "tier": "prod",
             "user": "u", "scheduler": "borg", "parent_collection_id": -1,
@@ -135,6 +136,37 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate_trace(ds, raise_on_violation=True,
                            only=["usage-within-limits"])
+
+    def test_detects_machine_over_capacity(self, trace_2019):
+        # Tripled CPU pushes every busy machine-window past 1.2x capacity;
+        # the reported windows match a brute-force per-(machine, window)
+        # sum, in (machine, window) order, capped at 20.
+        broken = dict(trace_2019.tables)
+        iu = trace_2019.instance_usage
+        data = {c: iu.column(c).values for c in iu.column_names}
+        data["avg_cpu"] = data["avg_cpu"] * 3.0
+        broken["instance_usage"] = Table(data)
+        ds = TraceDataset(cell="x", era=trace_2019.era, horizon=trace_2019.horizon,
+                          sample_period=trace_2019.sample_period,
+                          utc_offset_hours=0.0,
+                          capacity_cpu=trace_2019.capacity_cpu,
+                          capacity_mem=trace_2019.capacity_mem, tables=broken)
+        attrs = ds.machine_attributes
+        cap = dict(zip(attrs.column("machine_id").values.tolist(),
+                       attrs.column("cpu_capacity").values.tolist()))
+        sums = {}
+        for m, start, cpu in zip(data["machine_id"].tolist(),
+                                 data["start_time"].tolist(),
+                                 data["avg_cpu"].tolist()):
+            key = (m, int(start / ds.sample_period))
+            sums[key] = sums.get(key, 0.0) + cpu
+        expected = [f"machine {m}: window CPU usage {s:.3f} exceeds capacity "
+                    f"{cap[m]:.3f} (x1.2 allowance)"
+                    for (m, _), s in sorted(sums.items())
+                    if s > cap[m] * 1.2 + 1e-9][:20]
+        violations = validate_trace(ds, only=["machine-usage-within-capacity"])
+        assert len(expected) == 20
+        assert [v.detail for v in violations] == expected
 
     def test_violation_str(self):
         v = Violation("check", "something off")
@@ -225,7 +257,7 @@ class TestIo:
 
 def _edge_dataset() -> TraceDataset:
     """Unicode users, inf/nan usage floats, and three empty tables."""
-    ce = Table.from_rows([
+    ce = rows_table([
         {"time": 1.0, "collection_id": 1, "type": "SUBMIT",
          "collection_type": "job", "priority": 200, "tier": "prod",
          "user": "алиса", "scheduler": "borg", "parent_collection_id": -1,
@@ -237,7 +269,7 @@ def _edge_dataset() -> TraceDataset:
          "parent_collection_id": -1, "alloc_collection_id": -1,
          "vertical_scaling": "none", "constraint": "", "num_instances": 2},
     ], columns=SCHEMA_2019["collection_events"])
-    iu = Table.from_rows([
+    iu = rows_table([
         {"start_time": 0.0, "duration": 300.0, "collection_id": 1,
          "instance_index": 0, "machine_id": 0, "tier": "prod",
          "vertical_scaling": "none", "in_alloc": False,

@@ -1,6 +1,5 @@
 """Tests for size-stratified trace sampling."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.common import job_usage_integrals

@@ -1,6 +1,5 @@
 """Unit tests for the util package: RNG streams, time helpers, units."""
 
-import numpy as np
 import pytest
 
 from repro.util import (

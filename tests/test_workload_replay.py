@@ -2,11 +2,9 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.sim.cell import CellSim
-from repro.sim.entities import CollectionType
 from repro.trace import encode_cell, validate_trace
 from repro.util.rng import RngFactory
 from repro.workload.replay import (

@@ -19,8 +19,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.table import Table
 from repro.trace import encode_cell
 from repro.trace.dataset import TraceDataset
 from repro.workload import scenario_2011, scenarios_2019
@@ -122,3 +123,9 @@ def _encode(scenario, verbose: bool) -> TraceDataset:
         print(f"\n[bench setup] cell {scenario.name} simulated "
               f"in {time.time() - t0:.0f}s")
     return trace
+
+
+def rows_table(rows: Sequence[Dict[str, object]],
+               columns: Sequence[str]) -> Table:
+    """A table from row dicts, with its columns in ``columns`` order."""
+    return Table({name: [row[name] for row in rows] for name in columns})
