@@ -14,14 +14,11 @@ Execution model
    only if its schema and embedded key match.  ``status == "error"``
    results are *kept* for reporting but never count as hits: transient
    failures retry on the next run.
-2. **Fan-out.**  Cache misses run across a ``multiprocessing`` pool
-   (``workers``), reusing the fork-safety pattern of
-   :func:`repro.sim.driver.run_cells`: each worker evaluates its point
-   inside a fresh scoped :mod:`repro.obs` registry and ships the
-   metrics snapshot home with the payload; the parent merges each
-   snapshot exactly once, in task order.  Inside a worker the point's
-   cells run through ``run_cells`` itself (serially — the pool is the
-   parallelism), so a campaign point is exactly a ``simulate``
+2. **Fan-out.**  Cache misses run through :func:`repro.obs.fan_out`
+   (``workers``), which evaluates each point in a fresh scoped registry
+   and merges its metrics exactly once, in point order.  Each point's
+   cells run through ``run_cells`` itself (serially — the point fan-out
+   is the parallelism), so a campaign point is exactly a ``simulate``
    invocation with overrides.
 3. **Fault isolation.**  A point whose evaluation raises records an
    ``error`` result (the exception is printed to stderr worker-side)
@@ -44,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -141,14 +137,6 @@ def evaluate_point(point: EvalPoint) -> dict:
     # flight-recorder frame contract: reports must never read it.
     payload["wall"] = {"elapsed_s": round(time.perf_counter() - t0, 6)}
     return payload
-
-
-def pooled_point_task(point: EvalPoint) -> Tuple[dict, obs.Snapshot]:
-    """Worker body: evaluate inside a fresh scoped registry and return
-    the metrics delta for the parent to merge exactly once."""
-    with obs.scoped_registry() as registry:
-        payload = evaluate_point(point)
-    return payload, registry.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +272,9 @@ def run_campaign(spec: CampaignSpec, out_dir: Union[str, os.PathLike],
             frames.append(_progress_frame(seq, payload, cached=True))
             seq += 1
 
-        def _absorb(i: int, point: EvalPoint, payload: dict) -> None:
-            nonlocal seq
+        payloads = obs.fan_out(evaluate_point, [p for _, p in misses],
+                               workers, section="campaign")
+        for (i, point), payload in zip(misses, payloads):
             by_point[i] = payload
             write_point_result(out, payload)
             frames.append(_progress_frame(seq, payload, cached=False))
@@ -300,22 +289,6 @@ def run_campaign(spec: CampaignSpec, out_dir: Union[str, os.PathLike],
             status.update(f"[campaign {spec.name}] {done}/{summary.total} "
                           f"point(s) ({summary.errors} error(s)) "
                           f"last: {point.describe()}")
-
-        n = min(workers or 1, len(misses))
-        if n <= 1:
-            for i, point in misses:
-                _absorb(i, point, evaluate_point(point))
-        else:
-            obs.gauge("campaign.pool_workers", n)
-            obs.inc("campaign.parallel_batches")
-            registry = obs.get_registry()
-            with multiprocessing.Pool(processes=n) as pool:
-                for (i, point), (payload, snapshot) in zip(
-                        misses, pool.imap(pooled_point_task,
-                                          [p for _, p in misses],
-                                          chunksize=1)):
-                    registry.merge_snapshot(snapshot)
-                    _absorb(i, point, payload)
 
         summary.elapsed_s = time.perf_counter() - t0
         frames.append({

@@ -174,9 +174,8 @@ def _simulate(args) -> int:
         t_sim = time.perf_counter() - t0
         if record is not None:
             record.status.close()
-        parallel = args.workers and args.workers > 1 and len(scenarios) > 1
-        mode = (f"{min(args.workers, len(scenarios))} workers" if parallel
-                else "serial")
+        pool = obs.pool_size(args.workers, len(scenarios))
+        mode = f"{pool} workers" if pool > 1 else "serial"
         # Batch wall clock + per-cell row counts, so benchmark regressions
         # in the simulator or the writer are visible straight from the CLI.
         print(f"{len(results)} cell(s) simulated in {t_sim:.1f}s ({mode})")

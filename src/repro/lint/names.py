@@ -7,12 +7,15 @@ said ``import numpy as np``, and a bare ``rng()`` may be
 default_rng as rng``.  :class:`ImportMap` collects a module's import
 statements and resolves attribute chains back to canonical dotted
 names, so each rule can match on the canonical spelling alone.
+
+:func:`pool_submission` is the one table of calls that hand callables
+to worker processes, shared by the fork-safety rules RPR003 and RPR009.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 class ImportMap:
@@ -74,3 +77,42 @@ def resolve_dotted(node: ast.AST, imports: ImportMap) -> Optional[str]:
     if canonical_root is None:
         return name
     return f"{canonical_root}.{rest}" if rest else canonical_root
+
+
+#: Calls that hand callables to worker processes: name -> (callable
+#: positions, callable keywords).  ``fan_out`` (repro.obs) matches bare
+#: or dotted; every other name is a method.
+POOL_SUBMISSIONS: Dict[str, Tuple[int, Tuple[str, ...]]] = {
+    "fan_out": (1, ("fn",)),
+    "map_reduce": (2, ("map_fn", "reduce_fn")),
+    "imap": (1, ("func",)),
+    "imap_unordered": (1, ("func",)),
+    "map_async": (1, ("func",)),
+    "starmap": (1, ("func",)),
+    "starmap_async": (1, ("func",)),
+    "apply_async": (1, ("func",)),
+    "map": (1, ()),
+    "apply": (1, ()),
+    "submit": (1, ()),
+}
+#: Generic method names that only count on pool/executor-ish receivers.
+GUARDED_POOL_METHODS = frozenset({"map", "apply", "submit"})
+
+
+def pool_submission(call: ast.Call) -> Optional[Tuple[str, List[ast.expr]]]:
+    """``(name, callable arguments)`` when ``call`` submits callables to
+    a process pool, else None."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "fan_out":
+        name = func.id
+    elif isinstance(func, ast.Attribute) and func.attr in POOL_SUBMISSIONS:
+        name = func.attr
+        receiver = (dotted_name(func.value) or "").lower()
+        if name in GUARDED_POOL_METHODS and "pool" not in receiver \
+                and "executor" not in receiver:
+            return None
+    else:
+        return None
+    positions, keywords = POOL_SUBMISSIONS[name]
+    return name, list(call.args[:positions]) + [
+        kw.value for kw in call.keywords if kw.arg in keywords]

@@ -6,8 +6,9 @@ RPR001  schema consistency — column strings must exist in the canonical
         schema of the table being read (repro/trace/schema.py).
 RPR002  determinism — no wall clocks or global RNG inside repro.sim and
         repro.workload; only injected np.random.Generator streams.
-RPR003  fork safety — map/reduce callables handed to the store executor
-        must be importable by name from worker processes.
+RPR003  fork safety — callables handed to a process pool (fan_out,
+        map_reduce, pool.imap, ...) must be importable by name from
+        worker processes.
 RPR004  exception hygiene — broad excepts must re-raise, log, or narrow.
 RPR005  unit discipline — resource/time magnitudes go through the named
         constants in repro.util, never raw literals.

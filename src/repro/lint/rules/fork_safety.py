@@ -1,15 +1,16 @@
-"""RPR003 — fork-safety: executor callables must be importable by name.
+"""RPR003 — fork-safety: pool callables must be importable by name.
 
-``repro.store``'s parallel executor ships every chunk task to worker
-*processes*; the map/reduce callables travel by pickle, which serializes
+Callables handed to a process pool travel by pickle, which serializes
 functions by qualified name.  A lambda, a function defined inside
 another function (a closure), or a bound method of a local object
 pickles either not at all or with surprising state — and the failure
 only appears once ``workers > 1``, which the fast test paths never use.
-This rule rejects those shapes at the call site of
-``Scan.map_reduce(map_fn, reduce_fn)`` so the serial and parallel paths
-cannot drift: module-level functions (optionally wrapped in
-``functools.partial``) are the only accepted currency.
+This rule rejects those shapes at every pool-submission site in
+:func:`repro.lint.names.pool_submission` (``repro.obs.fan_out(fn, ...)``,
+``Scan.map_reduce(map_fn, reduce_fn)``, ``pool.imap(func, ...)``, ...)
+so the serial and parallel paths cannot drift: module-level functions
+(optionally wrapped in ``functools.partial``) are the only accepted
+currency.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ import ast
 from typing import Iterator, List, Optional, Set
 
 from repro.lint.core import FileContext, Rule, Violation, rule
-from repro.lint.names import ImportMap
-
-#: Method names whose callable arguments cross the process boundary.
-EXECUTOR_METHODS = frozenset({"map_reduce"})
-
-#: Positional/keyword callable parameters of those methods.
-CALLABLE_KEYWORDS = ("map_fn", "reduce_fn")
-MAX_CALLABLE_POSITIONS = 2
+from repro.lint.names import ImportMap, pool_submission
 
 
 class _Scopes:
@@ -82,19 +76,16 @@ class ForkSafetyRule(Rule):
     def _check_call(self, context: FileContext, call: ast.Call,
                     imports: ImportMap,
                     scopes: _Scopes) -> Iterator[Violation]:
-        func = call.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in EXECUTOR_METHODS):
+        submission = pool_submission(call)
+        if submission is None:
             return
-        candidates = list(call.args[:MAX_CALLABLE_POSITIONS])
-        candidates += [kw.value for kw in call.keywords
-                       if kw.arg in CALLABLE_KEYWORDS]
+        name, candidates = submission
         for arg in candidates:
             problem = self._unpicklable(arg, imports, scopes)
             if problem is not None:
                 yield self.violation(
                     context, arg,
-                    f"{problem} passed to {func.attr}() cannot be shipped "
+                    f"{problem} passed to {name}() cannot be shipped "
                     "to worker processes (pickle imports callables by "
                     "name); define it at module level",
                 )

@@ -1,24 +1,27 @@
 """RPR009 — fork-share races: no parent-process globals in worker code.
 
 The store executor, the multi-cell sim driver, and the campaign runner
-all fan work out over ``multiprocessing`` pools.  Under ``fork`` start
-methods a worker begins with a *copy* of the parent's memory: a
-module-level dict the parent mutated is silently stale in the worker,
-a dict the worker mutates silently never reaches the parent, and under
+all fan work out over one ``multiprocessing`` pool primitive,
+:func:`repro.obs.fan_out`.  Under ``fork`` start methods a worker
+begins with a *copy* of the parent's memory: a module-level dict the
+parent mutated is silently stale in the worker, a dict the worker
+mutates silently never reaches the parent, and under
 ``spawn`` the same global is re-created empty — three different
 behaviours for one line of code, none of them an error message.  The
 sanctioned escape is the scoped-registry pattern
 (:func:`repro.obs.registry.scoped_registry`): workers record into a
 fresh registry and ship an explicit snapshot home.
 
-This rule finds every function *submitted to a pool* (``map_reduce``
-callables, ``pool.imap``/``map``/``apply_async``/... targets, through
-``functools.partial`` and local aliases), takes the transitive closure
-over the project call graph, and inside that worker-callable set flags
-direct reads and writes of module-level **mutable** state — dict/list/
-set displays and constructors, and instances of project classes —
-whenever that state is also written at runtime somewhere in the
-project (writes in worker code are flagged unconditionally).  Globals
+This rule finds every function *submitted to a pool* (the sites of
+:func:`repro.lint.names.pool_submission`: ``fan_out`` targets,
+``map_reduce`` callables, ``pool.imap``/``map``/``apply_async``/...
+targets, through ``functools.partial`` and local aliases), takes the
+transitive closure over the project call graph, and inside that
+worker-callable set flags direct reads and writes of module-level
+**mutable** state — dict/list/set displays and constructors, and
+instances of project classes — whenever that state is also written at
+runtime somewhere in the project (writes in worker code are flagged
+unconditionally).  Globals
 defined in ``repro.obs.registry`` itself are exempt: they *are* the
 pattern.
 
@@ -48,16 +51,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 from repro.lint.core import FileContext, Rule, Violation, rule
 from repro.lint.flow import Hit
 from repro.lint.graph import ModuleInfo, ProjectGraph
-from repro.lint.names import dotted_name
-
-#: Pool-submission attribute methods that always take a callable first.
-POOL_METHODS = frozenset({"imap", "imap_unordered", "map_async",
-                          "starmap", "starmap_async", "apply_async"})
-#: Generic names that only count on pool/executor-ish receivers.
-POOL_METHODS_GUARDED = frozenset({"map", "apply", "submit"})
-#: The store executor's fan-out entry (see RPR003).
-EXECUTOR_METHODS = frozenset({"map_reduce"})
-EXECUTOR_KEYWORDS = ("map_fn", "reduce_fn")
+from repro.lint.names import dotted_name, pool_submission
 
 #: Constructor calls producing shared-mutable module state.
 MUTABLE_CONSTRUCTORS = frozenset({
@@ -283,26 +277,11 @@ def _submission_seeds(info: ModuleInfo,
                     and isinstance(node.targets[0], ast.Name):
                 local_assigns[node.targets[0].id] = node.value
         for call in ast.walk(fn):
-            if not (isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)):
+            submission = pool_submission(call) \
+                if isinstance(call, ast.Call) else None
+            if submission is None:
                 continue
-            attr = call.func.attr
-            candidates: List[ast.AST] = []
-            if attr in EXECUTOR_METHODS:
-                candidates = list(call.args[:2])
-                candidates += [kw.value for kw in call.keywords
-                               if kw.arg in EXECUTOR_KEYWORDS]
-            elif attr in POOL_METHODS:
-                candidates = list(call.args[:1])
-                candidates += [kw.value for kw in call.keywords
-                               if kw.arg == "func"]
-            elif attr in POOL_METHODS_GUARDED:
-                receiver = dotted_name(call.func.value) or ""
-                if "pool" in receiver.lower() \
-                        or "executor" in receiver.lower():
-                    candidates = list(call.args[:1])
-            if not candidates:
-                continue
+            _, candidates = submission
             entry = f"{info.name}.{qual}"
             for candidate in candidates:
                 resolved = _callable_ref(graph, candidate, info,

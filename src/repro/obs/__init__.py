@@ -19,14 +19,17 @@ Usage::
 
     report = obs.run_report(command="simulate")
 
-Fork safety: the store executor runs each worker-side chunk task inside
-:func:`scoped_registry` and merges the resulting :class:`Snapshot` into
-the parent exactly once (:meth:`MetricsRegistry.merge_snapshot`), so
-serial and parallel runs agree on every counter.
+Fork safety: :func:`fan_out` — the one process fan-out behind the store
+executor, the multi-cell driver and the campaign runner — runs each
+item inside :func:`scoped_registry` and merges the resulting
+:class:`Snapshot` into the caller exactly once
+(:meth:`MetricsRegistry.merge_snapshot`), so serial and parallel runs
+agree on every counter.
 """
 
 import functools
 
+from repro.obs.fanout import fan_out, pool_size
 from repro.obs.profiler import PROFILE_SCHEMA, SamplingProfiler
 from repro.obs.recorder import (
     FRAMES_SCHEMA,
@@ -136,12 +139,14 @@ __all__ = [
     "TimingHistogram",
     "counter",
     "current_span_node",
+    "fan_out",
     "frames_fingerprint",
     "gauge",
     "get_registry",
     "inc",
     "load_report",
     "observe",
+    "pool_size",
     "read_frames",
     "recover_jsonl",
     "render_frames",

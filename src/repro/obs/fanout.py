@@ -1,0 +1,76 @@
+"""One process fan-out for store chunk tasks, simulated cells and
+campaign points (DESIGN.md §9).
+
+:func:`fan_out` owns every decision of that shape: inline or pooled
+(:func:`pool_size`), the chunking, and the metrics contract.  Every
+item runs inside a *fresh* :func:`~repro.obs.registry.scoped_registry`,
+inline and pooled alike, and its snapshot merges into the caller's
+registry exactly once, before the item's result is yielded.  Under
+``fork`` a worker starts with a copy of the parent's registry; the
+fresh scope makes each snapshot exactly the item's delta, so serial and
+pooled runs agree on every metric except the pool's own
+``<section>.pool_workers`` gauge and ``<section>.parallel_batches``
+counter.  ``fn`` crosses the process boundary by pickle: pass a
+module-level function or a ``functools.partial`` of one (RPR003).
+"""
+
+from __future__ import annotations
+
+import functools
+import multiprocessing
+from typing import Callable, Iterable, Iterator, Optional, Tuple, TypeVar
+
+from repro.obs.registry import get_registry, scoped_registry
+from repro.obs.snapshot import Snapshot
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def pool_size(workers: Optional[int], n: int) -> int:
+    """Processes :func:`fan_out` uses for ``n`` items; 1 means inline."""
+    if workers is None or workers <= 1 or n <= 1:
+        return 1
+    return min(workers, n)
+
+
+def default_workers() -> int:
+    """A sensible pool size: all-but-one CPU, at least one."""
+    return max(1, (multiprocessing.cpu_count() or 2) - 1)
+
+
+def _scoped_call(fn: Callable[[T], R], item: T) -> Tuple[R, Snapshot]:
+    """Run ``fn(item)`` in a fresh registry; return its result and delta."""
+    with scoped_registry() as registry:
+        result = fn(item)
+    return result, registry.snapshot()
+
+
+def fan_out(fn: Callable[[T], R], items: Iterable[T],
+            workers: Optional[int], section: str) -> Iterator[R]:
+    """Yield ``fn(item)`` for every item, in input order.
+
+    Runs inline or over one ``multiprocessing`` pool as
+    :func:`pool_size` decides; ``section`` names the pool bookkeeping
+    metrics (``store``, ``sim``, ``campaign``).  A worker exception
+    propagates out of the generator and the pool is torn down.
+    """
+    items = list(items)
+    size = pool_size(workers, len(items))
+    registry = get_registry()
+    if size == 1:
+        for item in items:
+            result, snapshot = _scoped_call(fn, item)
+            registry.merge_snapshot(snapshot)
+            yield result
+        return
+    registry.gauge(f"{section}.pool_workers", size)
+    registry.inc(f"{section}.parallel_batches")
+    # At least four batches per process, so a slow batch cannot hold a
+    # long tail behind it; a handful of cells or points gets 1.
+    chunksize = max(1, len(items) // (size * 4))
+    with multiprocessing.Pool(processes=size) as pool:
+        for result, snapshot in pool.imap(functools.partial(_scoped_call, fn),
+                                          items, chunksize=chunksize):
+            registry.merge_snapshot(snapshot)
+            yield result

@@ -414,7 +414,8 @@ class RunRecorder:
     mode each worker collects its cell's frames in memory and the
     parent appends them in task order as cells complete — either way
     the file holds each cell's frames contiguously, in scenario order,
-    with identical deterministic payloads.
+    with identical deterministic payloads, and every completed cell
+    passes through :meth:`merge_frames` (the final frame's ``seq``).
     """
 
     def __init__(self, path: Union[str, os.PathLike],
@@ -448,10 +449,11 @@ class RunRecorder:
             f"pend={queues.get('pending', 0)}  "
             + (f"rss={rss // 1024}MB" if rss else ""))
 
-    # -- pooled path ----------------------------------------------------------
+    # -- per completed cell ---------------------------------------------------
 
     def merge_frames(self, frames: List[dict], cell: str = "") -> None:
-        """Append one completed cell's frames (task order = file order)."""
+        """Count one completed cell and append its collected frames
+        (task order = file order; a streamed cell collected none)."""
         for frame in frames:
             self.sink.append(frame)
             self._max_t_sim = max(self._max_t_sim, frame.get("t_sim", 0.0))

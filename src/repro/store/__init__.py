@@ -11,8 +11,8 @@ This package is that idea at laptop scale:
   from statistics alone;
 * :mod:`~repro.store.scan` — lazy scans with projection and predicate
   pushdown;
-* :mod:`~repro.store.executor` — ``multiprocessing`` map of
-  scan → filter → partial-aggregate over chunks, with associative merge;
+* :mod:`~repro.store.executor` — scan → filter → partial-aggregate chunk
+  tasks with associative merge, fanned out by :func:`repro.obs.fan_out`;
 * :mod:`~repro.store.cache` — an LRU of decoded chunks with hit/miss
   counters;
 * :mod:`~repro.store.writer` / :mod:`~repro.store.reader` — atomic
@@ -33,12 +33,12 @@ Quick tour::
     print(result, busy.last_stats)   # ... chunks 3/40 decoded (37 skipped) ...
 """
 
+from repro.obs.fanout import default_workers
 from repro.store.cache import CacheStats, ChunkCache
 from repro.store.convert import convert_csv_to_store, convert_store_to_csv
 from repro.store.executor import (
     AGG_KINDS,
     Agg,
-    default_workers,
     merge_partials,
     partial_aggregate,
 )

@@ -3,9 +3,10 @@
 The BigQuery stand-in's execution model: every surviving chunk (after
 manifest pruning) becomes one independent task — decode the needed
 columns, apply the predicate mask, compute *partial* aggregates — and
-partials merge associatively at the end.  Tasks fan out over a
-``multiprocessing`` pool when ``workers > 1``; everything shipped to a
-worker (chunk path, predicate, aggregate specs) is plain picklable data.
+partials merge associatively at the end.  :func:`run_chunk_task` is the
+unit of work that :func:`repro.obs.fan_out` ships to worker processes
+when a scan runs with ``workers > 1``; everything in a task (chunk path,
+predicate, aggregate specs) is plain picklable data.
 
 Supported aggregates: ``count``, ``sum``, ``min``, ``max``, ``mean``
 (merged as sum+count pairs) and ``histogram`` (fixed edges, counts merge
@@ -14,8 +15,7 @@ by addition — reusing :func:`repro.stats.histogram.histogram`).
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -154,51 +154,3 @@ def run_chunk_task(task: ChunkTask) -> Tuple[object, int, int]:
     with obs.span("store.chunk"):
         return process_table(read_chunk(path, decode_columns),
                              predicate, keep_columns, reducer)
-
-
-def traced_chunk_task(task: ChunkTask) -> Tuple[Tuple[object, int, int],
-                                                obs.Snapshot]:
-    """Worker-side wrapper: run one chunk task inside a *fresh* scoped
-    registry and ship its metrics home alongside the payload.
-
-    Under ``fork`` start methods the worker begins with a copy of the
-    parent's registry; recording into that copy and snapshotting it
-    wholesale would re-count everything the parent had already recorded.
-    The fresh scoped registry makes the returned snapshot exactly the
-    delta of this one task, so the parent can merge each snapshot once —
-    no double counts, no drops (see the fork-safety test).
-    """
-    with obs.scoped_registry() as registry:
-        result = run_chunk_task(task)
-    return result, registry.snapshot()
-
-
-def run_tasks(tasks: Sequence[ChunkTask],
-              workers: Optional[int] = None) -> List[Tuple[object, int, int]]:
-    """Run chunk tasks, fanning out over processes when it pays off.
-
-    ``workers=None`` or ``<= 1`` runs inline; otherwise a pool of
-    ``min(workers, len(tasks))`` processes maps over the tasks.  Results
-    always come back in task order.  Worker-side obs metrics are merged
-    into this process's registry in task order (exactly once per task),
-    so counters agree between serial and parallel runs.
-    """
-    if not tasks:
-        return []
-    if workers is None or workers <= 1 or len(tasks) == 1:
-        return [run_chunk_task(task) for task in tasks]
-    n = min(workers, len(tasks))
-    chunksize = max(1, len(tasks) // (n * 4))
-    obs.gauge("store.pool_workers", n)
-    obs.inc("store.parallel_batches")
-    with multiprocessing.Pool(processes=n) as pool:
-        traced = pool.map(traced_chunk_task, tasks, chunksize=chunksize)
-    registry = obs.get_registry()
-    for _, snapshot in traced:
-        registry.merge_snapshot(snapshot)
-    return [result for result, _ in traced]
-
-
-def default_workers() -> int:
-    """A sensible pool size: all-but-one CPU, at least one."""
-    return max(1, (multiprocessing.cpu_count() or 2) - 1)

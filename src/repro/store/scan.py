@@ -21,7 +21,7 @@ from repro.store.executor import (
     ChunkTask,
     merge_partials,
     process_table,
-    run_tasks,
+    run_chunk_task,
 )
 from repro.store.predicates import And, Predicate
 from repro.table.table import Table, concat
@@ -124,13 +124,16 @@ class Scan:
         stats = ScanStats(chunks_total=len(chunks),
                           chunks_skipped=len(chunks) - len(survivors))
         decode = tuple(self._decode_columns())
-        if workers is not None and workers > 1 and len(survivors) > 1:
+        if obs.pool_size(workers, len(survivors)) > 1:
+            # Pooled chunks decode in the workers; the chunk cache is
+            # this process's, so only the inline path reads through it.
             tasks: List[ChunkTask] = [
                 (str(self._store.chunk_path(c["file"])), decode,
                  self._predicate, keep_columns, aggs_or_fn)
                 for c in survivors
             ]
-            results = run_tasks(tasks, workers)
+            results = list(obs.fan_out(run_chunk_task, tasks, workers,
+                                       section="store"))
         else:
             results = []
             for c in survivors:

@@ -7,6 +7,7 @@ exist at all.
 """
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +228,42 @@ def test_rpr009_partial_wrapped_callable(tmp_path):
     root = write_tree(tmp_path, tree)
     result = lint_project([root], select=["RPR009"])
     assert len(violations_of(result, "RPR009")) == 1
+
+
+@pytest.mark.parametrize("call", [
+    "obs.fan_out(task, items, 2, section='sim')",
+    "fan_out(task, items, 2, section='sim')",
+])
+def test_rpr009_fan_out_is_a_submission_site(tmp_path, call):
+    tree = dict(RPR009_TREE)
+    tree["repro/runner.py"] = textwrap.dedent(f"""\
+        from repro import obs
+        from repro.obs import fan_out
+        from repro.work import task
+
+
+        def run(items):
+            return list({call})
+        """)
+    root = write_tree(tmp_path, tree)
+    hits = violations_of(lint_project([root], select=["RPR009"]), "RPR009")
+    assert len(hits) == 1
+    assert hits[0].path.endswith("state.py")
+    assert "repro.runner.run()" in hits[0].message
+
+
+def test_rpr009_worker_closure_over_src_reaches_every_fan_out_target():
+    import repro
+    from repro.lint.rules.fork_share import project_analysis
+
+    package = Path(repro.__file__).resolve().parent
+    graph = ProjectGraph.build(
+        (p, p.read_text(encoding="utf-8"))
+        for p in sorted(package.rglob("*.py")))
+    closure = project_analysis(ProjectContext(graph)).worker_entry
+    assert {("repro.sim.driver", "cell_task"),
+            ("repro.campaign.runner", "evaluate_point"),
+            ("repro.store.executor", "run_chunk_task")} <= set(closure)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,55 @@ def test_rpr003_flags_lambda_inside_partial():
     assert "lambda" in violations[0].message
 
 
+def test_rpr003_flags_lambdas_and_closures_handed_to_fan_out_and_pools():
+    source = """\
+        import multiprocessing
+
+        from repro import obs
+        from repro.obs import fan_out
+
+        def run(items):
+            def square(x):
+                return x * x
+            a = list(obs.fan_out(lambda x: x, items, 2, section="sim"))
+            b = list(fan_out(square, items, 2, section="sim"))
+            with multiprocessing.Pool(2) as pool:
+                c = list(pool.imap(lambda x: x, items))
+                d = list(pool.imap(square, items))
+            return a, b, c, d
+    """
+    violations = lint(source, ANALYSIS_PATH, "RPR003")
+    assert [v.line for v in violations] == [9, 10, 12, 13]
+    assert [("lambda" in v.message, "closure" in v.message)
+            for v in violations] == [(True, False), (False, True)] * 2
+    assert sum("fan_out()" in v.message for v in violations) == 2
+    assert sum("imap()" in v.message for v in violations) == 2
+
+
+def test_rpr003_allows_module_level_functions_and_partial_for_pools():
+    source = """\
+        import functools
+        import multiprocessing
+
+        from repro import obs
+        from repro.obs import fan_out
+
+        def square(x, power=2):
+            return x ** power
+
+        def run(items):
+            cube = functools.partial(square, power=3)
+            a = list(obs.fan_out(square, items, 2, section="sim"))
+            b = list(fan_out(functools.partial(square, power=3), items, 2,
+                             section="sim"))
+            with multiprocessing.Pool(2) as pool:
+                c = list(pool.imap(square, items))
+                d = list(pool.imap(cube, items))
+            return a, b, c, d
+    """
+    assert lint(source, ANALYSIS_PATH, "RPR003") == []
+
+
 def test_rpr003_suppression():
     source = """\
         def run(scan):  # serial-only path, never workers>1

@@ -1,10 +1,10 @@
 """Fork safety: worker-side obs metrics merge into the parent exactly once.
 
-The store executor ships chunk tasks to worker processes; each worker
-runs its task inside a fresh scoped registry and returns a
-:class:`~repro.obs.snapshot.Snapshot` alongside the payload
-(``traced_chunk_task``).  The parent merges each snapshot once, in task
-order.  These tests pin the resulting invariants:
+The store executor ships chunk tasks to worker processes through
+:func:`repro.obs.fan_out`, which runs each task inside a fresh scoped
+registry and merges the resulting :class:`~repro.obs.snapshot.Snapshot`
+into the parent once, in task order.  These tests pin the resulting
+invariants:
 
 * parallel and serial runs agree on every work counter,
 * nothing is double-counted (exactly one increment per chunk, even
@@ -95,10 +95,10 @@ def test_chunk_work_counted_exactly_once(store_dir):
     assert chunk_span is not None and chunk_span[1] == n_chunks
 
 
-def test_traced_chunk_task_snapshot_is_the_task_delta(store_dir):
-    """The worker-side wrapper's snapshot contains only its own task's
+def test_fan_out_chunk_task_snapshot_is_the_task_delta(store_dir):
+    """A chunk task run through fan_out merges only its own task's
     metrics, regardless of what the ambient registry already held."""
-    from repro.store.executor import traced_chunk_task
+    from repro.store.executor import run_chunk_task
 
     store = open_store(store_dir)
     scan = store.scan("instance_usage")
@@ -107,16 +107,22 @@ def test_traced_chunk_task_snapshot_is_the_task_delta(store_dir):
             tuple(store.manifest.column_names("instance_usage")),
             None, (), _count_rows)
 
-    obs.inc("store.chunks_read", 1000)  # pre-existing parent state
-    before = obs.snapshot().counters["store.chunks_read"]
-    (payload, rows_decoded, rows_matched), snapshot = traced_chunk_task(task)
+    with obs.scoped_registry() as registry:
+        obs.inc("store.chunks_read", 1000)  # pre-existing parent state
+        before = registry.snapshot()
+        [(payload, rows_decoded, rows_matched)] = obs.fan_out(
+            run_chunk_task, [task], None, section="store")
+        after = registry.snapshot()
 
     assert payload == rows_decoded == rows_matched == chunk["rows"]
-    # The snapshot is exactly this one task's work...
-    assert snapshot.counters["store.chunks_read"] == 1
-    assert snapshot.span_structure() == ("root", 0, (("store.chunk", 1, ()),))
-    # ...and running it did not touch the ambient registry.
-    assert obs.snapshot().counters["store.chunks_read"] == before
+    # The merged delta is exactly this one task's work, with no pool
+    # bookkeeping on the inline path.
+    delta = {name: value - before.counters.get(name, 0)
+             for name, value in after.counters.items()
+             if value != before.counters.get(name, 0)}
+    assert set(delta) == {"store.chunks_read", "store.bytes_read"}
+    assert delta["store.chunks_read"] == 1
+    assert after.span_structure() == ("root", 0, (("store.chunk", 1, ()),))
 
 
 def test_merge_is_idempotent_per_snapshot_not_global():

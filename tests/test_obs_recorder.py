@@ -273,6 +273,8 @@ class TestRecordedRunDeterminism:
                                                      pooled_frames):
         (serial_final,) = [f for f in serial_frames if f["kind"] == "final"]
         (pooled_final,) = [f for f in pooled_frames if f["kind"] == "final"]
+        # Both modes count every completed cell.
+        assert serial_final["seq"] == pooled_final["seq"] == 2
         # The pooled parent additionally counts its own fan-out.
         pool_only = {"sim.parallel_batches"}
         s_counters = {k: v for k, v in serial_final["counters"].items()

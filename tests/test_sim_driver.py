@@ -11,7 +11,8 @@ import hashlib
 import numpy as np
 
 from repro import obs
-from repro.sim.driver import default_workers, run_cells
+from repro.obs.fanout import default_workers
+from repro.sim.driver import run_cells
 from repro.trace import encode_cell
 from repro.workload import scenarios_2019, small_test_scenario
 
