@@ -3,7 +3,7 @@
 The benchmark suite regenerates every paper table/figure, so it needs
 the 2011 cell plus all eight 2019 cells.  Building them dominates the
 wall clock (a couple of minutes); everything is cached at session scope
-and the individual benchmarks time the *analysis* computations.  The
+and the individual tests check the paper's claims against them.  The
 simulate-and-encode setup itself lives in :mod:`tests.trace_fixtures`,
 shared with ``tests/conftest.py`` and parametrized on cell size.
 
@@ -38,9 +38,3 @@ def bench_traces_2019():
 def bench_traces_2011(bench_trace_2011):
     return [bench_trace_2011]
 
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Time an analysis exactly once (they are deterministic and some
-    are seconds-long over eight month-scale tables)."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)

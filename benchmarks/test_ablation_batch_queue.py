@@ -37,12 +37,8 @@ def _run(batch_queueing: bool, seed: int = 6):
     }
 
 
-def test_ablation_batch_queue(benchmark):
-    def sweep():
-        return [_run(True), _run(False)]
-
-    with_queue, without_queue = benchmark.pedantic(
-        sweep, rounds=1, iterations=1, warmup_rounds=0)
+def test_ablation_batch_queue():
+    with_queue, without_queue = _run(True), _run(False)
 
     print("\nAblation: best-effort-batch admission queue")
     for r in (with_queue, without_queue):

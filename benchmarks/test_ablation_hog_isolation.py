@@ -14,21 +14,16 @@ from repro.queueing import run_isolation_experiment
 from repro.table import concat
 
 
-def test_ablation_hog_isolation(benchmark, bench_traces_2019):
+def test_ablation_hog_isolation(bench_traces_2019):
     table = concat([job_usage_integrals(t) for t in bench_traces_2019[:4]])
     sizes = table.column("ncu_hours").values
     sizes = sizes[sizes > 0]
 
-    def sweep():
-        out = {}
-        for rho in (0.7, 0.9):
-            rng = np.random.default_rng(17)
-            out[rho] = run_isolation_experiment(rng, sizes, n_servers=24,
+    results = {}
+    for rho in (0.7, 0.9):
+        rng = np.random.default_rng(17)
+        results[rho] = run_isolation_experiment(rng, sizes, n_servers=24,
                                                 rho=rho, n_jobs=60_000)
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1,
-                                 warmup_rounds=0)
 
     print("\nAblation: hog isolation on trace job sizes "
           f"({len(sizes)} jobs; waits in mean-service units)")

@@ -7,8 +7,6 @@ the trade-off statistical multiplexing rides on.
 
 import dataclasses
 
-import numpy as np
-
 from repro.sim.cell import CellSim
 from repro.util.rng import RngFactory
 from repro.util.timeutil import HOUR_SECONDS
@@ -39,13 +37,8 @@ def _run_with_overcommit(factor: float, seed: int = 3):
     }
 
 
-def test_ablation_overcommit(benchmark):
-    factors = [1.0, 1.4, 1.9, 2.4]
-
-    def sweep():
-        return [_run_with_overcommit(f) for f in factors]
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1, warmup_rounds=0)
+def test_ablation_overcommit():
+    rows = [_run_with_overcommit(f) for f in (1.0, 1.4, 1.9, 2.4)]
 
     print("\nAblation: over-commit factor sweep (one 2019-style cell)")
     print(f"  {'factor':>6s} {'cpu util':>9s} {'cpu alloc':>10s} "

@@ -2,20 +2,15 @@
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis import sched_delay
 from repro.analysis.common import TIER_ORDER
 
 
-def test_fig10_sched_delay(benchmark, bench_traces_2011, bench_traces_2019):
-    def compute():
-        return (sched_delay.delay_ccdf_by_tier(bench_traces_2011),
-                sched_delay.delay_ccdf_by_tier(bench_traces_2019),
-                [sched_delay.median_delay(t) for t in bench_traces_2019],
-                sched_delay.median_delay(bench_traces_2011[0]))
-
-    by_tier_2011, by_tier_2019, medians_2019, median_2011 = \
-        run_once(benchmark, compute)
+def test_fig10_sched_delay(bench_traces_2011, bench_traces_2019):
+    by_tier_2011 = sched_delay.delay_ccdf_by_tier(bench_traces_2011)
+    by_tier_2019 = sched_delay.delay_ccdf_by_tier(bench_traces_2019)
+    medians_2019 = [sched_delay.median_delay(t) for t in bench_traces_2019]
+    median_2011 = sched_delay.median_delay(bench_traces_2011[0])
 
     grid = [1, 2, 5, 10, 20, 30, 60, 120]
     print("\nFigure 10 (reproduced): Pr(delay > x seconds)")

@@ -1,13 +1,11 @@
 """Figure 11: CCDF of tasks per job by tier."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import tasks_per_job
 from repro.analysis.common import TIER_ORDER
 
 
-def test_fig11_tasks_per_job(benchmark, bench_traces_2019):
-    pct = run_once(benchmark, tasks_per_job.width_percentiles,
-                   bench_traces_2019, (50, 80, 95))
+def test_fig11_tasks_per_job(bench_traces_2019):
+    pct = tasks_per_job.width_percentiles(bench_traces_2019, (50, 80, 95))
 
     print("\nFigure 11 (reproduced): tasks-per-job percentiles")
     for tier in TIER_ORDER:

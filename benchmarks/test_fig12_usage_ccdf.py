@@ -1,21 +1,15 @@
 """Figure 12: CCDF of per-job resource-hours on log-log axes."""
 
-import numpy as np
-
-from benchmarks.conftest import run_once
 from repro.analysis import consumption
 
 
-def test_fig12_usage_ccdf(benchmark, bench_traces_2011, bench_traces_2019):
-    def compute():
-        return {
-            (era, resource): consumption.usage_ccdf(traces, resource)
-            for era, traces in (("2011", bench_traces_2011),
-                                ("2019", bench_traces_2019))
-            for resource in ("cpu", "mem")
-        }
-
-    ccdfs = run_once(benchmark, compute)
+def test_fig12_usage_ccdf(bench_traces_2011, bench_traces_2019):
+    ccdfs = {
+        (era, resource): consumption.usage_ccdf(traces, resource)
+        for era, traces in (("2011", bench_traces_2011),
+                            ("2019", bench_traces_2019))
+        for resource in ("cpu", "mem")
+    }
 
     grid = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0]
     print("\nFigure 12 (reproduced): Pr(job resource-hours > x)")

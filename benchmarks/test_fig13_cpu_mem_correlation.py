@@ -1,12 +1,10 @@
 """Figure 13: correlation of compute and memory consumption."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import correlation
 
 
-def test_fig13_cpu_mem_correlation(benchmark, bench_traces_2019):
-    rep = run_once(benchmark, correlation.cpu_mem_correlation,
-                   bench_traces_2019)
+def test_fig13_cpu_mem_correlation(bench_traces_2019):
+    rep = correlation.cpu_mem_correlation(bench_traces_2019)
 
     print("\nFigure 13 (reproduced): NCU-hour bucket -> median NMU-hours")
     for c, m in list(zip(rep.bucket_centers, rep.median_nmu_hours))[:15]:

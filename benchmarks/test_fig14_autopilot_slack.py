@@ -1,12 +1,10 @@
 """Figure 14: CCDF of peak NCU slack by vertical-scaling mode."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import autoscaling
 
 
-def test_fig14_autopilot_slack(benchmark, bench_traces_2019):
-    ccdfs = run_once(benchmark, autoscaling.slack_ccdf_by_mode,
-                     bench_traces_2019)
+def test_fig14_autopilot_slack(bench_traces_2019):
+    ccdfs = autoscaling.slack_ccdf_by_mode(bench_traces_2019)
 
     grid = [10, 20, 30, 40, 50, 60, 70, 80, 90]
     print("\nFigure 14 (reproduced): Pr(peak slack % > x)")

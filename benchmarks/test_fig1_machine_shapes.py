@@ -1,11 +1,10 @@
 """Figure 1: frequency of machine shapes (CPU x memory)."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import machines
 
 
-def test_fig1_machine_shapes(benchmark, bench_traces_2019):
-    points = run_once(benchmark, machines.machine_shapes, bench_traces_2019)
+def test_fig1_machine_shapes(bench_traces_2019):
+    points = machines.machine_shapes(bench_traces_2019)
 
     print("\nFigure 1 (reproduced): machine shapes by frequency")
     total = sum(p.count for p in points)

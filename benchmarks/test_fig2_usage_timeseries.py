@@ -2,22 +2,17 @@
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis import utilization
 from repro.analysis.common import TIER_ORDER
 
 
-def test_fig2_usage_timeseries(benchmark, bench_traces_2011, bench_traces_2019):
-    def compute():
-        out = {}
-        for resource in ("cpu", "mem"):
-            out[("2011", resource)] = utilization.usage_timeseries(
-                bench_traces_2011[0], resource)
-            out[("2019", resource)] = utilization.mean_usage_timeseries(
-                bench_traces_2019, resource)
-        return out
-
-    series = run_once(benchmark, compute)
+def test_fig2_usage_timeseries(bench_traces_2011, bench_traces_2019):
+    series = {}
+    for resource in ("cpu", "mem"):
+        series[("2011", resource)] = utilization.usage_timeseries(
+            bench_traces_2011[0], resource)
+        series[("2019", resource)] = utilization.mean_usage_timeseries(
+            bench_traces_2019, resource)
 
     print("\nFigure 2 (reproduced): mean-of-series usage fractions")
     averages = {}

@@ -1,21 +1,17 @@
 """Figure 3: average usage by tier, per cell (inter-cell variation)."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import utilization
 from repro.analysis.common import TIER_ORDER
 
 
-def test_fig3_usage_by_cell(benchmark, bench_traces_2011, bench_traces_2019):
-    def compute():
-        return {
-            resource: {
-                **utilization.usage_by_cell(bench_traces_2011, resource),
-                **utilization.usage_by_cell(bench_traces_2019, resource),
-            }
-            for resource in ("cpu", "mem")
+def test_fig3_usage_by_cell(bench_traces_2011, bench_traces_2019):
+    by_cell = {
+        resource: {
+            **utilization.usage_by_cell(bench_traces_2011, resource),
+            **utilization.usage_by_cell(bench_traces_2019, resource),
         }
-
-    by_cell = run_once(benchmark, compute)
+        for resource in ("cpu", "mem")
+    }
 
     print("\nFigure 3 (reproduced): average usage fraction by tier per cell")
     for resource, cells in by_cell.items():

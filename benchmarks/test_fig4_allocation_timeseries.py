@@ -2,23 +2,18 @@
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis import allocation, utilization
 from repro.analysis.common import TIER_ORDER
 
 
-def test_fig4_allocation_timeseries(benchmark, bench_traces_2011,
+def test_fig4_allocation_timeseries(bench_traces_2011,
                                     bench_traces_2019):
-    def compute():
-        out = {}
-        for resource in ("cpu", "mem"):
-            out[("2011", resource)] = allocation.allocation_timeseries(
-                bench_traces_2011[0], resource)
-            out[("2019", resource)] = allocation.mean_allocation_timeseries(
-                bench_traces_2019, resource)
-        return out
-
-    series = run_once(benchmark, compute)
+    series = {}
+    for resource in ("cpu", "mem"):
+        series[("2011", resource)] = allocation.allocation_timeseries(
+            bench_traces_2011[0], resource)
+        series[("2019", resource)] = allocation.mean_allocation_timeseries(
+            bench_traces_2019, resource)
 
     print("\nFigure 4 (reproduced): mean allocation fraction of capacity")
     totals = {}

@@ -1,22 +1,18 @@
 """Figure 5: average allocation by tier per cell."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import allocation
 from repro.analysis.common import TIER_ORDER
 
 
-def test_fig5_allocation_by_cell(benchmark, bench_traces_2011,
+def test_fig5_allocation_by_cell(bench_traces_2011,
                                  bench_traces_2019):
-    def compute():
-        return {
-            resource: {
-                **allocation.allocation_by_cell(bench_traces_2011, resource),
-                **allocation.allocation_by_cell(bench_traces_2019, resource),
-            }
-            for resource in ("cpu", "mem")
+    by_cell = {
+        resource: {
+            **allocation.allocation_by_cell(bench_traces_2011, resource),
+            **allocation.allocation_by_cell(bench_traces_2019, resource),
         }
-
-    by_cell = run_once(benchmark, compute)
+        for resource in ("cpu", "mem")
+    }
 
     print("\nFigure 5 (reproduced): average allocation fraction by tier per cell")
     for resource, cells in by_cell.items():

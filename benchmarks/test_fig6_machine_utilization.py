@@ -2,21 +2,16 @@
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis import machine_util
 
 
-def test_fig6_machine_utilization(benchmark, bench_traces_2011,
+def test_fig6_machine_utilization(bench_traces_2011,
                                   bench_traces_2019):
-    def compute():
-        out = {}
-        for resource in ("cpu", "mem"):
-            for trace in list(bench_traces_2019) + list(bench_traces_2011):
-                out[(resource, trace.cell)] = \
-                    machine_util.machine_utilization_ccdf(trace, resource)
-        return out
-
-    ccdfs = run_once(benchmark, compute)
+    ccdfs = {}
+    for resource in ("cpu", "mem"):
+        for trace in list(bench_traces_2019) + list(bench_traces_2011):
+            ccdfs[(resource, trace.cell)] = \
+                machine_util.machine_utilization_ccdf(trace, resource)
 
     grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     print("\nFigure 6 (reproduced): Pr(machine utilization > x)")

@@ -1,14 +1,13 @@
 """Figure 7: the state-transition diagram with occurrence counts (cell g)."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import transitions
 
 
-def test_fig7_state_transitions(benchmark, bench_traces_2019):
+def test_fig7_state_transitions(bench_traces_2019):
     by_name = {t.cell: t for t in bench_traces_2019}
     trace = by_name.get("g", bench_traces_2019[0])
 
-    rows = run_once(benchmark, transitions.transition_table, trace)
+    rows = transitions.transition_table(trace)
 
     print(f"\nFigure 7 (reproduced): transitions in cell {trace.cell}")
     for src, dst, n_coll, n_inst in rows:

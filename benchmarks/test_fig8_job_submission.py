@@ -1,22 +1,16 @@
 """Figure 8: CCDF of job submission rate; the 3.5x longitudinal growth."""
 
-import numpy as np
-
-from benchmarks.conftest import run_once
 from repro.analysis import submission
 
 
-def test_fig8_job_submission(benchmark, bench_traces_2011, bench_traces_2019):
-    def compute():
-        return {
-            "2011": submission.job_submission_ccdf(bench_traces_2011[0]),
-            "2019-aggregate": submission.aggregate_job_submission_ccdf(
-                bench_traces_2019),
-            **{f"2019-{t.cell}": submission.job_submission_ccdf(t)
-               for t in bench_traces_2019},
-        }
-
-    ccdfs = run_once(benchmark, compute)
+def test_fig8_job_submission(bench_traces_2011, bench_traces_2019):
+    ccdfs = {
+        "2011": submission.job_submission_ccdf(bench_traces_2011[0]),
+        "2019-aggregate": submission.aggregate_job_submission_ccdf(
+            bench_traces_2019),
+        **{f"2019-{t.cell}": submission.job_submission_ccdf(t)
+           for t in bench_traces_2019},
+    }
 
     print("\nFigure 8 (reproduced): job submission rate CCDFs")
     for name, ccdf in ccdfs.items():

@@ -1,17 +1,12 @@
 """Figure 9: task submission rates, new vs all (scheduling churn)."""
 
-import numpy as np
-
-from benchmarks.conftest import run_once
 from repro.analysis import submission
 
 
-def test_fig9_task_submission(benchmark, bench_traces_2011, bench_traces_2019):
-    def compute():
-        return ([submission.summarize_submissions(t) for t in bench_traces_2019],
-                submission.summarize_submissions(bench_traces_2011[0]))
-
-    summaries_2019, summary_2011 = run_once(benchmark, compute)
+def test_fig9_task_submission(bench_traces_2011, bench_traces_2019):
+    summaries_2019 = [submission.summarize_submissions(t)
+                      for t in bench_traces_2019]
+    summary_2011 = submission.summarize_submissions(bench_traces_2011[0])
 
     print("\nFigure 9 (reproduced): median tasks/hour")
     print(f"  2011: new={summary_2011.median_new_tasks_per_hour:7.0f} "

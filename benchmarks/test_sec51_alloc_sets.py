@@ -1,11 +1,10 @@
 """Section 5.1: alloc-set statistics."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import allocsets
 
 
-def test_sec51_alloc_sets(benchmark, bench_traces_2019):
-    rep = run_once(benchmark, allocsets.alloc_set_report, bench_traces_2019)
+def test_sec51_alloc_sets(bench_traces_2019):
+    rep = allocsets.alloc_set_report(bench_traces_2019)
 
     print("\nSection 5.1 (reproduced) vs paper:")
     paper = {

@@ -1,12 +1,10 @@
 """Section 5.2: termination analysis (kills, evictions, dependencies)."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import terminations
 
 
-def test_sec52_terminations(benchmark, bench_traces_2019):
-    rep = run_once(benchmark, terminations.termination_report,
-                   bench_traces_2019)
+def test_sec52_terminations(bench_traces_2019):
+    rep = terminations.termination_report(bench_traces_2019)
 
     print("\nSection 5.2 (reproduced):")
     for key, value in rep.as_dict().items():

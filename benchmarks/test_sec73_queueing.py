@@ -1,22 +1,16 @@
 """Section 7.3: the queueing-delay implications of the hog/mouse split."""
 
-import numpy as np
-
-from benchmarks.conftest import run_once
 from repro.analysis.common import job_usage_integrals
 from repro.queueing import compare_isolation, pollaczek_khinchine
 from repro.stats import squared_cv, top_share
 from repro.table import concat
 
 
-def test_sec73_queueing(benchmark, bench_traces_2019):
-    def compute():
-        table = concat([job_usage_integrals(t) for t in bench_traces_2019])
-        sizes = table.column("ncu_hours").values
-        sizes = sizes[sizes > 0]
-        return sizes, compare_isolation(sizes, rho=0.5, hog_fraction=0.01)
-
-    sizes, report = run_once(benchmark, compute)
+def test_sec73_queueing(bench_traces_2019):
+    table = concat([job_usage_integrals(t) for t in bench_traces_2019])
+    sizes = table.column("ncu_hours").values
+    sizes = sizes[sizes > 0]
+    report = compare_isolation(sizes, rho=0.5, hog_fraction=0.01)
 
     cv2 = squared_cv(sizes)
     print("\nSection 7.3 (reproduced):")

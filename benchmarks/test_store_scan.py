@@ -20,7 +20,6 @@ import time
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.store import Agg, Between, default_workers, open_store
 from repro.trace import encode_cell, load_trace, save_trace
 from repro.workload import scenarios_2019
@@ -73,7 +72,7 @@ def _query_store(store_dir, workers):
     return int(result["count"]), float(result["sum(avg_cpu)"]), scan.last_stats
 
 
-def test_parallel_pushdown_beats_whole_csv_load(benchmark, trace_dirs):
+def test_parallel_pushdown_beats_whole_csv_load(trace_dirs):
     workers = max(2, default_workers())
 
     # Warm the page cache identically for both contenders, then time each
@@ -85,11 +84,8 @@ def test_parallel_pushdown_beats_whole_csv_load(benchmark, trace_dirs):
     csv_count, csv_sum = _query_csv(trace_dirs / "csv")
     csv_seconds = time.perf_counter() - t0
 
-    def scan_store():
-        return _query_store(trace_dirs / "store", workers)
-
     t1 = time.perf_counter()
-    store_count, store_sum, stats = run_once(benchmark, scan_store)
+    store_count, store_sum, stats = _query_store(trace_dirs / "store", workers)
     store_seconds = time.perf_counter() - t1
 
     print(f"\n[store scan] csv load+filter: {csv_seconds:.3f}s; "

@@ -1,12 +1,10 @@
 """Table 1: 2011 vs 2019 trace comparison."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import summary
 
 
-def test_table1_summary(benchmark, bench_traces_2011, bench_traces_2019):
-    rows = run_once(benchmark, summary.table1,
-                    bench_traces_2011, bench_traces_2019)
+def test_table1_summary(bench_traces_2011, bench_traces_2019):
+    rows = summary.table1(bench_traces_2011, bench_traces_2019)
 
     col_2011, col_2019 = rows
     print("\nTable 1 (reproduced):")

@@ -1,12 +1,10 @@
 """Table 2: the per-job resource-hour distribution (C², Pareto, hogs)."""
 
-from benchmarks.conftest import run_once
 from repro.analysis import consumption
 
 
-def test_table2_consumption(benchmark, bench_traces_2011, bench_traces_2019):
-    reports = run_once(benchmark, consumption.table2,
-                       bench_traces_2011, bench_traces_2019)
+def test_table2_consumption(bench_traces_2011, bench_traces_2019):
+    reports = consumption.table2(bench_traces_2011, bench_traces_2019)
 
     print("\nTable 2 (reproduced):")
     keys = ["n", "median", "mean", "variance", "90%ile", "99%ile", "99.9%ile",

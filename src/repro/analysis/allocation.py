@@ -40,18 +40,3 @@ def allocation_by_cell(traces: Sequence[TraceDataset],
     return {t.cell: average_tier_fractions(t, resource=resource,
                                            quantity="allocation")
             for t in traces}
-
-
-def total_allocation_fraction(trace: TraceDataset, resource: str = "cpu") -> float:
-    """Whole-trace average allocation across tiers (>1 means over-commit)."""
-    fractions = average_tier_fractions(trace, resource=resource,
-                                       quantity="allocation")
-    return float(sum(fractions.values()))
-
-
-def overcommit_ratio(trace: TraceDataset) -> Dict[str, float]:
-    """CPU and memory allocation-to-capacity ratios for one cell."""
-    return {
-        "cpu": total_allocation_fraction(trace, "cpu"),
-        "mem": total_allocation_fraction(trace, "mem"),
-    }

@@ -13,7 +13,6 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.stats.ccdf import Ccdf, empirical_ccdf
 from repro.table import Table
 from repro.trace.dataset import TraceDataset
 from repro.util.timeutil import HOUR_SECONDS
@@ -50,15 +49,6 @@ def queue_waits(trace: TraceDataset) -> np.ndarray:
     queued, enabled, _ = _queue_stays(ce, ("ENABLE",))
     times = ce.column("time").values
     return times[enabled] - times[queued]
-
-
-def queue_wait_ccdf(traces: Sequence[TraceDataset]) -> Ccdf:
-    """Pooled CCDF of batch-queue waits across cells."""
-    pooled = [queue_waits(t) for t in traces]
-    pooled = [w for w in pooled if w.size]
-    if not pooled:
-        raise ValueError("no batch-queued collections in these traces")
-    return empirical_ccdf(np.concatenate(pooled))
 
 
 def queue_depth_series(trace: TraceDataset) -> np.ndarray:

@@ -274,12 +274,3 @@ def hourly_tier_series_store(store, resource: str = "cpu",
     if sums is not None:
         out = dict(zip(TIER_ORDER, sums / capacity))
     return out
-
-
-def average_tier_fractions_store(store, resource: str = "cpu",
-                                 quantity: str = "usage",
-                                 workers: Optional[int] = None) -> Dict[str, float]:
-    """Store-backed :func:`average_tier_fractions` (identical output)."""
-    series = hourly_tier_series_store(store, resource=resource,
-                                      quantity=quantity, workers=workers)
-    return {tier: float(np.mean(values)) for tier, values in series.items()}

@@ -43,11 +43,6 @@ def usage_by_local_hour(trace: TraceDataset, resource: str = "cpu") -> np.ndarra
     return out
 
 
-def peak_local_hour(trace: TraceDataset, resource: str = "cpu") -> int:
-    """The local hour-of-day at which the cell's load peaks."""
-    return int(np.argmax(usage_by_local_hour(trace, resource)))
-
-
 @dataclass(frozen=True)
 class UtcSnapshot:
     """Load of every cell at one fixed UTC hour (the section 4.1 contrast)."""

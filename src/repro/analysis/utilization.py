@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.analysis.common import TIER_ORDER, average_tier_fractions, hourly_tier_series
+from repro.analysis.common import average_tier_fractions, hourly_tier_series
 from repro.trace.dataset import TraceDataset
 from repro.util.timeutil import HOUR_SECONDS
 
@@ -46,19 +46,3 @@ def total_usage_fraction(trace: TraceDataset, resource: str = "cpu") -> float:
     """Whole-trace average usage across all tiers (one number per cell)."""
     fractions = average_tier_fractions(trace, resource=resource, quantity="usage")
     return float(sum(fractions.values()))
-
-
-def stacked_rows(series: Dict[str, np.ndarray]) -> List[Dict[str, float]]:
-    """Render a tier series as rows (hour, free, beb, mid, prod, total)."""
-    n = max((len(v) for v in series.values()), default=0)
-    rows = []
-    for h in range(n):
-        row = {"hour": float(h)}
-        total = 0.0
-        for tier in TIER_ORDER:
-            value = float(series.get(tier, np.zeros(n))[h])
-            row[tier] = value
-            total += value
-        row["total"] = total
-        rows.append(row)
-    return rows

@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import obs
+from repro.analysis import failures
 from repro.analysis.report import full_report
 from repro.campaign import (
     CampaignSpecError,
@@ -131,6 +132,40 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
                              "default: none)")
 
 
+def _print_fault_summary(name: str, result, trace,
+                         archetypes: bool) -> None:
+    """The failure view of one fault-injected cell.
+
+    Printed right after encoding: the resubmission chains come from the
+    simulator's side stream, which is not a trace table and is gone once
+    the run ends.
+    """
+    prefix = f"cell {name}: faults:"
+    for tier, row in failures.failure_rates_by_tier([trace]).items():
+        rates = " ".join(
+            f"{kind.lower()}/h={row[f'{kind.lower()}_per_task_hour']:.6g}"
+            for kind in failures.TERMINAL_TYPES)
+        print(f"{prefix} tier {tier}: task_hours={row['task_hours']:.6g} "
+              f"new_tasks={int(row['new_tasks'])} {rates}")
+    avail = failures.machine_availability([trace], trace.horizon)
+    print(f"{prefix} availability={avail['availability']:.6g} "
+          f"outages={int(avail['outages'])} "
+          f"down_machine_hours={avail['down_machine_hours']:.6g}")
+    chains = failures.resubmission_report([result])
+    line = (f"{prefix} resubmissions={chains['resubmissions']} "
+            f"chains={chains['chains']} "
+            f"max_chain_depth={chains['max_chain_depth']} "
+            f"mean_chain_depth={chains['mean_chain_depth']:.6g}")
+    if chains["resubmissions"]:
+        delays = failures.resubmission_interval_ccdf([result])
+        line += f" median_delay_s={delays.quantile_of_exceedance(0.5):.6g}"
+    print(line)
+    if archetypes:
+        shares = failures.archetype_usage_shares([trace])
+        print(f"{prefix} archetype shares: "
+              + " ".join(f"{kind}={share:.6g}" for kind, share in shares.items()))
+
+
 def _simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -190,6 +225,9 @@ def _simulate(args) -> int:
                   f"in {t_save:.1f}s -> {out / name}")
             print(f"cell {name}: rows written: total={sum(rows.values())} "
                   + " ".join(f"{tname}={n}" for tname, n in rows.items()))
+            if args.faults:
+                _print_fault_summary(name, result, trace,
+                                     archetypes=bool(args.archetype_mix))
     finally:
         if profiler is not None:
             profiler.stop()

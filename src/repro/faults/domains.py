@@ -44,16 +44,6 @@ class FailureDomains:
     def n_power_domains(self) -> int:
         return -(-self.n_racks // self.racks_per_power_domain)
 
-    def rack_of(self, machine_index: int) -> int:
-        if not 0 <= machine_index < self.n_machines:
-            raise ValueError(f"machine index {machine_index} out of range")
-        return machine_index // self.machines_per_rack
-
-    def power_domain_of_rack(self, rack: int) -> int:
-        if not 0 <= rack < self.n_racks:
-            raise ValueError(f"rack {rack} out of range")
-        return rack // self.racks_per_power_domain
-
     def rack_members(self, rack: int) -> Tuple[int, ...]:
         """Machine indices in ``rack``, ascending."""
         if not 0 <= rack < self.n_racks:

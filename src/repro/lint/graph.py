@@ -1,15 +1,12 @@
-"""Project-wide import graph, symbol tables, and call resolution.
+"""Project-wide symbol tables and call resolution.
 
 The per-file rules (RPR001-RPR007) see one AST at a time; the flow
 rules (RPR008-RPR010) need to know what a call *refers to* across
 module boundaries — ``from repro.util.timeutil import hours`` followed
 by ``hours(x)`` is a call into another project module, and taint must
 follow it.  :class:`ProjectGraph` parses every file under the lint
-roots once and answers three questions:
+roots once and answers two questions:
 
-* **imports** — which project modules does module M import (directly or
-  transitively), and — the reverse index — who imports M?  The reverse
-  closure is every module that can observe an edit to M.
 * **symbols** — which module-level functions and classes does M define,
   including re-exports (``repro/lint/__init__`` re-exporting
   ``lint_paths`` from ``repro.lint.core`` resolves to the defining
@@ -59,18 +56,15 @@ def module_name(path: Path) -> str:
 class ModuleInfo:
     """One parsed module: AST, imports, and module-level symbol table."""
 
-    __slots__ = ("name", "path", "source", "tree", "import_map", "imports",
-                 "functions", "classes", "global_values", "is_package")
+    __slots__ = ("name", "path", "source", "tree", "import_map",
+                 "functions", "classes", "global_values")
 
     def __init__(self, name: str, path: Path, source: str, tree: ast.Module):
         self.name = name
         self.path = path
         self.source = source
         self.tree = tree
-        self.is_package = path.name == "__init__.py"
         self.import_map = ImportMap(tree)
-        #: Direct project-module dependencies (filled by the graph).
-        self.imports: Set[str] = set()
         #: qualname -> def node; methods appear as ``Class.method``.
         self.functions: Dict[str, ast.AST] = {}
         self.classes: Dict[str, ast.ClassDef] = {}
@@ -96,64 +90,12 @@ class ModuleInfo:
                     and isinstance(node.target, ast.Name):
                 self.global_values[node.target.id] = node.value
 
-    @property
-    def package(self) -> str:
-        """The package this module's relative imports resolve against."""
-        if self.is_package:
-            return self.name
-        return self.name.rpartition(".")[0]
-
-
-def extract_imports(tree: ast.Module, package: str,
-                    known_modules: Set[str]) -> Set[str]:
-    """Project modules directly imported by ``tree``.
-
-    ``import a.b.c`` edges to the longest known prefix of ``a.b.c``;
-    ``from m import x`` edges to ``m.x`` when that is itself a project
-    module (importing a submodule) and to ``m`` when ``m`` is one
-    (importing a symbol).  Relative imports resolve against ``package``.
-    """
-    edges: Set[str] = set()
-
-    def add_longest_prefix(dotted: str) -> None:
-        parts = dotted.split(".")
-        for end in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:end])
-            if candidate in known_modules:
-                edges.add(candidate)
-                return
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                add_longest_prefix(item.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                anchor = package.split(".") if package else []
-                anchor = anchor[:len(anchor) - (node.level - 1)] \
-                    if node.level > 1 else anchor
-                if not anchor:
-                    continue
-                base = ".".join(anchor + ([base] if base else []))
-            if not base:
-                continue
-            for item in node.names:
-                if item.name != "*" and f"{base}.{item.name}" in known_modules:
-                    edges.add(f"{base}.{item.name}")
-                else:
-                    add_longest_prefix(base)
-    return edges
-
-
 class ProjectGraph:
-    """All parsed modules plus import/reverse-import/call resolution."""
+    """All parsed modules plus import and call resolution."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self._by_path: Dict[str, ModuleInfo] = {}
-        #: Direct reverse-import edges: module -> modules importing it.
-        self._importers: Dict[str, Set[str]] = {}
         #: All module names in the *project* (may exceed the parsed set:
         #: a file with a syntax error is declared but not parsed).
         self.known_modules: Set[str] = set()
@@ -162,14 +104,10 @@ class ProjectGraph:
 
     @classmethod
     def build(cls, files: Iterable[Tuple[Path, str]]) -> "ProjectGraph":
-        """Parse ``(path, source)`` pairs and wire the import edges."""
+        """Parse ``(path, source)`` pairs."""
         graph = cls()
-        parsed: List[ModuleInfo] = []
         for path, source in files:
-            info = graph.add_source(path, source)
-            if info is not None:
-                parsed.append(info)
-        graph.link()
+            graph.add_source(path, source)
         return graph
 
     def add_source(self, path: Path, source: str,
@@ -198,36 +136,10 @@ class ProjectGraph:
         parse still resolve)."""
         self.known_modules.add(name)
 
-    def link(self) -> None:
-        """(Re)compute import edges for every parsed module."""
-        self._importers = {}
-        for info in self.modules.values():
-            info.imports = extract_imports(info.tree, info.package,
-                                           self.known_modules)
-            info.imports.discard(info.name)
-            for dep in info.imports:
-                self._importers.setdefault(dep, set()).add(info.name)
-
     # -- lookups -------------------------------------------------------------
 
     def module_for_path(self, path: Path) -> Optional[ModuleInfo]:
         return self._by_path.get(str(path))
-
-    def importers(self, name: str) -> Set[str]:
-        """Modules that directly import ``name``."""
-        return self._importers.get(name, set())
-
-    def reverse_closure(self, names: Iterable[str]) -> Set[str]:
-        """``names`` plus every module that transitively imports one."""
-        out: Set[str] = set()
-        frontier = list(names)
-        while frontier:
-            current = frontier.pop()
-            if current in out:
-                continue
-            out.add(current)
-            frontier.extend(self._importers.get(current, ()))
-        return out
 
     # -- symbol / call resolution --------------------------------------------
 

@@ -84,10 +84,10 @@ def _module_names(path_strs: Sequence[str]) -> Dict[str, str]:
     scripts in different non-package directories, e.g. ``tests/x.py``
     vs ``benchmarks/x.py``).  The first occurrence keeps the plain name
     (and stays import-resolvable); later ones get a path-derived unique
-    suffix so per-module bookkeeping (graph entries, import edges, fact
-    summaries) never silently collides.  The ``@`` can never appear in
-    a real dotted name, so disambiguated modules are unreachable from
-    ``extract_imports`` — deliberately conservative.
+    suffix so per-module bookkeeping (graph entries, fact summaries)
+    never silently collides.  The ``@`` can never appear in a real
+    dotted name, so no import resolves to a disambiguated module —
+    deliberately conservative.
     """
     out: Dict[str, str] = {}
     taken: Set[str] = set()
@@ -116,7 +116,6 @@ def lint_project(paths: Iterable[Union[str, Path]],
         # Declared even when unparsable, so imports of it still resolve.
         graph.declare_module(modnames[s])
         graph.add_source(Path(s), sources[s], name=modnames[s])
-    graph.link()
     context = ProjectContext(graph)
 
     timings: Dict[str, TimingHistogram] = {tid: TimingHistogram()

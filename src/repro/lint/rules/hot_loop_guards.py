@@ -28,7 +28,7 @@ counts.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List
 
 from repro.lint.core import FileContext, Rule, Violation, rule
 

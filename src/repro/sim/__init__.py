@@ -20,8 +20,6 @@ from repro.sim.machine import Machine
 from repro.sim.priority import (
     TIERS,
     Tier,
-    priority_for_tier_2011,
-    priority_for_tier_2019,
     tier_of_priority_2011,
     tier_of_priority_2019,
 )
@@ -41,8 +39,6 @@ __all__ = [
     "Machine",
     "TIERS",
     "Tier",
-    "priority_for_tier_2011",
-    "priority_for_tier_2019",
     "tier_of_priority_2011",
     "tier_of_priority_2019",
     "Resources",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.sim.entities import Collection
 from repro.sim.resources import Resources
@@ -92,6 +92,3 @@ class BatchQueue:
     def release(self, collection: Collection) -> None:
         """Return an admitted collection's share on termination."""
         self.beb_allocated = self.beb_allocated - self._collection_request(collection)
-
-    def peek_waiting(self) -> Optional[Collection]:
-        return self._queue[0] if self._queue else None

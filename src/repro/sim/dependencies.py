@@ -26,9 +26,6 @@ class DependencyManager:
             return
         self._children.setdefault(collection.parent_id, []).append(collection)
 
-    def children_of(self, collection_id: int) -> List[Collection]:
-        return list(self._children.get(collection_id, []))
-
     def on_termination(self, collection: Collection) -> List[Collection]:
         """Collections to cascade-kill because ``collection`` terminated.
 

@@ -103,13 +103,6 @@ class Collection:
     def num_instances(self) -> int:
         return len(self.instances)
 
-    def scheduling_delay(self) -> Optional[float]:
-        """Ready-to-first-task-running latency (the figure 10 metric)."""
-        if self.enable_time is None or self.first_running_time is None:
-            return None
-        return max(0.0, self.first_running_time - self.enable_time)
-
-
 @dataclass(eq=False, slots=True)
 class Instance:
     """One replica: a task, or one alloc instance of an alloc set."""

@@ -26,10 +26,6 @@ class EventType(enum.Enum):
     KILL = "KILL"
     UPDATE_RUNNING = "UPDATE_RUNNING"
 
-    @property
-    def is_terminal(self) -> bool:
-        return self in (EventType.EVICT, EventType.FAIL, EventType.FINISH, EventType.KILL)
-
 
 #: Event types that terminate a collection or instance.
 TERMINAL_EVENTS = frozenset(

@@ -89,30 +89,3 @@ def tier_of_priority_2011(band: int) -> Tier:
     if band <= 10:
         return Tier.PROD
     return Tier.MONITORING
-
-
-def priority_for_tier_2019(tier: Tier) -> int:
-    """A representative raw 2019 priority for a tier (workload generation)."""
-    return {
-        Tier.FREE: 25,
-        Tier.BEB: 115,
-        Tier.MID: 118,
-        Tier.PROD: 200,
-        Tier.MONITORING: 400,
-    }[tier]
-
-
-def priority_for_tier_2011(tier: Tier) -> int:
-    """A representative 2011 priority band for a tier."""
-    return {
-        Tier.FREE: 0,
-        Tier.BEB: 4,
-        Tier.MID: 8,  # no mid tier existed in 2011; nearest band is top beb
-        Tier.PROD: 9,
-        Tier.MONITORING: 11,
-    }[tier]
-
-
-def merge_monitoring(tier: Tier) -> Tier:
-    """Fold the monitoring tier into production, as the paper does."""
-    return Tier.PROD if tier is Tier.MONITORING else tier

@@ -69,8 +69,4 @@ class Resources:
         """True if this request fits inside ``capacity`` on both dimensions."""
         return self.cpu <= capacity.cpu + 1e-12 and self.mem <= capacity.mem + 1e-12
 
-    def is_zero(self) -> bool:
-        return self.cpu <= 1e-12 and self.mem <= 1e-12
-
-
 Resources.ZERO = Resources(0.0, 0.0)

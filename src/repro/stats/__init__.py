@@ -3,32 +3,25 @@
 The paper presents its results as Complementary Cumulative Distribution
 Functions (CCDFs), power-law (Pareto) tail fits with R² goodness of fit,
 squared coefficients of variation (C²), top-k%% load shares ("hogs and
-mice"), Pearson correlations of bucketed medians, and the 2019 trace's
-21-bucket high-percentile-biased CPU-utilization histograms.  Each of
-those lives here as a small, independently tested unit.
+mice") and Pearson correlations of bucketed medians.  Each of those
+lives here as a small, independently tested unit.  The 2019 trace's
+21-point CPU-usage histograms are not modelled (DESIGN.md §3).
 """
 
-from repro.stats.ccdf import Ccdf, ccdf_at, empirical_ccdf
+from repro.stats.ccdf import Ccdf, empirical_ccdf
 from repro.stats.correlation import bucketed_medians, pearson
-from repro.stats.distributions import (
-    bounded_pareto_sample,
-    pareto_sample,
-)
-from repro.stats.histogram import CPU_HISTOGRAM_PERCENTILES, cpu_usage_histogram, histogram
+from repro.stats.distributions import bounded_pareto_sample
+from repro.stats.histogram import histogram
 from repro.stats.moments import DistributionSummary, squared_cv, summarize
 from repro.stats.pareto import ParetoFit, fit_pareto_ccdf, fit_pareto_mle
 from repro.stats.tails import HogMouseSplit, split_hogs_mice, top_share
 
 __all__ = [
     "Ccdf",
-    "ccdf_at",
     "empirical_ccdf",
     "bucketed_medians",
     "pearson",
     "bounded_pareto_sample",
-    "pareto_sample",
-    "CPU_HISTOGRAM_PERCENTILES",
-    "cpu_usage_histogram",
     "histogram",
     "DistributionSummary",
     "squared_cv",

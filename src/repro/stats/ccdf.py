@@ -48,10 +48,6 @@ class Ccdf:
             return float(self.xs[-1])
         return float(self.xs[int(np.argmax(mask))])
 
-    def on_grid(self, grid: Sequence[float]) -> np.ndarray:
-        """Evaluate the CCDF at every point of ``grid``."""
-        return np.asarray([self.at(float(x)) for x in grid])
-
     def as_series(self) -> Tuple[np.ndarray, np.ndarray]:
         """(x, Pr{X > x}) pairs, ready for plotting or text rendering."""
         return self.xs.copy(), self.probs.copy()
@@ -74,11 +70,3 @@ def empirical_ccdf(samples: Sequence[float]) -> Ccdf:
     counts = np.diff(np.append(first_idx, arr.size))
     greater = arr.size - np.cumsum(counts)
     return Ccdf(xs=xs, probs=greater / arr.size, n_samples=int(arr.size))
-
-
-def ccdf_at(samples: Sequence[float], x: float) -> float:
-    """One-shot ``Pr{X > x}`` without building the full structure."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("ccdf_at requires a non-empty sample")
-    return float((arr > x).mean())

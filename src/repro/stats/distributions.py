@@ -11,16 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def pareto_sample(rng: np.random.Generator, alpha: float, x_min: float, size: int) -> np.ndarray:
-    """Unbounded Pareto(alpha) samples with scale ``x_min`` (inverse CDF)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if x_min <= 0:
-        raise ValueError(f"x_min must be positive, got {x_min}")
-    u = rng.random(size)
-    return x_min / np.power(1.0 - u, 1.0 / alpha)
-
-
 def bounded_pareto_quantile(u, alpha: float, x_min: float, x_max: float):
     """Inverse CDF of the bounded Pareto on [x_min, x_max].
 

@@ -1,24 +1,15 @@
-"""Histograms, including the 2019 trace's biased CPU-usage histogram.
+"""Fixed-edge histograms.
 
-The 2019 trace records, for every 5-minute sample of every instance, a
-21-element histogram of CPU utilization whose bucket boundaries are
-percentile positions biased towards the high end (the tail is what
-matters for overload detection and Autopilot).
+The 2019 trace also ships, per 5-minute usage sample, a 21-point CPU
+percentile histogram biased towards the high end.  The encoder does not
+emit it (see DESIGN.md §3), so nothing here models it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-
-#: The percentile positions captured by the 2019 trace's per-sample CPU
-#: histogram (21 elements, biased towards high percentiles).
-CPU_HISTOGRAM_PERCENTILES: Tuple[float, ...] = (
-    0, 10, 20, 30, 40, 50, 60, 70, 80, 90,
-    91, 92, 93, 94, 95, 96, 97, 98, 99, 99.9, 100,
-)
-
 
 def histogram(samples: Sequence[float], edges: Sequence[float]) -> np.ndarray:
     """Counts of samples per bucket defined by sorted ``edges``.
@@ -34,17 +25,3 @@ def histogram(samples: Sequence[float], edges: Sequence[float]) -> np.ndarray:
     arr = np.clip(np.asarray(samples, dtype=float), edges[0], edges[-1])
     counts, _ = np.histogram(arr, bins=edges)
     return counts
-
-
-def cpu_usage_histogram(fine_grained_usage: Sequence[float]) -> np.ndarray:
-    """The 21-element biased percentile summary of one 5-minute window.
-
-    ``fine_grained_usage`` is the within-window sequence of instantaneous
-    CPU usage readings; the result is usage at each of
-    :data:`CPU_HISTOGRAM_PERCENTILES` — exactly the encoding the 2019
-    trace ships per usage sample.
-    """
-    arr = np.asarray(fine_grained_usage, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cpu_usage_histogram requires at least one reading")
-    return np.percentile(arr, CPU_HISTOGRAM_PERCENTILES)

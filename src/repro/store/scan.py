@@ -38,10 +38,6 @@ class ScanStats:
     rows_decoded: int = 0
     rows_matched: int = 0
 
-    @property
-    def skip_fraction(self) -> float:
-        return self.chunks_skipped / self.chunks_total if self.chunks_total else 0.0
-
     def __str__(self) -> str:
         return (f"chunks {self.chunks_decoded}/{self.chunks_total} decoded "
                 f"({self.chunks_skipped} skipped), rows {self.rows_matched}"

@@ -11,32 +11,23 @@ tables mirroring the published datasets:
   priorities as 0-11 bands.
 
 Plus the automated invariant validator the authors wished they had
-started with ("at this scale, paranoia is a helpful default").
+started with ("at this scale, paranoia is a helpful default").  The
+2019 trace's per-sample CPU-usage histograms are not emitted
+(DESIGN.md §3).
 """
 
 from repro.trace.dataset import TraceDataset
 from repro.trace.encode import encode_cell
-from repro.trace.histograms import (
-    histogram_from_avg_max,
-    overload_fraction,
-    synthesize_cpu_histograms,
-)
 from repro.trace.io import load_trace, save_trace
 from repro.trace.legacy import to_2011_tables
-from repro.trace.sample import SampleInfo, sample_trace
 from repro.trace.validate import Violation, validate_trace
 
 __all__ = [
     "TraceDataset",
     "encode_cell",
-    "histogram_from_avg_max",
-    "overload_fraction",
-    "synthesize_cpu_histograms",
     "load_trace",
     "save_trace",
     "to_2011_tables",
-    "SampleInfo",
-    "sample_trace",
     "Violation",
     "validate_trace",
 ]

@@ -12,11 +12,9 @@ from repro.util.timeutil import (
     HOUR_SECONDS,
     MINUTE_SECONDS,
     SAMPLE_PERIOD_SECONDS,
-    hour_index,
     hours,
-    sample_index,
 )
-from repro.util.units import clamp, normalize, safe_div
+from repro.util.units import normalize
 
 __all__ = [
     "ReproError",
@@ -28,10 +26,6 @@ __all__ = [
     "HOUR_SECONDS",
     "MINUTE_SECONDS",
     "SAMPLE_PERIOD_SECONDS",
-    "hour_index",
     "hours",
-    "sample_index",
-    "clamp",
     "normalize",
-    "safe_div",
 ]

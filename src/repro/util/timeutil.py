@@ -1,4 +1,4 @@
-"""Time constants and bucketing helpers.
+"""Time constants and helpers.
 
 All simulator and trace timestamps are **seconds since trace start** as
 floats.  The paper's analyses aggregate into 1-hour windows (figures 2
@@ -22,32 +22,6 @@ SAMPLE_PERIOD_SECONDS = 300.0
 def hours(n: float) -> float:
     """Convert hours to seconds."""
     return n * HOUR_SECONDS
-
-
-def days(n: float) -> float:
-    """Convert days to seconds."""
-    return n * DAY_SECONDS
-
-
-def hour_index(t: float) -> int:
-    """The 1-hour aggregation bucket containing time ``t`` (seconds)."""
-    if t < 0:
-        raise ValueError(f"negative timestamp: {t}")
-    return int(t // HOUR_SECONDS)
-
-
-def sample_index(t: float) -> int:
-    """The 5-minute usage-sampling bucket containing time ``t``."""
-    if t < 0:
-        raise ValueError(f"negative timestamp: {t}")
-    return int(t // SAMPLE_PERIOD_SECONDS)
-
-
-def overlap(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
-    """Length of the intersection of intervals [a_start, a_end) and [b_start, b_end)."""
-    lo = max(a_start, b_start)
-    hi = min(a_end, b_end)
-    return max(0.0, hi - lo)
 
 
 def local_hour(t: float, utc_offset_hours: float) -> float:

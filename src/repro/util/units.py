@@ -3,7 +3,7 @@
 Both traces normalize CPU (Normalized Compute Units, NCUs) and memory
 (Normalized Memory Units, NMUs) to the 0-1 range by dividing by the
 largest machine in the trace.  The helpers here implement that scaling
-and the small arithmetic guards used throughout the analyses.
+and the small arithmetic helpers used throughout the analyses.
 """
 
 from __future__ import annotations
@@ -11,20 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-
-def clamp(x: float, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Clamp ``x`` into [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"empty clamp range [{lo}, {hi}]")
-    return min(hi, max(lo, x))
-
-
-def safe_div(num: float, den: float, default: float = 0.0) -> float:
-    """``num / den`` with a default for a zero denominator."""
-    if den == 0:
-        return default
-    return num / den
 
 
 def normalize(values: Sequence[float]) -> np.ndarray:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    allocation,
     allocsets,
     autoscaling,
     consumption,
@@ -28,6 +27,7 @@ from repro.analysis import (
 from repro.analysis.common import (
     TIER_ORDER,
     alloc_set_ids,
+    average_tier_fractions,
     hourly_tier_series,
     job_usage_integrals,
 )
@@ -95,30 +95,27 @@ class TestUtilization:
         out = utilization.usage_by_cell([trace_2019], "cpu")
         assert list(out) == [trace_2019.cell]
 
-    def test_stacked_rows(self, trace_2019):
-        rows = utilization.stacked_rows(utilization.usage_timeseries(trace_2019))
-        assert rows[0]["total"] == pytest.approx(
-            sum(rows[0][t] for t in TIER_ORDER))
-
     def test_empty_trace_list_rejected(self):
         with pytest.raises(ValueError):
             utilization.mean_usage_timeseries([], "cpu")
 
 
+def _total_allocation(trace, resource):
+    """Whole-trace allocation across tiers (>1 means over-commit)."""
+    return sum(average_tier_fractions(trace, resource=resource,
+                                      quantity="allocation").values())
+
+
 class TestAllocation:
     def test_allocation_exceeds_usage(self, trace_2019):
         for resource in ("cpu", "mem"):
-            alloc = allocation.total_allocation_fraction(trace_2019, resource)
+            alloc = _total_allocation(trace_2019, resource)
             used = utilization.total_usage_fraction(trace_2019, resource)
             assert alloc > used
 
-    def test_overcommit_ratio_keys(self, trace_2019):
-        ratios = allocation.overcommit_ratio(trace_2019)
-        assert set(ratios) == {"cpu", "mem"}
-
     def test_2011_cpu_overcommitted_more_than_mem(self, trace_2011):
-        ratios = allocation.overcommit_ratio(trace_2011)
-        assert ratios["cpu"] > ratios["mem"]
+        assert _total_allocation(trace_2011, "cpu") \
+            > _total_allocation(trace_2011, "mem")
 
 
 class TestMachineUtil:

@@ -1,7 +1,6 @@
 """Tests for the batch-queue analysis."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import batch_queue
 
@@ -14,14 +13,6 @@ class TestQueueWaits:
 
     def test_2011_has_no_queue(self, trace_2011):
         assert batch_queue.queue_waits(trace_2011).size == 0
-
-    def test_ccdf_builds(self, traces_2019):
-        ccdf = batch_queue.queue_wait_ccdf(traces_2019)
-        assert ccdf.at(-1.0) == 1.0
-
-    def test_ccdf_requires_queued_jobs(self, traces_2011):
-        with pytest.raises(ValueError):
-            batch_queue.queue_wait_ccdf(traces_2011)
 
 
 class TestDepthSeries:

@@ -27,9 +27,6 @@ class TestLocalHourProfile:
         with pytest.raises(ValueError):
             diurnal.usage_by_local_hour(trace_2019, "disk")
 
-    def test_peak_hour_in_range(self, trace_2019):
-        assert 0 <= diurnal.peak_local_hour(trace_2019) < 24
-
     def test_amplitude_nonnegative(self, trace_2019):
         assert diurnal.diurnal_amplitude(trace_2019) >= 0
 

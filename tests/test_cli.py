@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from repro.analysis import failures
 from repro.cli import build_parser, main
+from repro.trace import load_trace
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +76,46 @@ class TestSimulateFaults:
         ])
         assert rc == 0
         assert (tmp_path / "d" / "metadata.json").exists()
-        assert "simulated in" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "simulated in" in out
+        assert "cell d: faults: archetype shares: base=" in out
+
+    def test_fault_summary_matches_saved_trace(self, tmp_path, capsys):
+        rc = main([
+            "simulate", "--cells", "a,d", "--out", str(tmp_path),
+            "--machines", "8", "--hours", "2", "--scale", "0.01",
+            "--seed", "3", "--faults", "heavy", "--fault-rate", "10",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "archetype shares" not in out
+        for cell in ("a", "d"):
+            trace = load_trace(tmp_path / cell)
+            printed = {}
+            for tier, fields in re.findall(
+                    rf"^cell {cell}: faults: tier (\w+): (.*)$", out, re.M):
+                printed[tier] = dict(f.split("=") for f in fields.split())
+            expected = failures.failure_rates_by_tier([trace])
+            assert printed and set(printed) == set(expected)
+            for tier, row in expected.items():
+                assert printed[tier]["task_hours"] == f"{row['task_hours']:.6g}"
+                for kind in failures.TERMINAL_TYPES:
+                    rate = row[f"{kind.lower()}_per_task_hour"]
+                    assert printed[tier][f"{kind.lower()}/h"] == f"{rate:.6g}"
+            avail = failures.machine_availability([trace], trace.horizon)
+            assert (f"cell {cell}: faults: availability="
+                    f"{avail['availability']:.6g} ") in out
+            assert re.search(rf"^cell {cell}: faults: resubmissions=\d+ ",
+                             out, re.M)
+
+    def test_no_summary_without_faults(self, tmp_path, capsys):
+        rc = main([
+            "simulate", "--cells", "d", "--out", str(tmp_path),
+            "--machines", "8", "--hours", "2", "--scale", "0.01",
+            "--seed", "3", "--archetype-mix", "mixed",
+        ])
+        assert rc == 0
+        assert ": faults:" not in capsys.readouterr().out
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(SystemExit):

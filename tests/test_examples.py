@@ -7,7 +7,6 @@ breaks the public API surface fails here rather than in a user's shell.
 
 import importlib.util
 import shutil
-import sys
 from pathlib import Path
 
 import numpy as np

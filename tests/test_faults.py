@@ -40,12 +40,10 @@ class TestFailureDomains:
                            racks_per_power_domain=2)
         assert d.n_racks == 3           # 8 + 8 + 4 machines
         assert d.n_power_domains == 2   # racks {0,1}, {2}
-        assert d.rack_of(0) == 0 and d.rack_of(7) == 0
-        assert d.rack_of(8) == 1 and d.rack_of(19) == 2
-        assert d.power_domain_of_rack(1) == 0
-        assert d.power_domain_of_rack(2) == 1
+        assert d.rack_members(0) == tuple(range(0, 8))
         assert d.rack_members(2) == tuple(range(16, 20))
         assert d.power_domain_members(0) == tuple(range(0, 16))
+        assert d.power_domain_members(1) == tuple(range(16, 20))
 
     def test_every_machine_in_exactly_one_rack(self):
         d = FailureDomains(n_machines=24, machines_per_rack=5,
@@ -59,8 +57,6 @@ class TestFailureDomains:
     def test_range_checks(self):
         d = FailureDomains(n_machines=8, machines_per_rack=4,
                            racks_per_power_domain=2)
-        with pytest.raises(ValueError):
-            d.rack_of(8)
         with pytest.raises(ValueError):
             d.rack_members(2)
 

@@ -44,23 +44,6 @@ def test_module_name_walks_package_chain(tmp_path):
     assert module_name(tmp_path / "standalone.py") == "standalone"
 
 
-def test_graph_imports_and_reverse_closure(tmp_path):
-    root = write_tree(tmp_path, {
-        "repro/__init__.py": "",
-        "repro/base.py": "X = 1\n",
-        "repro/mid.py": "from repro.base import X\n",
-        "repro/top.py": "import repro.mid\n",
-        "repro/other.py": "Y = 2\n",
-    })
-    graph = ProjectGraph.build(
-        (p, p.read_text()) for p in sorted(root.rglob("*.py")))
-    assert "repro.base" in graph.modules["repro.mid"].imports
-    assert graph.importers("repro.base") == {"repro.mid"}
-    closure = graph.reverse_closure({"repro.base"})
-    assert closure == {"repro.base", "repro.mid", "repro.top"}
-    assert "repro.other" not in closure
-
-
 def test_resolve_symbol_through_reexport(tmp_path):
     root = write_tree(tmp_path, {
         "repro/__init__.py": "from repro.impl import helper\n",

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultParams, ResubmitPolicy
 from repro.sim import CellConfig, CellSim, Machine, Resources, Tier
 from repro.sim.entities import EndReason, InstanceState
+from repro.sim.events import TERMINAL_EVENTS
 from repro.util.rng import RngFactory
 from repro.workload.jobs import build_simple_job
 
@@ -103,7 +104,7 @@ def test_every_incarnation_ends_in_one_terminal_event(
                 assert not running, f"{key}: double SCHEDULE"
                 assert not queue_killed, f"{key}: revived after queue-kill"
                 running = True
-            elif event.event.is_terminal:
+            elif event.event in TERMINAL_EVENTS:
                 if running:
                     running = False  # exactly one closer per incarnation
                 else:
@@ -159,7 +160,7 @@ def test_allocation_replay_never_negative(specs, fault_kwargs,
         if event.event.value == "SCHEDULE" and event.machine_id >= 0:
             alloc_cpu[event.machine_id] += event.cpu_request
             placed_on[key] = (event.machine_id, event.cpu_request)
-        elif (event.event.is_terminal
+        elif (event.event in TERMINAL_EVENTS
               or (event.event.value == "SUBMIT" and not event.is_new)) \
                 and key in placed_on:
             # Terminals and drain requeues both free the placement.

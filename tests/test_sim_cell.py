@@ -14,9 +14,9 @@ from repro.sim.entities import (
     CollectionType,
     EndReason,
     Instance,
-    InstanceState,
     SchedulerKind,
 )
+from repro.sim.events import TERMINAL_EVENTS
 from repro.sim.fleet import FleetState
 from repro.trace import encode_cell
 from repro.util.rng import RngFactory
@@ -92,7 +92,7 @@ class TestBasicLifecycle:
     def test_scheduling_delay_within_round_interval(self):
         result = run_cell([make_job(1, submit=100.0)])
         c = result.collections[0]
-        delay = c.scheduling_delay()
+        delay = c.first_running_time - c.enable_time
         assert 0 <= delay <= 2 * 5.0 + 1.0
 
     def test_planned_kill_and_fail(self):
@@ -142,7 +142,8 @@ class TestBatchQueue:
         result = run_cell([first, second])
         enable_2 = [e for e in events_of(result, 2)
                     if e.event is EventType.ENABLE][0]
-        end_1 = [e for e in events_of(result, 1) if e.event.is_terminal][0]
+        end_1 = [e for e in events_of(result, 1)
+                 if e.event in TERMINAL_EVENTS][0]
         assert enable_2.time >= end_1.time
 
 

@@ -253,13 +253,6 @@ class TestBatchQueue:
         assert q.admit_ready() == []
         assert len(q) == 0
 
-    def test_peek(self):
-        q = self._queue()
-        assert q.peek_waiting() is None
-        c = _collection(Tier.BEB, 1, n=1)
-        q.enqueue(c)
-        assert q.peek_waiting() is c
-
 
 class TestDependencies:
     def test_cascade_returns_live_children(self):
@@ -283,7 +276,7 @@ class TestDependencies:
         deps = DependencyManager()
         orphan = _collection(cid=3)
         deps.register(orphan)
-        assert deps.children_of(3) == []
+        assert deps._children == {}
 
     def test_grandchildren_via_repeated_calls(self):
         deps = DependencyManager()

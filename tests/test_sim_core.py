@@ -6,13 +6,10 @@ from repro.sim import (
     Machine,
     Resources,
     Tier,
-    priority_for_tier_2011,
-    priority_for_tier_2019,
     tier_of_priority_2011,
     tier_of_priority_2019,
 )
 from repro.sim.entities import Collection, CollectionType, Instance
-from repro.sim.priority import merge_monitoring
 from repro.util.errors import SimulationError
 
 
@@ -21,7 +18,7 @@ class TestResources:
         a = Resources(1.0, 2.0) + Resources(0.5, 0.5)
         assert (a.cpu, a.mem) == (1.5, 2.5)
         b = a - Resources(1.5, 2.5)
-        assert b.is_zero()
+        assert b.cpu <= 1e-12 and b.mem <= 1e-12
 
     def test_sub_clamps_tiny_negative(self):
         out = Resources(1.0, 1.0) - Resources(1.0 + 1e-15, 1.0)
@@ -72,14 +69,15 @@ class TestTiers:
                 < Tier.PROD.rank < Tier.MONITORING.rank)
 
     def test_representative_priorities_round_trip(self):
-        for tier in (Tier.FREE, Tier.BEB, Tier.MID, Tier.PROD, Tier.MONITORING):
-            assert tier_of_priority_2019(priority_for_tier_2019(tier)) is tier
-        for tier in (Tier.FREE, Tier.BEB, Tier.PROD, Tier.MONITORING):
-            assert tier_of_priority_2011(priority_for_tier_2011(tier)) is tier
-
-    def test_merge_monitoring(self):
-        assert merge_monitoring(Tier.MONITORING) is Tier.PROD
-        assert merge_monitoring(Tier.BEB) is Tier.BEB
+        priorities_2019 = {Tier.FREE: 25, Tier.BEB: 115, Tier.MID: 118,
+                           Tier.PROD: 200, Tier.MONITORING: 400}
+        for tier, priority in priorities_2019.items():
+            assert tier_of_priority_2019(priority) is tier
+        # 2011 had no mid tier; these are its representative bands.
+        bands_2011 = {Tier.FREE: 0, Tier.BEB: 4, Tier.PROD: 9,
+                      Tier.MONITORING: 11}
+        for tier, band in bands_2011.items():
+            assert tier_of_priority_2011(band) is tier
 
     def test_label(self):
         assert Tier.BEB.label == "beb tier"
@@ -119,7 +117,7 @@ class TestMachine:
         inst = _instance(_collection())
         m.place(inst)
         m.remove(inst)
-        assert m.allocated.is_zero()
+        assert m.allocated.cpu <= 1e-12 and m.allocated.mem <= 1e-12
 
     def test_remove_absent_rejected(self):
         m = Machine(0, Resources(1.0, 1.0))

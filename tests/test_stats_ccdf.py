@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats import Ccdf, ccdf_at, empirical_ccdf
+from repro.stats import empirical_ccdf
 
 
 class TestEmpiricalCcdf:
@@ -48,10 +48,6 @@ class TestEmpiricalCcdf:
         c = empirical_ccdf(np.random.default_rng(0).random(100))
         assert (np.diff(c.probs) <= 0).all()
 
-    def test_on_grid(self):
-        c = empirical_ccdf([1.0, 2.0])
-        assert c.on_grid([0.0, 1.5, 3.0]).tolist() == [1.0, 0.5, 0.0]
-
     def test_as_series_copies(self):
         c = empirical_ccdf([1.0, 2.0])
         xs, ps = c.as_series()
@@ -67,12 +63,3 @@ class TestEmpiricalCcdf:
     def test_quantile_bad_p(self):
         with pytest.raises(ValueError):
             empirical_ccdf([1.0]).quantile_of_exceedance(1.5)
-
-
-class TestCcdfAt:
-    def test_one_shot(self):
-        assert ccdf_at([1.0, 2.0, 3.0, 4.0], 2.5) == 0.5
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            ccdf_at([], 1.0)

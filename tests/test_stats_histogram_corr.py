@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.stats import (
-    CPU_HISTOGRAM_PERCENTILES,
     bucketed_medians,
-    cpu_usage_histogram,
     histogram,
     pearson,
 )
@@ -31,30 +29,6 @@ class TestHistogram:
         rng = np.random.default_rng(0)
         samples = rng.random(1000)
         assert histogram(samples, np.linspace(0, 1, 22)).sum() == 1000
-
-
-class TestCpuUsageHistogram:
-    def test_has_21_elements(self):
-        out = cpu_usage_histogram(np.random.default_rng(0).random(500))
-        assert len(out) == len(CPU_HISTOGRAM_PERCENTILES) == 21
-
-    def test_monotone_nondecreasing(self):
-        out = cpu_usage_histogram(np.random.default_rng(1).random(500))
-        assert (np.diff(out) >= 0).all()
-
-    def test_biased_towards_high_percentiles(self):
-        # More than half of the recorded points are above the 80th pct.
-        high = [p for p in CPU_HISTOGRAM_PERCENTILES if p >= 90]
-        assert len(high) >= 11
-
-    def test_endpoints_are_min_max(self):
-        data = [0.2, 0.9, 0.5]
-        out = cpu_usage_histogram(data)
-        assert out[0] == 0.2 and out[-1] == 0.9
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cpu_usage_histogram([])
 
 
 class TestPearson:

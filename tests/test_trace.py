@@ -5,7 +5,6 @@ import pytest
 
 from repro.table import Table
 from repro.trace import (
-    encode_cell,
     load_trace,
     save_trace,
     to_2011_tables,

@@ -6,15 +6,11 @@ from repro.util import (
     DAY_SECONDS,
     HOUR_SECONDS,
     RngFactory,
-    clamp,
-    hour_index,
     hours,
     normalize,
-    safe_div,
-    sample_index,
 )
 from repro.util.errors import ReproError, SchemaError, SimulationError, ValidationError
-from repro.util.timeutil import days, local_hour, overlap
+from repro.util.timeutil import local_hour
 
 
 class TestRngFactory:
@@ -69,29 +65,8 @@ class TestTimeutil:
         assert HOUR_SECONDS == 3600
         assert DAY_SECONDS == 24 * HOUR_SECONDS
 
-    def test_hours_days(self):
+    def test_hours(self):
         assert hours(2) == 7200
-        assert days(1) == DAY_SECONDS
-
-    def test_hour_index(self):
-        assert hour_index(0.0) == 0
-        assert hour_index(3599.9) == 0
-        assert hour_index(3600.0) == 1
-
-    def test_sample_index(self):
-        assert sample_index(299.0) == 0
-        assert sample_index(300.0) == 1
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            hour_index(-1.0)
-        with pytest.raises(ValueError):
-            sample_index(-0.1)
-
-    def test_overlap(self):
-        assert overlap(0, 10, 5, 20) == 5
-        assert overlap(0, 10, 10, 20) == 0
-        assert overlap(5, 6, 0, 100) == 1
 
     def test_local_hour_offsets(self):
         # Midnight UTC is 8am in Singapore (UTC+8).
@@ -104,21 +79,6 @@ class TestTimeutil:
 
 
 class TestUnits:
-    def test_clamp(self):
-        assert clamp(1.5) == 1.0
-        assert clamp(-0.5) == 0.0
-        assert clamp(0.25) == 0.25
-        assert clamp(5, 0, 10) == 5
-
-    def test_clamp_empty_range(self):
-        with pytest.raises(ValueError):
-            clamp(1.0, 2.0, 1.0)
-
-    def test_safe_div(self):
-        assert safe_div(4, 2) == 2
-        assert safe_div(4, 0) == 0.0
-        assert safe_div(4, 0, default=-1.0) == -1.0
-
     def test_normalize_peak_is_one(self):
         out = normalize([1.0, 2.0, 4.0])
         assert out.tolist() == [0.25, 0.5, 1.0]
