@@ -2,8 +2,8 @@
 
 A single cell at a meaningful fraction of the paper's scale (the real
 cells run ~12k machines for a month).  At this size the run produces
-~3.9M instance events and ~25M usage windows and needs about a minute
-of CPU and ~4.5 GB of memory, so the test is marked ``slow``; deselect
+~3.9M instance events and ~25M usage windows and needs under a minute
+of CPU and ~3.9 GB of memory, so the test is marked ``slow``; deselect
 it with ``-m 'not slow'``.  Timing is perfbench's job, not this test's.
 """
 

@@ -118,13 +118,15 @@ class Instance:
     claimed: Resources = Resources.ZERO
     start_time: Optional[float] = None      # current run's start
     pending_since: Optional[float] = None
-    #: Completed execution intervals: (start, end, machine_id, cpu_limit, mem_limit).
-    run_intervals: List[Tuple[float, float, int, float, float]] = field(default_factory=list)
     n_schedules: int = 0                    # placements, incl. reschedules
     n_evictions: int = 0
     #: Bumped on every start/stop so stale hazard events can be discarded.
     incarnation: int = 0
     end_reason: Optional[EndReason] = None
+    #: Dense id in the cell's event log, assigned with the first SUBMIT
+    #: (-1 until then); the log's instance-event rows carry this, not
+    #: the instance's constant fields.
+    log_id: int = field(default=-1, init=False)
 
     @property
     def instance_id(self) -> Tuple[int, int]:
@@ -156,13 +158,10 @@ class Instance:
         return self.request - self.claimed
 
     def record_stop(self, t: float) -> None:
-        """Close the current run interval at time ``t``."""
+        """Close the current run at time ``t``."""
         if self.start_time is None or self.machine_id is None:
             raise ValueError(f"instance {self.instance_id} stopped while not running")
         if t < self.start_time:
             raise ValueError(f"stop at {t} before start {self.start_time}")
-        self.run_intervals.append(
-            (self.start_time, t, self.machine_id, self.request.cpu, self.request.mem)
-        )
         self.start_time = None
         self.machine_id = None

@@ -80,6 +80,25 @@ class Column:
         else:
             self._data = _coerce(values)
 
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, names: Sequence[str]) -> "Column":
+        """The ``str`` column ``names[codes]``, e.g. a code-to-string take.
+
+        Equal to ``Column(names[codes])``, but the every-element ``str``
+        check runs once over the small ``names`` table instead of over
+        every row.
+        """
+        table = np.empty(len(names), dtype=object)
+        table[:] = list(names)
+        for name in table:
+            if not isinstance(name, str):
+                raise SchemaError(
+                    f"unsupported code-table entry {name!r} of type "
+                    f"{type(name).__name__}; code tables hold strings")
+        column = cls.__new__(cls)
+        column._data = table[np.asarray(codes)]
+        return column
+
     # -- basic protocol ----------------------------------------------------
 
     @property

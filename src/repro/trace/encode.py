@@ -12,18 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.cell import CellResult
+from repro.sim.events import EVENT_TYPE_NAMES
 from repro.sim.usage import AUTOPILOT_FROM_CODE, TIER_FROM_CODE
 from repro.table import Column, Table
 from repro.trace.dataset import TraceDataset
 from repro.trace.schema import empty_table, ordered_columns
 
 
-def _code_names(names: dict) -> np.ndarray:
-    """Object lookup array: ``out[code]`` is the string of ``code``."""
-    out = np.empty(max(names) + 1, dtype=object)
-    for code, name in names.items():
-        out[code] = name
-    return out
+def _code_names(names: dict) -> list:
+    """Code table: ``out[code]`` is the string of ``code``."""
+    return [names[code] for code in range(max(names) + 1)]
 
 
 #: Usage-row tier and vertical-scaling codes -> trace strings.
@@ -63,18 +61,29 @@ def _collection_events_table(result: CellResult) -> Table:
 
 
 def _instance_events_table(result: CellResult) -> Table:
-    events = result.events.instance_events
+    log = result.events
+    rows = log.instance_columns()
+    log_id, code = rows["log_id"], rows["code"]
+    instances = log.instances
+    collections = [i.collection for i in instances]
+
+    def gathered(per_instance, dtype) -> np.ndarray:
+        """One value per log id, taken for every row."""
+        return np.fromiter(per_instance, dtype=dtype, count=len(instances))[log_id]
+
     return _build("instance_events", {
-        "time": [e.time for e in events],
-        "collection_id": [e.collection_id for e in events],
-        "instance_index": [e.instance_index for e in events],
-        "type": np.array([e.event._value_ for e in events], dtype=object),
-        "machine_id": [e.machine_id for e in events],
-        "priority": [e.priority for e in events],
-        "tier": np.array([e.tier for e in events], dtype=object),
-        "resource_request_cpu": [e.cpu_request for e in events],
-        "resource_request_mem": [e.mem_request for e in events],
-        "is_new": [e.is_new for e in events],
+        "time": rows["time"],
+        "collection_id": gathered((c.collection_id for c in collections), np.int64),
+        "instance_index": gathered((i.index for i in instances), np.int64),
+        "type": Column.from_codes(code >> 1, EVENT_TYPE_NAMES),
+        "machine_id": rows["machine_id"],
+        "priority": gathered((c.priority for c in collections), np.int64),
+        # A tier's usage code is its rank.
+        "tier": Column.from_codes(
+            gathered((c.tier.rank for c in collections), np.int64), _TIER_NAMES),
+        "resource_request_cpu": gathered((i.request.cpu for i in instances), np.float64),
+        "resource_request_mem": gathered((i.request.mem for i in instances), np.float64),
+        "is_new": (code & 1).astype(bool),
     })
 
 
@@ -89,8 +98,8 @@ def _instance_usage_table(result: CellResult) -> Table:
         "collection_id": Column(u["collection_id"]),
         "instance_index": Column(u["instance_index"]),
         "machine_id": Column(u["machine_id"]),
-        "tier": Column(_TIER_NAMES[u["tier_code"]]),
-        "vertical_scaling": Column(_AUTOPILOT_NAMES[u["autopilot_code"]]),
+        "tier": Column.from_codes(u["tier_code"], _TIER_NAMES),
+        "vertical_scaling": Column.from_codes(u["autopilot_code"], _AUTOPILOT_NAMES),
         "in_alloc": Column(u["in_alloc"]),
         "avg_cpu": Column(u["avg_cpu"]),
         "max_cpu": Column(u["max_cpu"]),

@@ -49,12 +49,18 @@ class TestEventAccounting:
         assert pairs <= scheduled
 
     def test_run_intervals_within_collection_lifetime(self, result_2019):
-        for c in result_2019.collections:
-            if c.end_time is None:
-                continue
-            for inst in c.instances:
-                for start, end, *_ in inst.run_intervals:
-                    assert end <= c.end_time + 1e-6
+        # No run of a collection outlives it: neither its instances'
+        # events nor their usage windows end after the collection does.
+        end_time = {c.collection_id: c.end_time for c in result_2019.collections
+                    if c.end_time is not None}
+        assert end_time
+        for e in result_2019.events.instance_events:
+            if e.collection_id in end_time:
+                assert e.time <= end_time[e.collection_id] + 1e-6
+        u = result_2019.usage
+        run_end = u["window_start"] + u["duration"]
+        for cid, end in end_time.items():
+            assert (run_end[u["collection_id"] == cid] <= end + 1e-6).all()
 
 
 class TestInvariantPipeline:

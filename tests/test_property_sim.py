@@ -103,10 +103,15 @@ def test_engine_accounting_identities(specs, seed):
         if collection.is_done:
             for inst in collection.instances:
                 assert inst.end_reason == collection.end_reason
-        # No instance runs outside [0, horizon].
-        for inst in collection.instances:
-            for start, end, *_ in inst.run_intervals:
-                assert 0.0 <= start <= end <= 6 * 3600.0 + 1e-6
+    # No instance runs outside [0, horizon]: every run starts at a
+    # SCHEDULE and stops at a logged event or the horizon, and every
+    # usage window lies inside a run.
+    horizon = 6 * 3600.0
+    assert all(0.0 <= e.time <= horizon for e in result.events.instance_events)
+    u = result.usage
+    assert (u["window_start"] >= 0.0).all()
+    assert (u["duration"] > 0.0).all()
+    assert (u["window_start"] + u["duration"] <= horizon + 1e-6).all()
     # Machines are internally consistent at the end: allocation equals
     # the sum of requests of instances still placed.
     for machine in result.machines:

@@ -247,13 +247,15 @@ class TestAllocSets:
         alloc = self._alloc_set()
         job = make_job(1, submit=60.0, alloc_id=10, cpu=0.1, mem=0.1)
         result = run_cell([alloc, job])
-        task = [c for c in result.collections if c.collection_id == 1][0].instances[0]
         # The task ran on the machine hosting one of the alloc instances.
-        alloc_machines = {iv[2] for c in result.collections if c.collection_id == 10
-                          for i in c.instances for iv in i.run_intervals}
-        alloc_live = {i.machine_id for c in result.collections
-                      if c.collection_id == 10 for i in c.instances}
-        assert task.run_intervals[0][2] in (alloc_machines | alloc_live)
+        task_runs = [e.machine_id for e in events_of(result, 1, "instance")
+                     if e.event is EventType.SCHEDULE]
+        alloc_machines = {e.machine_id for e in events_of(result, 10, "instance")
+                          if e.event is EventType.SCHEDULE}
+        assert task_runs and task_runs[0] in alloc_machines
+        u = result.usage
+        task_rows = u["machine_id"][u["collection_id"] == 1]
+        assert len(task_rows) and set(task_rows.tolist()) <= alloc_machines
 
     def test_alloc_instances_emit_reservation_rows(self):
         alloc = self._alloc_set()

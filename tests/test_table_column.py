@@ -83,6 +83,33 @@ class TestConstruction:
         assert len(Column([])) == 0
 
 
+class TestFromCodes:
+    NAMES = ["free", "beb", "mid", "prod", "monitoring"]
+
+    @pytest.mark.parametrize("codes", [
+        np.array([3, 0, 0, 4, 2, 1], dtype=np.int8),
+        np.array([4, 4], dtype=np.int64),
+        np.array([], dtype=np.int64),
+    ])
+    def test_equals_take_then_construct(self, codes):
+        names = np.array(self.NAMES, dtype=object)
+        col = Column.from_codes(codes, self.NAMES)
+        want = Column(names[codes])
+        assert col.kind == want.kind == "str"
+        assert col.values.dtype == want.values.dtype
+        assert col.to_list() == want.to_list()
+        assert all(type(v) is str for v in col)
+
+    @pytest.mark.parametrize("bad", [3, None, b"prod"])
+    def test_non_str_name_raises(self, bad):
+        with pytest.raises(SchemaError, match="code-table entry"):
+            Column.from_codes(np.array([0]), ["free", bad])
+
+    def test_names_table_is_checked_even_if_unused(self):
+        with pytest.raises(SchemaError):
+            Column.from_codes(np.array([0, 0]), ["free", 1.5])
+
+
 class TestComparisons:
     def test_scalar_comparison_returns_mask(self):
         mask = Column([1.0, 5.0, 3.0]) > 2.0
