@@ -266,6 +266,9 @@ def run_campaign(spec: CampaignSpec, out_dir: Union[str, os.PathLike],
 
     # Phase 2: evaluate the misses, journaling each completion.
     frames = FrameSink(out / "frames.jsonl", append=True)
+    if frames.recovered_bytes:
+        print(f"campaign: dropped a torn {frames.recovered_bytes}-byte tail "
+              f"from {frames.path}", file=sys.stderr)
     seq = 0
     try:
         for i, payload in by_point.items():

@@ -219,13 +219,20 @@ class CellSim:
                  recorder: Optional["CellRecorder"] = None):
         if not machines:
             raise SimulationError("a cell needs at least one machine")
+        self.workload = sorted(workload, key=lambda c: c.submit_time)
+        # Every instance logs a SUBMIT (and gets its log id) the moment
+        # its collection is submitted, so a logged instance means the
+        # collections were already simulated and carry that run's state.
+        if any(c.instances and c.instances[0].log_id != -1
+               for c in self.workload):
+            raise SimulationError(
+                "workload was already simulated: a CellSim needs freshly "
+                "generated collections")
         self.config = config
         self.machines = list(machines)
-        self.machines_by_id = {m.machine_id: m for m in self.machines}
-        #: Columnar mirror of the fleet, kept in sync by machine
-        #: mutations; the placement kernel runs against these arrays.
+        #: The cell's mutable machine state (allocation, up/down,
+        #: residents), indexed by slot; the placement kernel reads it.
         self.fleet = FleetState(self.machines)
-        self.workload = sorted(workload, key=lambda c: c.submit_time)
         self.rng = rng
         self.events = EventLog()
         self.counters = SimCounters()
@@ -246,7 +253,8 @@ class CellSim:
         self._batch_check_scheduled = False
         self._collections: Dict[int, Collection] = {}
         self._deps = DependencyManager()
-        self._policy = PlacementPolicy(config.scheduler, rng.stream("placement"))
+        self._policy = PlacementPolicy(self.fleet, config.scheduler,
+                                       rng.stream("placement"))
         self._usage_model = UsageModel(config.usage, config.sample_period,
                                        config.utc_offset_hours)
         #: Run intervals queued for batched sample generation (one
@@ -329,10 +337,10 @@ class CellSim:
         # Machine maintenance: Poisson(~1/month) per machine.
         rate = self.config.machine_downtime_per_month / (30 * 24 * HOUR_SECONDS)
         if rate > 0:
-            for machine in self.machines:
+            for slot in range(self.fleet.n):
                 t = float(self._rng_machine.exponential(1.0 / rate))
                 while t < self.config.horizon:
-                    self._push(t, "machine_down", machine)
+                    self._push(t, "machine_down", slot)
                     t += self.config.machine_downtime_duration
                     t += float(self._rng_machine.exponential(1.0 / rate))
         # Correlated fault schedule (rack/power crashes, maintenance
@@ -504,7 +512,6 @@ class CellSim:
         for instance in collection.instances:
             if instance.state in (InstanceState.SUBMITTED, InstanceState.QUEUED):
                 instance.state = InstanceState.PENDING
-                instance.pending_since = t
                 self._pending.push(instance)
         self._ensure_round(t)
 
@@ -584,22 +591,19 @@ class CellSim:
             # No alloc room (alloc set still pending, or full): fall through
             # to direct machine placement, as Borg does.
 
-        machine = self._policy.find_machine(self.fleet, instance.request,
-                                            instance.constraint)
-        if machine is None and instance.tier in self.config.preempting_tiers:
+        slot = self._policy.find_machine(instance.request, instance.constraint)
+        if slot is None and instance.tier in self.config.preempting_tiers:
             found = self._policy.find_preemption(
-                self.fleet, instance.request, instance.tier.rank,
-                instance.constraint,
-            )
+                instance.request, instance.tier.rank, instance.constraint)
             if found is not None:
-                machine, victims = found
+                slot, victims = found
                 for victim in victims:
                     self.counters.preemption_victims += 1
                     self._evict_instance(t, victim)
-        if machine is None:
+        if slot is None:
             return False
-        machine.place(instance)
-        self._start_running(t, instance, machine.machine_id)
+        self.fleet.place(slot, instance)
+        self._start_running(t, instance, self.machines[slot].machine_id)
         return True
 
     def _find_alloc_room(self, alloc_collection_id: int,
@@ -688,9 +692,10 @@ class CellSim:
                 tenants.remove(instance)
             instance.alloc_instance = None
         else:
-            machine = self.machines_by_id[machine_id]
-            if instance in machine.instances:
-                machine.remove(instance)
+            fleet = self.fleet
+            slot = fleet.slot_of[machine_id]
+            if instance in fleet.residents[slot]:
+                fleet.remove(slot, instance)
         instance.record_stop(t)
         instance.incarnation += 1
         self._emit_usage(instance, start, t, machine_id)
@@ -757,7 +762,6 @@ class CellSim:
     def _requeue(self, t: float, instance: Instance) -> None:
         """Send a stopped instance back to the pending queue (new SUBMIT)."""
         instance.state = InstanceState.PENDING
-        instance.pending_since = t
         self.events.instance(t, instance, SUBMIT_CODE)
         self._pending.push(instance)
         self._ensure_round(t)
@@ -810,8 +814,8 @@ class CellSim:
             if fire < cap:
                 self._push(fire, "restart", (instance, incarnation))
 
-    def _on_machine_down(self, t: float, machine: Machine) -> None:
-        if not machine.up:
+    def _on_machine_down(self, t: float, slot: int) -> None:
+        if not self.fleet.py_up[slot]:
             return
         self.counters.machine_downtimes += 1
         # Maintenance is planned: production work is *drained* — migrated
@@ -819,26 +823,27 @@ class CellSim:
         # eviction-rate SLO protecting important collections (section
         # 5.2: <0.2% of prod collections ever see an eviction despite ~1
         # maintenance/machine/month).
-        self._take_down(t, machine, self.config.machine_downtime_duration,
+        self._take_down(t, slot, self.config.machine_downtime_duration,
                         drain=True)
 
-    def _take_down(self, t: float, machine: Machine, duration: float,
+    def _take_down(self, t: float, slot: int, duration: float,
                    drain: bool) -> None:
-        """Take an up machine offline for ``duration`` seconds.
+        """Take the up machine at ``slot`` offline for ``duration`` seconds.
 
-        Its instances are stopped: with ``drain``, preempting-tier work
+        Its residents are stopped: with ``drain``, preempting-tier work
         is drained (requeued without an EVICT) and the rest evicted;
         without it, everything is evicted.
         """
-        machine.up = False
+        self.fleet.set_up(slot, False)
+        machine = self.machines[slot]
         self.events.machine(t, machine.machine_id, "REMOVE",
                             machine.capacity.cpu, machine.capacity.mem)
-        for instance in list(machine.instances):
+        for instance in list(self.fleet.residents[slot]):
             if drain and instance.tier in self.config.preempting_tiers:
                 self._drain_instance(t, instance)
             else:
                 self._evict_instance(t, instance)
-        self._push(t + duration, "machine_up", machine)
+        self._push(t + duration, "machine_up", slot)
 
     def _drain_instance(self, t: float, instance: Instance) -> None:
         """Gracefully migrate an instance off its machine (no EVICT)."""
@@ -850,8 +855,9 @@ class CellSim:
         self._stop_run(t, instance)
         self._requeue(t, instance)
 
-    def _on_machine_up(self, t: float, machine: Machine) -> None:
-        machine.up = True
+    def _on_machine_up(self, t: float, slot: int) -> None:
+        self.fleet.set_up(slot, True)
+        machine = self.machines[slot]
         self.events.machine(t, machine.machine_id, "ADD",
                             machine.capacity.cpu, machine.capacity.mem)
         self._ensure_round(t)
@@ -868,12 +874,11 @@ class CellSim:
         """
         self.counters.fault_events += 1
         planned = fault.kind != "crash"
-        for index in fault.machine_indices:
-            machine = self.machines[index]
-            if not machine.up:
+        for slot in fault.machine_indices:
+            if not self.fleet.py_up[slot]:
                 continue
             self.counters.fault_machine_outages += 1
-            self._take_down(t, machine, fault.duration, drain=planned)
+            self._take_down(t, slot, fault.duration, drain=planned)
 
     # --------------------------------------------------------- terminations
 

@@ -117,7 +117,6 @@ class Instance:
     #: For alloc instances: resources already claimed by tasks inside.
     claimed: Resources = Resources.ZERO
     start_time: Optional[float] = None      # current run's start
-    pending_since: Optional[float] = None
     n_schedules: int = 0                    # placements, incl. reschedules
     n_evictions: int = 0
     #: Bumped on every start/stop so stale hazard events can be discarded.

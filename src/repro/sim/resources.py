@@ -53,18 +53,6 @@ class Resources:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def unchecked(cpu: float, mem: float) -> "Resources":
-        """Construct without the validating ``__post_init__``.
-
-        For hot paths whose arithmetic already preserves non-negativity
-        (the same contract the operators above rely on).
-        """
-        r = _new(Resources)
-        _set(r, "cpu", cpu)
-        _set(r, "mem", mem)
-        return r
-
     def fits_in(self, capacity: "Resources") -> bool:
         """True if this request fits inside ``capacity`` on both dimensions."""
         return self.cpu <= capacity.cpu + 1e-12 and self.mem <= capacity.mem + 1e-12

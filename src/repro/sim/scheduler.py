@@ -7,12 +7,13 @@ sampled candidate set (power-of-k-choices keeps month-scale runs fast
 without changing behavior materially), and priority preemption — a
 production-tier task may evict lower-tier instances to make room.
 
-Every entry point takes the cell's :class:`~repro.sim.fleet.FleetState`,
-and placement runs as a kernel over it: candidate sampling draws from a
-pre-drawn index block, the sampled candidates are swept over the
-fleet's Python-list mirrors, and the full-scan fallback is one masked
-``argmin`` over its arrays.  The kernel is bit-equivalent to the
-per-machine reference methods :meth:`PlacementPolicy._admissible` /
+A policy is bound to one cell's :class:`~repro.sim.fleet.FleetState`
+at construction and answers in *slots* (positions in the cell's machine
+list).  Placement runs as a kernel over that state: candidate sampling
+draws from a pre-drawn index block, the sampled candidates are swept
+over the fleet's Python lists, and the full-scan fallback is one masked
+``argmin`` over its arrays.  The kernel is bit-equivalent to the scalar
+reference methods :meth:`PlacementPolicy._admissible` /
 :meth:`PlacementPolicy._score` (same float operations in the same
 order; see DESIGN.md §10 and the equivalence property test).
 """
@@ -28,7 +29,6 @@ import numpy as np
 from repro import obs
 from repro.sim.entities import Instance
 from repro.sim.fleet import FleetState
-from repro.sim.machine import Machine
 from repro.sim.resources import Resources
 
 
@@ -56,7 +56,7 @@ PREEMPTION_CANDIDATES = 24
 
 
 class PlacementPolicy:
-    """Stateless placement decisions over a machine fleet."""
+    """Placement decisions over one cell's :class:`FleetState`."""
 
     #: Size of the pre-drawn candidate-index block.  One bulk
     #: ``integers()`` call amortizes the numpy Generator overhead across
@@ -65,100 +65,74 @@ class PlacementPolicy:
     #: fills bounded integers sequentially from the bit stream).
     INDEX_BLOCK = 4096
 
-    def __init__(self, params: SchedulerParams, rng: np.random.Generator):
+    def __init__(self, fleet: FleetState, params: SchedulerParams,
+                 rng: np.random.Generator):
+        self.fleet = fleet
         self.params = params
         self.rng = rng
         self._idx_block: Optional[np.ndarray] = None
         self._idx_pos = 0
-        self._idx_bound = -1
-        # Request-independent per-fleet arrays (admission bounds, score
-        # denominators), rebuilt when a different FleetState shows up.
-        # Machine capacities never change during a run, so the cache
-        # stays valid across allocation and up/down churn.
-        self._consts_for: Optional[FleetState] = None
-        self._adm_cpu: Optional[np.ndarray] = None
-        self._adm_mem: Optional[np.ndarray] = None
-        self._headroom_cpu: Optional[np.ndarray] = None
-        self._headroom_mem: Optional[np.ndarray] = None
-        self._den_cpu: Optional[np.ndarray] = None
-        self._den_mem: Optional[np.ndarray] = None
         # Counter handles bound once: the hot path pays one integer add
         # per placement, not a registry lookup (same budget rule as the
         # cell event loop).
         self._ctr_attempts = obs.counter("sim.placement.attempts")
         self._ctr_full_scans = obs.counter("sim.placement.full_scans")
         self._ctr_preemptions = obs.counter("sim.placement.preemption_searches")
-        # Python-native per-machine constants for the sampled path (one
-        # six-tuple per machine); built alongside the arrays in
-        # _fleet_consts.  With ~12 candidates per placement, a scalar
-        # sweep over plain lists beats the vectorized gather: each numpy
-        # op pays ~1-2 µs of dispatch regardless of width, and the
-        # sampled kernel needed ~15 of them per call.
-        self._py_consts: Optional[List[tuple]] = None
-        self._py_platform: Optional[List[int]] = None
-
-    def _fleet_consts(self, fleet: FleetState) -> None:
-        """(Re)build the per-fleet constant arrays for ``fleet``.
-
-        Elementwise precomputation is bit-exact: indexing a precomputed
-        ``capacity * factor + eps`` array yields the same float64 as
-        computing it per candidate.
-        """
-        if self._consts_for is fleet:
-            return
-        self._consts_for = fleet
-        self._adm_cpu = fleet.capacity_cpu * self.params.overcommit_cpu + 1e-12
-        self._adm_mem = fleet.capacity_mem * self.params.overcommit_mem + 1e-12
-        self._headroom_cpu = fleet.capacity_cpu * self.params.overcommit_cpu
-        self._headroom_mem = fleet.capacity_mem * self.params.overcommit_mem
+        # Request-independent per-machine constants (admission bounds,
+        # score headroom and denominators), built once: capacities never
+        # change during a run.  Precomputing ``capacity * factor + eps``
+        # elementwise is bit-exact with computing it per candidate.
+        self._adm_cpu = fleet.capacity_cpu * params.overcommit_cpu + 1e-12
+        self._adm_mem = fleet.capacity_mem * params.overcommit_mem + 1e-12
+        self._headroom_cpu = fleet.capacity_cpu * params.overcommit_cpu
+        self._headroom_mem = fleet.capacity_mem * params.overcommit_mem
         self._den_cpu = np.maximum(fleet.capacity_cpu, 1e-9)
         self._den_mem = np.maximum(fleet.capacity_mem, 1e-9)
         # The same six constants as one Python tuple per machine, for
         # the scalar sampled path.  ``tolist`` round-trips float64
         # exactly (a Python float *is* an IEEE double), so indexing
         # these tuples yields bit-identical values to the arrays.
-        self._py_consts = list(zip(
+        self._py_consts: List[tuple] = list(zip(
             self._adm_cpu.tolist(), self._adm_mem.tolist(),
             self._headroom_cpu.tolist(), self._headroom_mem.tolist(),
             self._den_cpu.tolist(), self._den_mem.tolist(),
         ))
-        self._py_platform = fleet.platform_code.tolist()
+        self._py_platform: List[int] = fleet.platform_code.tolist()
 
     # ------------------------------------------------------------ reference
-    # Scalar reference implementations.  The vectorized kernel below is
-    # bit-equivalent to looping these over machines; the equivalence
+    # Scalar reference implementations.  The kernel below is
+    # bit-equivalent to looping these over slots; the equivalence
     # property test holds the two paths together.
 
-    def _admissible(self, machine: Machine, request: Resources,
+    def _admissible(self, slot: int, request: Resources,
                     constraint: str = "") -> bool:
-        if not machine.up:
+        fleet = self.fleet
+        if not fleet.py_up[slot]:
             return False
+        machine = fleet.machines[slot]
         if constraint and machine.platform != constraint:
             return False
         cap = machine.capacity
-        alloc = machine.allocated
-        return (alloc.cpu + request.cpu <= cap.cpu * self.params.overcommit_cpu + 1e-12
-                and alloc.mem + request.mem <= cap.mem * self.params.overcommit_mem + 1e-12)
+        a_cpu, a_mem = fleet.py_alloc[slot]
+        return (a_cpu + request.cpu <= cap.cpu * self.params.overcommit_cpu + 1e-12
+                and a_mem + request.mem <= cap.mem * self.params.overcommit_mem + 1e-12)
 
-    def _score(self, machine: Machine, request: Resources) -> float:
+    def _score(self, slot: int, request: Resources) -> float:
         """Best-fit score: smaller is better (tighter remaining headroom)."""
-        cap = machine.capacity
-        free_cpu = cap.cpu * self.params.overcommit_cpu - machine.allocated.cpu - request.cpu
-        free_mem = cap.mem * self.params.overcommit_mem - machine.allocated.mem - request.mem
+        cap = self.fleet.machines[slot].capacity
+        a_cpu, a_mem = self.fleet.py_alloc[slot]
+        free_cpu = cap.cpu * self.params.overcommit_cpu - a_cpu - request.cpu
+        free_mem = cap.mem * self.params.overcommit_mem - a_mem - request.mem
         return max(free_cpu / max(cap.cpu, 1e-9), free_mem / max(cap.mem, 1e-9))
 
     # --------------------------------------------------------------- kernel
 
-    def _draw_indices(self, n: int, k: int) -> np.ndarray:
-        """``k`` candidate indices in [0, n): next slice of the block.
+    def _draw_indices(self, k: int) -> np.ndarray:
+        """``k`` candidate slots: the next slice of the pre-drawn block.
 
-        Bit-identical to ``rng.integers(0, n, size=k)`` called per
-        placement, as long as ``n`` stays constant (it does for a cell
-        run; a changed bound restarts the block).
+        Bit-identical to ``rng.integers(0, fleet.n, size=k)`` called per
+        placement.
         """
-        if n != self._idx_bound:
-            self._idx_bound = n
-            self._idx_block = None
         block = self._idx_block
         if block is not None and self._idx_pos + k <= len(block):
             out = block[self._idx_pos:self._idx_pos + k]
@@ -168,7 +142,8 @@ class PlacementPolicy:
         filled = 0
         while filled < k:
             if block is None or self._idx_pos >= len(block):
-                block = self.rng.integers(0, n, size=max(self.INDEX_BLOCK, k))
+                block = self.rng.integers(0, self.fleet.n,
+                                          size=max(self.INDEX_BLOCK, k))
                 self._idx_block = block
                 self._idx_pos = 0
             take = min(k - filled, len(block) - self._idx_pos)
@@ -177,9 +152,10 @@ class PlacementPolicy:
             filled += take
         return out
 
-    def _admissible_mask(self, fleet: FleetState, request: Resources,
-                         constraint: str, code: int) -> np.ndarray:
+    def _admissible_mask(self, request: Resources, constraint: str,
+                         code: int) -> np.ndarray:
         """Vector admissibility over the whole fleet."""
+        fleet = self.fleet
         ok = (fleet.up
               & (fleet.allocated_cpu + request.cpu <= self._adm_cpu)
               & (fleet.allocated_mem + request.mem <= self._adm_mem))
@@ -187,9 +163,9 @@ class PlacementPolicy:
             ok = ok & (fleet.platform_code == code)
         return ok
 
-    def _score_at(self, fleet: FleetState, idx: np.ndarray,
-                  request: Resources) -> np.ndarray:
-        """Vector best-fit scores for the machines at ``idx``."""
+    def _score_at(self, idx: np.ndarray, request: Resources) -> np.ndarray:
+        """Vector best-fit scores for the slots ``idx``."""
+        fleet = self.fleet
         free_cpu = (self._headroom_cpu[idx]
                     - fleet.allocated_cpu[idx] - request.cpu)
         free_mem = (self._headroom_mem[idx]
@@ -197,34 +173,34 @@ class PlacementPolicy:
         return np.maximum(free_cpu / self._den_cpu[idx],
                           free_mem / self._den_mem[idx])
 
-    def find_machine(self, fleet: FleetState, request: Resources,
-                     constraint: str = "") -> Optional[Machine]:
-        """Best-fit over a sampled candidate set; None if nothing admits.
+    def find_machine(self, request: Resources,
+                     constraint: str = "") -> Optional[int]:
+        """Best-fit slot over a sampled candidate set; None if nothing admits.
 
         ``constraint``, when non-empty, restricts placement to machines of
         that platform (a machine-attribute constraint).
         """
         self._ctr_attempts.inc()
+        fleet = self.fleet
         n = fleet.n
         if n == 0:
             return None
-        self._fleet_consts(fleet)
         code = fleet.platform_code_of(constraint) if constraint else -1
         sampled: Optional[np.ndarray] = None
         if self.params.candidates < n:
             # Sampling with replacement: far cheaper than a permutation
             # draw, and an occasional duplicate candidate is harmless.
             # The candidate sweep is a *scalar* Python loop over the
-            # fleet's list mirrors: at ~12 candidates the per-op numpy
-            # dispatch of a vectorized gather dwarfs the arithmetic.
-            # The float operations (and their order) are identical to
+            # fleet's lists: at ~12 candidates the per-op numpy dispatch
+            # of a vectorized gather dwarfs the arithmetic.  The float
+            # operations (and their order) are identical to
             # _admissible_mask/_score_at and to the scalar reference —
             # Python floats are the same IEEE doubles — and "first
             # strictly-smaller score wins" is exactly the masked argmin
             # tie-break, so placements are bit-identical to the
             # vectorized kernel (the equivalence property test holds
             # all three spellings together).
-            idx = self._draw_indices(n, self.params.candidates)
+            idx = self._draw_indices(self.params.candidates)
             py_alloc = fleet.py_alloc
             py_up = fleet.py_up
             consts = self._py_consts
@@ -249,65 +225,64 @@ class PlacementPolicy:
                     best_score = score
                     best_i = i
             if best_i >= 0:
-                return fleet.machines[best_i]
+                return best_i
             sampled = idx
         # Sampled set failed: full scan so feasibility is never missed.
         # The sampled indices were just proven inadmissible, so they are
         # masked out instead of being examined a second time.
         self._ctr_full_scans.inc()
-        ok = self._admissible_mask(fleet, request, constraint, code)
+        ok = self._admissible_mask(request, constraint, code)
         if sampled is not None:
             ok[sampled] = False
         hits = np.flatnonzero(ok)
         if len(hits) == 0:
             return None
-        best = hits[self._score_at(fleet, hits, request).argmin()]
-        return fleet.machines[int(best)]
+        return int(hits[self._score_at(hits, request).argmin()])
 
-    def find_preemption(self, fleet: FleetState, request: Resources,
-                        rank: int,
-                        constraint: str = "") -> Optional[Tuple[Machine, List[Instance]]]:
-        """A machine where evicting lower-rank instances admits ``request``.
+    def find_preemption(self, request: Resources, rank: int,
+                        constraint: str = "") -> Optional[Tuple[int, List[Instance]]]:
+        """A slot where evicting lower-rank instances admits ``request``.
 
-        Returns the machine plus the minimal victim prefix (largest
-        victims first), or None if no machine can be freed.  Only
-        instances with tier rank strictly below ``rank`` are eligible —
-        production never evicts production (section 2).
+        Returns the slot plus the minimal victim prefix (largest victims
+        first), or None if no machine can be freed.  Only instances with
+        tier rank strictly below ``rank`` are eligible — production
+        never evicts production (section 2).
         """
         self._ctr_preemptions.inc()
-        machines = fleet.machines
+        fleet = self.fleet
         n = fleet.n
         if n == 0:
             return None
         # Preemption search is expensive (victim enumeration per machine);
         # sample a candidate set like placement does.
         if n <= PREEMPTION_CANDIDATES:
-            candidates = list(machines)
+            candidates = range(n)
         else:
-            candidates = [machines[i]
-                          for i in self._draw_indices(n, PREEMPTION_CANDIDATES)]
-        best: Optional[Tuple[Machine, List[Instance]]] = None
+            candidates = self._draw_indices(PREEMPTION_CANDIDATES).tolist()
+        best: Optional[Tuple[int, List[Instance]]] = None
         best_victims = float("inf")
-        for m in candidates:
-            if not m.up or not request.fits_in(m.capacity):
+        for slot in candidates:
+            m = fleet.machines[slot]
+            if not fleet.py_up[slot] or not request.fits_in(m.capacity):
                 continue
             if constraint and m.platform != constraint:
                 continue
-            victims = m.preemptible_below(rank)
+            victims = fleet.preemptible_below(slot, rank)
             if not victims:
                 continue
+            allocated = Resources(*fleet.py_alloc[slot])
             freed = Resources.ZERO
             chosen: List[Instance] = []
             # Simulate the allocation after each eviction until it fits.
             for v in victims:
                 freed = freed + v.request
                 chosen.append(v)
-                alloc = m.allocated - freed
+                alloc = allocated - freed
                 if (alloc.cpu + request.cpu <= m.capacity.cpu * self.params.overcommit_cpu
                         and alloc.mem + request.mem
                         <= m.capacity.mem * self.params.overcommit_mem):
                     if len(chosen) < best_victims:
-                        best = (m, list(chosen))
+                        best = (slot, list(chosen))
                         best_victims = len(chosen)
                     break
         return best

@@ -59,12 +59,6 @@ class UsageModel:
         self.sample_period = sample_period
         self.utc_offset_hours = utc_offset_hours
 
-    def _diurnal(self, t: np.ndarray) -> np.ndarray:
-        """Multiplicative diurnal factor peaking mid-afternoon local time."""
-        local_hours = (t / HOUR_SECONDS + self.utc_offset_hours) % 24.0
-        phase = 2.0 * np.pi * (local_hours - 15.0) / 24.0
-        return 1.0 + self.params.diurnal_amplitude * np.cos(phase)
-
 
 class _IntervalRecord(NamedTuple):
     """One closed run interval, queued for batched sample materialization.
@@ -270,7 +264,8 @@ class UsageBatch:
         noise, burst_raw, mem_noise, mem_burst_raw = _draw_block(
             rng, clone, p, t_counts, m)
 
-        diurnal = model._diurnal(out["window_start"][rows] + period / 2.0)
+        diurnal = diurnal_factor(out["window_start"][rows] + period / 2.0,
+                                 model.utc_offset_hours, p.diurnal_amplitude)
         cl = rec[:, _F_CPU_LIMIT]
         ml = rec[:, _F_MEM_LIMIT]
         cpu_cap = np.repeat(cl * p.cpu_overage_factor, t_counts)
@@ -340,14 +335,15 @@ def _draw_block(rng: np.random.Generator, clone: np.random.Generator,
             1.05 + 0.03 * z[base + 3 * step])
 
 
-def diurnal_rate_factor(t: float, utc_offset_hours: float,
-                        amplitude: float = 0.25) -> float:
-    """Diurnal scaling for arrival rates (peaks mid-afternoon local time).
+def diurnal_factor(t, utc_offset_hours: float, amplitude: float):
+    """Multiplicative diurnal factor, peaking mid-afternoon local time.
 
-    Shared by the workload generators so the load cycle the paper sees in
-    section 4.1 (Singapore's cell g busy when US cells sleep) emerges
-    from cell time zones.
+    ``t`` is simulated seconds, a float or an array.  Job arrival rates
+    (the workload generators) and instance usage (the flush) both follow
+    this cycle, so the load cycle the paper sees in section 4.1
+    (Singapore's cell g busy when US cells sleep) emerges from cell time
+    zones.
     """
     local_hours = (t / HOUR_SECONDS + utc_offset_hours) % 24.0
     phase = 2.0 * np.pi * (local_hours - 15.0) / 24.0
-    return 1.0 + amplitude * float(np.cos(phase))
+    return 1.0 + amplitude * np.cos(phase)

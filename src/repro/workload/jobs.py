@@ -28,7 +28,7 @@ from scipy.special import ndtri as _ndtri
 from repro.sim.entities import Collection, CollectionType, EndReason, Instance, SchedulerKind
 from repro.sim.priority import Tier
 from repro.sim.resources import Resources
-from repro.sim.usage import diurnal_rate_factor
+from repro.sim.usage import diurnal_factor
 from repro.stats.distributions import (
     bounded_pareto_quantile,
     bounded_pareto_sample,
@@ -188,8 +188,8 @@ class WorkloadGenerator:
         times: List[float] = []
         t = -self.horizon + float(self._rng.exponential(1.0 / peak_rate))
         while t < self.horizon:
-            factor = diurnal_rate_factor(t, self.utc_offset_hours,
-                                         self.era.diurnal_amplitude)
+            factor = float(diurnal_factor(t, self.utc_offset_hours,
+                                          self.era.diurnal_amplitude))
             accept_prob = (rate_per_hour / HOUR_SECONDS) * factor / peak_rate
             if self._rng.random() < accept_prob:
                 times.append(t)

@@ -20,21 +20,19 @@ class TestPolicyConstraints:
                            Machine(1, Resources(1.0, 1.0), platform="B")])
 
     def test_constraint_restricts_platform(self):
-        policy = PlacementPolicy(PARAMS, np.random.default_rng(0))
         fleet = self._fleet()
+        policy = PlacementPolicy(fleet, PARAMS, np.random.default_rng(0))
         for _ in range(10):
-            found = policy.find_machine(fleet, Resources(0.1, 0.1),
-                                        constraint="B")
-            assert found is not None and found.platform == "B"
+            found = policy.find_machine(Resources(0.1, 0.1), constraint="B")
+            assert found is not None and fleet.machines[found].platform == "B"
 
     def test_unsatisfiable_constraint(self):
-        policy = PlacementPolicy(PARAMS, np.random.default_rng(0))
-        assert policy.find_machine(self._fleet(), Resources(0.1, 0.1),
-                                   constraint="Z") is None
+        policy = PlacementPolicy(self._fleet(), PARAMS, np.random.default_rng(0))
+        assert policy.find_machine(Resources(0.1, 0.1), constraint="Z") is None
 
     def test_empty_constraint_means_anywhere(self):
-        policy = PlacementPolicy(PARAMS, np.random.default_rng(0))
-        assert policy.find_machine(self._fleet(), Resources(0.1, 0.1),
+        policy = PlacementPolicy(self._fleet(), PARAMS, np.random.default_rng(0))
+        assert policy.find_machine(Resources(0.1, 0.1),
                                    constraint="") is not None
 
     def test_preemption_respects_constraint(self):
@@ -43,13 +41,13 @@ class TestPolicyConstraints:
                             priority=25, tier=Tier.FREE, user="u", submit_time=0.0)
         inst = Instance(collection=filler, index=0, request=Resources(0.9, 0.9))
         filler.instances.append(inst)
-        fleet.machines[0].place(inst)  # platform A full of preemptible work
-        policy = PlacementPolicy(PARAMS, np.random.default_rng(0))
-        found_a = policy.find_preemption(fleet, Resources(0.5, 0.5),
-                                         Tier.PROD.rank, constraint="A")
-        found_b = policy.find_preemption(fleet, Resources(0.5, 0.5),
-                                         Tier.PROD.rank, constraint="B")
-        assert found_a is not None and found_a[0].platform == "A"
+        fleet.place(0, inst)  # platform A full of preemptible work
+        policy = PlacementPolicy(fleet, PARAMS, np.random.default_rng(0))
+        found_a = policy.find_preemption(Resources(0.5, 0.5), Tier.PROD.rank,
+                                         constraint="A")
+        found_b = policy.find_preemption(Resources(0.5, 0.5), Tier.PROD.rank,
+                                         constraint="B")
+        assert found_a is not None and fleet.machines[found_a[0]].platform == "A"
         assert found_b is None  # nothing preemptible on B
 
 

@@ -108,6 +108,19 @@ class TestCampaignWorkerKilled:
         resumed = run_campaign(spec, tmp_path)
         assert (resumed.hits, resumed.ran, resumed.errors) == (1, 1, 0)
 
+    def test_torn_journal_tail_is_reported(self, tmp_path, capsys):
+        # A run killed mid-append leaves a partial frames.jsonl line; the
+        # resumed run drops it and says how many bytes it dropped.
+        spec = _spec()
+        run_campaign(spec, tmp_path)
+        torn = '{"kind": "fin'
+        _kill_mid_write(tmp_path / "frames.jsonl", torn)
+        capsys.readouterr()
+        resumed = run_campaign(spec, tmp_path)
+        assert resumed.hits == len(spec.points)
+        err = capsys.readouterr().err
+        assert f"dropped a torn {len(torn)}-byte tail" in err
+
 
 class TestRecorderKilledMidFrame:
     def _frame(self, seq: int) -> dict:

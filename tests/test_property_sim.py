@@ -68,7 +68,7 @@ def build_workload(specs):
     return collections
 
 
-def run(specs, seed):
+def build_sim(specs, seed):
     config = CellConfig(
         name="prop", era="2019", horizon=6 * 3600.0,
         restart_rate_per_hour=1.0,
@@ -76,8 +76,11 @@ def run(specs, seed):
         machine_downtime_duration=300.0,
     )
     machines = [Machine(i, Resources(1.0, 1.0)) for i in range(3)]
-    sim = CellSim(config, machines, build_workload(specs), RngFactory(seed))
-    return sim.run()
+    return CellSim(config, machines, build_workload(specs), RngFactory(seed))
+
+
+def run(specs, seed):
+    return build_sim(specs, seed).run()
 
 
 @settings(max_examples=25, deadline=None)
@@ -93,7 +96,8 @@ def test_any_workload_yields_valid_trace(specs, seed):
 @given(st.lists(job_strategy, min_size=1, max_size=12),
        st.integers(min_value=0, max_value=100))
 def test_engine_accounting_identities(specs, seed):
-    result = run(specs, seed)
+    sim = build_sim(specs, seed)
+    result = sim.run()
     # Counters match the event log.
     schedules = sum(1 for e in result.events.instance_events
                     if e.event.value == "SCHEDULE")
@@ -114,9 +118,13 @@ def test_engine_accounting_identities(specs, seed):
     assert (u["window_start"] + u["duration"] <= horizon + 1e-6).all()
     # Machines are internally consistent at the end: allocation equals
     # the sum of requests of instances still placed.
-    for machine in result.machines:
-        total = sum((i.request.cpu for i in machine.instances), 0.0)
-        assert abs(machine.allocated.cpu - total) < 1e-6
+    fleet = sim.fleet
+    fleet.check_consistency()
+    for slot in range(fleet.n):
+        residents = fleet.residents[slot]
+        cpu, mem = fleet.py_alloc[slot]
+        assert abs(cpu - sum((i.request.cpu for i in residents), 0.0)) < 1e-6
+        assert abs(mem - sum((i.request.mem for i in residents), 0.0)) < 1e-6
 
 
 @settings(max_examples=10, deadline=None)

@@ -21,6 +21,15 @@ hands its target to a registry at import time, so the target is
 reached; a decorator factory (``@obs.traced("...")``) only wraps it,
 and callers still have to name it.
 
+State gets the same check.  Every attribute a ``src/`` class assigns
+(``self.x = ...`` in a method, a dataclass field, a ``__slots__``
+entry) must be *read* somewhere in ``src/``, ``examples/``,
+``perfbench/`` or ``benchmarks/``: as an attribute load (``+=``
+included), a ``Name`` or an identifier-like string constant, again by
+simple name.  Attribute stores, keyword arguments and the field
+declarations themselves are writes, not reads; an attribute only tests
+read is state the program keeps for nothing.
+
 Code that only tests call is dead unless it is one of the few kinds
 the :data:`ALLOWED` list admits: a reference implementation a test
 compares the kernel against, a safety check, test-support API, or an
@@ -58,7 +67,7 @@ ALLOWED: Dict[str, str] = {
         "reference: scalar placement score the FleetState kernel must match",
     # safety checks
     "repro.sim.fleet:FleetState.check_consistency":
-        "safety: verifies the placement arrays against the machines' own accounting",
+        "safety: verifies FleetState's array and list forms hold the same state",
     # test-support API: lint harness entry points the rule tests drive
     "repro.lint.core:lint_source":
         "test support: per-file lint of a source string (rule fixtures)",
@@ -90,6 +99,17 @@ ALLOWED: Dict[str, str] = {
     # test-support API: corrupt-data tests
     "repro.store.format:read_chunk_header":
         "test support: header-only read the corrupt-chunk tests target",
+    # public result fields: library callers read them, the program does not
+    "repro.stats.ccdf:Ccdf.n_samples":
+        "public result: sample count behind an empirical CCDF",
+    "repro.queueing.partition:QueueOutcome.median_wait":
+        "public result: median queueing wait of one partition",
+    "repro.queueing.partition:IsolationExperiment.hog_threshold":
+        "public result: job size above which a job counts as a hog",
+    "repro.analysis.constraints:ConstraintReport.constraints_by_platform":
+        "public result: constrained job count per platform (a golden pins it)",
+    "repro.sim.entities:Collection.enable_time":
+        "test support: the time scheduling-delay tests measure from",
     # oracles named by ROADMAP items 2 and 6
     "repro.queueing.mg1:mg1_mean_queueing_delay":
         "oracle: Pollaczek-Khinchine mean delay for the BEB queue test (item 6)",
@@ -206,6 +226,88 @@ def walk(graph: ProjectGraph, roots: Iterable[ast.AST],
     return defs, reached
 
 
+def _is_slots_assignment(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        name = target.attr if isinstance(target, ast.Attribute) else \
+            getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def assigned_attributes(graph: ProjectGraph) -> Dict[Key, ast.AST]:
+    """``module:Class.attr`` -> where it is assigned, for every class."""
+    out: Dict[Key, ast.AST] = {}
+    for info in graph.modules.values():
+        for qual, cls in info.classes.items():
+            prefix = f"{info.name}:{qual}."
+            dataclass = _is_dataclass(cls)
+            for stmt in cls.body:
+                if dataclass and isinstance(stmt, ast.AnnAssign) \
+                        and isinstance(stmt.target, ast.Name):
+                    out.setdefault(prefix + stmt.target.id, stmt)
+                elif _is_slots_assignment(stmt):
+                    for node in ast.walk(stmt.value):
+                        if isinstance(node, ast.Constant) \
+                                and isinstance(node.value, str):
+                            out.setdefault(prefix + node.value, stmt)
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and stmt.args.args:
+                    self_name = stmt.args.args[0].arg
+                    for node in ast.walk(stmt):
+                        if isinstance(node, ast.Attribute) \
+                                and isinstance(node.ctx, ast.Store) \
+                                and isinstance(node.value, ast.Name) \
+                                and node.value.id == self_name:
+                            out.setdefault(prefix + node.attr, node)
+    return out
+
+
+def reads(trees: Iterable[ast.AST]) -> Set[str]:
+    """Every loaded attribute, name and identifier-like string.
+
+    A ``+=`` loads its target, so it is a read; a class-body field
+    declaration is not (else no dataclass field could ever be unread).
+    """
+    out: Set[str] = set()
+    stack: List[ast.AST] = list(trees)
+    while stack:
+        node = stack.pop()
+        if _is_slots_assignment(node) or _is_all_assignment(node):
+            continue
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    stack.extend(n for n in (stmt.annotation, stmt.value) if n)
+                else:
+                    stack.append(stmt)
+            stack.extend(node.decorator_list + node.bases)
+            continue
+        if isinstance(node, ast.AugAssign) \
+                and isinstance(node.target, ast.Attribute):
+            out.add(node.target.attr)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _IDENTIFIER.match(node.value):
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unread(attributes: Dict[Key, ast.AST], read: Set[str]) -> List[Key]:
+    """The assigned attributes whose simple name nothing reads."""
+    return sorted(k for k in attributes if k.rpartition(".")[2] not in read)
+
+
 def _files_under(root: Path) -> List[Path]:
     return sorted(root.rglob("*.py"))
 
@@ -218,14 +320,28 @@ def console_scripts() -> List[Key]:
 
 
 @pytest.fixture(scope="module")
-def project():
+def sources():
     graph = ProjectGraph.build((p, p.read_text(encoding="utf-8"))
                                for p in _files_under(SRC))
     roots = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
              for d in ROOT_DIRS for p in _files_under(REPO / d)]
+    return graph, roots
+
+
+@pytest.fixture(scope="module")
+def project(sources):
+    graph, roots = sources
     scripts = console_scripts()
     assert scripts, "pyproject.toml declares no [project.scripts]"
     return walk(graph, roots, scripts)
+
+
+@pytest.fixture(scope="module")
+def state(sources):
+    """``(assigned attributes, simple names read)`` over the program."""
+    graph, roots = sources
+    trees = [info.tree for info in graph.modules.values()] + roots
+    return assigned_attributes(graph), reads(trees)
 
 
 def _span(node: ast.AST) -> int:
@@ -243,10 +359,23 @@ def test_every_src_definition_is_reached_or_allowed(project):
         ":\n  " + "\n  ".join(f"{k} ({_span(defs[k][1])} lines)" for k in dead))
 
 
-def test_allow_list_is_not_stale(project):
+def test_every_assigned_attribute_is_read_or_allowed(state):
+    attributes, read = state
+    dead = [k for k in unread(attributes, read) if k not in ALLOWED]
+    assert not dead, (
+        f"{len(dead)} attribute(s) a src/ class assigns but nothing in "
+        "src/, examples/, perfbench/ or benchmarks/ reads: wire each in or "
+        "delete it (or add it to ALLOWED with a reason):\n  "
+        + "\n  ".join(f"{k} (line {attributes[k].lineno})" for k in dead))
+
+
+def test_allow_list_is_not_stale(project, state):
     defs, reached = project
-    missing = sorted(k for k in ALLOWED if k not in defs)
-    live = sorted(k for k in ALLOWED if k in reached)
+    attributes, read = state
+    missing = sorted(k for k in ALLOWED
+                     if k not in defs and k not in attributes)
+    live = sorted(k for k in ALLOWED if k in reached
+                  or (k in attributes and k not in unread({k: None}, read)))
     assert not missing, f"ALLOWED names definitions that no longer exist: {missing}"
     assert not live, f"ALLOWED names definitions an entry point now reaches: {live}"
     for key, reason in ALLOWED.items():
@@ -337,3 +466,52 @@ def test_walk_rules_on_a_synthetic_project(tmp_path):
         "pkg.mod:exported",            # a re-export is not a use
         "pkg.mod:listed_only",         # neither is __all__
     ]
+
+
+_STATE_FIXTURE = """
+    from dataclasses import dataclass
+
+    @dataclass
+    class Record:
+        shown: int
+        hidden: int
+
+    class Box:
+        __slots__ = ("kept", "dropped")
+
+        def __init__(self, kept):
+            self.kept = kept
+            self.dropped = None
+            self.counter = 0
+            self.by_string = 1
+            self.pair_a, self.pair_b = 2, 3
+
+        def bump(self):
+            self.counter += 1
+
+    @dataclass
+    class Bare:
+        value: int = 0
+
+    def use(box, record):
+        print(box.kept, record.shown, getattr(box, "by_string"), pair_b)
+        Record(shown=1, hidden=2)
+"""
+
+
+def test_attribute_rules_on_a_synthetic_module(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(textwrap.dedent(_STATE_FIXTURE), encoding="utf-8")
+    graph = ProjectGraph.build([(path, path.read_text(encoding="utf-8"))])
+    attributes = assigned_attributes(graph)
+    assert sorted(k.partition(":")[2] for k in attributes) == [
+        "Bare.value", "Box.by_string", "Box.counter", "Box.dropped",
+        "Box.kept", "Box.pair_a", "Box.pair_b", "Record.hidden",
+        "Record.shown"]
+    read = reads(info.tree for info in graph.modules.values())
+    assert [k.partition(":")[2] for k in unread(attributes, read)] == [
+        "Bare.value",     # its own declaration is not a read
+        "Box.dropped",    # a __slots__ entry and a store are not reads
+        "Box.pair_a",     # tuple targets are stores
+        "Record.hidden",  # a keyword argument is a write
+    ]                     # Box.counter: += loads it

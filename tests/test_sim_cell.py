@@ -19,6 +19,7 @@ from repro.sim.entities import (
 from repro.sim.events import TERMINAL_EVENTS
 from repro.sim.fleet import FleetState
 from repro.trace import encode_cell
+from repro.util.errors import SimulationError
 from repro.util.rng import RngFactory
 from repro.workload import small_test_scenario
 
@@ -394,3 +395,31 @@ class TestRecorderParity:
                 sum(1 for s in submits if s < t)
             assert counters["sim.events.resubmit"] == \
                 sum(1 for s in resubmits if s < t)
+
+
+class TestWorkloadReuse:
+    """A run mutates its workload's collections; machines stay fixed."""
+
+    @staticmethod
+    def _scenario():
+        return small_test_scenario(seed=3, machines_per_cell=12,
+                                   horizon_hours=3.0, faults="heavy")
+
+    def test_second_run_of_a_workload_raises_at_once(self):
+        scenario = self._scenario()
+        scenario.run()
+        with obs.scoped_registry() as registry:
+            with pytest.raises(SimulationError, match="already simulated"):
+                scenario.run()
+        # Raised by the constructor: not one event was processed.
+        assert "sim.events_processed" not in registry.snapshot().counters
+
+    def test_fresh_workloads_over_one_machine_list_match(self):
+        first = self._scenario()
+        second = self._scenario()
+        second.machines = first.machines
+        a = first.run()
+        assert a.counters.fault_machine_outages > 0  # machines went down
+        b = second.run()
+        assert all(x is y for x, y in zip(b.machines, a.machines))
+        assert _trace_sha256(b) == _trace_sha256(a)

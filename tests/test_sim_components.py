@@ -10,7 +10,7 @@ from repro.sim.dependencies import DependencyManager
 from repro.sim.entities import Collection, CollectionType, EndReason, Instance
 from repro.sim.fleet import FleetState
 from repro.sim.scheduler import PendingQueue, PlacementPolicy, SchedulerParams
-from repro.sim.usage import UsageModel, UsageModelParams, diurnal_rate_factor
+from repro.sim.usage import UsageModel, UsageModelParams, diurnal_factor
 from tests.usage_oracles import sample_interval, window_starts
 
 
@@ -24,85 +24,84 @@ def _collection(tier=Tier.PROD, cid=1, n=0, cpu=0.1, mem=0.1):
 
 
 class TestPlacementPolicy:
-    def _policy(self, **kw):
-        return PlacementPolicy(SchedulerParams(**kw), np.random.default_rng(0))
+    def _policy(self, fleet, **kw):
+        return PlacementPolicy(fleet, SchedulerParams(**kw),
+                               np.random.default_rng(0))
 
     def test_finds_feasible_machine(self):
         fleet = FleetState([Machine(i, Resources(0.5, 0.5)) for i in range(10)])
-        policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        assert policy.find_machine(fleet, Resources(0.3, 0.3)) is not None
+        policy = self._policy(fleet, overcommit_cpu=1.0, overcommit_mem=1.0)
+        assert policy.find_machine(Resources(0.3, 0.3)) is not None
 
     def test_none_when_infeasible(self):
         fleet = FleetState([Machine(i, Resources(0.2, 0.2)) for i in range(10)])
-        policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        assert policy.find_machine(fleet, Resources(0.5, 0.1)) is None
+        policy = self._policy(fleet, overcommit_cpu=1.0, overcommit_mem=1.0)
+        assert policy.find_machine(Resources(0.5, 0.1)) is None
 
     def test_overcommit_admits_above_capacity(self):
         request = Resources(1.2, 0.5)  # above capacity x 1.0 on CPU
         for overcommit, admitted in ((1.0, False), (1.5, True)):
             fleet = FleetState([Machine(0, Resources(1.0, 1.0))])
-            policy = self._policy(overcommit_cpu=overcommit,
+            policy = self._policy(fleet, overcommit_cpu=overcommit,
                                   overcommit_mem=overcommit)
-            found = policy.find_machine(fleet, request)
+            found = policy.find_machine(request)
             assert (found is not None) is admitted
 
     def test_down_machine_admits_nothing(self):
-        m = Machine(0, Resources(1.0, 1.0))
-        fleet = FleetState([m])
-        m.up = False
-        policy = self._policy(overcommit_cpu=1.5, overcommit_mem=1.5)
-        assert policy.find_machine(fleet, Resources(0.01, 0.01)) is None
+        fleet = FleetState([Machine(0, Resources(1.0, 1.0))])
+        fleet.set_up(0, False)
+        policy = self._policy(fleet, overcommit_cpu=1.5, overcommit_mem=1.5)
+        assert policy.find_machine(Resources(0.01, 0.01)) is None
 
     def test_full_scan_rescues_rare_fit(self):
         # Only 1 of 200 machines fits; sampling alone would often miss it.
         machines = [Machine(i, Resources(0.1, 0.1)) for i in range(199)]
         machines.append(Machine(199, Resources(1.0, 1.0)))
-        policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0, candidates=4)
-        found = policy.find_machine(FleetState(machines), Resources(0.5, 0.5))
-        assert found is not None and found.machine_id == 199
+        fleet = FleetState(machines)
+        policy = self._policy(fleet, overcommit_cpu=1.0, overcommit_mem=1.0,
+                              candidates=4)
+        found = policy.find_machine(Resources(0.5, 0.5))
+        assert found is not None and fleet.machines[found].machine_id == 199
 
     def test_best_fit_prefers_tighter_machine(self):
-        near_full = Machine(0, Resources(1.0, 1.0))
-        near_full.allocated = Resources(0.85, 0.85)
-        near_full.instances = set()
-        empty = Machine(1, Resources(1.0, 1.0))
-        policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0, candidates=16)
-        found = policy.find_machine(FleetState([near_full, empty]),
-                                    Resources(0.1, 0.1))
-        assert found is near_full
+        fleet = FleetState([Machine(0, Resources(1.0, 1.0)),
+                            Machine(1, Resources(1.0, 1.0))])
+        filler = _collection(Tier.PROD, 1, n=1, cpu=0.85, mem=0.85).instances[0]
+        fleet.place(0, filler)  # slot 0 near full, slot 1 empty
+        policy = self._policy(fleet, overcommit_cpu=1.0, overcommit_mem=1.0,
+                              candidates=16)
+        assert policy.find_machine(Resources(0.1, 0.1)) == 0
 
     def test_preemption_finds_victims(self):
-        m = Machine(0, Resources(1.0, 1.0))
+        fleet = FleetState([Machine(0, Resources(1.0, 1.0))])
         victim = _collection(Tier.FREE, 1, n=1, cpu=0.9, mem=0.9).instances[0]
-        m.place(victim)
-        policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        found = policy.find_preemption(FleetState([m]), Resources(0.5, 0.5),
-                                       Tier.PROD.rank)
+        fleet.place(0, victim)
+        policy = self._policy(fleet, overcommit_cpu=1.0, overcommit_mem=1.0)
+        found = policy.find_preemption(Resources(0.5, 0.5), Tier.PROD.rank)
         assert found is not None
-        machine, victims = found
-        assert machine is m and victims == [victim]
+        slot, victims = found
+        assert slot == 0 and victims == [victim]
 
     def test_preemption_ignores_equal_or_higher_tiers(self):
-        m = Machine(0, Resources(1.0, 1.0))
+        fleet = FleetState([Machine(0, Resources(1.0, 1.0))])
         prod = _collection(Tier.PROD, 1, n=1, cpu=0.9, mem=0.9).instances[0]
-        m.place(prod)
-        policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        assert policy.find_preemption(FleetState([m]), Resources(0.5, 0.5),
+        fleet.place(0, prod)
+        policy = self._policy(fleet, overcommit_cpu=1.0, overcommit_mem=1.0)
+        assert policy.find_preemption(Resources(0.5, 0.5),
                                       Tier.PROD.rank) is None
 
     def test_preemption_skips_too_small_machines(self):
-        m = Machine(0, Resources(0.3, 0.3))
+        fleet = FleetState([Machine(0, Resources(0.3, 0.3))])
         victim = _collection(Tier.FREE, 1, n=1, cpu=0.2, mem=0.2).instances[0]
-        m.place(victim)
-        policy = self._policy(overcommit_cpu=1.0, overcommit_mem=1.0)
-        assert policy.find_preemption(FleetState([m]), Resources(0.5, 0.5),
+        fleet.place(0, victim)
+        policy = self._policy(fleet, overcommit_cpu=1.0, overcommit_mem=1.0)
+        assert policy.find_preemption(Resources(0.5, 0.5),
                                       Tier.PROD.rank) is None
 
     def test_empty_fleet(self):
-        policy = self._policy()
-        assert policy.find_machine(FleetState([]), Resources(0.1, 0.1)) is None
-        assert policy.find_preemption(FleetState([]), Resources(0.1, 0.1),
-                                      3) is None
+        policy = self._policy(FleetState([]))
+        assert policy.find_machine(Resources(0.1, 0.1)) is None
+        assert policy.find_preemption(Resources(0.1, 0.1), 3) is None
 
 
 class TestPendingQueue:
@@ -409,11 +408,11 @@ class TestUsageModel:
             UsageModel(sample_period=0.0)
 
     def test_diurnal_rate_factor_peaks_afternoon(self):
-        afternoon = diurnal_rate_factor(15 * 3600.0, 0.0)
-        night = diurnal_rate_factor(3 * 3600.0, 0.0)
+        afternoon = diurnal_factor(15 * 3600.0, 0.0, 0.25)
+        night = diurnal_factor(3 * 3600.0, 0.0, 0.25)
         assert afternoon > night
 
     def test_diurnal_respects_utc_offset(self):
         # 7am UTC is 3pm in Singapore (UTC+8).
-        assert (diurnal_rate_factor(7 * 3600.0, 8.0)
-                == pytest.approx(diurnal_rate_factor(15 * 3600.0, 0.0)))
+        assert (diurnal_factor(7 * 3600.0, 8.0, 0.25)
+                == pytest.approx(diurnal_factor(15 * 3600.0, 0.0, 0.25)))

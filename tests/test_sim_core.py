@@ -10,6 +10,7 @@ from repro.sim import (
     tier_of_priority_2019,
 )
 from repro.sim.entities import Collection, CollectionType, Instance
+from repro.sim.fleet import FleetState
 from repro.util.errors import SimulationError
 
 
@@ -98,41 +99,60 @@ def _instance(collection, index=0, cpu=0.1, mem=0.1):
 
 
 class TestMachine:
+    """Per-machine accounting, owned by the cell's FleetState."""
+
+    def _fleet(self, cpu=1.0, mem=1.0):
+        return FleetState([Machine(0, Resources(cpu, mem))])
+
     def test_place_updates_allocation(self):
-        m = Machine(0, Resources(1.0, 1.0))
+        fleet = self._fleet()
         inst = _instance(_collection())
-        m.place(inst)
-        assert m.allocated.cpu == pytest.approx(0.1)
-        assert inst in m.instances
+        fleet.place(0, inst)
+        assert fleet.py_alloc[0][0] == pytest.approx(0.1)
+        assert fleet.allocated_cpu[0] == pytest.approx(0.1)
+        assert inst in fleet.residents[0]
 
     def test_double_place_rejected(self):
-        m = Machine(0, Resources(1.0, 1.0))
+        fleet = self._fleet()
         inst = _instance(_collection())
-        m.place(inst)
+        fleet.place(0, inst)
         with pytest.raises(SimulationError):
-            m.place(inst)
+            fleet.place(0, inst)
+
+    def test_place_on_down_machine_rejected(self):
+        fleet = self._fleet()
+        fleet.set_up(0, False)
+        with pytest.raises(SimulationError):
+            fleet.place(0, _instance(_collection()))
+        assert not fleet.residents[0]
 
     def test_remove_returns_allocation(self):
-        m = Machine(0, Resources(1.0, 1.0))
+        fleet = self._fleet()
         inst = _instance(_collection())
-        m.place(inst)
-        m.remove(inst)
-        assert m.allocated.cpu <= 1e-12 and m.allocated.mem <= 1e-12
+        fleet.place(0, inst)
+        fleet.remove(0, inst)
+        cpu, mem = fleet.py_alloc[0]
+        assert cpu <= 1e-12 and mem <= 1e-12
+        assert inst not in fleet.residents[0]
 
     def test_remove_absent_rejected(self):
-        m = Machine(0, Resources(1.0, 1.0))
+        fleet = self._fleet()
         with pytest.raises(SimulationError):
-            m.remove(_instance(_collection()))
+            fleet.remove(0, _instance(_collection()))
 
     def test_preemptible_below_rank_and_order(self):
-        m = Machine(0, Resources(2.0, 2.0))
+        fleet = self._fleet(2.0, 2.0)
         free = _instance(_collection(Tier.FREE, 1), cpu=0.1, mem=0.1)
         beb_small = _instance(_collection(Tier.BEB, 2), cpu=0.1, mem=0.1)
         beb_big = _instance(_collection(Tier.BEB, 3), cpu=0.4, mem=0.4)
         prod = _instance(_collection(Tier.PROD, 4), cpu=0.1, mem=0.1)
         for inst in (free, beb_small, beb_big, prod):
-            m.place(inst)
-        victims = m.preemptible_below(Tier.PROD.rank)
+            fleet.place(0, inst)
+        victims = fleet.preemptible_below(0, Tier.PROD.rank)
         assert prod not in victims
         assert victims[0] is free            # lowest tier first
         assert victims[1] is beb_big         # then biggest within tier
+
+    def test_machine_is_a_fixed_description(self):
+        assert Machine.__slots__ == ("machine_id", "capacity", "platform",
+                                     "utc_offset_hours")

@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping
 import numpy as np
 
 from repro.sim.autopilot import AutopilotMode, AutopilotParams, limit_trajectory
-from repro.sim.usage import AUTOPILOT_FROM_CODE, UsageBatch, UsageModel
+from repro.sim.usage import AUTOPILOT_FROM_CODE, UsageBatch, UsageModel, diurnal_factor
 
 
 def window_starts(model: UsageModel, start: float, end: float) -> np.ndarray:
@@ -50,7 +50,8 @@ def sample_interval(model: UsageModel, rng: np.random.Generator,
     window_begin = np.maximum(starts, start)
     duration = window_ends - window_begin
 
-    diurnal = model._diurnal(starts + period / 2.0)
+    diurnal = diurnal_factor(starts + period / 2.0, model.utc_offset_hours,
+                             p.diurnal_amplitude)
     noise = rng.lognormal(mean=0.0, sigma=p.noise_sigma, size=n)
     avg_cpu = cpu_limit * cpu_fraction * diurnal * noise
     # CPU is work-conserving: clip at a soft overage above the limit.
