@@ -754,7 +754,6 @@ class CellSim:
                 self._evict_instance(t, tenant)
         machine_id = instance.machine_id
         self._stop_run(t, instance)
-        instance.n_evictions += 1
         self.counters.evictions += 1
         self.events.instance(t, instance, EVICT_CODE, machine_id)
         self._requeue(t, instance)

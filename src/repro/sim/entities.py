@@ -118,7 +118,6 @@ class Instance:
     claimed: Resources = Resources.ZERO
     start_time: Optional[float] = None      # current run's start
     n_schedules: int = 0                    # placements, incl. reschedules
-    n_evictions: int = 0
     #: Bumped on every start/stop so stale hazard events can be discarded.
     incarnation: int = 0
     end_reason: Optional[EndReason] = None

@@ -5,40 +5,44 @@ column-by-column so that a reader can decode a *projection* (a subset of
 columns) without touching the bytes of the others — the columnar half of
 the BigQuery substitution (see DESIGN.md §9 note).
 
-Layout::
+Layout (format 2)::
 
-    8 bytes   magic ``RSTORE1\\n``
+    8 bytes   magic ``RSTORE2\\n``
     8 bytes   little-endian uint64: header length H
     H bytes   UTF-8 JSON header
     ...       column payloads, in header order
 
-The JSON header records, per column, its ``name``, ``kind`` (one of the
-four :class:`~repro.table.column.Column` kinds) and payload byte length,
-so a reader can seek straight to any column.  Payload encodings:
+The JSON header records ``rows`` and, per column, its ``name``, ``kind``
+(one of the four :class:`~repro.table.column.Column` kinds), payload
+byte length ``nbytes`` and the payload's ``crc32`` (``zlib``), so a
+reader can seek straight to any column.  Payload encodings:
 
 * ``float`` — raw little-endian ``float64`` (``inf``/``nan`` round-trip
   exactly, unlike CSV text)
 * ``int``   — raw little-endian ``int64``
 * ``bool``  — one ``uint8`` per value
-* ``str``   — ``n + 1`` little-endian ``int64`` offsets, then the
-  concatenated UTF-8 bytes of all values
+* ``str``   — dictionary-encoded: a little-endian ``uint64`` dictionary
+  size ``k``, then ``k + 1`` little-endian ``int64`` offsets, then the
+  UTF-8 bytes of the ``k`` distinct values in order of first
+  appearance, then one little-endian ``uint32`` code per row
 
-Every payload is checked before it is decoded: it must be exactly as
-long as the header says and as ``rows`` requires, and string offsets
-must start at 0, never decrease and end at the blob length.  A chunk
-that fails (truncated, corrupt offsets, invalid UTF-8) raises
-:class:`~repro.util.errors.SchemaError` instead of decoding to wrong
-values.
+Each payload that is read is checked before it is decoded: it must be
+exactly as long as the header says, its CRC-32 must match, and it must
+fit ``rows`` — for strings, the offsets must start at 0, never decrease
+and end at the dictionary's byte length, ``k`` may not exceed ``rows``,
+every code must be below ``k`` and every value must be valid UTF-8.  A
+chunk that fails (truncated, bit-flipped, corrupt offsets or codes)
+raises :class:`~repro.util.errors.SchemaError` instead of decoding to
+wrong values.  Payloads of unrequested columns are skipped unread.
 
-Strings decode without a per-row Python loop.  Rows are grouped by byte
-length; each group's values are gathered as fixed-width ``S`` keys
-through a zero-copy window view over the blob, and ``np.unique`` finds
-the distinct ones.  Each distinct byte string is decoded once, and one
-object-array ``take`` fans the results out, so rows with equal values
-share one ``str`` object.  Memory stays bounded by the payload bytes
-plus a few words per row — never rows x the longest value.  The cost
-is a few numpy calls per distinct byte length, which trace columns
-(tiers, event types, user names) keep small.
+Strings decode without per-row work: the ``k`` dictionary values are
+decoded once and :meth:`Column.from_codes` fans them out with one
+object-array take, so rows with equal values share one ``str`` object
+and memory stays bounded by the payload plus a word per row.  The
+encoder builds the dictionary with ``dict.fromkeys`` and maps rows to
+codes through it, two C-level passes; the dictionary keeps the order of
+first appearance, so the bytes follow the column's row order, never
+hash order.
 
 Reads are buffered: ``open`` + ``read``/``seek``, so every wanted
 payload is copied into process memory once and unwanted ones are
@@ -49,7 +53,9 @@ The header is checked as strictly as the payloads: a chunk cut inside
 its length prefix or its header, a length prefix above
 :data:`MAX_HEADER_BYTES`, a header that is not JSON, one without
 ``rows`` and ``columns``, or a malformed column entry raises
-:class:`~repro.util.errors.SchemaError`.
+:class:`~repro.util.errors.SchemaError`.  Chunks of an earlier format
+are rejected by their magic; rewrite such a store with ``borg-repro
+convert`` or by simulating again.
 """
 
 from __future__ import annotations
@@ -58,17 +64,17 @@ import io
 import json
 import os
 import struct
+import zlib
 from typing import BinaryIO, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import obs
 from repro.table.column import KINDS, Column
-from repro.table.segment import segments
 from repro.table.table import Table
 from repro.util.errors import SchemaError
 
-MAGIC = b"RSTORE1\n"
+MAGIC = b"RSTORE2\n"
 CHUNK_SUFFIX = ".rsc"
 
 _LEN = struct.Struct("<Q")
@@ -87,11 +93,17 @@ def _encode_column(column: Column) -> bytes:
         return values.astype("<i8").tobytes()
     if kind == "bool":
         return values.astype(np.uint8).tobytes()
-    blobs = list(map(str.encode, values))  # UTF-8
+    index = dict.fromkeys(values)  # the distinct values, first appearance
+    for code, value in enumerate(index):
+        index[value] = code
+    codes = np.fromiter(map(index.__getitem__, values), dtype="<u4",
+                        count=len(values))
+    blobs = list(map(str.encode, index))  # UTF-8
     offsets = np.zeros(len(blobs) + 1, dtype="<i8")
     np.cumsum(np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs)),
               out=offsets[1:])
-    return offsets.tobytes() + b"".join(blobs)
+    return (_LEN.pack(len(blobs)) + offsets.tobytes() + b"".join(blobs)
+            + codes.tobytes())
 
 
 #: Payload bytes per row of the fixed-width kinds.
@@ -110,8 +122,13 @@ def _decode_column(meta: dict, rows: int, payload: bytes) -> Column:
     if len(payload) != meta["nbytes"]:
         raise SchemaError(f"chunk column {name!r} is truncated: "
                           f"{len(payload)} of {meta['nbytes']} payload bytes")
+    crc = zlib.crc32(payload)
+    if crc != meta["crc32"]:
+        raise SchemaError(f"chunk column {name!r} fails its checksum: "
+                          f"crc32 {crc:#010x}, header says "
+                          f"{meta['crc32']:#010x}")
     if kind == "str":
-        return Column(_decode_strings(name, rows, payload))
+        return _decode_strings(name, rows, payload)
     if len(payload) != rows * _ITEMSIZE[kind]:
         raise SchemaError(f"chunk column {name!r} has {len(payload)} payload "
                           f"bytes; {rows} {kind} rows need "
@@ -126,47 +143,45 @@ def _decode_column(meta: dict, rows: int, payload: bytes) -> Column:
                   .astype(bool))
 
 
-def _decode_strings(name: str, rows: int, payload: bytes) -> np.ndarray:
-    """The ``str`` payload as an object array, each distinct value
-    decoded once (see the module docstring)."""
-    head = (rows + 1) * 8
-    if rows < 0 or len(payload) < head:
+def _decode_strings(name: str, rows: int, payload: bytes) -> Column:
+    """The dictionary-encoded ``str`` payload as a column: each distinct
+    value decoded once, then fanned out by code (see the module
+    docstring)."""
+    if len(payload) < _LEN.size:
         raise SchemaError(f"chunk column {name!r} has {len(payload)} payload "
-                          f"bytes, too few for {rows + 1} string offsets")
-    offsets = np.frombuffer(payload, dtype="<i8", count=rows + 1)
-    lengths = np.diff(offsets)
-    blob_len = len(payload) - head
-    if offsets[0] != 0 or offsets[-1] != blob_len or (lengths < 0).any():
+                          f"bytes, too few for a dictionary size")
+    (k,) = _LEN.unpack_from(payload)
+    if k > rows:
+        raise SchemaError(f"chunk column {name!r} has a {k}-value dictionary "
+                          f"for {rows} rows")
+    head = _LEN.size + (k + 1) * 8
+    blob_len = len(payload) - head - rows * 4
+    if blob_len < 0:
+        raise SchemaError(f"chunk column {name!r} has {len(payload)} payload "
+                          f"bytes, too few for {k + 1} dictionary offsets and "
+                          f"{rows} codes")
+    offsets = np.frombuffer(payload, dtype="<i8", count=k + 1,
+                            offset=_LEN.size)
+    if offsets[0] != 0 or offsets[-1] != blob_len \
+            or (np.diff(offsets) < 0).any():
         raise SchemaError(f"chunk column {name!r} has corrupt string offsets "
-                          f"(must rise from 0 to the {blob_len}-byte blob)")
-    codes = np.empty(rows, dtype=np.intp)
-    texts: List[str] = []
-    order, starts = segments(lengths)
-    firsts = starts.tolist()
-    for lo, hi in zip(firsts, [*firsts[1:], rows]):
-        group = order[lo:hi]  # the rows whose values are `width` bytes
-        width = int(lengths[order[lo]])
-        if width == 0:
-            codes[group] = len(texts)
-            texts.append("")
-            continue
-        # Overlapping `width`-byte windows over the blob, one per start
-        # byte: a zero-copy view whose fancy index gathers the group's
-        # values as fixed-width keys.  Equal-width ``S`` keys compare
-        # byte for byte; ``tolist`` drops trailing NULs, which ``ljust``
-        # puts back.
-        windows = np.ndarray((blob_len - width + 1,), dtype=f"S{width}",
-                             buffer=payload, offset=head, strides=(1,))
-        distinct, inverse = np.unique(windows[offsets[group]],
-                                      return_inverse=True)
-        codes[group] = inverse + len(texts)
-        try:
-            texts.extend(value.ljust(width, b"\0").decode("utf-8")
-                         for value in distinct.tolist())
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"chunk column {name!r} holds invalid UTF-8: "
-                              f"{exc}") from None
-    return np.array(texts, dtype=object).take(codes)
+                          f"(must rise from 0 to the {blob_len}-byte "
+                          f"dictionary)")
+    codes = np.frombuffer(payload, dtype="<u4", count=rows,
+                          offset=head + blob_len)
+    if rows and int(codes.max()) >= k:
+        raise SchemaError(f"chunk column {name!r} has a string code "
+                          f"{int(codes.max())} outside its {k}-value "
+                          f"dictionary")
+    blob = payload[head:head + blob_len]
+    bounds = offsets.tolist()
+    try:
+        names = [blob[lo:hi].decode("utf-8")
+                 for lo, hi in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"chunk column {name!r} holds invalid UTF-8: "
+                          f"{exc}") from None
+    return Column.from_codes(codes, names)
 
 
 def write_chunk(table: Table, dest: Union[str, os.PathLike, BinaryIO]) -> int:
@@ -178,7 +193,8 @@ def write_chunk(table: Table, dest: Union[str, os.PathLike, BinaryIO]) -> int:
         payload = _encode_column(column)
         payloads.append(payload)
         header_cols.append({"name": name, "kind": column.kind,
-                            "nbytes": len(payload)})
+                            "nbytes": len(payload),
+                            "crc32": zlib.crc32(payload)})
     header = json.dumps({"rows": len(table), "columns": header_cols},
                         separators=(",", ":")).encode("utf-8")
     blob = MAGIC + _LEN.pack(len(header)) + header + b"".join(payloads)
@@ -201,6 +217,12 @@ def read_chunk_header(source: Union[str, os.PathLike, BinaryIO]) -> dict:
 def _read_header(f: BinaryIO) -> dict:
     magic = f.read(len(MAGIC))
     if magic != MAGIC:
+        if magic[:6] == MAGIC[:6]:
+            found = magic[:7].decode("ascii", "replace")
+            raise SchemaError(
+                f"chunk is in store format {found}, and this reader reads "
+                f"{MAGIC[:7].decode()} only; rewrite the store with "
+                f"`borg-repro convert` or by simulating again")
         raise SchemaError(f"not a repro store chunk (bad magic {magic!r})")
     prefix = f.read(_LEN.size)
     if len(prefix) != _LEN.size:
@@ -228,7 +250,8 @@ def _read_header(f: BinaryIO) -> dict:
     for meta in header["columns"]:
         if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
                 and isinstance(meta.get("nbytes"), int)
-                and meta["nbytes"] >= 0 and "kind" in meta):
+                and meta["nbytes"] >= 0 and "kind" in meta
+                and isinstance(meta.get("crc32"), int)):
             raise SchemaError(f"chunk header has a malformed column entry "
                               f"{meta!r}")
     return header

@@ -1,15 +1,30 @@
 """The store manifest: schema, chunk index, and per-chunk statistics.
 
 The manifest is the store's substitute for BigQuery partition metadata:
-a single JSON document listing, for every table, its column schema and
-every chunk file with per-column ``min``/``max`` statistics.  Scans
-consult these statistics to skip whole chunks before decoding a single
-value (the "clustering" half of the substitution — see DESIGN.md).
+a single JSON document listing, for every table, its column schema, the
+row count of each chunk and per-column ``min``/``max`` statistics of
+every chunk.  Scans consult these statistics to skip whole chunks before
+decoding a single value (the "clustering" half of the substitution —
+see DESIGN.md).
 
 Statistics are kept for every non-boolean column (numeric min/max, and
 lexicographic min/max for strings), which subsumes the four columns the
 paper's queries partition on: ``time``, ``collection_id``, ``tier`` and
 ``priority``.
+
+Format 2 stores them column-wise, so a fresh handle parses a few flat
+lists per table instead of one dict per chunk::
+
+    "instance_usage": {"columns": [...], "rows": 2500,
+                       "chunk_rows": [1024, 1024, 452],
+                       "stats": {"start_time": {"min": [...], "max": [...]},
+                                 ...}}
+
+``null`` marks a chunk with no bound (an all-NaN float column).  Chunk
+``i`` of table ``t`` is the file :func:`chunk_file` ``(t, i)``.  A
+reader rebuilds the per-chunk ``{"file", "rows", "stats"}`` entries
+once per table, on first use (:meth:`Manifest.chunks`).  The manifest
+is written without indentation.
 """
 
 from __future__ import annotations
@@ -21,12 +36,18 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.store.format import CHUNK_SUFFIX
 from repro.table.table import Table
 from repro.util.errors import SchemaError
 
 MANIFEST_FILE = "manifest.json"
 FORMAT_NAME = "repro-store"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+
+def chunk_file(table: str, index: int) -> str:
+    """The store-relative path of chunk ``index`` of ``table``."""
+    return f"{table}/chunk-{index:05d}{CHUNK_SUFFIX}"
 
 
 def chunk_stats(table: Table) -> Dict[str, Dict[str, object]]:
@@ -61,17 +82,23 @@ class Manifest:
     """Parsed view of a store's ``manifest.json``."""
 
     def __init__(self, data: dict, root: Optional[Path] = None):
-        if data.get("format") != FORMAT_NAME:
+        if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
+            found = data.get("format") if isinstance(data, dict) else None
+            raise SchemaError(f"not a {FORMAT_NAME} manifest (format={found!r})")
+        if data.get("version") != FORMAT_VERSION:
             raise SchemaError(
-                f"not a {FORMAT_NAME} manifest (format={data.get('format')!r})"
+                f"store version {data.get('version')!r} is not read by this "
+                f"reader (it reads version {FORMAT_VERSION} only); rewrite "
+                f"the store with `borg-repro convert` or by simulating again"
             )
-        if data.get("version", 0) > FORMAT_VERSION:
-            raise SchemaError(
-                f"store version {data['version']} is newer than this "
-                f"reader (understands <= {FORMAT_VERSION})"
-            )
+        tables = data.get("tables")
+        if not isinstance(tables, dict):
+            raise SchemaError("store manifest has no 'tables' mapping")
+        for name, entry in tables.items():
+            _check_table(name, entry)
         self.data = data
         self.root = root
+        self._chunks: Dict[str, List[dict]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -91,23 +118,41 @@ class Manifest:
         path = root / MANIFEST_FILE
         if not path.exists():
             raise SchemaError(f"no store manifest at {path}")
-        with open(path) as f:
-            return cls(json.load(f), root=root)
+        with open(path, "rb") as f:
+            raw = f.read()
+        try:
+            data = json.loads(raw)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise SchemaError(f"store manifest {path} is not JSON: "
+                              f"{exc}") from None
+        return cls(data, root=root)
 
     def save(self, directory: Union[str, os.PathLike]) -> None:
         with open(Path(directory) / MANIFEST_FILE, "w") as f:
-            json.dump(self.data, f, indent=1)
+            json.dump(self.data, f, separators=(",", ":"))
 
     # -- registration (writer side) -----------------------------------------
 
     def add_table(self, name: str, columns: List[Dict[str, str]]) -> None:
-        self.data["tables"][name] = {"columns": columns, "rows": 0, "chunks": []}
+        self.data["tables"][name] = {
+            "columns": columns, "rows": 0, "chunk_rows": [],
+            "stats": {c["name"]: {"min": [], "max": []}
+                      for c in columns if c["kind"] != "bool"},
+        }
 
-    def add_chunk(self, table: str, file: str, rows: int,
-                  stats: Dict[str, Dict[str, object]]) -> None:
+    def add_chunk(self, table: str, rows: int,
+                  stats: Dict[str, Dict[str, object]]) -> str:
+        """Register the table's next chunk; returns its file name."""
         entry = self.data["tables"][table]
-        entry["chunks"].append({"file": file, "rows": rows, "stats": stats})
+        file = chunk_file(table, len(entry["chunk_rows"]))
+        entry["chunk_rows"].append(rows)
         entry["rows"] += rows
+        for column, bounds in entry["stats"].items():
+            chunk = stats.get(column, {})
+            bounds["min"].append(chunk.get("min"))
+            bounds["max"].append(chunk.get("max"))
+        self._chunks.pop(table, None)
+        return file
 
     # -- reader side ---------------------------------------------------------
 
@@ -138,7 +183,41 @@ class Manifest:
         return {c["name"]: c["kind"] for c in self.table(table)["columns"]}
 
     def chunks(self, table: str) -> List[dict]:
-        return self.table(table)["chunks"]
+        """Per-chunk ``{"file", "rows", "stats"}`` entries of ``table``
+        (built on first use; a column without bounds in a chunk has no
+        ``stats`` entry there)."""
+        chunks = self._chunks.get(table)
+        if chunks is None:
+            entry = self.table(table)
+            columns = [(name, bounds["min"], bounds["max"])
+                       for name, bounds in entry["stats"].items()]
+            chunks = [
+                {"file": chunk_file(table, i), "rows": rows,
+                 "stats": {name: {"min": lo[i], "max": hi[i]}
+                           for name, lo, hi in columns if lo[i] is not None}}
+                for i, rows in enumerate(entry["chunk_rows"])
+            ]
+            self._chunks[table] = chunks
+        return chunks
 
     def rows(self, table: str) -> int:
         return self.table(table)["rows"]
+
+
+def _check_table(name: str, entry) -> None:
+    """Raise :class:`SchemaError` unless ``entry`` is a well-formed
+    format-2 table entry whose statistics cover every chunk."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("columns"), list)
+            and isinstance(entry.get("chunk_rows"), list)
+            and isinstance(entry.get("stats"), dict)):
+        raise SchemaError(f"store manifest table {name!r} lacks a 'columns' "
+                          f"list, a 'chunk_rows' list and a 'stats' mapping")
+    n = len(entry["chunk_rows"])
+    for column, bounds in entry["stats"].items():
+        for key in ("min", "max"):
+            values = bounds.get(key) if isinstance(bounds, dict) else None
+            if not isinstance(values, list) or len(values) != n:
+                raise SchemaError(
+                    f"store manifest table {name!r} column {column!r} needs "
+                    f"a {key!r} list of {n} chunk bounds, got "
+                    f"{len(values) if isinstance(values, list) else values!r}")

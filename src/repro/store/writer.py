@@ -20,7 +20,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro import obs
-from repro.store.format import CHUNK_SUFFIX, write_chunk
+from repro.store.format import write_chunk
 from repro.store.manifest import Manifest, chunk_stats
 from repro.table.table import Table
 from repro.trace.schema import TIME_COLUMNS
@@ -87,10 +87,9 @@ def _write_table(manifest: Manifest, root: Path, name: str, table: Table,
         lo = i * chunk_rows
         hi = min(lo + chunk_rows, len(table))
         chunk = table.take(np.arange(lo, hi))
-        file = f"{name}/chunk-{i:05d}{CHUNK_SUFFIX}"
+        file = manifest.add_chunk(name, len(chunk), chunk_stats(chunk))
         nbytes = write_chunk(chunk, root / file)
         registry = obs.get_registry()
         registry.inc("store.chunks_written")
         registry.inc("store.bytes_written", nbytes)
         registry.inc("store.rows_written", len(chunk))
-        manifest.add_chunk(name, file, len(chunk), chunk_stats(chunk))

@@ -23,6 +23,8 @@ from repro.util.errors import SchemaError
 #: codec and the trace schema declare kinds against this set).
 KINDS = ("float", "int", "bool", "str")
 _DTYPES = {"float": np.float64, "int": np.int64, "bool": bool, "str": object}
+#: Numeric dtypes a column stores as-is.
+_NATIVE = frozenset(map(np.dtype, (np.float64, np.int64, bool)))
 
 
 def empty_column(kind: str) -> "Column":
@@ -34,6 +36,11 @@ def empty_column(kind: str) -> "Column":
 
 def _coerce(values: Any) -> np.ndarray:
     """Normalize arbitrary input into one of the four supported dtypes."""
+    # Fast path: the store's payload views and most kernel outputs are
+    # already 1-D float64/int64/bool arrays, kept as they are.
+    if (type(values) is np.ndarray and values.ndim == 1
+            and values.dtype in _NATIVE):
+        return values
     arr = np.asarray(values)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -51,10 +58,18 @@ def _coerce(values: Any) -> np.ndarray:
     # Everything else (strings, mixed python objects) is stored as objects;
     # require all elements to be strings for predictable semantics.  The
     # common inputs pass in one C-level pass: a list of str (numpy makes
-    # it ``<U``, whose objects come back as plain str) or an object array
-    # holding only exact str.  Anything else — str subclasses such as
-    # ``np.str_``, or bad elements — takes the per-element check.
+    # it ``<U``) or an object array holding only exact str.  Other ``<U``
+    # input converts to plain str with ``astype(object)``; any other
+    # object array — str subclasses such as ``np.str_``, or bad
+    # elements — takes the per-element check.
     if arr.dtype.kind == "U":
+        if not isinstance(values, np.ndarray):
+            # ``<U`` drops trailing NULs ("tail\0" -> "tail"), so a
+            # sequence of exact str keeps its own objects.
+            out = np.empty(len(arr), dtype=object)
+            out[:] = values
+            if set(map(type, out)) <= {str}:
+                return out
         return arr.astype(object)
     if arr.dtype == object and set(map(type, arr)) <= {str}:
         return arr.copy()

@@ -218,7 +218,9 @@ class TestHazards:
         job.priority = 25
         result = run_cell([job], config=config)
         assert result.counters.evictions >= 1
-        assert result.collections[0].instances[0].n_evictions >= 1
+        evicts = [e for e in events_of(result, 1, stream="instance")
+                  if e.instance_index == 0 and e.event is EventType.EVICT]
+        assert len(evicts) >= 1
 
     def test_machine_downtime_evicts_and_recovers(self):
         config = make_config(machine_downtime_per_month=10_000.0,

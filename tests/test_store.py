@@ -7,6 +7,7 @@ import io
 import json
 import pickle
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -105,6 +106,28 @@ def _all_kinds_table(strings):
     })
 
 
+#: Size and sha256 of the pinned RSTORE2 chunk (test_chunk_bytes_are_pinned).
+PINNED_BYTES = 444
+PINNED_SHA256 = (
+    "4dcef973698c0aceb22a543150fafa28060f8388c4b60892f835140371c3d5be")
+
+
+def _reseal(data: bytearray) -> bytearray:
+    """``data`` with every column's ``crc32`` recomputed over the payload
+    bytes it now holds, so a corruption reaches the decoder's own checks
+    instead of stopping at the checksum."""
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(data[len(MAGIC):start], "little")
+    header = json.loads(bytes(data[start:end]))
+    at = end
+    for meta in header["columns"]:
+        meta["crc32"] = zlib.crc32(bytes(data[at:at + meta["nbytes"]]))
+        at += meta["nbytes"]
+    raw = json.dumps(header, separators=(",", ":")).encode()
+    return bytearray(MAGIC + len(raw).to_bytes(8, "little") + raw
+                     + data[end:])
+
+
 class TestChunkFormat:
     def test_roundtrip_all_kinds(self):
         for strings in _STRING_CASES.values():
@@ -132,20 +155,35 @@ class TestChunkFormat:
                                                   table.column(name).values)
 
     def test_chunk_bytes_are_pinned(self):
-        # The RSTORE1 layout must not drift: same table, same bytes.
+        # The RSTORE2 layout must not drift: same table, same bytes.
         table = Table({
             "f": [1.5, float("inf"), float("-inf"), float("nan"), -0.0],
             "i": [0, -1, 2**62, -(2**62), 7],
             "b": [True, False, True, True, False],
-            "s": ["prod", "", "héllo\x00", "ユーザー", "beb"],
+            "s": ["prod", "", "héllo\x00", "ユーザー", "prod"],
         })
         buf = io.BytesIO()
-        assert write_chunk(table, buf) == 350
-        assert hashlib.sha256(buf.getvalue()).hexdigest() == (
-            "247870e21cac50a6681e91a5da14f429dadde2eddc024f7aefbeb7414a8a3b3e")
+        assert write_chunk(table, buf) == PINNED_BYTES
+        data = buf.getvalue()
+        assert hashlib.sha256(data).hexdigest() == PINNED_SHA256
+        # The string payload ends the chunk: a 4-value dictionary in
+        # first-appearance order, trailing NUL included, then one code
+        # per row.
+        assert data.endswith(
+            (4).to_bytes(8, "little")
+            + np.array([0, 4, 4, 11, 23], "<i8").tobytes()
+            + "prodhéllo\x00ユーザー".encode()
+            + np.array([0, 1, 2, 3, 0], "<u4").tobytes())
+        buf.seek(0)
+        assert read_chunk(buf).column("s").to_list() == table.column(
+            "s").to_list()
 
     @pytest.mark.parametrize("from_file_object", [False, True])
     @pytest.mark.parametrize("corruption, match", [
+        ("flip_payload", "checksum"),
+        ("code_outside_dictionary", "code 3 outside its 3-value dictionary"),
+        ("dictionary_over_rows", "4-value dictionary for 3 rows"),
+        ("rstore1_magic", "store format RSTORE1"),
         ("raise_offset", "corrupt string offsets"),
         ("cut_strings", "truncated"),
         ("cut_numbers", "truncated"),
@@ -168,24 +206,45 @@ class TestChunkFormat:
         write_chunk(Table({name: columns[name] for name in order}), path)
         data = bytearray(path.read_bytes())
         last_at = len(data) - read_chunk_header(path)["columns"][-1]["nbytes"]
+        # The string payload: k = 3, offsets [0, 4, 7, 10] at +8, the
+        # dictionary b"prodbebmid" at +40, codes [0, 1, 2] at +50.
+        offsets_at, dictionary_at, codes_at = (last_at + 8, last_at + 40,
+                                               last_at + 50)
 
         def with_header(header: bytes) -> bytearray:
             return bytearray(MAGIC + len(header).to_bytes(8, "little")
                              + header)
 
-        if corruption == "raise_offset":
+        if corruption == "flip_payload":
+            # a bit of a float once decoded silently to another number
+            data[last_at - 10] ^= 0x40
+        elif corruption == "code_outside_dictionary":
+            data[codes_at + 8] = 3
+            data = _reseal(data)
+        elif corruption == "dictionary_over_rows":
+            data[last_at] = 4
+            data = _reseal(data)
+        elif corruption == "rstore1_magic":
+            data[:len(MAGIC)] = b"RSTORE1\n"
+        elif corruption == "raise_offset":
             # offsets[1] 4 -> 10 once decoded as ['prodbebmid', '', 'mid']
-            data[last_at + 8] = 10
-        elif corruption in ("cut_strings", "cut_numbers"):
-            # a lost tail once decoded 'mid' as '' / raised a bare ValueError
+            data[offsets_at + 8] = 10
+            data = _reseal(data)
+        elif corruption == "cut_strings":
+            # the file ends inside the dictionary bytes
+            del data[dictionary_at + 5:]
+        elif corruption == "cut_numbers":
+            # a lost tail once raised a bare ValueError
             del data[-3:]
         elif corruption == "short_numbers":
             # header and file agree, but 3 float rows need 24 bytes
             data = data.replace(b'"kind":"float","nbytes":24',
                                 b'"kind":"float","nbytes":16')
             del data[-8:]
+            data = _reseal(data)
         elif corruption == "bad_utf8":
-            data[-1] = 0xFF
+            data[dictionary_at + 9] = 0xFF
+            data = _reseal(data)
         elif corruption == "cut_length_prefix":
             # cut inside the 8-byte length: once a bare struct.error
             del data[len(MAGIC) + 3:]
@@ -214,9 +273,48 @@ class TestChunkFormat:
         with pytest.raises(SchemaError, match=match):
             read_chunk(source())
         if corruption.startswith(("cut_length", "short_header", "huge",
-                                  "header", "column")):
+                                  "header", "column", "rstore1")):
             with pytest.raises(SchemaError, match=match):
                 read_chunk_header(source())
+
+    def test_flipped_or_truncated_chunks_never_decode(self):
+        # One flipped byte inside each payload kind, and a cut at every
+        # 97th offset: each read raises SchemaError, never wrong values.
+        table = Table({
+            "f": np.linspace(-1.0, 1.0, 200),
+            "i": np.arange(200, dtype=np.int64) * 7,
+            "b": np.arange(200) % 3 == 0,
+            "s": np.array([("prod", "beb", "mid")[i % 3] + "\x00" * (i % 2)
+                           for i in range(200)], dtype=object),
+        })
+        buf = io.BytesIO()
+        write_chunk(table, buf)
+        data = buf.getvalue()
+        header = read_chunk_header(io.BytesIO(data))
+        at = len(data) - sum(c["nbytes"] for c in header["columns"])
+        spans = {}
+        for meta in header["columns"]:
+            spans[meta["name"]] = (at, at + meta["nbytes"])
+            at += meta["nbytes"]
+        s_lo, s_hi = spans["s"]
+        k = int.from_bytes(data[s_lo:s_lo + 8], "little")
+        dictionary_at = s_lo + 8 + 8 * (k + 1)
+        targets = {"float": spans["f"][0] + 13, "int": spans["i"][0] + 8,
+                   "bool": spans["b"][0] + 5, "dictionary": dictionary_at + 2,
+                   "codes": s_hi - 4 * 50}
+        for kind, pos in targets.items():
+            flipped = bytearray(data)
+            flipped[pos] ^= 0x04
+            with pytest.raises(SchemaError, match="checksum"):
+                read_chunk(io.BytesIO(bytes(flipped)))
+            # A projection that skips the flipped payload never reads it.
+            other = "i" if kind == "float" else "f"
+            got = read_chunk(io.BytesIO(bytes(flipped)), columns=[other])
+            np.testing.assert_array_equal(got.column(other).values,
+                                          table.column(other).values)
+        for cut in range(0, len(data), 97):
+            with pytest.raises(SchemaError):
+                read_chunk(io.BytesIO(data[:cut]))
 
     def test_numeric_columns_are_readonly_views(self, tmp_path):
         path = tmp_path / "c.rsc"
@@ -427,6 +525,68 @@ class TestWriterReader:
              "meta": {}, "tables": {}}))
         with pytest.raises(SchemaError, match="version"):
             Manifest.load(tmp_path)
+
+    def test_manifest_rejects_version_1(self, tmp_path):
+        # The per-chunk layout of format 1: one dict per chunk.
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"format": "repro-store", "version": 1, "chunk_rows": 1,
+             "meta": {}, "tables": {"t": {
+                 "columns": [{"name": "a", "kind": "int"}], "rows": 1,
+                 "chunks": [{"file": "t/chunk-00000.rsc", "rows": 1,
+                             "stats": {"a": {"min": 1, "max": 1}}}]}}}))
+        with pytest.raises(SchemaError, match="store version 1 .*convert"):
+            Manifest.load(tmp_path)
+
+    def test_manifest_rejects_non_json(self, tmp_path):
+        (tmp_path / "manifest.json").write_bytes(b'{"format": "repro-st')
+        with pytest.raises(SchemaError, match="not JSON"):
+            Manifest.load(tmp_path)
+
+    @pytest.mark.parametrize("bounds", ["min", "max"])
+    def test_manifest_rejects_stats_of_wrong_length(self, store_dir, bounds):
+        path, _ = store_dir
+        data = json.loads((path / "manifest.json").read_text())
+        data["tables"]["instance_usage"]["stats"]["avg_cpu"][bounds].pop()
+        (path / "manifest.json").write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=rf"'avg_cpu' needs a '{bounds}' "
+                           rf"list of 16 chunk bounds, got 15"):
+            open_store(path)
+
+    def test_manifest_is_column_wise_and_unindented(self, store_dir):
+        path, ds = store_dir
+        text = (path / "manifest.json").read_text()
+        assert "\n" not in text and ", " not in text
+        entry = json.loads(text)["tables"]["instance_usage"]
+        assert entry["chunk_rows"] == [128] * 15 + [2000 - 15 * 128]
+        assert set(entry["stats"]) == {  # every column but the bool one
+            c for c in SCHEMA_2019["instance_usage"] if c != "in_alloc"}
+        assert all(len(b["min"]) == len(b["max"]) == 16
+                   for b in entry["stats"].values())
+
+    def test_chunks_rebuild_per_chunk_stats(self, tmp_path):
+        # Manifest.chunks gives back exactly chunk_stats of each chunk;
+        # an all-NaN chunk is stored as null and has no bound.
+        ds = _dataset(usage_rows=300)
+        cpu = ds.tables["instance_usage"].column("avg_cpu").values.copy()
+        cpu[100:200] = float("nan")
+        usage = ds.tables["instance_usage"]
+        ds.tables["instance_usage"] = Table({
+            name: cpu if name == "avg_cpu" else usage.column(name)
+            for name in usage.column_names})
+        write_store(ds, tmp_path / "s", chunk_rows=100)
+        manifest = Manifest.load(tmp_path / "s")
+        raw = manifest.table("instance_usage")["stats"]["avg_cpu"]
+        assert raw["min"][1] is None and raw["max"][1] is None
+        chunks = manifest.chunks("instance_usage")
+        assert manifest.chunks("instance_usage") is chunks  # built once
+        assert [c["file"] for c in chunks] == [
+            f"instance_usage/chunk-{i:05d}.rsc" for i in range(3)]
+        for i, chunk in enumerate(chunks):
+            rows = ds.tables["instance_usage"].take(
+                np.arange(100 * i, 100 * (i + 1)))
+            assert chunk["rows"] == 100
+            assert chunk["stats"] == chunk_stats(rows)
+        assert "avg_cpu" not in chunks[1]["stats"]
 
 
 class TestScan:

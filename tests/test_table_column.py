@@ -53,6 +53,21 @@ class TestConstruction:
         assert col.kind == "str"
         assert col.to_list() == ["a", "b"]
 
+    def test_trailing_nul_survives_list_input(self):
+        # numpy's ``<U`` drops trailing NULs; a list keeps its own str.
+        values = ["tail\x00", "\x00", "a\x00b", "plain"]
+        for given in (values, tuple(values)):
+            col = Column(given)
+            assert col.to_list() == values
+            assert [type(v) for v in col] == [str] * 4
+        assert Column("x\x00").to_list() == ["x\x00"]
+
+    def test_native_arrays_are_kept_as_is(self):
+        for arr in (np.arange(3.0), np.arange(3), np.array([True, False])):
+            assert Column(arr).values is arr
+        view = np.arange(4.0)[::2]  # strided views are 1-D float64 too
+        assert Column(view).values is view
+
     def test_unicode_array_yields_plain_str(self):
         for values in (["prod", "beb"], np.array(["prod", "beb"])):
             col = Column(values)
