@@ -64,7 +64,6 @@ from repro.campaign import (
 )
 from repro.lint import lint_project
 from repro.lint import render as render_lint
-from repro.lint.reporting import LintRunStats
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.recorder import (
     FRAMES_SCHEMA,
@@ -514,13 +513,9 @@ def _lint(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    run_stats = LintRunStats(
-        rule_timings={rule_id: hist.summary()
-                      for rule_id, hist in result.timings.items()
-                      if hist.count})
     return render_lint(result.violations, result.files_total, sys.stdout,
                        format=args.format, statistics=args.statistics,
-                       run_stats=run_stats)
+                       timings=result.timings)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,20 +8,20 @@ runtime cost with a small rule engine (see :mod:`repro.lint.core`) and
 a catalogue of repo-specific rules (see :mod:`repro.lint.rules`), wired
 into the ``borg-repro lint`` CLI subcommand and CI.
 
-Two drivers share the rule registry.  The per-file driver
-(:func:`lint_paths`) parses each file in isolation and runs the
-syntactic rules (RPR001–RPR007).  The **project** driver
-(:func:`lint_project`) additionally builds an import/call graph over
-the whole tree (:mod:`repro.lint.graph`), runs the taint engine
-(:mod:`repro.lint.flow`) behind the whole-program rules
-(RPR008–RPR010).  Every run analyzes every file.
+One driver, :func:`lint_project`, runs every rule.  It parses the
+whole tree once into an import/call graph (:mod:`repro.lint.graph`)
+and hands each file to every selected rule: the per-file rules
+(RPR001–RPR007) read that file's AST and import map, the whole-program
+rules (RPR008–RPR010) read the taint engine's (:mod:`repro.lint.flow`)
+project-wide verdicts.  Every run analyzes every file.
 
 Quick use::
 
-    from repro.lint import lint_paths, lint_project
-    violations = lint_paths(["src"])          # per-file rules only
+    from repro.lint import lint_project
     result = lint_project(["src"])            # all rules
     result = lint_project(["src"], select=["RPR008"])
+    for violation in result.violations:
+        print(violation.format())
 
 Suppress a single finding with a line comment::
 
@@ -37,10 +37,6 @@ from repro.lint.core import (
     FileContext,
     Rule,
     Violation,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
     parse_noqa,
     rule,
 )
@@ -57,6 +53,7 @@ import repro.lint.rules  # noqa: F401,E402  (registers the built-in rules)
 from repro.lint.project import (  # noqa: E402
     ProjectContext,
     ProjectLintResult,
+    iter_python_files,
     lint_project,
 )
 
@@ -72,10 +69,7 @@ __all__ = [
     "Violation",
     "exit_code",
     "iter_python_files",
-    "lint_file",
-    "lint_paths",
     "lint_project",
-    "lint_source",
     "parse_noqa",
     "render",
     "render_json",

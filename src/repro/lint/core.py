@@ -1,10 +1,11 @@
-"""The ``repro.lint`` engine: rules, the per-file driver, suppressions.
+"""The ``repro.lint`` engine: rules, their registry, suppressions.
 
 A *rule* is a class with an ``id`` (``RPR001`` ...), a one-line
 ``summary``, and a ``check(context)`` generator yielding
 :class:`Violation` objects.  Rules register themselves with the
-:func:`rule` decorator; the driver parses each file once and hands every
-registered rule the same :class:`FileContext` (path, source, AST,
+:func:`rule` decorator; the driver (:func:`repro.lint.project.lint_project`)
+parses each file once, into the project graph, and hands every selected
+rule the same :class:`FileContext` (the parsed module, the project, the
 comment map), so adding a rule never adds a parse.
 
 Suppressions are explicit and narrow: a ``# repro: noqa[RPR001]``
@@ -22,7 +23,11 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Set, Type
+
+if TYPE_CHECKING:
+    from repro.lint.graph import ModuleInfo
+    from repro.lint.project import ProjectContext
 
 #: ``# repro: noqa`` or ``# repro: noqa[RPR001,RPR005]`` (case-insensitive).
 _NOQA_RE = re.compile(
@@ -52,23 +57,24 @@ class Violation:
 class FileContext:
     """Everything a rule may inspect about one file (parsed once)."""
 
-    path: Path
-    source: str
-    tree: ast.AST
+    #: The file's graph entry: path, AST and import map.
+    module: ModuleInfo
+    #: The whole program: graph plus memoized project-wide analyses.
+    project: ProjectContext
     #: line number -> set of suppressed rule ids ("*" means all rules).
     noqa: Dict[int, Set[str]] = field(default_factory=dict)
-    #: Whole-program context (:class:`repro.lint.project.ProjectContext`)
-    #: when linting in project mode; None in per-file mode, where rules
-    #: with ``requires_project`` yield nothing.
-    project: Optional[object] = None
 
     @property
-    def path_parts(self) -> Sequence[str]:
-        return self.path.parts
+    def path(self) -> Path:
+        return self.module.path
+
+    @property
+    def tree(self) -> ast.Module:
+        return self.module.tree
 
     def in_directory(self, *names: str) -> bool:
         """Whether any path component matches one of ``names``."""
-        return any(part in names for part in self.path_parts)
+        return any(part in names for part in self.path.parts)
 
     def is_file(self, *basenames: str) -> bool:
         return self.path.name in basenames
@@ -79,9 +85,6 @@ class Rule:
 
     id: str = ""
     summary: str = ""
-    #: Whole-program rules need ``FileContext.project`` (the import/call
-    #: graph + flow analyses) and are inert in per-file mode.
-    requires_project: bool = False
 
     def check(self, context: FileContext) -> Iterator[Violation]:
         raise NotImplementedError
@@ -134,63 +137,3 @@ def parse_noqa(source: str) -> Dict[int, Set[str]]:
     except tokenize.TokenError:
         pass  # the AST parse will report the real syntax problem
     return out
-
-
-def _suppressed(violation: Violation, noqa: Dict[int, Set[str]]) -> bool:
-    ids = noqa.get(violation.line)
-    return bool(ids) and ("*" in ids or violation.rule in ids)
-
-
-def _selected_rules(select: Optional[Sequence[str]]) -> List[Rule]:
-    if select is None:
-        return [cls() for cls in RULES.values()]
-    unknown = sorted(set(select) - set(RULES))
-    if unknown:
-        raise ValueError(f"unknown rule ids {unknown}; known: {sorted(RULES)}")
-    return [RULES[rule_id]() for rule_id in select]
-
-
-def lint_source(source: str, path: Union[str, Path],
-                select: Optional[Sequence[str]] = None) -> List[Violation]:
-    """Run (selected) rules over one file's source text."""
-    path = Path(path)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [Violation("RPR000", str(path), exc.lineno or 1,
-                          (exc.offset or 0) or 1,
-                          f"syntax error: {exc.msg}")]
-    context = FileContext(path=path, source=source, tree=tree,
-                          noqa=parse_noqa(source))
-    violations: List[Violation] = []
-    for checker in _selected_rules(select):
-        violations.extend(v for v in checker.check(context)
-                          if not _suppressed(v, context.noqa))
-    violations.sort(key=lambda v: (v.line, v.column, v.rule))
-    return violations
-
-
-def lint_file(path: Union[str, Path],
-              select: Optional[Sequence[str]] = None) -> List[Violation]:
-    """Run (selected) rules over one file on disk."""
-    path = Path(path)
-    return lint_source(path.read_text(encoding="utf-8"), path, select)
-
-
-def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
-    """Expand files and directories into a sorted stream of ``.py`` files."""
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            yield from sorted(p for p in entry.rglob("*.py"))
-        else:
-            yield entry
-
-
-def lint_paths(paths: Iterable[Union[str, Path]],
-               select: Optional[Sequence[str]] = None) -> List[Violation]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    violations: List[Violation] = []
-    for path in iter_python_files(paths):
-        violations.extend(lint_file(path, select))
-    return violations

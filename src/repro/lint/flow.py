@@ -338,25 +338,14 @@ def _module_statements(info: ModuleInfo) -> List[ast.stmt]:
 
 class FlowRule(Rule):
     """Base for taint-driven rules: one :class:`FlowSpec`, one report
-    per :class:`Hit` in the file under lint.  Yields nothing outside
-    project mode (whole-program rules need the whole program)."""
+    per :class:`Hit` in the file under lint.  The project fixpoint is
+    built on the rule's first call and memoized for the run."""
 
-    requires_project = True
     spec: FlowSpec
 
-    def warm(self, project) -> None:
-        """Build the project fixpoint up front so ``--statistics`` books
-        its cost against this rule, not against the first file checked."""
-        project.flow(type(self).spec)
-
     def check(self, context: FileContext) -> Iterator[Violation]:
-        project = context.project
-        if project is None:
-            return
-        info = project.graph.module_for_path(context.path)
-        if info is None:
-            return
-        for hit in project.flow(type(self).spec).hits_for(info):
+        flow = context.project.flow(type(self).spec)
+        for hit in flow.hits_for(context.module):
             yield Violation(self.id, str(context.path), hit.line, hit.col,
                             hit.message)
 

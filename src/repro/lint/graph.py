@@ -9,7 +9,7 @@ roots once and answers two questions:
 
 * **symbols** — which module-level functions and classes does M define,
   including re-exports (``repro/lint/__init__`` re-exporting
-  ``lint_paths`` from ``repro.lint.core`` resolves to the defining
+  ``lint_project`` from ``repro.lint.project`` resolves to the defining
   module, following alias chains to a small depth).
 * **calls** — given a ``Call`` node in M, which project function does it
   target?  Resolution is deliberately conservative: module-level
@@ -111,8 +111,8 @@ class ProjectGraph:
         return graph
 
     def add_source(self, path: Path, source: str,
-                   name: Optional[str] = None) -> Optional[ModuleInfo]:
-        """Parse and register one module (skips files with syntax errors).
+                   name: Optional[str] = None) -> ModuleInfo:
+        """Parse and register one module (``SyntaxError`` propagates).
 
         ``name`` overrides the derived module name — the driver passes
         its collision-disambiguated name so two same-stem scripts in
@@ -120,10 +120,7 @@ class ProjectGraph:
         graph entry.
         """
         path = Path(path)
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
-            return None
+        tree = ast.parse(source, filename=str(path))
         info = ModuleInfo(name or module_name(path), path, source, tree)
         self.modules[info.name] = info
         self._by_path[str(path)] = info

@@ -1,53 +1,46 @@
-"""The whole-program lint driver: graph + flow rules over the full tree.
+"""The lint driver: every rule, per-file and whole-program, over one tree.
 
-:func:`lint_project` is what ``borg-repro lint`` actually runs.  It
-extends the per-file driver (:func:`repro.lint.core.lint_source`) with
-everything the flow rules need:
+:func:`lint_project` is what ``borg-repro lint`` runs, and the only
+driver there is:
 
-1. read and parse every file into one
+1. read and parse every file once into a
    :class:`~repro.lint.graph.ProjectGraph` (import and call resolution
-   across modules);
-2. let each selected rule warm its project-wide analysis once — the
-   taint fixpoints behind RPR008/RPR010 and RPR009's fork-share verdict
-   map, which is built from a fact summary of every parsed module;
-3. run every selected rule over every file, timing each rule with
-   :mod:`repro.obs` histograms.
+   across modules); a file that does not parse is reported as
+   ``RPR000`` and checked by no rule;
+2. run every selected rule over every parsed file, timing each call.
+   A whole-program rule builds its project-wide analysis (the taint
+   fixpoints behind RPR008/RPR010, RPR009's fork-share verdict map)
+   on its first call, memoized in the :class:`ProjectContext`, so that
+   cost is booked to the rule it belongs to.
 
 Every run analyzes the whole tree from scratch, so a result depends
 only on the files linted, never on an earlier run.
 
-Suppression semantics are unchanged from per-file mode — and because
-flow violations anchor at the *source* line (where taint enters the
-file), a ``# repro: noqa[RPR008]`` is a judgement about one source: a
-suppression on a sink line hides nothing, and two sources reaching the
-same sink need two justifications.
+Flow violations anchor at the *source* line (where taint enters the
+file), so a ``# repro: noqa[RPR008]`` is a judgement about one source:
+a suppression on a sink line hides nothing, and two sources reaching
+the same sink need two justifications.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, TypeVar, Union)
 
-from repro import obs
-from repro.lint.core import (
-    FileContext,
-    Violation,
-    _selected_rules,
-    _suppressed,
-    iter_python_files,
-    parse_noqa,
-)
+from repro.lint.core import RULES, FileContext, Rule, Violation, parse_noqa
 from repro.lint.flow import FlowAnalysis, FlowSpec
-from repro.lint.graph import ProjectGraph, module_name
+from repro.lint.graph import ModuleInfo, ProjectGraph, module_name
 from repro.obs.timing import TimingHistogram
+
+T = TypeVar("T")
 
 
 class ProjectContext:
-    """What project-mode rules see via ``FileContext.project``."""
+    """What every rule sees via ``FileContext.project``."""
 
     def __init__(self, graph: ProjectGraph):
         self.graph = graph
@@ -55,16 +48,14 @@ class ProjectContext:
 
     def flow(self, spec: FlowSpec) -> FlowAnalysis:
         """The (memoized) taint fixpoint for one flow spec."""
-        key = f"flow.{spec.rule_id}"
-        if key not in self._memo:
-            self._memo[key] = FlowAnalysis(self.graph, spec)
-        return self._memo[key]  # type: ignore[return-value]
+        return self.memo(f"flow.{spec.rule_id}",
+                         lambda: FlowAnalysis(self.graph, spec))
 
-    def memo(self, key: str, factory: Callable[[], object]) -> object:
+    def memo(self, key: str, factory: Callable[[], T]) -> T:
         """Generic once-per-project memo for rule-owned analyses."""
         if key not in self._memo:
             self._memo[key] = factory()
-        return self._memo[key]
+        return self._memo[key]  # type: ignore[return-value]
 
 
 @dataclass
@@ -73,7 +64,7 @@ class ProjectLintResult:
 
     violations: List[Violation]
     files_total: int
-    #: rule id -> wall-time histogram over per-file check calls.
+    #: rule id -> wall-time histogram, one observation per file checked.
     timings: Dict[str, TimingHistogram] = field(default_factory=dict)
 
 
@@ -100,71 +91,71 @@ def _module_names(path_strs: Sequence[str]) -> Dict[str, str]:
     return out
 
 
+def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
+    """Expand files and directories into a sorted stream of ``.py`` files."""
+    for entry in paths:
+        entry = Path(entry)
+        if entry.is_dir():
+            yield from sorted(p for p in entry.rglob("*.py"))
+        else:
+            yield entry
+
+
+def _selected_rules(select: Optional[Sequence[str]]) -> List[Rule]:
+    if select is None:
+        return [cls() for cls in RULES.values()]
+    unknown = sorted(set(select) - set(RULES))
+    if unknown:
+        raise ValueError(f"unknown rule ids {unknown}; known: {sorted(RULES)}")
+    return [RULES[rule_id]() for rule_id in select]
+
+
 def lint_project(paths: Iterable[Union[str, Path]],
                  select: Optional[Sequence[str]] = None) -> ProjectLintResult:
     """Lint ``paths`` with every selected rule, whole-program rules
     included, analyzing every file."""
     checkers = _selected_rules(select)
-    rule_ids = [type(c).id for c in checkers]
-
     path_strs = [str(p) for p in iter_python_files(paths)]
-    sources = {s: Path(s).read_text(encoding="utf-8") for s in path_strs}
     modnames = _module_names(path_strs)
 
+    violations: List[Violation] = []
     graph = ProjectGraph()
     for s in path_strs:
         # Declared even when unparsable, so imports of it still resolve.
         graph.declare_module(modnames[s])
-        graph.add_source(Path(s), sources[s], name=modnames[s])
+        try:
+            graph.add_source(Path(s), Path(s).read_text(encoding="utf-8"),
+                             name=modnames[s])
+        except SyntaxError as exc:
+            violations.append(Violation("RPR000", s, exc.lineno or 1,
+                                        exc.offset or 1,
+                                        f"syntax error: {exc.msg}"))
     context = ProjectContext(graph)
 
-    timings: Dict[str, TimingHistogram] = {tid: TimingHistogram()
-                                           for tid in rule_ids}
-
-    def timed(rule_id: str, fn: Callable[[], object]) -> object:
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        timings[rule_id].observe(elapsed)
-        obs.observe(f"lint.rule.{rule_id}", elapsed)
-        return result
-
-    for checker in checkers:
-        warm = getattr(checker, "warm", None)
-        if warm is not None:
-            timed(type(checker).id, lambda w=warm: w(context))
-
-    violations: List[Violation] = []
-    with obs.span("lint.project"):
-        for s in path_strs:
-            violations.extend(_analyze_file(s, sources[s], context, checkers,
-                                            timed))
+    timings = {type(c).id: TimingHistogram() for c in checkers}
+    for s in path_strs:
+        info = graph.module_for_path(Path(s))
+        if info is not None:  # None: a syntax error, reported above
+            violations.extend(_check_file(info, context, checkers, timings))
     violations.sort(key=lambda v: (v.path, v.line, v.column, v.rule))
-    obs.inc("lint.files_analyzed", len(path_strs))
     return ProjectLintResult(violations=violations,
                              files_total=len(path_strs), timings=timings)
 
 
-def _analyze_file(path_str: str, source: str, context: ProjectContext,
-                  checkers, timed) -> List[Violation]:
-    path = Path(path_str)
-    info = context.graph.module_for_path(path)
-    tree = info.tree if info is not None else None
-    if tree is None:
-        try:
-            tree = ast.parse(source, filename=path_str)
-        except SyntaxError as exc:
-            return [Violation("RPR000", path_str, exc.lineno or 1,
-                              (exc.offset or 0) or 1,
-                              f"syntax error: {exc.msg}")]
-    file_context = FileContext(path=path, source=source, tree=tree,
-                               noqa=parse_noqa(source), project=context)
+def _check_file(info: ModuleInfo, context: ProjectContext,
+                checkers: List[Rule],
+                timings: Dict[str, TimingHistogram]) -> List[Violation]:
+    file_context = FileContext(module=info, project=context,
+                               noqa=parse_noqa(info.source))
     out: List[Violation] = []
     for checker in checkers:
-        rule_id = type(checker).id
-        found = timed(rule_id,
-                      lambda c=checker: list(c.check(file_context)))
-        out.extend(v for v in found
-                   if not _suppressed(v, file_context.noqa))
-    out.sort(key=lambda v: (v.line, v.column, v.rule))
+        start = time.perf_counter()
+        found = list(checker.check(file_context))
+        timings[checker.id].observe(time.perf_counter() - start)
+        out.extend(v for v in found if not _suppressed(v, file_context.noqa))
     return out
+
+
+def _suppressed(violation: Violation, noqa: Dict[int, Set[str]]) -> bool:
+    ids = noqa.get(violation.line)
+    return bool(ids) and ("*" in ids or violation.rule in ids)

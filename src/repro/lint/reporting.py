@@ -6,31 +6,24 @@ Exit-code contract (mirrors the common linter convention):
 * ``1`` — at least one violation (including suppressible ones);
 * ``2`` — a file could not be analyzed (syntax error, ``RPR000``).
 
-Project mode feeds the reporters a :class:`LintRunStats` so
-``--statistics`` can show per-rule wall time (count / total / p50 / p95
-over per-file check calls, from :mod:`repro.obs` timing histograms).
+The driver's per-rule timing histograms
+(:attr:`repro.lint.project.ProjectLintResult.timings`) let
+``--statistics`` show per-rule wall time: count / total / p50 / p95
+over that rule's check calls, one call per file checked.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import IO, Dict, List, Optional, Sequence
+from typing import IO, Dict, List, Mapping, Optional, Sequence
 
 from repro.lint.core import RULES, Violation
+from repro.obs.timing import TimingHistogram
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
-
-
-@dataclass
-class LintRunStats:
-    """Run accounting the reporters show next to the findings."""
-
-    #: rule id -> TimingHistogram summary() dict (count/sum/p50/p95/...).
-    rule_timings: Dict[str, dict] = field(default_factory=dict)
 
 
 def exit_code(violations: Sequence[Violation]) -> int:
@@ -45,9 +38,17 @@ def _format_seconds(value: float) -> str:
     return f"{value * 1000.0:.1f}ms"
 
 
+def _timing_summaries(timings: Mapping[str, TimingHistogram]
+                      ) -> Dict[str, Dict[str, float]]:
+    """rule id -> histogram summary, sorted, for rules that ran."""
+    return {rule_id: timings[rule_id].summary()
+            for rule_id in sorted(timings) if timings[rule_id].count}
+
+
 def render_text(violations: Sequence[Violation], files_checked: int,
                 out: IO[str], statistics: bool = False,
-                run_stats: Optional[LintRunStats] = None) -> None:
+                timings: Optional[Mapping[str, TimingHistogram]] = None
+                ) -> None:
     """One ``path:line:col: RULE message`` line per violation + summary."""
     for violation in violations:
         print(violation.format(), file=out)
@@ -58,13 +59,11 @@ def render_text(violations: Sequence[Violation], files_checked: int,
             summary = RULES[rule_id].summary if rule_id in RULES \
                 else "could not analyze file"
             print(f"{rule_id}  {count:4d}  {summary}", file=out)
-    if statistics and run_stats is not None and run_stats.rule_timings:
+    summaries = _timing_summaries(timings or {}) if statistics else {}
+    if summaries:
         print(file=out)
         print("rule timings (over per-file checks):", file=out)
-        for rule_id in sorted(run_stats.rule_timings):
-            timing = run_stats.rule_timings[rule_id]
-            if not timing.get("count"):
-                continue
+        for rule_id, timing in summaries.items():
             print(f"  {rule_id}  calls={timing['count']:4d}  "
                   f"total={_format_seconds(timing['sum'])}  "
                   f"p50={_format_seconds(timing['p50'])}  "
@@ -76,7 +75,8 @@ def render_text(violations: Sequence[Violation], files_checked: int,
 
 def render_json(violations: Sequence[Violation], files_checked: int,
                 out: IO[str],
-                run_stats: Optional[LintRunStats] = None) -> None:
+                timings: Optional[Mapping[str, TimingHistogram]] = None
+                ) -> None:
     """A single JSON document: violations, per-rule counts, summary."""
     counts = Counter(v.rule for v in violations)
     document = {
@@ -88,21 +88,19 @@ def render_json(violations: Sequence[Violation], files_checked: int,
         "violations": [v.to_dict() for v in violations],
         "exit_code": exit_code(violations),
     }
-    if run_stats is not None:
-        document["rule_timings"] = {rule_id: run_stats.rule_timings[rule_id]
-                                    for rule_id in
-                                    sorted(run_stats.rule_timings)}
+    if timings is not None:
+        document["rule_timings"] = _timing_summaries(timings)
     json.dump(document, out, indent=2)
     out.write("\n")
 
 
 def render(violations: List[Violation], files_checked: int, out: IO[str],
            format: str = "text", statistics: bool = False,
-           run_stats: Optional[LintRunStats] = None) -> int:
+           timings: Optional[Mapping[str, TimingHistogram]] = None) -> int:
     """Render in the requested format; returns the process exit code."""
     if format == "json":
-        render_json(violations, files_checked, out, run_stats=run_stats)
+        render_json(violations, files_checked, out, timings=timings)
     else:
         render_text(violations, files_checked, out, statistics=statistics,
-                    run_stats=run_stats)
+                    timings=timings)
     return exit_code(violations)

@@ -19,9 +19,8 @@ RPR007  hot-loop guards — recorder/profiler calls inside repro.sim loops
         must sit behind an if-guard naming the handle, keeping opt-in
         telemetry off the per-event path of unrecorded runs.
 
-Whole-program rules (project mode only — ``borg-repro lint`` and
-:func:`repro.lint.project.lint_project`; inert under per-file
-``lint_source``):
+Whole-program rules (their verdicts come from an analysis over every
+file :func:`repro.lint.project.lint_project` parsed, memoized per run):
 
 RPR008  determinism taint — nondeterministic values (wall clocks, global
         RNG, entropy, environment reads) may not flow — across modules —

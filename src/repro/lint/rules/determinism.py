@@ -15,7 +15,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.core import FileContext, Rule, Violation, rule
-from repro.lint.names import ImportMap, resolve_dotted
+from repro.lint.names import resolve_dotted
 
 #: Directories (package components) the rule polices.
 SCOPED_DIRS = ("sim", "workload")
@@ -64,7 +64,7 @@ class DeterminismRule(Rule):
     def check(self, context: FileContext) -> Iterator[Violation]:
         if not context.in_directory(*SCOPED_DIRS):
             return
-        imports = ImportMap(context.tree)
+        imports = context.module.import_map
         reported = set()
         for node in ast.walk(context.tree):
             # Attribute chains: np.random.seed, time.time, random.randint.

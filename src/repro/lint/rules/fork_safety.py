@@ -42,7 +42,7 @@ class ForkSafetyRule(Rule):
                "pass a module-level function (or functools.partial of one)")
 
     def check(self, context: FileContext) -> Iterator[Violation]:
-        imports = ImportMap(context.tree)
+        imports = context.module.import_map
         scopes = _Scopes()
         yield from self._visit_body(context, context.tree, imports, scopes,
                                     in_function=False)

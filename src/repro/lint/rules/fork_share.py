@@ -46,12 +46,16 @@ the whole project:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from repro.lint.core import FileContext, Rule, Violation, rule
 from repro.lint.flow import Hit
 from repro.lint.graph import ModuleInfo, ProjectGraph
 from repro.lint.names import dotted_name, pool_submission
+
+if TYPE_CHECKING:
+    from repro.lint.project import ProjectContext
 
 #: Constructor calls producing shared-mutable module state.
 MUTABLE_CONSTRUCTORS = frozenset({
@@ -409,11 +413,11 @@ class _ShareAnalysis:
         return out
 
 
-def project_analysis(project: object) -> _ShareAnalysis:
+def project_analysis(project: ProjectContext) -> _ShareAnalysis:
     """The (memoized) global RPR009 analysis for one project run, over
     the fact summary of every parsed module."""
-    graph: ProjectGraph = project.graph  # type: ignore[attr-defined]
-    return project.memo(  # type: ignore[attr-defined, no-any-return]
+    graph = project.graph
+    return project.memo(
         "rpr009.share", lambda: _ShareAnalysis(
             {name: summarize_module(info, graph)
              for name, info in sorted(graph.modules.items())}))
@@ -425,19 +429,9 @@ class ForkShareRule(Rule):
     summary = ("worker-callable code touches module-level mutable state; "
                "fork/spawn copies diverge — use scoped registries or "
                "explicit task payloads")
-    requires_project = True
-
-    def warm(self, project: object) -> None:
-        project_analysis(project)
 
     def check(self, context: FileContext) -> Iterator[Violation]:
-        project = context.project
-        if project is None:
-            return
-        info = project.graph.module_for_path(context.path)  # type: ignore[attr-defined]
-        if info is None:
-            return
-        analysis = project_analysis(project)
-        for hit in analysis.hits_by_module.get(info.name, []):
+        analysis = project_analysis(context.project)
+        for hit in analysis.hits_by_module.get(context.module.name, []):
             yield Violation(self.id, str(context.path), hit.line, hit.col,
                             hit.message)

@@ -18,7 +18,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.core import FileContext, Rule, Violation, rule
-from repro.lint.names import ImportMap, resolve_dotted
+from repro.lint.names import resolve_dotted
 
 #: Canonical callables whose first argument names a span.
 SPAN_FACTORIES = frozenset({
@@ -45,7 +45,7 @@ class ObsDisciplineRule(Rule):
                "make the span-tree structure data-dependent")
 
     def check(self, context: FileContext) -> Iterator[Violation]:
-        imports = ImportMap(context.tree)
+        imports = context.module.import_map
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -253,13 +253,11 @@ class CellRecorder:
     PROBE_NAMES = ("pending", "parked")
 
     def __init__(self, cell: str, interval: float = DEFAULT_INTERVAL,
-                 emit: Optional[Callable[[dict], None]] = None,
-                 enabled: bool = True) -> None:
+                 emit: Optional[Callable[[dict], None]] = None) -> None:
         if interval <= 0:
             raise ValueError(f"record interval must be positive, got {interval}")
         self.cell = cell
         self.interval = float(interval)
-        self.enabled = enabled
         self.frames: List[dict] = []
         self._emit = emit if emit is not None else self.frames.append
         #: The simulated time of the next frame boundary — read directly
@@ -362,12 +360,9 @@ class StatusLine:
     characters into logs.
     """
 
-    def __init__(self, stream: Optional[TextIO] = None,
-                 enabled: Optional[bool] = None) -> None:
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
         self._stream = stream if stream is not None else sys.stderr
-        if enabled is None:
-            enabled = bool(getattr(self._stream, "isatty", lambda: False)())
-        self.enabled = enabled
+        self.enabled = bool(getattr(self._stream, "isatty", lambda: False)())
         self._width = 0
         self._dirty = False
 

@@ -58,10 +58,10 @@ def _coerce(values: Any) -> np.ndarray:
     # Everything else (strings, mixed python objects) is stored as objects;
     # require all elements to be strings for predictable semantics.  The
     # common inputs pass in one C-level pass: a list of str (numpy makes
-    # it ``<U``) or an object array holding only exact str.  Other ``<U``
-    # input converts to plain str with ``astype(object)``; any other
-    # object array — str subclasses such as ``np.str_``, or bad
-    # elements — takes the per-element check.
+    # it ``<U``) or an object array holding only exact str.  Anything
+    # else takes the per-element check — str subclasses such as
+    # ``np.str_`` pass it, while a non-str element raises even where
+    # numpy has already stringified it (``["a", 1]`` is ``<U`` too).
     if arr.dtype.kind == "U":
         if not isinstance(values, np.ndarray):
             # ``<U`` drops trailing NULs ("tail\0" -> "tail"), so a
@@ -70,18 +70,21 @@ def _coerce(values: Any) -> np.ndarray:
             out[:] = values
             if set(map(type, out)) <= {str}:
                 return out
+            _require_str(out)
         return arr.astype(object)
     if arr.dtype == object and set(map(type, arr)) <= {str}:
         return arr.copy()
-    out = np.empty(len(arr), dtype=object)
-    for i, v in enumerate(arr):
+    _require_str(arr)
+    return arr.astype(object)
+
+
+def _require_str(values: np.ndarray) -> None:
+    for v in values:
         if not isinstance(v, str):
             raise SchemaError(
                 f"unsupported column element {v!r} of type {type(v).__name__}; "
                 "columns hold floats, ints, bools, or strings"
             )
-        out[i] = v
-    return out
 
 
 class Column:

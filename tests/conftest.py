@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.lint import lint_project
 from repro.trace import encode_cell
 from tests.trace_fixtures import FAULTY_SCALE, TEST_SCALE, build_result
 
@@ -55,3 +56,20 @@ def trace_2019_faulty(result_2019_faulty):
 @pytest.fixture(scope="session")
 def traces_2011(trace_2011):
     return [trace_2011]
+
+
+@pytest.fixture
+def lint_fixture(tmp_path):
+    """Lint one fixture file the way ``borg-repro lint`` does.
+
+    ``lint_fixture(source, path, select=None)`` writes ``source`` to
+    ``tmp_path/<path>`` (``path`` keeps the directories a rule scopes
+    on, e.g. ``src/repro/sim/x.py``) and returns the violations
+    :func:`repro.lint.lint_project` reports for that one file.
+    """
+    def run(source, path, select=None):
+        target = tmp_path / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source, encoding="utf-8")
+        return lint_project([target], select=select).violations
+    return run

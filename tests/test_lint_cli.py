@@ -1,10 +1,12 @@
 """CLI tests for ``borg-repro lint``: exit codes, formats, dogfooding."""
 
 import json
+import re
+import textwrap
 from pathlib import Path
 
 from repro.cli import main
-from repro.lint import lint_paths
+from repro.lint import RULES, lint_project
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,6 +75,20 @@ def test_statistics_flag(tmp_path, capsys):
     assert "RPR005     2" in out
 
 
+def test_statistics_calls_equal_files_checked(tmp_path, capsys):
+    # Whole-program rules included: each rule is called once per file,
+    # and its project-wide analysis is part of a call, not an extra one.
+    for name in ("a.py", "b.py", "c.py"):
+        write(tmp_path, name, "import json\n\n\ndef f(x):\n"
+                              "    return json.dumps(sorted(x))\n")
+    assert main(["lint", str(tmp_path), "--statistics"]) == 0
+    out = capsys.readouterr().out
+    assert "rule timings (over per-file checks):" in out
+    calls = dict(re.findall(r"^  (RPR\d{3})  calls=\s*(\d+)", out, re.M))
+    assert calls == {rule_id: "3" for rule_id in RULES}
+    assert "0 violations in 3 file(s) checked" in out
+
+
 def test_directory_lint_counts_files(tmp_path, capsys):
     write(tmp_path, "a.py", "x = 1\n")
     write(tmp_path, "b.py", "y = 2\n")
@@ -81,6 +97,129 @@ def test_directory_lint_counts_files(tmp_path, capsys):
 
 
 def test_repo_src_is_lint_clean():
-    """Dogfood gate: the tree the CI lint job checks stays clean."""
-    violations = lint_paths([REPO_SRC])
-    assert violations == [], "\n".join(v.format() for v in violations)
+    """Dogfood gate: the tree the CI lint job checks stays clean, under
+    every rule, whole-program ones included."""
+    result = lint_project([REPO_SRC])
+    assert set(result.timings) == set(RULES)
+    assert result.violations == [], \
+        "\n".join(v.format() for v in result.violations)
+
+
+#: One violation of each rule, RPR001-RPR010, in one package tree.
+ALL_RULES_TREE = {
+    "repro/__init__.py": "",
+    "repro/analysis/__init__.py": "",
+    "repro/analysis/columns.py": """\
+        def cpu(trace):
+            return trace.instance_usage.column("cpu_avg")
+        """,
+    "repro/sim/__init__.py": "",
+    "repro/sim/engine.py": """\
+        import numpy as np
+
+
+        def step(now):
+            return now
+
+
+        def jitter():
+            return np.random.rand()
+
+
+        def run(self):
+            while self._heap:
+                self.recorder.tick(self.now)
+        """,
+    "repro/clockutil.py": """\
+        import time
+
+
+        def stamp():
+            return time.time()
+        """,
+    "repro/driver.py": """\
+        from repro.clockutil import stamp
+        from repro.sim.engine import step
+
+
+        def run():
+            return step(stamp())
+        """,
+    "repro/scan.py": """\
+        def total_rows(scan):
+            return scan.map_reduce(len, lambda a, b: a + b)
+        """,
+    "repro/loader.py": """\
+        def load(path):
+            try:
+                return open(path).read()
+            except Exception:
+                return None
+        """,
+    "repro/units.py": "WINDOW = 3600.0\n",
+    "repro/spans.py": """\
+        from repro import obs
+
+
+        def work(kind):
+            with obs.span("sim." + kind):
+                pass
+        """,
+    "repro/state.py": """\
+        CACHE = {}
+
+
+        def bump(key):
+            CACHE[key] = 1
+        """,
+    "repro/work.py": """\
+        from repro.state import bump
+
+
+        def task(item):
+            bump(item)
+            return item
+        """,
+    "repro/runner.py": """\
+        from multiprocessing import Pool
+
+        from repro.work import task
+
+
+        def run(items):
+            with Pool() as pool:
+                return list(pool.imap(task, items))
+        """,
+    "repro/emit.py": """\
+        import json
+
+
+        def dump(items):
+            return json.dumps(list(set(items)))
+        """,
+}
+
+
+def test_all_ten_rules_through_the_cli(tmp_path, capsys):
+    for rel, source in ALL_RULES_TREE.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source), encoding="utf-8")
+    assert main(["lint", str(tmp_path), "--format", "json"]) == 1
+    document = json.loads(capsys.readouterr().out)
+    found = [(v["rule"], Path(v["path"]).relative_to(tmp_path).as_posix(),
+              v["line"]) for v in document["violations"]]
+    assert sorted(found) == [
+        ("RPR001", "repro/analysis/columns.py", 2),
+        ("RPR002", "repro/sim/engine.py", 9),
+        ("RPR003", "repro/scan.py", 2),
+        ("RPR004", "repro/loader.py", 4),
+        ("RPR005", "repro/units.py", 1),
+        ("RPR006", "repro/spans.py", 5),
+        ("RPR007", "repro/sim/engine.py", 14),
+        ("RPR008", "repro/driver.py", 6),
+        ("RPR009", "repro/state.py", 5),
+        ("RPR010", "repro/emit.py", 5),
+    ]
+    assert document["files_checked"] == len(ALL_RULES_TREE)
+    assert document["exit_code"] == 1

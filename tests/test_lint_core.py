@@ -14,8 +14,7 @@ from repro.lint import (
     Violation,
     exit_code,
     iter_python_files,
-    lint_paths,
-    lint_source,
+    lint_project,
     parse_noqa,
     render,
     render_json,
@@ -62,9 +61,9 @@ def test_rule_decorator_rejects_duplicate_ids():
     assert RULES["RPR001"].summary != "an impostor"
 
 
-def test_unknown_select_raises():
+def test_unknown_select_raises(lint_fixture):
     with pytest.raises(ValueError, match="RPR042"):
-        lint_source("x = 1\n", "a.py", select=["RPR042"])
+        lint_fixture("x = 1\n", "a.py", select=["RPR042"])
 
 
 # -- noqa parsing -----------------------------------------------------------
@@ -87,44 +86,44 @@ def test_parse_noqa_ignores_string_literals():
     assert parse_noqa("s = '# repro: noqa'\n") == {}
 
 
-def test_noqa_suppresses_only_its_line_and_rule():
+def test_noqa_suppresses_only_its_line_and_rule(lint_fixture):
     flagged = "window = 3600.0\n"
-    assert [v.rule for v in lint_source(flagged, "x.py")] == ["RPR005"]
+    assert [v.rule for v in lint_fixture(flagged, "x.py")] == ["RPR005"]
     suppressed = "window = 3600.0  # repro: noqa[RPR005]\n"
-    assert lint_source(suppressed, "x.py") == []
+    assert lint_fixture(suppressed, "x.py") == []
     wrong_rule = "window = 3600.0  # repro: noqa[RPR001]\n"
-    assert [v.rule for v in lint_source(wrong_rule, "x.py")] == ["RPR005"]
+    assert [v.rule for v in lint_fixture(wrong_rule, "x.py")] == ["RPR005"]
     bare = "window = 3600.0  # repro: noqa\n"
-    assert lint_source(bare, "x.py") == []
+    assert lint_fixture(bare, "x.py") == []
     other_line = "# repro: noqa[RPR005]\nwindow = 3600.0\n"
-    assert [v.rule for v in lint_source(other_line, "x.py")] == ["RPR005"]
+    assert [v.rule for v in lint_fixture(other_line, "x.py")] == ["RPR005"]
 
 
 # -- driver -----------------------------------------------------------------
 
-def test_syntax_error_reports_rpr000():
-    violations = lint_source("def broken(:\n", "bad.py")
+def test_syntax_error_reports_rpr000(lint_fixture):
+    violations = lint_fixture("def broken(:\n", "bad.py")
     assert len(violations) == 1
     assert violations[0].rule == "RPR000"
     assert "syntax error" in violations[0].message
     assert exit_code(violations) == EXIT_ERROR
 
 
-def test_clean_source_is_clean():
-    assert lint_source("x = 1\n", SIM_PATH) == []
+def test_clean_source_is_clean(lint_fixture):
+    assert lint_fixture("x = 1\n", SIM_PATH) == []
 
 
-def test_violations_sorted_by_location():
+def test_violations_sorted_by_location(lint_fixture):
     source = "b = 86400\na = 3600\n"
-    violations = lint_source(source, "x.py")
+    violations = lint_fixture(source, "x.py")
     assert [v.line for v in violations] == [1, 2]
 
 
-def test_select_filters_rules():
+def test_select_filters_rules(lint_fixture):
     source = "try:\n    pass\nexcept Exception:\n    pass\nx = 3600\n"
-    all_rules = {v.rule for v in lint_source(source, "x.py")}
+    all_rules = {v.rule for v in lint_fixture(source, "x.py")}
     assert all_rules == {"RPR004", "RPR005"}
-    only = lint_source(source, "x.py", select=["RPR004"])
+    only = lint_fixture(source, "x.py", select=["RPR004"])
     assert {v.rule for v in only} == {"RPR004"}
 
 
@@ -137,7 +136,7 @@ def test_iter_python_files_and_lint_paths(tmp_path):
     single.write_text("z = 86400\n")
     files = list(iter_python_files([tmp_path / "pkg", single]))
     assert [f.name for f in files] == ["a.py", "b.py", "c.py"]
-    violations = lint_paths([tmp_path / "pkg", single])
+    violations = lint_project([tmp_path / "pkg", single]).violations
     assert sorted(v.path.rsplit("/", 1)[-1] for v in violations) == \
         ["b.py", "c.py"]
 

@@ -8,20 +8,23 @@ swallowed errors, silent unit assumptions).
 
 import textwrap
 
-from repro.lint import lint_source
+import pytest
 
 SIM_PATH = "src/repro/sim/fixture.py"
 WORKLOAD_PATH = "src/repro/workload/fixture.py"
 ANALYSIS_PATH = "src/repro/analysis/fixture.py"
 
 
-def lint(source, path, rule_id):
-    return lint_source(textwrap.dedent(source), path, select=[rule_id])
+@pytest.fixture
+def lint(lint_fixture):
+    def run(source, path, rule_id):
+        return lint_fixture(textwrap.dedent(source), path, [rule_id])
+    return run
 
 
 # -- RPR002: determinism ----------------------------------------------------
 
-def test_rpr002_flags_wall_clock_and_global_rng():
+def test_rpr002_flags_wall_clock_and_global_rng(lint):
     source = """\
         import time
         import numpy as np
@@ -39,7 +42,7 @@ def test_rpr002_flags_wall_clock_and_global_rng():
     assert any("numpy.random.rand" in m for m in messages)
 
 
-def test_rpr002_flags_from_imports_and_random_module():
+def test_rpr002_flags_from_imports_and_random_module(lint):
     source = """\
         import random
         from time import monotonic
@@ -53,7 +56,7 @@ def test_rpr002_flags_from_imports_and_random_module():
     assert any("random.random" in v.message for v in violations)
 
 
-def test_rpr002_allows_injected_generator():
+def test_rpr002_allows_injected_generator(lint):
     source = """\
         import numpy as np
 
@@ -63,7 +66,7 @@ def test_rpr002_allows_injected_generator():
     assert lint(source, SIM_PATH, "RPR002") == []
 
 
-def test_rpr002_scoped_to_sim_and_workload():
+def test_rpr002_scoped_to_sim_and_workload(lint):
     source = """\
         import time
 
@@ -74,7 +77,7 @@ def test_rpr002_scoped_to_sim_and_workload():
     assert len(lint(source, SIM_PATH, "RPR002")) == 1
 
 
-def test_rpr002_suppression():
+def test_rpr002_suppression(lint):
     source = """\
         import time
 
@@ -86,7 +89,7 @@ def test_rpr002_suppression():
 
 # -- RPR003: fork safety ----------------------------------------------------
 
-def test_rpr003_flags_lambdas():
+def test_rpr003_flags_lambdas(lint):
     source = """\
         def total_rows(scan):
             return scan.map_reduce(lambda c: len(c), lambda a, b: a + b)
@@ -97,7 +100,7 @@ def test_rpr003_flags_lambdas():
     assert all("map_reduce" in v.message for v in violations)
 
 
-def test_rpr003_flags_nested_functions():
+def test_rpr003_flags_nested_functions(lint):
     source = """\
         def total_rows(scan):
             def count(chunk):
@@ -110,7 +113,7 @@ def test_rpr003_flags_nested_functions():
     assert "'count'" in violations[0].message
 
 
-def test_rpr003_flags_bound_methods_and_keyword_args():
+def test_rpr003_flags_bound_methods_and_keyword_args(lint):
     source = """\
         class Runner:
             def go(self, scan):
@@ -121,7 +124,7 @@ def test_rpr003_flags_bound_methods_and_keyword_args():
     assert all("bound method" in v.message for v in violations)
 
 
-def test_rpr003_allows_module_level_functions_and_partial():
+def test_rpr003_allows_module_level_functions_and_partial(lint):
     source = """\
         from functools import partial
 
@@ -141,7 +144,7 @@ def test_rpr003_allows_module_level_functions_and_partial():
     assert lint(source, ANALYSIS_PATH, "RPR003") == []
 
 
-def test_rpr003_flags_lambda_inside_partial():
+def test_rpr003_flags_lambda_inside_partial(lint):
     source = """\
         from functools import partial
 
@@ -153,7 +156,7 @@ def test_rpr003_flags_lambda_inside_partial():
     assert "lambda" in violations[0].message
 
 
-def test_rpr003_flags_lambdas_and_closures_handed_to_fan_out_and_pools():
+def test_rpr003_flags_lambdas_and_closures_handed_to_fan_out_and_pools(lint):
     source = """\
         import multiprocessing
 
@@ -178,7 +181,7 @@ def test_rpr003_flags_lambdas_and_closures_handed_to_fan_out_and_pools():
     assert sum("imap()" in v.message for v in violations) == 2
 
 
-def test_rpr003_allows_module_level_functions_and_partial_for_pools():
+def test_rpr003_allows_module_level_functions_and_partial_for_pools(lint):
     source = """\
         import functools
         import multiprocessing
@@ -202,7 +205,7 @@ def test_rpr003_allows_module_level_functions_and_partial_for_pools():
     assert lint(source, ANALYSIS_PATH, "RPR003") == []
 
 
-def test_rpr003_suppression():
+def test_rpr003_suppression(lint):
     source = """\
         def run(scan):  # serial-only path, never workers>1
             return scan.map_reduce(lambda c: len(c), _add)  # repro: noqa[RPR003]
@@ -212,7 +215,7 @@ def test_rpr003_suppression():
 
 # -- RPR004: exception hygiene ----------------------------------------------
 
-def test_rpr004_flags_swallowing_broad_handlers():
+def test_rpr004_flags_swallowing_broad_handlers(lint):
     source = """\
         def load(path):
             try:
@@ -232,7 +235,7 @@ def test_rpr004_flags_swallowing_broad_handlers():
     assert "except Exception" in violations[1].message
 
 
-def test_rpr004_flags_broad_member_of_tuple():
+def test_rpr004_flags_broad_member_of_tuple(lint):
     source = """\
         def load(path):
             try:
@@ -243,7 +246,7 @@ def test_rpr004_flags_broad_member_of_tuple():
     assert len(lint(source, ANALYSIS_PATH, "RPR004")) == 1
 
 
-def test_rpr004_allows_narrow_reraise_and_logging():
+def test_rpr004_allows_narrow_reraise_and_logging(lint):
     source = """\
         import logging
 
@@ -269,7 +272,7 @@ def test_rpr004_allows_narrow_reraise_and_logging():
     assert lint(source, ANALYSIS_PATH, "RPR004") == []
 
 
-def test_rpr004_suppression():
+def test_rpr004_suppression(lint):
     source = """\
         def probe(path):
             try:
@@ -282,7 +285,7 @@ def test_rpr004_suppression():
 
 # -- RPR005: unit discipline ------------------------------------------------
 
-def test_rpr005_flags_magnitude_literals():
+def test_rpr005_flags_magnitude_literals(lint):
     source = """\
         def hours(seconds):
             return seconds / 3600.0
@@ -296,22 +299,21 @@ def test_rpr005_flags_magnitude_literals():
     assert "1073741824" in violations[1].message
 
 
-def test_rpr005_allows_unit_modules_and_small_numbers():
+def test_rpr005_allows_unit_modules_and_small_numbers(lint):
     magnitudes = "HOUR_SECONDS = 3600.0\nDAY_SECONDS = 86400.0\n"
-    assert lint_source(magnitudes, "src/repro/util/timeutil.py",
-                       select=["RPR005"]) == []
+    assert lint(magnitudes, "src/repro/util/timeutil.py", "RPR005") == []
     harmless = "x = 60\ny = 1024\nz = 0.25\nflag = True\n"
     assert lint(harmless, ANALYSIS_PATH, "RPR005") == []
 
 
-def test_rpr005_suppression():
+def test_rpr005_suppression(lint):
     source = "window = 86400  # repro: noqa[RPR005] matches figure 7 caption\n"
     assert lint(source, ANALYSIS_PATH, "RPR005") == []
 
 
 # -- RPR006: obs discipline -------------------------------------------------
 
-def test_rpr006_flags_dynamic_span_names():
+def test_rpr006_flags_dynamic_span_names(lint):
     source = """\
         from repro import obs
 
@@ -327,7 +329,7 @@ def test_rpr006_flags_dynamic_span_names():
     assert all("string literal" in v.message for v in violations)
 
 
-def test_rpr006_flags_missing_name_and_keyword_form():
+def test_rpr006_flags_missing_name_and_keyword_form(lint):
     source = """\
         from repro.obs import span
 
@@ -342,7 +344,7 @@ def test_rpr006_flags_missing_name_and_keyword_form():
     assert "missing its span name" in violations[0].message
 
 
-def test_rpr006_allows_literals_and_dynamic_counters():
+def test_rpr006_allows_literals_and_dynamic_counters(lint):
     source = """\
         from repro import obs
         from repro.obs import traced
@@ -357,7 +359,7 @@ def test_rpr006_allows_literals_and_dynamic_counters():
     assert lint(source, ANALYSIS_PATH, "RPR006") == []
 
 
-def test_rpr006_ignores_unrelated_span_functions():
+def test_rpr006_ignores_unrelated_span_functions(lint):
     source = """\
         def span(name):
             return name
@@ -368,7 +370,7 @@ def test_rpr006_ignores_unrelated_span_functions():
     assert lint(source, SIM_PATH, "RPR006") == []
 
 
-def test_rpr006_suppression():
+def test_rpr006_suppression(lint):
     source = """\
         from repro import obs
 
@@ -381,7 +383,7 @@ def test_rpr006_suppression():
 
 # -- RPR007: hot-loop guards ------------------------------------------------
 
-def test_rpr007_flags_unguarded_recorder_in_loop():
+def test_rpr007_flags_unguarded_recorder_in_loop(lint):
     source = """\
         def run(self):
             while self._heap:
@@ -393,7 +395,7 @@ def test_rpr007_flags_unguarded_recorder_in_loop():
     assert "loop" in violations[0].message
 
 
-def test_rpr007_flags_profiler_in_for_and_comprehension():
+def test_rpr007_flags_profiler_in_for_and_comprehension(lint):
     source = """\
         def run(self, profiler):
             for event in self.events:
@@ -403,7 +405,7 @@ def test_rpr007_flags_profiler_in_for_and_comprehension():
     assert len(lint(source, SIM_PATH, "RPR007")) == 2
 
 
-def test_rpr007_allows_guarded_and_hoisted_calls():
+def test_rpr007_allows_guarded_and_hoisted_calls(lint):
     source = """\
         def run(self):
             recorder = self.recorder
@@ -417,7 +419,7 @@ def test_rpr007_allows_guarded_and_hoisted_calls():
     assert lint(source, SIM_PATH, "RPR007") == []
 
 
-def test_rpr007_guard_must_cover_the_call():
+def test_rpr007_guard_must_cover_the_call(lint):
     # The else branch of a recorder guard is *not* guarded.
     source = """\
         def run(self, recorder):
@@ -430,7 +432,7 @@ def test_rpr007_guard_must_cover_the_call():
     assert len(lint(source, SIM_PATH, "RPR007")) == 1
 
 
-def test_rpr007_allows_setup_outside_loops_and_other_dirs():
+def test_rpr007_allows_setup_outside_loops_and_other_dirs(lint):
     setup = """\
         def __init__(self, recorder):
             self.recorder = recorder
@@ -445,7 +447,7 @@ def test_rpr007_allows_setup_outside_loops_and_other_dirs():
     assert lint(loop, ANALYSIS_PATH, "RPR007") == []
 
 
-def test_rpr007_suppression():
+def test_rpr007_suppression(lint):
     source = """\
         def run(self, recorder):
             for t in ts:

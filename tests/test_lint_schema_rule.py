@@ -7,17 +7,21 @@ mismatch against repro/trace/schema.py, and anything it cannot prove
 
 import textwrap
 
-from repro.lint import lint_source
+import pytest
+
 from repro.trace.schema import TABLE_COLUMNS
 
 PATH = "src/repro/analysis/fixture.py"
 
 
-def lint(source):
-    return lint_source(textwrap.dedent(source), PATH, select=["RPR001"])
+@pytest.fixture
+def lint(lint_fixture):
+    def run(source):
+        return lint_fixture(textwrap.dedent(source), PATH, ["RPR001"])
+    return run
 
 
-def test_flags_bad_column_via_dataset_property():
+def test_flags_bad_column_via_dataset_property(lint):
     source = """\
         def cpu(trace):
             return trace.instance_usage.column("cpu_avg")
@@ -30,7 +34,7 @@ def test_flags_bad_column_via_dataset_property():
     assert "avg_cpu" in violations[0].message
 
 
-def test_allows_real_columns_via_dataset_property():
+def test_allows_real_columns_via_dataset_property(lint):
     source = """\
         def cpu(trace):
             usage = trace.instance_usage
@@ -39,7 +43,7 @@ def test_allows_real_columns_via_dataset_property():
     assert lint(source) == []
 
 
-def test_flags_bad_column_via_tables_subscript():
+def test_flags_bad_column_via_tables_subscript(lint):
     source = """\
         def capacities(ds):
             return ds.tables["machine_events"].select("time", "capacity_cpu")
@@ -49,7 +53,7 @@ def test_flags_bad_column_via_tables_subscript():
     assert "'capacity_cpu'" in violations[0].message
 
 
-def test_tracks_assignments_within_function():
+def test_tracks_assignments_within_function(lint):
     source = """\
         def report(trace):
             events = trace.collection_events
@@ -63,7 +67,7 @@ def test_tracks_assignments_within_function():
     assert violations[0].line == 4
 
 
-def test_reassignment_to_unknown_stops_checking():
+def test_reassignment_to_unknown_stops_checking(lint):
     source = """\
         def report(trace, derive):
             events = trace.collection_events
@@ -73,7 +77,7 @@ def test_reassignment_to_unknown_stops_checking():
     assert lint(source) == []
 
 
-def test_unresolvable_receivers_are_not_checked():
+def test_unresolvable_receivers_are_not_checked(lint):
     source = """\
         def helper(table):
             return table.column("anything_goes")
@@ -81,7 +85,7 @@ def test_unresolvable_receivers_are_not_checked():
     assert lint(source) == []
 
 
-def test_flags_scan_select_and_chained_where():
+def test_flags_scan_select_and_chained_where(lint):
     source = """\
         def query(store):
             bad = store.scan("machine_events").select("mem_cap")
@@ -96,7 +100,7 @@ def test_flags_scan_select_and_chained_where():
     assert "'instance_usage'" in violations[1].message
 
 
-def test_flags_predicate_columns_under_where():
+def test_flags_predicate_columns_under_where(lint):
     source = """\
         from repro.store import Between, Compare
 
@@ -110,7 +114,7 @@ def test_flags_predicate_columns_under_where():
     assert "predicate Compare" in violations[0].message
 
 
-def test_allows_valid_scan_chains_and_to_table():
+def test_allows_valid_scan_chains_and_to_table(lint):
     source = """\
         from repro.store import Between, Compare
 
@@ -124,7 +128,7 @@ def test_allows_valid_scan_chains_and_to_table():
     assert lint(source) == []
 
 
-def test_flags_bad_column_after_to_table():
+def test_flags_bad_column_after_to_table(lint):
     source = """\
         def query(store):
             table = store.scan("machine_events").to_table()
@@ -135,7 +139,7 @@ def test_flags_bad_column_after_to_table():
     assert "'machine_events'" in violations[0].message
 
 
-def test_table_preserving_methods_keep_tracking():
+def test_table_preserving_methods_keep_tracking(lint):
     source = """\
         def report(trace):
             tiers = trace.instance_events.distinct("tier")
@@ -146,7 +150,7 @@ def test_table_preserving_methods_keep_tracking():
     assert "'machne_id'" in violations[0].message
 
 
-def test_suppression():
+def test_suppression(lint):
     source = """\
         def cpu(trace):
             return trace.instance_usage.column("cpu_avg")  # repro: noqa[RPR001]

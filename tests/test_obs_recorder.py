@@ -10,6 +10,7 @@ final frame's cumulative counters equal the obs report written at the
 same point of the run.
 """
 
+import io
 import json
 
 import pytest
@@ -230,7 +231,7 @@ def _record_run(tmp_path, name, workers):
     path = tmp_path / f"{name}.jsonl"
     with obs.scoped_registry():
         record = RunRecorder(path, interval=HOUR_SECONDS,
-                             status=StatusLine(enabled=False))
+                             status=StatusLine(io.StringIO()))
         run_cells(_scenarios(), workers=workers, record=record)
         record.finalize("test")
         record.close()

@@ -68,13 +68,6 @@ ALLOWED: Dict[str, str] = {
     # safety checks
     "repro.sim.fleet:FleetState.check_consistency":
         "safety: verifies FleetState's array and list forms hold the same state",
-    # test-support API: lint harness entry points the rule tests drive
-    "repro.lint.core:lint_source":
-        "test support: per-file lint of a source string (rule fixtures)",
-    "repro.lint.core:lint_file":
-        "test support: per-file lint of one path (rule fixtures)",
-    "repro.lint.core:lint_paths":
-        "test support: per-file lint of a path list (rule fixtures)",
     # test-support API: obs helpers that compare or reset runs
     "repro.obs:reset":
         "test support: fresh global registry between tests",

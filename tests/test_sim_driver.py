@@ -7,6 +7,7 @@ counters (each worker's metrics snapshot is merged exactly once).
 """
 
 import hashlib
+import io
 
 import numpy as np
 
@@ -176,7 +177,7 @@ class TestFailureHeavyDeterminism:
             path = tmp_path / f"{name}.jsonl"
             with obs.scoped_registry():
                 record = RunRecorder(path, interval=3600.0,
-                                     status=StatusLine(enabled=False))
+                                     status=StatusLine(io.StringIO()))
                 run_cells(_faulty_scenarios(), workers=workers,
                           record=record)
                 record.finalize("test")

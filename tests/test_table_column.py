@@ -39,8 +39,14 @@ class TestConstruction:
             Column(np.zeros((2, 2)))
 
     def test_rejects_mixed_objects(self):
-        with pytest.raises(SchemaError):
-            Column(["a", object()])
+        # numpy makes the last two ``<U`` arrays ('1', '1.5', 'True'):
+        # the column must reject the elements, not store their text.
+        for values, bad in ((["a", object()], "<object"),
+                            (["a", 1], "1 of type int"),
+                            (["a", 1.5, True], "1.5 of type float")):
+            with pytest.raises(SchemaError,
+                               match=f"^unsupported column element {bad}"):
+                Column(values)
 
     def test_object_array_with_one_non_str_keeps_message(self):
         with pytest.raises(SchemaError, match=r"^unsupported column element 3 "
@@ -69,7 +75,8 @@ class TestConstruction:
         assert Column(view).values is view
 
     def test_unicode_array_yields_plain_str(self):
-        for values in (["prod", "beb"], np.array(["prod", "beb"])):
+        for values in (["prod", "beb"], np.array(["prod", "beb"]),
+                       [np.str_("prod"), "beb"]):
             col = Column(values)
             assert col.kind == "str"
             assert [type(v) for v in col] == [str, str]
