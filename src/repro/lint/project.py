@@ -92,13 +92,21 @@ def _module_names(path_strs: Sequence[str]) -> Dict[str, str]:
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
-    """Expand files and directories into a sorted stream of ``.py`` files."""
+    """Expand files and directories into a sorted stream of ``.py`` files.
+
+    A file named twice (``lint a.py a.py``, or a directory plus a file
+    inside it) is yielded once, at its first occurrence: files are told
+    apart by resolved path, so each is checked and counted once.
+    """
+    seen: Set[Path] = set()
     for entry in paths:
         entry = Path(entry)
-        if entry.is_dir():
-            yield from sorted(p for p in entry.rglob("*.py"))
-        else:
-            yield entry
+        found = sorted(entry.rglob("*.py")) if entry.is_dir() else [entry]
+        for path in found:
+            resolved = path.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
+                yield path
 
 
 def _selected_rules(select: Optional[Sequence[str]]) -> List[Rule]:

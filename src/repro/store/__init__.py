@@ -5,8 +5,9 @@ because month-scale event data cannot be slurped into memory whole.
 This package is that idea at laptop scale:
 
 * :mod:`~repro.store.format` — a typed, columnar row-group chunk file;
-* :mod:`~repro.store.manifest` — JSON chunk index with per-chunk
-  min/max statistics (≈ partition metadata + clustering);
+* :mod:`~repro.store.manifest` — JSON schema and chunk index with
+  per-chunk min/max statistics (≈ partition metadata + clustering),
+  parsed once per process;
 * :mod:`~repro.store.predicates` — picklable filters that prune chunks
   from statistics alone;
 * :mod:`~repro.store.scan` — lazy scans with projection and predicate
@@ -42,7 +43,7 @@ from repro.store.executor import (
     merge_partials,
     partial_aggregate,
 )
-from repro.store.format import read_chunk, read_chunk_header, write_chunk
+from repro.store.format import read_chunk, write_chunk
 from repro.store.manifest import MANIFEST_FILE, Manifest, chunk_stats
 from repro.store.predicates import And, Between, Compare, IsIn, Or, Predicate
 from repro.store.reader import StoreBackedTraceDataset, TraceStore, open_store
@@ -77,7 +78,6 @@ __all__ = [
     "open_store",
     "partial_aggregate",
     "read_chunk",
-    "read_chunk_header",
     "write_chunk",
     "write_store",
 ]

@@ -6,7 +6,8 @@ columns, apply the predicate mask, compute *partial* aggregates — and
 partials merge associatively at the end.  :func:`run_chunk_task` is the
 unit of work that :func:`repro.obs.fan_out` ships to worker processes
 when a scan runs with ``workers > 1``; everything in a task (chunk path,
-predicate, aggregate specs) is plain picklable data.
+schema and row count, predicate, aggregate specs) is plain picklable
+data.
 
 Supported aggregates: ``count``, ``sum``, ``min``, ``max``, ``mean``
 (merged as sum+count pairs) and ``histogram`` (fixed edges, counts merge
@@ -116,12 +117,14 @@ def merge_partials(partials: Sequence[Dict[str, object]],
 
 # -- chunk tasks --------------------------------------------------------------
 
-#: One task: (chunk path, columns to decode, predicate or None, columns
-#: to keep after filtering, reducer).  The reducer is a tuple of Agg
+#: One task: (chunk path, the table's ``(name, kind)`` schema, the
+#: chunk's row count, columns to decode, predicate or None, columns to
+#: keep after filtering, reducer).  Schema and row count come from the
+#: manifest, which workers never open.  The reducer is a tuple of Agg
 #: specs, a picklable callable ``Table -> payload``, or None (return the
 #: filtered projection itself).
-ChunkTask = Tuple[str, Tuple[str, ...], Optional[Predicate],
-                  Tuple[str, ...], object]
+ChunkTask = Tuple[str, Tuple[Tuple[str, str], ...], int, Tuple[str, ...],
+                  Optional[Predicate], Tuple[str, ...], object]
 
 
 def process_table(table: Table, predicate: Optional[Predicate],
@@ -150,7 +153,7 @@ def process_table(table: Table, predicate: Optional[Predicate],
 
 def run_chunk_task(task: ChunkTask) -> Tuple[object, int, int]:
     """Decode, filter, and reduce one chunk (the worker-process entry)."""
-    path, decode_columns, predicate, keep_columns, reducer = task
+    path, schema, rows, decode_columns, predicate, keep_columns, reducer = task
     with obs.span("store.chunk"):
-        return process_table(read_chunk(path, decode_columns),
+        return process_table(read_chunk(path, schema, rows, decode_columns),
                              predicate, keep_columns, reducer)

@@ -5,17 +5,22 @@ column-by-column so that a reader can decode a *projection* (a subset of
 columns) without touching the bytes of the others — the columnar half of
 the BigQuery substitution (see DESIGN.md §9 note).
 
-Layout (format 2)::
+Layout (format 3)::
 
-    8 bytes   magic ``RSTORE2\\n``
-    8 bytes   little-endian uint64: header length H
-    H bytes   UTF-8 JSON header
-    ...       column payloads, in header order
+    8 bytes    magic ``RSTORE3\\n``
+    8 bytes    little-endian uint64: ``rows``
+    4 bytes    little-endian uint32: column record count ``n``
+    n x 13     column directory, one record per column in the manifest's
+               column order: uint8 kind code, uint64 payload byte
+               length, uint32 payload CRC-32 (``zlib``)
+    ...        column payloads, in directory order, filling the file
 
-The JSON header records ``rows`` and, per column, its ``name``, ``kind``
-(one of the four :class:`~repro.table.column.Column` kinds), payload
-byte length ``nbytes`` and the payload's ``crc32`` (``zlib``), so a
-reader can seek straight to any column.  Payload encodings:
+The fixed head and the directory form the chunk's header.  Column
+names and kinds live once, in the store manifest; a reader takes
+the table's ``(name, kind)`` schema from there.  A column's index is its
+record's position, and its payload starts at the end of the directory
+plus the lengths of the payloads before it.  Kind codes are the
+positions in :data:`KIND_CODES`.  Payload encodings:
 
 * ``float`` — raw little-endian ``float64`` (``inf``/``nan`` round-trip
   exactly, unlike CSV text)
@@ -26,14 +31,22 @@ reader can seek straight to any column.  Payload encodings:
   UTF-8 bytes of the ``k`` distinct values in order of first
   appearance, then one little-endian ``uint32`` code per row
 
-Each payload that is read is checked before it is decoded: it must be
-exactly as long as the header says, its CRC-32 must match, and it must
-fit ``rows`` — for strings, the offsets must start at 0, never decrease
-and end at the dictionary's byte length, ``k`` may not exceed ``rows``,
-every code must be below ``k`` and every value must be valid UTF-8.  A
-chunk that fails (truncated, bit-flipped, corrupt offsets or codes)
-raises :class:`~repro.util.errors.SchemaError` instead of decoding to
-wrong values.  Payloads of unrequested columns are skipped unread.
+The header is checked against the manifest before any payload is
+read: the magic, a header cut short, a record count other than the
+schema's column count, a kind other than the schema's, ``rows`` other
+than the manifest's count for the chunk, and lengths that do not fill
+the file exactly each raise :class:`~repro.util.errors.SchemaError`.
+Chunks of an earlier format are rejected by their magic; rewrite such a
+store with ``borg-repro convert`` or by simulating again.
+
+Each payload that is read is checked before it is decoded: its CRC-32
+must match, and it must fit ``rows`` — for strings, the offsets must
+start at 0, never decrease and end at the dictionary's byte length,
+``k`` may not exceed ``rows``, every code must be below ``k`` and every
+value must be valid UTF-8.  A chunk that fails (bit-flipped, corrupt
+offsets or codes) raises :class:`~repro.util.errors.SchemaError`
+instead of decoding to wrong values.  Payloads of unrequested columns
+are never read.
 
 Strings decode without per-row work: the ``k`` dictionary values are
 decoded once and :meth:`Column.from_codes` fans them out with one
@@ -44,44 +57,44 @@ codes through it, two C-level passes; the dictionary keeps the order of
 first appearance, so the bytes follow the column's row order, never
 hash order.
 
-Reads are buffered: ``open`` + ``read``/``seek``, so every wanted
-payload is copied into process memory once and unwanted ones are
-skipped with a seek.  Numeric columns are read-only views over those
-bytes.
-
-The header is checked as strictly as the payloads: a chunk cut inside
-its length prefix or its header, a length prefix above
-:data:`MAX_HEADER_BYTES`, a header that is not JSON, one without
-``rows`` and ``columns``, or a malformed column entry raises
-:class:`~repro.util.errors.SchemaError`.  Chunks of an earlier format
-are rejected by their magic; rewrite such a store with ``borg-repro
-convert`` or by simulating again.
+Reads are buffered: one ``read`` takes the magic and the whole
+directory, then each wanted payload is one ``seek`` + ``read``, copied
+into process memory once.  Numeric columns are read-only views over
+those bytes.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 import struct
 import zlib
-from typing import BinaryIO, List, Optional, Sequence, Union
+from itertools import accumulate
+from typing import BinaryIO, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.table.column import KINDS, Column
+from repro.table.column import Column
 from repro.table.table import Table
 from repro.util.errors import SchemaError
 
-MAGIC = b"RSTORE2\n"
+MAGIC = b"RSTORE3\n"
 CHUNK_SUFFIX = ".rsc"
 
-_LEN = struct.Struct("<Q")
+#: A table's columns as ``(name, kind)`` pairs, in the manifest's order.
+Schema = Sequence[Tuple[str, str]]
 
-#: Largest header a reader accepts.  A real header is a few dozen bytes
-#: per column, so anything near this is a corrupt length prefix.
-MAX_HEADER_BYTES = 1 << 24
+#: Column kinds by their code in a directory record.
+KIND_CODES = ("float", "int", "bool", "str")
+_KIND_CODE = {kind: code for code, kind in enumerate(KIND_CODES)}
+
+_LEN = struct.Struct("<Q")
+#: ``rows`` and the column record count, right after the magic.
+_HEAD = struct.Struct("<QI")
+#: One column record: kind code, payload byte length, payload CRC-32.
+_RECORD = struct.Struct("<BQI")
+_DIRECTORY_AT = len(MAGIC) + _HEAD.size
 
 
 def _encode_column(column: Column) -> bytes:
@@ -110,23 +123,17 @@ def _encode_column(column: Column) -> bytes:
 _ITEMSIZE = {"float": 8, "int": 8, "bool": 1}
 
 
-def _decode_column(meta: dict, rows: int, payload: bytes) -> Column:
+def _decode_column(name: str, kind: str, rows: int, crc32: int,
+                   payload: bytes) -> Column:
     # ``<f8``/``<i8`` ARE float64/int64 on every platform we target
     # (little-endian), so frombuffer's view needs no ``astype`` copy —
     # the Column wraps the (read-only) view over the payload bytes
     # directly; only ``bool`` genuinely converts (uint8 -> bool).
-    kind, name = meta["kind"], meta["name"]
-    if kind not in KINDS:
-        raise SchemaError(f"chunk column has unknown kind {kind!r}; "
-                          f"this reader understands {KINDS}")
-    if len(payload) != meta["nbytes"]:
-        raise SchemaError(f"chunk column {name!r} is truncated: "
-                          f"{len(payload)} of {meta['nbytes']} payload bytes")
     crc = zlib.crc32(payload)
-    if crc != meta["crc32"]:
+    if crc != crc32:
         raise SchemaError(f"chunk column {name!r} fails its checksum: "
-                          f"crc32 {crc:#010x}, header says "
-                          f"{meta['crc32']:#010x}")
+                          f"crc32 {crc:#010x}, directory says "
+                          f"{crc32:#010x}")
     if kind == "str":
         return _decode_strings(name, rows, payload)
     if len(payload) != rows * _ITEMSIZE[kind]:
@@ -185,19 +192,16 @@ def _decode_strings(name: str, rows: int, payload: bytes) -> Column:
 
 
 def write_chunk(table: Table, dest: Union[str, os.PathLike, BinaryIO]) -> int:
-    """Serialize ``table`` as one chunk; returns the bytes written."""
-    payloads = []
-    header_cols = []
-    for name in table.column_names:
-        column = table.column(name)
-        payload = _encode_column(column)
-        payloads.append(payload)
-        header_cols.append({"name": name, "kind": column.kind,
-                            "nbytes": len(payload),
-                            "crc32": zlib.crc32(payload)})
-    header = json.dumps({"rows": len(table), "columns": header_cols},
-                        separators=(",", ":")).encode("utf-8")
-    blob = MAGIC + _LEN.pack(len(header)) + header + b"".join(payloads)
+    """Serialize ``table`` as one chunk; returns the bytes written.  The
+    directory follows the table's column order, which must be the
+    manifest's."""
+    payloads = [_encode_column(table.column(name))
+                for name in table.column_names]
+    records = [_RECORD.pack(_KIND_CODE[table.column(name).kind],
+                            len(payload), zlib.crc32(payload))
+               for name, payload in zip(table.column_names, payloads)]
+    blob = b"".join([MAGIC, _HEAD.pack(len(table), len(records)), *records,
+                     *payloads])
     if hasattr(dest, "write"):
         dest.write(blob)
     else:
@@ -206,93 +210,85 @@ def write_chunk(table: Table, dest: Union[str, os.PathLike, BinaryIO]) -> int:
     return len(blob)
 
 
-def read_chunk_header(source: Union[str, os.PathLike, BinaryIO]) -> dict:
-    """The JSON header of a chunk file (no column payloads decoded)."""
-    if hasattr(source, "read"):
-        return _read_header(source)
-    with open(source, "rb") as f:
-        return _read_header(f)
+def read_chunk(source: Union[str, os.PathLike, BinaryIO], schema: Schema,
+               rows: int, columns: Optional[Sequence[str]] = None) -> Table:
+    """Decode a chunk file (a path, or a binary file object holding
+    exactly one chunk) into a :class:`Table`.
 
-
-def _read_header(f: BinaryIO) -> dict:
-    magic = f.read(len(MAGIC))
-    if magic != MAGIC:
-        if magic[:6] == MAGIC[:6]:
-            found = magic[:7].decode("ascii", "replace")
-            raise SchemaError(
-                f"chunk is in store format {found}, and this reader reads "
-                f"{MAGIC[:7].decode()} only; rewrite the store with "
-                f"`borg-repro convert` or by simulating again")
-        raise SchemaError(f"not a repro store chunk (bad magic {magic!r})")
-    prefix = f.read(_LEN.size)
-    if len(prefix) != _LEN.size:
-        raise SchemaError(f"chunk header is truncated: {len(prefix)} of "
-                          f"{_LEN.size} length-prefix bytes")
-    (header_len,) = _LEN.unpack(prefix)
-    if header_len > MAX_HEADER_BYTES:
-        # Checked before reading: ``read`` allocates the length it is
-        # asked for, and a corrupt prefix can ask for up to 2^64 bytes.
-        raise SchemaError(f"chunk header length {header_len} exceeds "
-                          f"{MAX_HEADER_BYTES} bytes")
-    raw = f.read(header_len)
-    if len(raw) != header_len:
-        raise SchemaError(f"chunk header is truncated: {len(raw)} of "
-                          f"{header_len} header bytes")
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise SchemaError(f"chunk header is not JSON: {exc}") from None
-    if not (isinstance(header, dict)
-            and isinstance(header.get("rows"), int)
-            and isinstance(header.get("columns"), list)):
-        raise SchemaError("chunk header lacks an integer 'rows' and a "
-                          "'columns' list")
-    for meta in header["columns"]:
-        if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
-                and isinstance(meta.get("nbytes"), int)
-                and meta["nbytes"] >= 0 and "kind" in meta
-                and isinstance(meta.get("crc32"), int)):
-            raise SchemaError(f"chunk header has a malformed column entry "
-                              f"{meta!r}")
-    return header
-
-
-def read_chunk(source: Union[str, os.PathLike, BinaryIO],
-               columns: Optional[Sequence[str]] = None) -> Table:
-    """Decode a chunk file into a :class:`Table`.
-
-    ``columns``, if given, selects and orders a projection; the payloads
-    of unrequested columns are skipped with seeks.
+    ``schema`` is the table's ``(name, kind)`` column list and ``rows``
+    the chunk's row count, both from the manifest; the chunk's directory
+    must agree with them.  ``columns``, if given, selects and orders a
+    projection; the payloads of other columns are never read.
     """
     if hasattr(source, "read"):
-        return _read_chunk(source, columns)
+        return _read_chunk(source, schema, rows, columns)
     with open(source, "rb") as f:
-        return _read_chunk(f, columns)
+        return _read_chunk(f, schema, rows, columns)
 
 
-def _read_chunk(f: BinaryIO, columns: Optional[Sequence[str]]) -> Table:
-    header = _read_header(f)
-    rows = header["rows"]
-    available = {c["name"]: c for c in header["columns"]}
-    wanted: List[str] = list(columns) if columns is not None else list(available)
-    for name in wanted:
-        if name not in available:
-            raise SchemaError(
-                f"chunk has no column {name!r}; available: {sorted(available)}"
-            )
-    # Single pass: seek past unwanted payloads, read wanted ones.
+def _read_chunk(f: BinaryIO, schema: Schema, rows: int,
+                columns: Optional[Sequence[str]]) -> Table:
+    n = len(schema)
+    header_size = _DIRECTORY_AT + n * _RECORD.size
+    raw = f.read(header_size)
+    if raw[:len(MAGIC)] != MAGIC:
+        _reject_magic(raw[:len(MAGIC)])
+    if len(raw) < _DIRECTORY_AT:
+        raise SchemaError(f"chunk header is truncated: {len(raw)} of "
+                          f"{_DIRECTORY_AT} head bytes")
+    found_rows, count = _HEAD.unpack_from(raw, len(MAGIC))
+    if count != n:
+        relation = "which exceeds" if count > n else "fewer than"
+        raise SchemaError(f"chunk header lists {count} column records, "
+                          f"{relation} the manifest's {n} columns")
+    if len(raw) != header_size:
+        raise SchemaError(f"chunk header is truncated: {len(raw)} of "
+                          f"{header_size} bytes")
+    fields = struct.unpack_from("<" + "BQI" * n, raw, _DIRECTORY_AT)
+    codes, lengths, crcs = fields[0::3], fields[1::3], fields[2::3]
+    for (name, kind), code in zip(schema, codes):
+        if code != _KIND_CODE[kind]:
+            found = KIND_CODES[code] if code < len(KIND_CODES) \
+                else f"unknown kind code {code}"
+            raise SchemaError(f"chunk column {name!r} is {found}; the "
+                              f"manifest says {kind}")
+    if found_rows != rows:
+        raise SchemaError(f"chunk holds {found_rows} rows; the manifest "
+                          f"says {rows}")
+    held, listed = f.seek(0, io.SEEK_END) - header_size, sum(lengths)
+    if held < listed:
+        raise SchemaError(f"chunk is truncated: its directory lists "
+                          f"{listed} payload bytes, the file holds {held}")
+    if held > listed:
+        raise SchemaError(f"chunk payload lengths do not fill the file: its "
+                          f"directory lists {listed} payload bytes, the file "
+                          f"holds {held}")
+    index = {name: i for i, (name, _) in enumerate(schema)}
+    wanted = list(index) if columns is None else list(columns)
+    starts = list(accumulate(lengths, initial=header_size))
     decoded = {}
     bytes_read = 0
-    wanted_set = set(wanted)
-    for meta in header["columns"]:
-        if meta["name"] in wanted_set:
-            payload = f.read(meta["nbytes"])
-            bytes_read += len(payload)
-            decoded[meta["name"]] = _decode_column(meta, rows, payload)
-        else:
-            f.seek(meta["nbytes"], io.SEEK_CUR)
+    for name in wanted:
+        i = index.get(name)
+        if i is None:
+            raise SchemaError(f"chunk has no column {name!r}; available: "
+                              f"{sorted(index)}")
+        f.seek(starts[i])
+        payload = f.read(lengths[i])
+        bytes_read += len(payload)
+        decoded[name] = _decode_column(name, schema[i][1], rows, crcs[i],
+                                       payload)
     registry = obs.get_registry()
     registry.inc("store.chunks_read")
     registry.inc("store.bytes_read", bytes_read)
-    return Table({name: decoded[name] for name in wanted})
+    return Table(decoded)
 
+
+def _reject_magic(magic: bytes) -> NoReturn:
+    if magic[:6] == MAGIC[:6]:
+        found = magic[:7].decode("ascii", "replace")
+        raise SchemaError(
+            f"chunk is in store format {found}, and this reader reads "
+            f"{MAGIC[:7].decode()} only; rewrite the store with "
+            f"`borg-repro convert` or by simulating again")
+    raise SchemaError(f"not a repro store chunk (bad magic {magic!r})")

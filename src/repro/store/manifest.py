@@ -12,37 +12,62 @@ lexicographic min/max for strings), which subsumes the four columns the
 paper's queries partition on: ``time``, ``collection_id``, ``tier`` and
 ``priority``.
 
-Format 2 stores them column-wise, so a fresh handle parses a few flat
-lists per table instead of one dict per chunk::
+Format 3 stores them column-wise, so a parse reads a few flat lists per
+table instead of one dict per chunk::
 
-    "instance_usage": {"columns": [...], "rows": 2500,
-                       "chunk_rows": [1024, 1024, 452],
+    "instance_usage": {"columns": [{"name": "start_time",
+                                    "kind": "float"}, ...],
+                       "rows": 2500, "chunk_rows": [1024, 1024, 452],
                        "stats": {"start_time": {"min": [...], "max": [...]},
                                  ...}}
 
 ``null`` marks a chunk with no bound (an all-NaN float column).  Chunk
-``i`` of table ``t`` is the file :func:`chunk_file` ``(t, i)``.  A
-reader rebuilds the per-chunk ``{"file", "rows", "stats"}`` entries
-once per table, on first use (:meth:`Manifest.chunks`).  The manifest
-is written without indentation.
+``i`` of table ``t`` is the file :func:`chunk_file` ``(t, i)``.  The
+``columns`` list is the only place names and kinds are stored: chunk
+files hold a binary directory in this order (see
+:mod:`repro.store.format`), and every chunk read is checked against
+:meth:`Manifest.schema` and ``chunk_rows``.  The manifest is written
+without indentation.
+
+A manifest is parsed once per process.  :meth:`Manifest.load` reads
+the raw ``manifest.json`` bytes on every open and keeps, for each of
+the last :data:`LOADED_MANIFESTS` store directories (resolved), the
+bytes it last parsed there and their parse.  An open whose bytes equal
+the kept ones returns the kept parse, so fresh handles to an unchanged
+store share one parse, including the per-chunk ``{"file", "rows",
+"stats"}`` entries :meth:`Manifest.chunks` builds on first use.  A
+loaded manifest is shared and never mutated.  A hit needs equal
+content, not an equal size and timestamp, so a rewritten store, or a
+manifest edited in place at the same length, is seen on the next open
+on any filesystem, whatever its timestamp granularity; its new parse
+replaces the stale one.  A manifest that fails validation is never
+kept.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
 from repro.store.format import CHUNK_SUFFIX
+from repro.table.column import KINDS
 from repro.table.table import Table
 from repro.util.errors import SchemaError
 
 MANIFEST_FILE = "manifest.json"
 FORMAT_NAME = "repro-store"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: Stores whose parsed manifest :meth:`Manifest.load` keeps (least
+#: recently used first out).  One per store a process reads is plenty.
+LOADED_MANIFESTS = 16
+#: Resolved store directory -> (manifest bytes, their parse).
+_LOADED: "OrderedDict[str, Tuple[bytes, Manifest]]" = OrderedDict()
 
 
 def chunk_file(table: str, index: int) -> str:
@@ -81,7 +106,7 @@ def chunk_stats(table: Table) -> Dict[str, Dict[str, object]]:
 class Manifest:
     """Parsed view of a store's ``manifest.json``."""
 
-    def __init__(self, data: dict, root: Optional[Path] = None):
+    def __init__(self, data: dict):
         if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
             found = data.get("format") if isinstance(data, dict) else None
             raise SchemaError(f"not a {FORMAT_NAME} manifest (format={found!r})")
@@ -97,8 +122,8 @@ class Manifest:
         for name, entry in tables.items():
             _check_table(name, entry)
         self.data = data
-        self.root = root
         self._chunks: Dict[str, List[dict]] = {}
+        self._schemas: Dict[str, Tuple[Tuple[str, str], ...]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -114,18 +139,31 @@ class Manifest:
 
     @classmethod
     def load(cls, directory: Union[str, os.PathLike]) -> "Manifest":
+        """The store's manifest, parsed once per process while its bytes
+        stay the same (see the module docstring)."""
         root = Path(directory)
         path = root / MANIFEST_FILE
-        if not path.exists():
-            raise SchemaError(f"no store manifest at {path}")
-        with open(path, "rb") as f:
-            raw = f.read()
+        try:
+            with open(path, "rb") as f:
+                raw = f.read()
+        except (FileNotFoundError, NotADirectoryError):
+            raise SchemaError(f"no store manifest at {path}") from None
+        resolved = str(root.resolve())
+        loaded = _LOADED.get(resolved)
+        if loaded is not None and loaded[0] == raw:
+            _LOADED.move_to_end(resolved)
+            return loaded[1]
         try:
             data = json.loads(raw)
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
             raise SchemaError(f"store manifest {path} is not JSON: "
                               f"{exc}") from None
-        return cls(data, root=root)
+        manifest = cls(data)
+        _LOADED[resolved] = (raw, manifest)
+        _LOADED.move_to_end(resolved)
+        if len(_LOADED) > LOADED_MANIFESTS:
+            _LOADED.popitem(last=False)
+        return manifest
 
     def save(self, directory: Union[str, os.PathLike]) -> None:
         with open(Path(directory) / MANIFEST_FILE, "w") as f:
@@ -177,10 +215,20 @@ class Manifest:
             ) from None
 
     def column_names(self, table: str) -> List[str]:
-        return [c["name"] for c in self.table(table)["columns"]]
+        return [name for name, _ in self.schema(table)]
 
     def column_kinds(self, table: str) -> Dict[str, str]:
-        return {c["name"]: c["kind"] for c in self.table(table)["columns"]}
+        return dict(self.schema(table))
+
+    def schema(self, table: str) -> Tuple[Tuple[str, str], ...]:
+        """``table``'s ``(name, kind)`` columns in chunk directory order
+        (built on first use)."""
+        schema = self._schemas.get(table)
+        if schema is None:
+            schema = tuple((c["name"], c["kind"])
+                           for c in self.table(table)["columns"])
+            self._schemas[table] = schema
+        return schema
 
     def chunks(self, table: str) -> List[dict]:
         """Per-chunk ``{"file", "rows", "stats"}`` entries of ``table``
@@ -206,12 +254,22 @@ class Manifest:
 
 def _check_table(name: str, entry) -> None:
     """Raise :class:`SchemaError` unless ``entry`` is a well-formed
-    format-2 table entry whose statistics cover every chunk."""
+    format-3 table entry whose statistics cover every chunk."""
     if not (isinstance(entry, dict) and isinstance(entry.get("columns"), list)
             and isinstance(entry.get("chunk_rows"), list)
             and isinstance(entry.get("stats"), dict)):
         raise SchemaError(f"store manifest table {name!r} lacks a 'columns' "
                           f"list, a 'chunk_rows' list and a 'stats' mapping")
+    for column in entry["columns"]:
+        if not (isinstance(column, dict)
+                and isinstance(column.get("name"), str)
+                and column.get("kind") in KINDS):
+            raise SchemaError(f"store manifest table {name!r} has a "
+                              f"malformed column entry {column!r}")
+    if not all(type(rows) is int and rows >= 0
+               for rows in entry["chunk_rows"]):
+        raise SchemaError(f"store manifest table {name!r} has a chunk row "
+                          f"count that is not a count")
     n = len(entry["chunk_rows"])
     for column, bounds in entry["stats"].items():
         for key in ("min", "max"):

@@ -53,14 +53,18 @@ class TraceStore:
 
     # -- chunk access (cached) ----------------------------------------------
 
-    def load_chunk(self, table: str, file: str,
+    def load_chunk(self, table: str, chunk: dict,
                    columns: Optional[Sequence[str]] = None) -> Table:
-        """Decode one chunk (projected), via the LRU cache."""
-        key = (table, file, tuple(columns) if columns is not None else None)
+        """Decode one chunk (a :meth:`Manifest.chunks` entry, projected),
+        via the LRU cache."""
+        key = (table, chunk["file"],
+               tuple(columns) if columns is not None else None)
         cached = self.cache.get(key)
         if cached is not None:
             return cached
-        decoded = read_chunk(self.chunk_path(file), columns)
+        decoded = read_chunk(self.chunk_path(chunk["file"]),
+                             self.manifest.schema(table), chunk["rows"],
+                             columns)
         self.cache.put(key, decoded)
         return decoded
 
@@ -86,7 +90,7 @@ class TraceStore:
         if not chunks:
             return self.empty_table(table, columns)
         wanted = tuple(columns) if columns is not None else None
-        parts = [self.load_chunk(table, c["file"], wanted) for c in chunks]
+        parts = [self.load_chunk(table, c, wanted) for c in chunks]
         return concat(parts)
 
     def to_dataset(self) -> "StoreBackedTraceDataset":

@@ -123,9 +123,10 @@ class Scan:
         if obs.pool_size(workers, len(survivors)) > 1:
             # Pooled chunks decode in the workers; the chunk cache is
             # this process's, so only the inline path reads through it.
+            schema = self._store.manifest.schema(self._table)
             tasks: List[ChunkTask] = [
-                (str(self._store.chunk_path(c["file"])), decode,
-                 self._predicate, keep_columns, aggs_or_fn)
+                (str(self._store.chunk_path(c["file"])), schema, c["rows"],
+                 decode, self._predicate, keep_columns, aggs_or_fn)
                 for c in survivors
             ]
             results = list(obs.fan_out(run_chunk_task, tasks, workers,
@@ -134,8 +135,7 @@ class Scan:
             results = []
             for c in survivors:
                 with obs.span("store.chunk"):
-                    table = self._store.load_chunk(self._table, c["file"],
-                                                   decode)
+                    table = self._store.load_chunk(self._table, c, decode)
                     results.append(process_table(table, self._predicate,
                                                  keep_columns, aggs_or_fn))
         for _, rows_decoded, rows_matched in results:

@@ -223,3 +223,25 @@ def test_all_ten_rules_through_the_cli(tmp_path, capsys):
     ]
     assert document["files_checked"] == len(ALL_RULES_TREE)
     assert document["exit_code"] == 1
+
+
+def test_a_file_named_twice_is_checked_once(tmp_path, capsys):
+    path = write(tmp_path, "dup.py", "window = 3600.0\n")
+    assert main(["lint", path, path]) == 1
+    out = capsys.readouterr().out
+    assert out.count("RPR005") == 1
+    assert "1 violation in 1 file(s) checked" in out
+
+
+def test_a_file_inside_a_named_tree_is_checked_once(tmp_path, capsys):
+    for rel, source in ALL_RULES_TREE.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source), encoding="utf-8")
+    emit = tmp_path / "repro" / "emit.py"
+    assert main(["lint", str(tmp_path), str(emit), "--format", "json"]) == 1
+    document = json.loads(capsys.readouterr().out)
+    rules = [v["rule"] for v in document["violations"]]
+    assert rules.count("RPR010") == 1
+    assert len(rules) == 10
+    assert document["files_checked"] == len(ALL_RULES_TREE)

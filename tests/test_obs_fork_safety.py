@@ -104,6 +104,7 @@ def test_fan_out_chunk_task_snapshot_is_the_task_delta(store_dir):
     scan = store.scan("instance_usage")
     chunk = scan.surviving_chunks()[0]
     task = (str(store.chunk_path(chunk["file"])),
+            store.manifest.schema("instance_usage"), chunk["rows"],
             tuple(store.manifest.column_names("instance_usage")),
             None, (), _count_rows)
 

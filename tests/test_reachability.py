@@ -89,9 +89,6 @@ ALLOWED: Dict[str, str] = {
         "test support: span-tree shape for serial vs pooled comparison",
     "repro.obs.spans:SpanNode.structure":
         "test support: the per-node half of Snapshot.span_structure",
-    # test-support API: corrupt-data tests
-    "repro.store.format:read_chunk_header":
-        "test support: header-only read the corrupt-chunk tests target",
     # public result fields: library callers read them, the program does not
     "repro.stats.ccdf:Ccdf.n_samples":
         "public result: sample count behind an empirical CCDF",

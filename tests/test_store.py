@@ -5,7 +5,10 @@ integration with the trace layer and the store-aware analysis reducers."""
 import hashlib
 import io
 import json
+import os
 import pickle
+import shutil
+import struct
 import tracemalloc
 import zlib
 
@@ -37,10 +40,10 @@ from repro.store import (
     open_store,
     partial_aggregate,
     read_chunk,
-    read_chunk_header,
     write_chunk,
     write_store,
 )
+from repro.store import manifest as manifest_module
 from repro.store.format import MAGIC
 from repro.table import Table, concat
 from repro.trace import load_trace, save_trace
@@ -106,26 +109,57 @@ def _all_kinds_table(strings):
     })
 
 
-#: Size and sha256 of the pinned RSTORE2 chunk (test_chunk_bytes_are_pinned).
-PINNED_BYTES = 444
+#: Size and sha256 of the pinned RSTORE3 chunk (test_chunk_bytes_are_pinned).
+PINNED_BYTES = 248
 PINNED_SHA256 = (
-    "4dcef973698c0aceb22a543150fafa28060f8388c4b60892f835140371c3d5be")
+    "2674f038bcece389d059d451048dfe762317ff2c3025fba94f47e7343c9b5bc2")
+
+#: Where the column directory starts (magic, uint64 rows, uint32 record
+#: count) and the size of one record (uint8 kind, uint64 length, uint32
+#: CRC-32): the layout spelled out independently of repro.store.format.
+DIRECTORY_AT = len(MAGIC) + 12
+RECORD = struct.Struct("<BQI")
+
+
+def _schema(table):
+    """``table``'s ``(name, kind)`` columns, as a manifest lists them."""
+    return tuple((name, table.column(name).kind)
+                 for name in table.column_names)
+
+
+def _records(data):
+    """The chunk's directory records as ``(kind, nbytes, crc32)``."""
+    (count,) = struct.unpack_from("<I", data, len(MAGIC) + 8)
+    return [RECORD.unpack_from(data, DIRECTORY_AT + i * RECORD.size)
+            for i in range(count)]
+
+
+def _spans(data):
+    """``(start, end)`` of every column payload, in directory order."""
+    records = _records(data)
+    at = DIRECTORY_AT + len(records) * RECORD.size
+    spans = []
+    for _, nbytes, _ in records:
+        spans.append((at, at + nbytes))
+        at += nbytes
+    return spans
+
+
+def _set_record(data, i, kind=None, nbytes=None, crc32=None):
+    """Overwrite fields of directory record ``i`` in place."""
+    old = RECORD.unpack_from(data, DIRECTORY_AT + i * RECORD.size)
+    new = tuple(o if v is None else v
+                for o, v in zip(old, (kind, nbytes, crc32)))
+    RECORD.pack_into(data, DIRECTORY_AT + i * RECORD.size, *new)
 
 
 def _reseal(data: bytearray) -> bytearray:
     """``data`` with every column's ``crc32`` recomputed over the payload
     bytes it now holds, so a corruption reaches the decoder's own checks
     instead of stopping at the checksum."""
-    start = len(MAGIC) + 8
-    end = start + int.from_bytes(data[len(MAGIC):start], "little")
-    header = json.loads(bytes(data[start:end]))
-    at = end
-    for meta in header["columns"]:
-        meta["crc32"] = zlib.crc32(bytes(data[at:at + meta["nbytes"]]))
-        at += meta["nbytes"]
-    raw = json.dumps(header, separators=(",", ":")).encode()
-    return bytearray(MAGIC + len(raw).to_bytes(8, "little") + raw
-                     + data[end:])
+    for i, (lo, hi) in enumerate(_spans(data)):
+        _set_record(data, i, crc32=zlib.crc32(bytes(data[lo:hi])))
+    return data
 
 
 class TestChunkFormat:
@@ -137,7 +171,7 @@ class TestChunkFormat:
             buf.seek(0)
             tracemalloc.start()
             try:
-                back = read_chunk(buf)
+                back = read_chunk(buf, _schema(table), len(table))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -155,7 +189,7 @@ class TestChunkFormat:
                                                   table.column(name).values)
 
     def test_chunk_bytes_are_pinned(self):
-        # The RSTORE2 layout must not drift: same table, same bytes.
+        # The RSTORE3 layout must not drift: same table, same bytes.
         table = Table({
             "f": [1.5, float("inf"), float("-inf"), float("nan"), -0.0],
             "i": [0, -1, 2**62, -(2**62), 7],
@@ -166,6 +200,14 @@ class TestChunkFormat:
         assert write_chunk(table, buf) == PINNED_BYTES
         data = buf.getvalue()
         assert hashlib.sha256(data).hexdigest() == PINNED_SHA256
+        # No names in the chunk: magic, 5 rows, 4 records of kind codes
+        # float, int, bool, str (0-3) and their payload lengths.
+        assert data[:DIRECTORY_AT] == (MAGIC + (5).to_bytes(8, "little")
+                                       + (4).to_bytes(4, "little"))
+        string_bytes = 8 + 5 * 8 + 23 + 5 * 4
+        assert [(kind, nbytes) for kind, nbytes, _ in _records(data)] == \
+            [(0, 40), (1, 40), (2, 5), (3, string_bytes)]
+        assert len(data) == DIRECTORY_AT + 4 * RECORD.size + 85 + string_bytes
         # The string payload ends the chunk: a 4-value dictionary in
         # first-appearance order, trailing NUL included, then one code
         # per row.
@@ -175,45 +217,51 @@ class TestChunkFormat:
             + "prodhéllo\x00ユーザー".encode()
             + np.array([0, 1, 2, 3, 0], "<u4").tobytes())
         buf.seek(0)
-        assert read_chunk(buf).column("s").to_list() == table.column(
-            "s").to_list()
+        assert read_chunk(buf, _schema(table), 5).column("s").to_list() == \
+            table.column("s").to_list()
 
     @pytest.mark.parametrize("from_file_object", [False, True])
     @pytest.mark.parametrize("corruption, match", [
+        # payloads
         ("flip_payload", "checksum"),
         ("code_outside_dictionary", "code 3 outside its 3-value dictionary"),
         ("dictionary_over_rows", "4-value dictionary for 3 rows"),
-        ("rstore1_magic", "store format RSTORE1"),
         ("raise_offset", "corrupt string offsets"),
         ("cut_strings", "truncated"),
         ("cut_numbers", "truncated"),
         ("short_numbers", "rows need"),
         ("bad_utf8", "invalid UTF-8"),
+        # magic
+        ("rstore1_magic", "store format RSTORE1"),
+        ("rstore2_magic", "store format RSTORE2,.*borg-repro convert"),
+        # header: the fixed head and the column directory
         ("cut_length_prefix", "header is truncated"),
         ("short_header", "header is truncated"),
         ("huge_header_length", "exceeds"),
-        ("header_not_json", "not JSON"),
-        ("header_without_rows", "lacks an integer 'rows'"),
-        ("header_without_columns", "lacks an integer 'rows'"),
-        ("column_without_nbytes", "malformed column entry"),
+        ("record_count_low", "lists 1 column records, fewer than the "
+                             "manifest's 2 columns"),
+        ("kind_differs", "column 'n' is int; the manifest says float"),
+        ("unknown_kind", "unknown kind code 9; the manifest says float"),
+        ("length_short", "lengths do not fill the file"),
+        ("length_long", "truncated"),
+        ("trailing_bytes", "lengths do not fill the file"),
+        ("rows_differ", "chunk holds 4 rows; the manifest says 3"),
     ])
     def test_corrupt_chunks_raise_schema_error(self, tmp_path, corruption,
                                                match, from_file_object):
         numbers_last = corruption in ("cut_numbers", "short_numbers")
         columns = {"s": ["prod", "beb", "mid"], "n": [1.0, 2.0, 3.0]}
         order = ["s", "n"] if numbers_last else ["n", "s"]
+        table = Table({name: columns[name] for name in order})
         path = tmp_path / "c.rsc"
-        write_chunk(Table({name: columns[name] for name in order}), path)
+        write_chunk(table, path)
         data = bytearray(path.read_bytes())
-        last_at = len(data) - read_chunk_header(path)["columns"][-1]["nbytes"]
+        last_at = _spans(data)[-1][0]
+        n_at = order.index("n")
         # The string payload: k = 3, offsets [0, 4, 7, 10] at +8, the
         # dictionary b"prodbebmid" at +40, codes [0, 1, 2] at +50.
         offsets_at, dictionary_at, codes_at = (last_at + 8, last_at + 40,
                                                last_at + 50)
-
-        def with_header(header: bytes) -> bytearray:
-            return bytearray(MAGIC + len(header).to_bytes(8, "little")
-                             + header)
 
         if corruption == "flip_payload":
             # a bit of a float once decoded silently to another number
@@ -224,8 +272,6 @@ class TestChunkFormat:
         elif corruption == "dictionary_over_rows":
             data[last_at] = 4
             data = _reseal(data)
-        elif corruption == "rstore1_magic":
-            data[:len(MAGIC)] = b"RSTORE1\n"
         elif corruption == "raise_offset":
             # offsets[1] 4 -> 10 once decoded as ['prodbebmid', '', 'mid']
             data[offsets_at + 8] = 10
@@ -237,33 +283,42 @@ class TestChunkFormat:
             # a lost tail once raised a bare ValueError
             del data[-3:]
         elif corruption == "short_numbers":
-            # header and file agree, but 3 float rows need 24 bytes
-            data = data.replace(b'"kind":"float","nbytes":24',
-                                b'"kind":"float","nbytes":16')
+            # directory and file agree, but 3 float rows need 24 bytes
+            _set_record(data, n_at, nbytes=16)
             del data[-8:]
             data = _reseal(data)
         elif corruption == "bad_utf8":
             data[dictionary_at + 9] = 0xFF
             data = _reseal(data)
+        elif corruption == "rstore1_magic":
+            data[:len(MAGIC)] = b"RSTORE1\n"
+        elif corruption == "rstore2_magic":
+            data[:len(MAGIC)] = b"RSTORE2\n"
         elif corruption == "cut_length_prefix":
-            # cut inside the 8-byte length: once a bare struct.error
+            # cut inside the rows field: once a bare struct.error
             del data[len(MAGIC) + 3:]
         elif corruption == "short_header":
-            # declares 10**6 header bytes, holds 2: once KeyError 'rows'
-            data = bytearray(MAGIC + (10**6).to_bytes(8, "little") + b"{}")
+            # the file ends inside the second directory record
+            del data[DIRECTORY_AT + RECORD.size + 5:]
+        elif corruption == "record_count_low":
+            data[len(MAGIC) + 8:DIRECTORY_AT] = (1).to_bytes(4, "little")
         elif corruption == "huge_header_length":
-            # read() would try to allocate the declared 2^62 bytes
-            data = bytearray(MAGIC + (2**62).to_bytes(8, "little") + b"{}")
-        elif corruption == "header_not_json":
-            data = with_header(b"\xffnot json")
-        elif corruption == "header_without_rows":
-            data = with_header(b'{"columns":[]}')
-        elif corruption == "header_without_columns":
-            data = with_header(b'{"rows":3}')
-        else:
-            # once a bare KeyError: 'nbytes'
-            data = with_header(b'{"rows":1,"columns":[{"name":"n",'
-                               b'"kind":"int"}]}') + bytes(8)
+            # a 2^32 - 1 record header: nothing is sized by the count,
+            # the schema sizes the read
+            data[len(MAGIC) + 8:DIRECTORY_AT] = (2**32 - 1).to_bytes(4, "little")
+        elif corruption == "kind_differs":
+            # float bytes read as int64 would decode to garbage
+            _set_record(data, n_at, kind=1)
+        elif corruption == "unknown_kind":
+            _set_record(data, n_at, kind=9)
+        elif corruption == "length_short":
+            _set_record(data, 0, nbytes=_records(data)[0][1] - 1)
+        elif corruption == "length_long":
+            _set_record(data, 0, nbytes=_records(data)[0][1] + 1)
+        elif corruption == "trailing_bytes":
+            data += b"\x00"
+        else:  # rows_differ
+            data[len(MAGIC):len(MAGIC) + 8] = (4).to_bytes(8, "little")
         path.write_bytes(bytes(data))
 
         def source():
@@ -271,11 +326,33 @@ class TestChunkFormat:
             return io.BytesIO(bytes(data)) if from_file_object else path
 
         with pytest.raises(SchemaError, match=match):
-            read_chunk(source())
-        if corruption.startswith(("cut_length", "short_header", "huge",
-                                  "header", "column", "rstore1")):
+            read_chunk(source(), _schema(table), 3)
+        if corruption.startswith(("rstore", "cut_length", "short_header",
+                                  "huge", "record", "kind", "unknown",
+                                  "length", "trailing", "rows")):
+            # The header is checked before any payload is read, so a
+            # one-column projection fails the same way.
             with pytest.raises(SchemaError, match=match):
-                read_chunk_header(source())
+                read_chunk(source(), _schema(table), 3, columns=["s"])
+
+    def test_schema_and_rows_come_from_the_manifest(self, tmp_path):
+        path = tmp_path / "c.rsc"
+        table = Table({"a": [1, 2], "b": ["x", "y"]})
+        write_chunk(table, path)
+        with pytest.raises(SchemaError, match="holds 2 rows; the manifest "
+                                              "says 3"):
+            read_chunk(path, _schema(table), 3)
+        with pytest.raises(SchemaError, match="'b' is str; the manifest "
+                                              "says float"):
+            read_chunk(path, (("a", "int"), ("b", "float")), 2)
+        with pytest.raises(SchemaError, match="lists 2 column records, fewer "
+                                              "than the manifest's 3"):
+            read_chunk(path, _schema(table) + (("c", "int"),), 2)
+        # Names are the manifest's alone: a renamed schema reads the same
+        # bytes under the new names.
+        got = read_chunk(path, (("x", "int"), ("y", "str")), 2)
+        assert got.column_names == ["x", "y"]
+        assert got.column("y").to_list() == ["x", "y"]
 
     def test_flipped_or_truncated_chunks_never_decode(self):
         # One flipped byte inside each payload kind, and a cut at every
@@ -287,15 +364,11 @@ class TestChunkFormat:
             "s": np.array([("prod", "beb", "mid")[i % 3] + "\x00" * (i % 2)
                            for i in range(200)], dtype=object),
         })
+        schema = _schema(table)
         buf = io.BytesIO()
         write_chunk(table, buf)
         data = buf.getvalue()
-        header = read_chunk_header(io.BytesIO(data))
-        at = len(data) - sum(c["nbytes"] for c in header["columns"])
-        spans = {}
-        for meta in header["columns"]:
-            spans[meta["name"]] = (at, at + meta["nbytes"])
-            at += meta["nbytes"]
+        spans = dict(zip(table.column_names, _spans(data)))
         s_lo, s_hi = spans["s"]
         k = int.from_bytes(data[s_lo:s_lo + 8], "little")
         dictionary_at = s_lo + 8 + 8 * (k + 1)
@@ -306,20 +379,22 @@ class TestChunkFormat:
             flipped = bytearray(data)
             flipped[pos] ^= 0x04
             with pytest.raises(SchemaError, match="checksum"):
-                read_chunk(io.BytesIO(bytes(flipped)))
+                read_chunk(io.BytesIO(bytes(flipped)), schema, 200)
             # A projection that skips the flipped payload never reads it.
             other = "i" if kind == "float" else "f"
-            got = read_chunk(io.BytesIO(bytes(flipped)), columns=[other])
+            got = read_chunk(io.BytesIO(bytes(flipped)), schema, 200,
+                             columns=[other])
             np.testing.assert_array_equal(got.column(other).values,
                                           table.column(other).values)
         for cut in range(0, len(data), 97):
             with pytest.raises(SchemaError):
-                read_chunk(io.BytesIO(data[:cut]))
+                read_chunk(io.BytesIO(data[:cut]), schema, 200)
 
     def test_numeric_columns_are_readonly_views(self, tmp_path):
         path = tmp_path / "c.rsc"
-        write_chunk(Table({"f": [1.5, -0.0], "i": [1, 2**62]}), path)
-        back = read_chunk(path)
+        table = Table({"f": [1.5, -0.0], "i": [1, 2**62]})
+        write_chunk(table, path)
+        back = read_chunk(path, _schema(table), 2)
         for name in ("f", "i"):
             values = back.column(name).values
             assert not values.flags.writeable
@@ -330,28 +405,31 @@ class TestChunkFormat:
         table = Table({"a": [1, 2], "b": ["x", "y"], "c": [0.5, 1.5]})
         path = tmp_path / "c.rsc"
         write_chunk(table, path)
-        got = read_chunk(path, columns=["c", "a"])
+        got = read_chunk(path, _schema(table), 2, columns=["c", "a"])
         assert got.column_names == ["c", "a"]
         np.testing.assert_array_equal(got.column("a").values, [1, 2])
 
     def test_unknown_projection_column(self, tmp_path):
         path = tmp_path / "c.rsc"
-        write_chunk(Table({"a": [1]}), path)
+        table = Table({"a": [1]})
+        write_chunk(table, path)
         with pytest.raises(SchemaError, match="no column"):
-            read_chunk(path, columns=["nope"])
+            read_chunk(path, _schema(table), 1, columns=["nope"])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.rsc"
         path.write_bytes(b"definitely not a chunk")
         with pytest.raises(SchemaError, match="magic"):
-            read_chunk(path)
+            read_chunk(path, (("a", "int"),), 1)
 
     def test_header_has_layout(self, tmp_path):
         path = tmp_path / "c.rsc"
         write_chunk(Table({"a": [1, 2, 3]}), path)
-        header = read_chunk_header(path)
-        assert header["rows"] == 3
-        assert header["columns"][0]["kind"] == "int"
+        data = path.read_bytes()
+        assert data[:DIRECTORY_AT] == (MAGIC + (3).to_bytes(8, "little")
+                                       + (1).to_bytes(4, "little"))
+        assert _records(data) == [(1, 24, zlib.crc32(data[-24:]))]  # int
+        assert len(data) == DIRECTORY_AT + RECORD.size + 24
 
 
 class TestChunkStats:
@@ -537,6 +615,35 @@ class TestWriterReader:
         with pytest.raises(SchemaError, match="store version 1 .*convert"):
             Manifest.load(tmp_path)
 
+    def test_manifest_rejects_version_2(self, store_dir):
+        path, _ = store_dir
+        data = json.loads((path / "manifest.json").read_text())
+        data["version"] = 2
+        (path / "manifest.json").write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="store version 2 .*borg-repro "
+                                              "convert"):
+            open_store(path)
+
+    @pytest.mark.parametrize("column", [
+        {"name": "a"}, {"name": "a", "kind": "decimal"}, {"kind": "int"}, "a"])
+    def test_manifest_rejects_malformed_columns(self, store_dir, column):
+        path, _ = store_dir
+        data = json.loads((path / "manifest.json").read_text())
+        data["tables"]["instance_usage"]["columns"][0] = column
+        (path / "manifest.json").write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="malformed column entry"):
+            open_store(path)
+
+    @pytest.mark.parametrize("rows", [-1, 1.5, "128", None])
+    def test_manifest_rejects_chunk_rows_that_are_not_counts(self, store_dir,
+                                                             rows):
+        path, _ = store_dir
+        data = json.loads((path / "manifest.json").read_text())
+        data["tables"]["instance_usage"]["chunk_rows"][3] = rows
+        (path / "manifest.json").write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="not a count"):
+            open_store(path)
+
     def test_manifest_rejects_non_json(self, tmp_path):
         (tmp_path / "manifest.json").write_bytes(b'{"format": "repro-st')
         with pytest.raises(SchemaError, match="not JSON"):
@@ -587,6 +694,129 @@ class TestWriterReader:
             assert chunk["rows"] == 100
             assert chunk["stats"] == chunk_stats(rows)
         assert "avg_cpu" not in chunks[1]["stats"]
+
+
+def _edit_manifest(path, edit):
+    """Rewrite ``path``'s manifest.json as ``edit`` leaves its dict."""
+    data = json.loads((path / "manifest.json").read_text())
+    edit(data)
+    (path / "manifest.json").write_text(json.dumps(data))
+
+
+class TestChunksAgreeWithManifest:
+    """A well-formed manifest that disagrees with its chunks fails the
+    read instead of decoding wrong values."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_edited_chunk_rows_fail_the_read(self, store_dir, workers):
+        path, _ = store_dir
+
+        def edit(data):
+            data["tables"]["instance_usage"]["chunk_rows"][1] += 1
+
+        _edit_manifest(path, edit)
+        store = open_store(path)
+        with pytest.raises(SchemaError, match="chunk holds 128 rows; the "
+                                              "manifest says 129"):
+            store.scan("instance_usage").select("avg_cpu").aggregate(
+                Agg("sum", "avg_cpu"), workers=workers)
+        # Chunk 0 still agrees with the manifest, so it still reads.
+        first = store.manifest.chunks("instance_usage")[0]
+        assert len(store.load_chunk("instance_usage", first)) == 128
+
+    def test_edited_kind_fails_the_read(self, store_dir):
+        path, _ = store_dir
+
+        def edit(data):
+            columns = data["tables"]["instance_usage"]["columns"]
+            columns[1]["kind"] = "int"  # duration is float
+
+        _edit_manifest(path, edit)
+        with pytest.raises(SchemaError, match="column 'duration' is float; "
+                                              "the manifest says int"):
+            open_store(path).read_table("instance_usage")
+
+    def test_dropped_column_fails_the_read(self, store_dir):
+        path, _ = store_dir
+
+        def edit(data):
+            entry = data["tables"]["instance_usage"]
+            entry["columns"].pop()
+            del entry["stats"]["limit_mem"]
+
+        _edit_manifest(path, edit)
+        with pytest.raises(SchemaError, match="lists 14 column records, "
+                                              "which exceeds the manifest's "
+                                              "13 columns"):
+            open_store(path).read_table("instance_usage", ["avg_cpu"])
+
+
+class TestManifestCache:
+    """Manifest.load parses a store's manifest once per process while
+    its bytes stay the same."""
+
+    def test_two_handles_share_one_parse(self, store_dir):
+        path, _ = store_dir
+        first, second = open_store(path), open_store(str(path) + "/.")
+        assert first.manifest is second.manifest
+        assert first.manifest.chunks("instance_usage") is \
+            second.manifest.chunks("instance_usage")
+        assert first.cache is not second.cache  # chunk caches stay per handle
+
+    def test_rewritten_store_is_seen_on_next_open(self, tmp_path):
+        path = tmp_path / "s"
+        write_store(_dataset(usage_rows=300), path, chunk_rows=128)
+        before = open_store(path)
+        assert before.rows("instance_usage") == 300
+        write_store(_dataset(usage_rows=700), path, chunk_rows=128)
+        after = open_store(path)
+        assert after.manifest is not before.manifest
+        assert after.rows("instance_usage") == 700
+        assert before.rows("instance_usage") == 300  # never mutated
+        # The new parse replaces the stale one: one entry per store.
+        assert manifest_module._LOADED[str(path.resolve())][1] is \
+            after.manifest
+        assert after.scan("instance_usage").where(
+            Compare("avg_cpu", ">=", 0.0)).count() == 700
+
+    def test_same_length_in_place_edit_is_seen(self, store_dir):
+        path, _ = store_dir
+        manifest = path / "manifest.json"
+        assert open_store(path).meta["cell"] == "t"
+        stat = manifest.stat()
+        text = manifest.read_text()
+        edited = text.replace('"cell":"t"', '"cell":"u"')
+        assert len(edited) == len(text) and edited != text
+        with open(manifest, "r+") as f:  # same file, same length
+            f.write(edited)
+        # A filesystem with coarse timestamps would show the old mtime.
+        os.utime(manifest, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert manifest.stat().st_size == stat.st_size
+        assert open_store(path).meta["cell"] == "u"
+
+    def test_invalid_manifest_raises_on_every_open(self, store_dir):
+        path, _ = store_dir
+        good = (path / "manifest.json").read_bytes()
+
+        def edit(data):
+            data["tables"]["instance_usage"]["stats"]["avg_cpu"]["min"].pop()
+
+        _edit_manifest(path, edit)
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="chunk bounds"):
+                open_store(path)
+        assert str(path.resolve()) not in manifest_module._LOADED
+        (path / "manifest.json").write_bytes(good)
+        assert open_store(path).rows("instance_usage") == 2000
+
+    def test_cache_is_bounded(self, store_dir, tmp_path):
+        path, _ = store_dir
+        for i in range(manifest_module.LOADED_MANIFESTS + 2):
+            copy = tmp_path / f"copy-{i}"
+            copy.mkdir()
+            shutil.copy(path / "manifest.json", copy / "manifest.json")
+            Manifest.load(copy)
+        assert len(manifest_module._LOADED) == manifest_module.LOADED_MANIFESTS
 
 
 class TestScan:
