@@ -88,6 +88,7 @@ from repro.store import (
 from repro.store.writer import DEFAULT_CHUNK_ROWS
 from repro.trace import encode_cell, load_trace, save_trace, validate_trace
 from repro.trace.io import detect_format
+from repro.util.errors import SchemaError
 from repro.faults import FAULT_PROFILES
 from repro.workload import ARCHETYPE_MIXES, scenario_2011, scenarios_2019
 
@@ -249,8 +250,15 @@ def _simulate(args) -> int:
 
 
 def _validate(args) -> int:
-    trace = load_trace(args.trace_dir)
-    violations = validate_trace(trace)
+    try:
+        trace = load_trace(args.trace_dir)
+        violations = validate_trace(trace)
+    except SchemaError as exc:
+        # An unreadable trace (e.g. a store of an older format, whose
+        # message says to run `borg-repro convert`) is one line, not a
+        # traceback.
+        print(f"validate: {exc}", file=sys.stderr)
+        return 2
     if not violations:
         print(f"{args.trace_dir}: all invariants hold "
               f"({len(trace.instance_usage)} usage rows checked)")
@@ -351,6 +359,15 @@ def _parse_agg(spec: str) -> Agg:
 
 
 def _query(args) -> int:
+    try:
+        return _run_query(args)
+    except SchemaError as exc:
+        # As in _validate: an unreadable store is one line and exit 2.
+        print(f"query: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_query(args) -> int:
     store = open_store(args.store_dir)
     scan = store.scan(args.table)
     predicates = [_parse_where(clause) for clause in args.where or []]

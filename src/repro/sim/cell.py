@@ -60,7 +60,6 @@ from repro.sim.usage import (
     UsageModel,
     UsageModelParams,
 )
-from repro.table.segment import segments
 
 # Re-exported for consumers that treat the cell module as the simulator
 # façade (tests import TIER_CODES from here).
@@ -161,8 +160,12 @@ class CellResult:
         return Resources(cpu, mem)
 
 
-def _reconcile_machine_usage(usage: Dict[str, np.ndarray], fleet: FleetState,
-                             sample_period: float) -> None:
+#: Rows per block in which the reconcile builds its sort words.
+_KEY_BLOCK_ROWS = 1 << 16
+
+
+def _reconcile_machine_usage(usage: Dict[str, np.ndarray], slots: np.ndarray,
+                             fleet: FleetState, sample_period: float) -> None:
     """Throttle sampled usage to physical machine capacity, in place.
 
     Per-instance usage is generated independently, so on an over-committed
@@ -173,31 +176,95 @@ def _reconcile_machine_usage(usage: Dict[str, np.ndarray], fleet: FleetState,
     what makes the section-9 "usage <= machine capacity" trace invariant
     hold by construction rather than by luck.
 
-    The per-group capacity lookup is one vectorized
-    :meth:`FleetState.capacity_by_id` gather over the cell's fleet, not a
-    Python loop.
+    ``slots`` gives each row's fleet slot (``UsageBatch.finalize``); a
+    slot outside the fleet raises :class:`SimulationError`.  Each group
+    sum is ``np.add.reduceat`` over the group's rows in row order, as
+    :func:`repro.table.segment.segments` would order them, so the sums
+    (and the reference spelling in ``tests/reconcile_oracles.py``) agree
+    byte for byte.  That stable order comes from one in-place sort of
+    int64 words holding the group key above the row index, which needs
+    no stable-sort buffer.  Only the rows of over-capacity groups are
+    rescaled.
     """
-    n = len(usage["window_start"])
-    if n == 0:
+    if not len(slots):
         return
-    machine_ids = usage["machine_id"].astype(np.int64)
-    window = (usage["window_start"] / sample_period).astype(np.int64)
-    key = machine_ids * 10_000_000 + window
-    order, starts = segments(key)
-    limit_cpu, limit_mem = fleet.capacity_by_id(machine_ids[order[starts]])
-    counts = np.diff(starts, append=n)
-    for col_avg, col_max, limits in (("avg_cpu", "max_cpu", limit_cpu),
-                                     ("avg_mem", "max_mem", limit_mem)):
-        sums = np.add.reduceat(usage[col_avg][order], starts)
-        factors = np.ones(len(starts))
-        over = sums > limits * 0.98
-        factors[over] = (limits[over] * 0.98) / sums[over]
-        # Scatter the per-group factor back to rows.
-        row_factors = np.repeat(factors, counts)
-        scale = np.ones(n)
-        scale[order] = row_factors
-        usage[col_avg] *= scale
-        usage[col_max] *= scale
+    if int(slots.min()) < 0 or int(slots.max()) >= fleet.n:
+        raise SimulationError("usage rows name a slot outside the fleet")
+    order, bounds, group_slot = _group_rows(
+        slots, usage["window_start"], fleet.n, sample_period)
+    _throttle(usage["avg_cpu"], usage["max_cpu"],
+              fleet.capacity_cpu[group_slot], order, bounds)
+    _throttle(usage["avg_mem"], usage["max_mem"],
+              fleet.capacity_mem[group_slot], order, bounds)
+
+
+def _group_rows(slots: np.ndarray, window_start: np.ndarray, n_slots: int,
+                sample_period: float
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, bounds, group_slot)``: rows grouped by (slot, window).
+
+    Group ``g`` is rows ``order[bounds[g]:bounds[g + 1]]``, in row order,
+    on slot ``group_slot[g]``; the window is ``trunc(start / period)``,
+    as ``astype(np.int64)`` takes it.
+    """
+    n = len(slots)
+    # trunc of a division is monotone, so the extremes bound the windows.
+    w_lo = int(window_start.min() / sample_period)
+    n_windows = int(window_start.max() / sample_period) - w_lo + 1
+    row_bits = (n - 1).bit_length()
+    if (n_windows * n_slots - 1).bit_length() + row_bits > 63:
+        raise SimulationError(
+            f"{n} usage rows over {n_windows} windows x {n_slots} machines "
+            "do not fit one 63-bit sort key")
+    # words = (slot * n_windows + window - w_lo) << row_bits | row, built
+    # in row blocks so that no full-size temporary exists beside it.  A
+    # machine's windows sit side by side, which keeps the group sizes
+    # that reduceat walks through predictable.
+    words = np.empty(n, dtype=np.int64)
+    for r0 in range(0, n, _KEY_BLOCK_ROWS):
+        r1 = min(r0 + _KEY_BLOCK_ROWS, n)
+        block = words[r0:r1]
+        np.multiply(slots[r0:r1], n_windows, out=block, dtype=np.int64)
+        block += (window_start[r0:r1] / sample_period).astype(np.int64)
+        block -= w_lo
+        block <<= row_bits
+        block |= np.arange(r0, r1)
+    words.sort()
+    order = words & ((1 << row_bits) - 1)
+    words >>= row_bits
+    change = np.empty(n + 1, dtype=bool)
+    change[0] = change[n] = True
+    np.not_equal(words[1:], words[:-1], out=change[1:n])
+    bounds = np.flatnonzero(change)
+    del change
+    return order, bounds, words[bounds[:-1]] // n_windows
+
+
+def _throttle(avg: np.ndarray, peak: np.ndarray, limits: np.ndarray,
+              order: np.ndarray, bounds: np.ndarray) -> None:
+    """Scale down, in place, both columns' rows of every group whose
+    ``avg`` sum exceeds 98% of its limit, to that 98%.
+
+    Group ``g`` is rows ``order[bounds[g]:bounds[g + 1]]``.  Rows of the
+    other groups are left as they are (the reference multiplies them by
+    1.0, which changes no float).
+    """
+    sums = np.add.reduceat(np.take(avg, order), bounds[:-1])
+    over = np.flatnonzero(sums > limits * 0.98)
+    if not over.size:
+        return
+    factors = (limits[over] * 0.98) / sums[over]
+    sizes = bounds[over + 1] - bounds[over]
+    # The over-capacity groups' positions in ``order``, then their rows.
+    pos = np.repeat(bounds[over] - (np.cumsum(sizes) - sizes), sizes)
+    pos += np.arange(len(pos))
+    rows = np.take(order, pos)
+    del pos
+    scale = np.repeat(factors, sizes)
+    for column in (avg, peak):
+        values = np.take(column, rows)
+        values *= scale
+        np.put(column, rows, values)
 
 
 def _flush_tallies(dispatch: Dict[str, list], counters: Dict[str, obs.Counter],
@@ -229,10 +296,10 @@ class CellSim:
                 "workload was already simulated: a CellSim needs freshly "
                 "generated collections")
         self.config = config
-        self.machines = list(machines)
-        #: The cell's mutable machine state (allocation, up/down,
-        #: residents), indexed by slot; the placement kernel reads it.
-        self.fleet = FleetState(self.machines)
+        #: The cell's machines (``fleet.machines``, in slot order) and
+        #: their mutable state (allocation, up/down, residents), indexed
+        #: by slot; the placement kernel reads it.
+        self.fleet = FleetState(machines)
         self.rng = rng
         self.events = EventLog()
         self.counters = SimCounters()
@@ -259,10 +326,11 @@ class CellSim:
                                        config.utc_offset_hours)
         #: Run intervals queued for batched sample generation (one
         #: vectorized pass at finalize instead of numpy calls per stop).
-        self._usage = UsageBatch(self._usage_model, config.autopilot)
+        self._usage = UsageBatch(self._usage_model, config.autopilot,
+                                 self.fleet.machine_id)
         cell_capacity = Resources(
-            sum(m.capacity.cpu for m in self.machines),
-            sum(m.capacity.mem for m in self.machines),
+            sum(m.capacity.cpu for m in self.fleet.machines),
+            sum(m.capacity.mem for m in self.fleet.machines),
         )
         self._batch = BatchQueue(config.batch, cell_capacity)
         self._batch_admitted: set = set()
@@ -287,7 +355,7 @@ class CellSim:
         self._resubmit_policy = (config.faults.resubmit
                                  if config.faults is not None else None)
         if config.faults is not None:
-            self._fault_domains = config.faults.domains_for(len(self.machines))
+            self._fault_domains = config.faults.domains_for(self.fleet.n)
             self._rng_faults = rng.stream("faults")
         if self._resubmit_policy is not None:
             self._rng_resubmit = rng.stream("resubmit")
@@ -424,9 +492,9 @@ class CellSim:
             _flush_tallies(dispatch, counters, total)
         with obs.span("sim.finalize"):
             self._finalize(horizon)
-            usage = self._usage.finalize(self._rng_usage)
+            usage, slots = self._usage.finalize(self._rng_usage)
         with obs.span("sim.reconcile_usage"):
-            _reconcile_machine_usage(usage, self.fleet,
+            _reconcile_machine_usage(usage, slots, self.fleet,
                                      self.config.sample_period)
         self._export_obs_counters(usage)
         if recorder is not None:
@@ -436,7 +504,7 @@ class CellSim:
             recorder.finish(horizon)
         return CellResult(
             config=self.config,
-            machines=self.machines,
+            machines=self.fleet.machines,
             collections=list(self._collections.values()),
             events=self.events,
             usage=usage,
@@ -449,7 +517,7 @@ class CellSim:
         for name, value in vars(self.counters).items():
             registry.inc("sim." + name, value)
         registry.inc("sim.usage_rows", len(usage["window_start"]))
-        registry.gauge("sim.machines", len(self.machines))
+        registry.gauge("sim.machines", self.fleet.n)
         registry.gauge("sim.machines_up", self.fleet.up_count())
         registry.gauge("sim.collections", len(self._collections))
 
@@ -603,7 +671,7 @@ class CellSim:
         if slot is None:
             return False
         self.fleet.place(slot, instance)
-        self._start_running(t, instance, self.machines[slot].machine_id)
+        self._start_running(t, instance, self.fleet.machines[slot].machine_id)
         return True
 
     def _find_alloc_room(self, alloc_collection_id: int,
@@ -684,6 +752,8 @@ class CellSim:
         start = instance.start_time
         if start is None or machine_id is None:
             raise SimulationError(f"stopping non-running instance {instance.instance_id}")
+        fleet = self.fleet
+        slot = fleet.slot_of[machine_id]
         if instance.alloc_instance is not None:
             host = instance.alloc_instance
             host.claimed = host.claimed - instance.request
@@ -691,17 +761,14 @@ class CellSim:
             if tenants and instance in tenants:
                 tenants.remove(instance)
             instance.alloc_instance = None
-        else:
-            fleet = self.fleet
-            slot = fleet.slot_of[machine_id]
-            if instance in fleet.residents[slot]:
-                fleet.remove(slot, instance)
+        elif instance in fleet.residents[slot]:
+            fleet.remove(slot, instance)
         instance.record_stop(t)
         instance.incarnation += 1
-        self._emit_usage(instance, start, t, machine_id)
+        self._emit_usage(instance, start, t, slot)
 
     def _emit_usage(self, instance: Instance, start: float, end: float,
-                    machine_id: int) -> None:
+                    slot: int) -> None:
         """Queue the closed run interval for batched sample generation.
 
         Only scalars are captured here; the actual sampling happens in
@@ -722,7 +789,7 @@ class CellSim:
             self._usage.add_alloc(
                 collection_id=collection.collection_id,
                 instance_index=instance.index,
-                machine_id=machine_id,
+                slot=slot,
                 tier_code=collection.tier.rank,
                 autopilot_code=AUTOPILOT_CODES[collection.autopilot_mode],
                 start=start, end=end,
@@ -733,7 +800,7 @@ class CellSim:
         self._usage.add_task(
             collection_id=collection.collection_id,
             instance_index=instance.index,
-            machine_id=machine_id,
+            slot=slot,
             tier_code=collection.tier.rank,
             autopilot_code=AUTOPILOT_CODES[collection.autopilot_mode],
             in_alloc=collection.alloc_collection_id is not None,
@@ -834,7 +901,7 @@ class CellSim:
         without it, everything is evicted.
         """
         self.fleet.set_up(slot, False)
-        machine = self.machines[slot]
+        machine = self.fleet.machines[slot]
         self.events.machine(t, machine.machine_id, "REMOVE",
                             machine.capacity.cpu, machine.capacity.mem)
         for instance in list(self.fleet.residents[slot]):
@@ -856,7 +923,7 @@ class CellSim:
 
     def _on_machine_up(self, t: float, slot: int) -> None:
         self.fleet.set_up(slot, True)
-        machine = self.machines[slot]
+        machine = self.fleet.machines[slot]
         self.events.machine(t, machine.machine_id, "ADD",
                             machine.capacity.cpu, machine.capacity.mem)
         self._ensure_round(t)

@@ -46,7 +46,6 @@ class FleetState:
         #: Machine id -> slot.
         self.slot_of: Dict[int, int] = {
             m.machine_id: i for i, m in enumerate(self.machines)}
-        self._id_order: np.ndarray = None  # lazy; machine ids never change
         self.up = np.ones(n, dtype=bool)
         #: Packed (2, n) float64 matrix: row 0 is allocated CPU, row 1
         #: allocated memory; ``allocated_cpu``/``allocated_mem`` are
@@ -75,29 +74,6 @@ class FleetState:
     def up_count(self) -> int:
         """How many machines are currently up (fault-injection telemetry)."""
         return int(self.up.sum())
-
-    def capacity_by_id(self, ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Gather ``(cpu, mem)`` capacity for an array of machine ids.
-
-        Vectorized replacement for a per-id dict lookup: one
-        ``searchsorted`` against the (lazily cached) id-sorted index.
-        Unknown ids gather ``np.inf`` for both dimensions — the value a
-        capacity clamp treats as "no limit", matching the historical
-        ``dict.get(id, inf)`` behavior.
-        """
-        if self.n == 0:
-            inf = np.full(len(ids), np.inf)
-            return inf, inf.copy()
-        if self._id_order is None:
-            self._id_order = np.argsort(self.machine_id, kind="stable")
-        order = self._id_order
-        sorted_ids = self.machine_id[order]
-        pos = np.minimum(np.searchsorted(sorted_ids, ids), self.n - 1)
-        hit = sorted_ids[pos] == ids
-        src = order[pos]
-        cpu = np.where(hit, self.capacity_cpu[src], np.inf)
-        mem = np.where(hit, self.capacity_mem[src], np.inf)
-        return cpu, mem
 
     # -- mutators --------------------------------------------------------------
 

@@ -13,8 +13,9 @@ hard bound (usage never exceeds the limit) — paper section 2.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -60,44 +61,17 @@ class UsageModel:
         self.utc_offset_hours = utc_offset_hours
 
 
-class _IntervalRecord(NamedTuple):
-    """One closed run interval, queued for batched sample materialization.
-
-    Every field is a scalar captured at stop time, so deferring the
-    sampling to the end of the run cannot observe later mutations.
-    """
-
-    is_alloc: bool
-    collection_id: int
-    instance_index: int
-    machine_id: int
-    tier_code: int
-    autopilot_code: int
-    in_alloc: bool
-    start: float
-    end: float
-    cpu_limit: float
-    mem_limit: float
-    cpu_fraction: float
-    mem_fraction: float
-
-
-#: Column indices of the packed (n_records, 13) float matrix ``finalize``
-#: builds from the record list (field order of :class:`_IntervalRecord`).
-_F_IS_ALLOC = _IntervalRecord._fields.index("is_alloc")
-_F_COLLECTION_ID = _IntervalRecord._fields.index("collection_id")
-_F_INSTANCE_INDEX = _IntervalRecord._fields.index("instance_index")
-_F_MACHINE_ID = _IntervalRecord._fields.index("machine_id")
-_F_TIER_CODE = _IntervalRecord._fields.index("tier_code")
-_F_AUTOPILOT = _IntervalRecord._fields.index("autopilot_code")
-_F_IN_ALLOC = _IntervalRecord._fields.index("in_alloc")
-_F_START = _IntervalRecord._fields.index("start")
-_F_END = _IntervalRecord._fields.index("end")
-_F_CPU_LIMIT = _IntervalRecord._fields.index("cpu_limit")
-_F_MEM_LIMIT = _IntervalRecord._fields.index("mem_limit")
-_F_CPU_FRACTION = _IntervalRecord._fields.index("cpu_fraction")
-_F_MEM_FRACTION = _IntervalRecord._fields.index("mem_fraction")
-
+#: The fields of one queued run interval, in the order
+#: :class:`UsageBatch` packs them into its flat buffer.  Every field is
+#: held as a float64; the ints and bools are exact there.
+_FIELDS = ("is_alloc", "collection_id", "instance_index", "slot",
+           "tier_code", "autopilot_code", "in_alloc", "start", "end",
+           "cpu_limit", "mem_limit", "cpu_fraction", "mem_fraction")
+(_F_IS_ALLOC, _F_COLLECTION_ID, _F_INSTANCE_INDEX, _F_SLOT, _F_TIER_CODE,
+ _F_AUTOPILOT, _F_IN_ALLOC, _F_START, _F_END, _F_CPU_LIMIT, _F_MEM_LIMIT,
+ _F_CPU_FRACTION, _F_MEM_FRACTION) = range(len(_FIELDS))
+#: Packs one interval's fields as native float64s, the buffer's rows.
+_PACK = struct.Struct(f"={len(_FIELDS)}d").pack
 
 #: Most output windows one flush block holds.  A block's working set —
 #: its slice of every output column plus four noise draws per window —
@@ -110,11 +84,12 @@ BLOCK_WINDOWS = 1 << 14
 class UsageBatch:
     """Accumulates run intervals and materializes usage samples in bulk.
 
-    The simulator records each closed run interval as a scalar tuple and
-    generates every sample column at finalize time, walking the records
-    in consecutive blocks of at most :data:`BLOCK_WINDOWS` output windows.
-    Each block writes its rows into output columns allocated once for
-    the whole flush.
+    The simulator queues each closed run interval as one row of scalars
+    in a flat float64 buffer (:data:`_FIELDS`), naming its machine by
+    fleet slot.  :meth:`finalize` generates every sample column at once,
+    walking the records in consecutive blocks of at most
+    :data:`BLOCK_WINDOWS` output windows; each block writes its rows into
+    output columns allocated once for the whole flush.
 
     Bit-exactness contract: the output, and the usage RNG's end state,
     equal those of drawing every interval on its own (the per-interval
@@ -126,16 +101,19 @@ class UsageBatch:
     A block draws those four streams of all its task intervals at once:
     its ``4 * m`` standard normals in one call.  The generator fills
     normals one after another, so that block is the exact concatenation
-    of the per-interval draws, and ``normal(loc, scale)`` is exactly
-    ``loc + scale * z``.  ``lognormal`` applies libm's scalar ``exp``,
-    which ``np.exp`` (SIMD) matches only to within ULPs, so a clone
-    generator set to the primary's state replays the same normals
-    through ``Generator.lognormal`` with a per-position sigma; gathers
-    then pick each stream's positions.
+    of the per-interval draws; gathers pick each stream's positions.
+    ``normal(loc, scale)`` is exactly ``loc + scale * z``, and
+    ``lognormal(0, sigma)`` is libm's scalar ``exp(sigma * z)``, which
+    ``np.exp`` (SIMD) matches only to within ULPs.  So the two lognormal
+    streams' exponents go through ``Generator.lognormal(x, 0.0)`` on a
+    throwaway clone generator: ``exp(x + 0.0 * z')`` is libm's
+    ``exp(x)`` whatever ``z'`` the clone draws.
 
     All arithmetic keeps the per-interval operation order (e.g.
     ``(limit * fraction) * diurnal * noise``), with per-interval scalars
-    broadcast via ``np.repeat``.
+    broadcast via ``np.repeat``.  Where the sample grid is exact (see
+    :func:`_diurnal_table`) the diurnal factor is computed once per
+    distinct window and gathered.
     """
 
     COLUMNS = (
@@ -144,16 +122,16 @@ class UsageBatch:
         "avg_cpu", "max_cpu", "avg_mem", "max_mem", "cpu_limit", "mem_limit",
     )
 
-    def __init__(self, model: UsageModel, autopilot: AutopilotParams):
+    def __init__(self, model: UsageModel, autopilot: AutopilotParams,
+                 machine_ids: np.ndarray):
         self._model = model
         self._autopilot = autopilot
-        self._records: List[_IntervalRecord] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
+        #: Machine id of each fleet slot; records name machines by slot.
+        self._machine_ids = machine_ids
+        self._buf = bytearray()
 
     def add_task(self, *, collection_id: int, instance_index: int,
-                 machine_id: int, tier_code: int, autopilot_code: int,
+                 slot: int, tier_code: int, autopilot_code: int,
                  in_alloc: bool, start: float, end: float,
                  cpu_limit: float, mem_limit: float,
                  cpu_fraction: float, mem_fraction: float) -> None:
@@ -162,54 +140,57 @@ class UsageBatch:
         The interval must be non-empty (``end > start``); the simulator
         never queues an empty one.
         """
-        self._records.append(_IntervalRecord(
-            False, collection_id, instance_index, machine_id, tier_code,
+        self._buf += _PACK(
+            0.0, collection_id, instance_index, slot, tier_code,
             autopilot_code, in_alloc, start, end, cpu_limit, mem_limit,
-            cpu_fraction, mem_fraction,
-        ))
+            cpu_fraction, mem_fraction)
 
     def add_alloc(self, *, collection_id: int, instance_index: int,
-                  machine_id: int, tier_code: int, autopilot_code: int,
+                  slot: int, tier_code: int, autopilot_code: int,
                   start: float, end: float,
                   cpu_limit: float, mem_limit: float) -> None:
         """Queue an alloc-instance reservation interval (zero usage);
         ``end > start`` as for :meth:`add_task`."""
-        self._records.append(_IntervalRecord(
-            True, collection_id, instance_index, machine_id, tier_code,
-            autopilot_code, False, start, end, cpu_limit, mem_limit,
-            0.0, 0.0,
-        ))
+        self._buf += _PACK(
+            1.0, collection_id, instance_index, slot, tier_code,
+            autopilot_code, 0.0, start, end, cpu_limit, mem_limit, 0.0, 0.0)
 
-    def finalize(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
-        """Materialize all queued intervals into usage-sample columns."""
-        period = self._model.sample_period
-        records = self._records
-        if not records:
-            return {c: np.empty(0) for c in self.COLUMNS}
+    def finalize(self, rng: np.random.Generator
+                 ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        """Materialize, and drain, all queued intervals.
 
-        # One pass from the namedtuple list into a (n, 13) float matrix;
-        # every scalar field (ints, bools, floats) is exact in float64.
-        rec = np.array(records, dtype=np.float64)
+        Returns the usage-sample columns (:attr:`COLUMNS`) and each row's
+        fleet slot (int32), which the capacity reconcile groups by.
+        """
+        buf, self._buf = self._buf, bytearray()
+        if not buf:
+            return ({c: np.empty(0) for c in self.COLUMNS},
+                    np.empty(0, dtype=np.int32))
+        rec = np.frombuffer(buf, dtype=np.float64).reshape(-1, len(_FIELDS))
+        model = self._model
+        period = model.sample_period
         # The per-interval grid ``np.arange(first, end, period)`` has
-        # ``ceil((end - first) / period)`` elements and equals ``first +
-        # k * period`` element for element, so it is built directly.
-        first = np.floor(rec[:, _F_START] / period) * period
+        # ``ceil((end - first) / period)`` elements, built directly in
+        # each block.
+        grid_index = np.floor(rec[:, _F_START] / period)
+        first = grid_index * period
         counts = np.ceil((rec[:, _F_END] - first) / period).astype(np.int64)
         # bounds[j] is the first output row of record j.
-        bounds = np.zeros(len(records) + 1, dtype=np.int64)
+        bounds = np.zeros(len(rec) + 1, dtype=np.int64)
         np.cumsum(counts, out=bounds[1:])
         n_rows = int(bounds[-1])
+        slot = rec[:, _F_SLOT].astype(np.int64)
 
-        def rep(col: int, dtype) -> np.ndarray:
-            return np.repeat(rec[:, col].astype(dtype), counts)
+        def rep(values: np.ndarray, dtype) -> np.ndarray:
+            return np.repeat(values.astype(dtype), counts)
 
         out = {
-            "collection_id": rep(_F_COLLECTION_ID, np.int64),
-            "instance_index": rep(_F_INSTANCE_INDEX, np.int32),
-            "machine_id": rep(_F_MACHINE_ID, np.int32),
-            "tier_code": rep(_F_TIER_CODE, np.int8),
-            "autopilot_code": rep(_F_AUTOPILOT, np.int8),
-            "in_alloc": rep(_F_IN_ALLOC, bool),
+            "collection_id": rep(rec[:, _F_COLLECTION_ID], np.int64),
+            "instance_index": rep(rec[:, _F_INSTANCE_INDEX], np.int32),
+            "machine_id": rep(self._machine_ids[slot], np.int32),
+            "tier_code": rep(rec[:, _F_TIER_CODE], np.int8),
+            "autopilot_code": rep(rec[:, _F_AUTOPILOT], np.int8),
+            "in_alloc": rep(rec[:, _F_IN_ALLOC], bool),
             "window_start": np.empty(n_rows),
             "duration": np.empty(n_rows),
             # Alloc rows carry zero usage.
@@ -217,12 +198,15 @@ class UsageBatch:
             "max_cpu": np.zeros(n_rows),
             "avg_mem": np.zeros(n_rows),
             "max_mem": np.zeros(n_rows),
-            "cpu_limit": np.empty(n_rows),
-            "mem_limit": np.empty(n_rows),
+            "cpu_limit": rep(rec[:, _F_CPU_LIMIT], np.float64),
+            "mem_limit": rep(rec[:, _F_MEM_LIMIT], np.float64),
         }
-        # The lognormal replays of the block draw run on this clone.
+        slots = rep(slot, np.int32)
+        grid = grid_index.astype(np.int64)
+        table = _diurnal_table(model, grid, counts)
+        # The exponent clone of the block draws (see the class docstring).
         clone = np.random.Generator(type(rng.bit_generator)(0))
-        n_records = len(records)
+        n_records = len(rec)
         j0 = 0
         while j0 < n_records:
             # The longest run of whole records within BLOCK_WINDOWS rows,
@@ -231,108 +215,157 @@ class UsageBatch:
                                      side="right")) - 1
             j1 = max(j1, j0 + 1)
             self._fill_block(rng, clone, rec[j0:j1], first[j0:j1],
-                             counts[j0:j1], bounds[j0:j1 + 1], out)
+                             grid[j0:j1], counts[j0:j1], bounds[j0:j1 + 1],
+                             table, out)
             j0 = j1
-        return out
+        return out, slots
 
     def _fill_block(self, rng: np.random.Generator,
                     clone: np.random.Generator, rec: np.ndarray,
-                    first: np.ndarray, counts: np.ndarray,
-                    bounds: np.ndarray, out: Dict[str, np.ndarray]) -> None:
-        """Write one block's rows (``bounds[0]:bounds[-1]``) into ``out``."""
+                    first: np.ndarray, grid: np.ndarray, counts: np.ndarray,
+                    bounds: np.ndarray, table: Optional[Tuple[int, np.ndarray]],
+                    out: Dict[str, np.ndarray]) -> None:
+        """Write one block's rows (``bounds[0]:bounds[-1]``) into ``out``.
+
+        Alloc rows run through the task arithmetic too, on any drawn
+        normals: their usage fractions are zero, so every usage value is
+        ``+0.0`` times finite positive factors, clipped at zero — exactly
+        the zeros they are allocated with.  The block therefore writes
+        its rows as one slice, with no task-row scatter.
+        """
         model = self._model
         period = model.sample_period
+        p = model.params
         r0, r1 = int(bounds[0]), int(bounds[-1])
-        within = np.arange(r1 - r0) - np.repeat(bounds[:-1] - r0, counts)
-        window_start = out["window_start"][r0:r1]
-        np.add(np.repeat(first, counts), within * period, out=window_start)
+        rows = slice(r0, r1)
+        starts = bounds[:-1] - r0  # each record's first row in the block
+        within = np.arange(r1 - r0) - np.repeat(starts, counts)
+        # Element k of np.arange(first, end, period) is first + k * step
+        # with numpy's fill step; that is ``period`` on an exact grid.
+        step = (first + period) - first
+        window_start = out["window_start"][rows]
+        np.multiply(within, np.repeat(step, counts), out=window_start)
+        window_start += np.repeat(first, counts)
         np.subtract(
             np.minimum(window_start + period, np.repeat(rec[:, _F_END], counts)),
             np.maximum(window_start, np.repeat(rec[:, _F_START], counts)),
-            out=out["duration"][r0:r1])
-        out["cpu_limit"][r0:r1] = np.repeat(rec[:, _F_CPU_LIMIT], counts)
-        out["mem_limit"][r0:r1] = np.repeat(rec[:, _F_MEM_LIMIT], counts)
+            out=out["duration"][rows])
 
         is_task = rec[:, _F_IS_ALLOC] == 0.0
-        t_counts = counts[is_task]
-        rows = r0 + np.flatnonzero(np.repeat(is_task, counts))
-        rec = rec[is_task]
+        t_counts = np.where(is_task, counts, 0)
         m = int(t_counts.sum())
         if m == 0:
             return
-        p = model.params
         noise, burst_raw, mem_noise, mem_burst_raw = _draw_block(
-            rng, clone, p, t_counts, m)
-
-        diurnal = diurnal_factor(out["window_start"][rows] + period / 2.0,
-                                 model.utc_offset_hours, p.diurnal_amplitude)
+            rng, clone, p, counts, t_counts, within, m)
+        if table is None:
+            diurnal = diurnal_factor(window_start + period / 2.0,
+                                     model.utc_offset_hours,
+                                     p.diurnal_amplitude)
+        else:
+            grid_lo, factors = table
+            diurnal = factors[np.repeat(grid - grid_lo, counts) + within]
         cl = rec[:, _F_CPU_LIMIT]
         ml = rec[:, _F_MEM_LIMIT]
-        cpu_cap = np.repeat(cl * p.cpu_overage_factor, t_counts)
-        avg_c = np.clip(
-            np.repeat(cl * rec[:, _F_CPU_FRACTION], t_counts) * diurnal * noise,
-            0.0, cpu_cap)
-        max_c = np.clip(avg_c * np.maximum(1.0, burst_raw), avg_c, cpu_cap)
-        ml_rep = np.repeat(ml, t_counts)
-        avg_m = np.clip(
-            np.repeat(ml * rec[:, _F_MEM_FRACTION], t_counts) * mem_noise,
-            0.0, ml_rep)
-        max_m = np.clip(avg_m * np.maximum(1.0, mem_burst_raw), avg_m, ml_rep)
-        out["avg_cpu"][rows] = avg_c
-        out["max_cpu"][rows] = max_c
-        out["avg_mem"][rows] = avg_m
-        out["max_mem"][rows] = max_m
+        cpu_cap = np.repeat(cl * p.cpu_overage_factor, counts)
+        avg_c = np.multiply(np.repeat(cl * rec[:, _F_CPU_FRACTION], counts),
+                            diurnal, out=out["avg_cpu"][rows])
+        avg_c *= noise
+        np.clip(avg_c, 0.0, cpu_cap, out=avg_c)
+        max_c = np.maximum(1.0, burst_raw, out=out["max_cpu"][rows])
+        max_c *= avg_c
+        np.clip(max_c, avg_c, cpu_cap, out=max_c)
+        mem_cap = out["mem_limit"][rows]  # the request, before Autopilot
+        avg_m = np.multiply(np.repeat(ml * rec[:, _F_MEM_FRACTION], counts),
+                            mem_noise, out=out["avg_mem"][rows])
+        np.clip(avg_m, 0.0, mem_cap, out=avg_m)
+        max_m = np.maximum(1.0, mem_burst_raw, out=out["max_mem"][rows])
+        max_m *= avg_m
+        np.clip(max_m, avg_m, mem_cap, out=max_m)
 
         # Autopilot limit trajectories are causal *within* one run
         # interval; mode NONE (the common case) is just the repeated
-        # request limit, already in place.  The flagged minority of
+        # request limit, already in place.  The flagged minority of task
         # records runs through one row-vectorized controller pass
         # (bit-equal to per-record limit_trajectory calls).
         ap_codes = rec[:, _F_AUTOPILOT]
-        ap = np.flatnonzero(ap_codes)
+        ap = np.flatnonzero(is_task & (ap_codes != 0))
         if not ap.size:
             return
-        seg_counts = t_counts[ap]
-        n_ap = int(seg_counts.sum())
-        t_excl = np.cumsum(t_counts) - t_counts
+        seg_counts = counts[ap]
         excl = np.cumsum(seg_counts) - seg_counts
-        ap_rows = np.repeat(t_excl[ap] - excl, seg_counts) + np.arange(n_ap)
-        wpos = np.arange(n_ap) - np.repeat(excl, seg_counts)
+        ap_rows = (np.repeat(starts[ap] - excl, seg_counts)
+                   + np.arange(int(seg_counts.sum())))
         auto = self._autopilot
         frac = np.where(ap_codes[ap] == AUTOPILOT_CODES["fully"],
                         auto.min_limit_fraction_fully,
                         auto.min_limit_fraction_constrained)
         frac_rows = np.repeat(frac, seg_counts)
-        dest = rows[ap_rows]
+        wpos = within[ap_rows]
         init_c = np.repeat(cl[ap], seg_counts)
-        out["cpu_limit"][dest] = limit_trajectory_rows(
+        out["cpu_limit"][r0 + ap_rows] = limit_trajectory_rows(
             wpos, max_c[ap_rows], init_c, init_c * frac_rows, auto)
         init_m = np.repeat(ml[ap], seg_counts)
-        out["mem_limit"][dest] = limit_trajectory_rows(
+        out["mem_limit"][r0 + ap_rows] = limit_trajectory_rows(
             wpos, max_m[ap_rows], init_m, init_m * frac_rows, auto)
 
 
+def _diurnal_table(model: UsageModel, grid: np.ndarray, counts: np.ndarray
+                   ) -> Optional[Tuple[int, np.ndarray]]:
+    """The diurnal factor of every window a flush covers, once each, as
+    ``(first grid index, factors)``; ``None`` where that is not provably
+    what the per-row computation gives.
+
+    Record ``j``'s row ``w`` starts at ``first_j + w * step_j`` with
+    ``first_j = grid_j * period`` and ``step_j = (first_j + period) -
+    first_j``.  With ``period = num / 2^e`` (every float is such a
+    ratio), every ``k * period`` with ``|k| * num < 2^53`` is exactly
+    representable.  When that holds for every ``grid_j``, ``grid_j + 1``,
+    ``w`` and ``grid_j + w``, every product, sum and difference here is
+    exact: ``step_j`` is ``period`` and the row's start is the very float
+    ``(grid_j + w) * period`` that the table is built from, so the factor
+    is the same.  An inexact grid (e.g. a period of 0.7 s) keeps the
+    per-row factor.
+    """
+    period = model.sample_period
+    lo = int(grid.min())
+    hi = int((grid + counts).max())
+    num, _ = float(period).as_integer_ratio()
+    if max(abs(lo), abs(hi), int(counts.max())) * num >= 1 << 53:
+        return None
+    starts = np.arange(lo, hi) * period
+    return lo, diurnal_factor(starts + period / 2.0, model.utc_offset_hours,
+                              model.params.diurnal_amplitude)
+
+
 def _draw_block(rng: np.random.Generator, clone: np.random.Generator,
-                p: UsageModelParams, t_counts: np.ndarray, m: int):
-    """The four noise streams of a block's task intervals, from one
-    ``4 * m`` standard-normal draw (see :class:`UsageBatch`)."""
-    clone.bit_generator.state = rng.bit_generator.state
+                p: UsageModelParams, counts: np.ndarray, t_counts: np.ndarray,
+                within: np.ndarray, m: int):
+    """The four noise streams of a block's rows, from one ``4 * m``
+    standard-normal draw for its ``m`` task windows (see
+    :class:`UsageBatch`).  ``t_counts`` is each record's task window
+    count (zero for an alloc record) and ``within`` each row's window
+    position in its record; alloc rows get arbitrary finite values."""
     z = rng.standard_normal(4 * m)
-    # Interval i draws [noise, burst, mem noise, mem burst] x n_i in turn;
-    # the normal positions get sigma 0 and their replays are discarded.
-    sigma = np.repeat(
-        np.tile((p.noise_sigma, 0.0, p.noise_sigma * 0.5, 0.0), len(t_counts)),
-        np.repeat(t_counts, 4))
-    lognormal = clone.lognormal(0.0, sigma)
-    # Window w of interval i sits at 4 * o_i + w (o_i: the interval's
-    # first task window), and each later stream n_i positions further.
-    excl = np.cumsum(t_counts) - t_counts
-    base = np.arange(m) + np.repeat(3 * excl, t_counts)
-    step = np.repeat(t_counts, t_counts)
-    return (lognormal[base],
-            p.burst_mean + p.burst_sigma * z[base + step],
-            lognormal[base + 2 * step],
-            1.05 + 0.03 * z[base + 3 * step])
+    # Task record i draws [noise, burst, mem noise, mem burst] x n_i in
+    # turn, so its window w sits at 4 * o_i + w (o_i: the task windows
+    # before it) and each later stream n_i positions further.  An alloc
+    # record's positions may run past the draw; ``clip`` keeps them in.
+    pos = within + np.repeat(4 * (np.cumsum(t_counts) - t_counts), counts)
+    stride = np.repeat(t_counts, counts)
+    n = len(within)
+    exponents = np.empty(2 * n)
+    np.multiply(np.take(z, pos, mode="clip"), p.noise_sigma,
+                out=exponents[:n])
+    pos += stride
+    burst = p.burst_mean + p.burst_sigma * np.take(z, pos, mode="clip")
+    pos += stride
+    np.multiply(np.take(z, pos, mode="clip"), p.noise_sigma * 0.5,
+                out=exponents[n:])
+    pos += stride
+    mem_burst = 1.05 + 0.03 * np.take(z, pos, mode="clip")
+    lognormal = clone.lognormal(exponents, 0.0)
+    return lognormal[:n], burst, lognormal[n:], mem_burst
 
 
 def diurnal_factor(t, utc_offset_hours: float, amplitude: float):

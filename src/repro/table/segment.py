@@ -9,6 +9,11 @@ run with a ``ufunc.reduceat`` over those starts::
     unique_keys = keys[order[starts]]
     sums = np.add.reduceat(values[order], starts)
     sizes = np.diff(starts, append=len(keys))
+
+The one exception is the simulator's capacity reconcile
+(``repro.sim.cell``), which runs once over every usage row of a cell:
+it builds the same order by sorting its keys packed above the row
+index, which needs no stable-sort buffer.
 """
 
 from __future__ import annotations

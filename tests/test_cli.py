@@ -1,9 +1,16 @@
 """Tests for the borg-repro command-line interface."""
 
+import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import failures
 from repro.cli import build_parser, main
 from repro.trace import load_trace
@@ -229,6 +236,43 @@ class TestQuery:
         with pytest.raises(SystemExit):
             main(["query", str(store_dir), "instance_usage",
                   "--agg", "histogram:avg_cpu"])
+
+
+class TestOlderStoreFormat:
+    """A store whose manifest the reader rejects (here: an older format
+    version) ends ``query`` and ``validate`` with one stderr line that
+    keeps the ``borg-repro convert`` hint, and exit code 2."""
+
+    @pytest.fixture
+    def old_store(self, store_dir, tmp_path):
+        old = tmp_path / "old.store"
+        shutil.copytree(store_dir, old)
+        manifest = old / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["version"] = 2
+        manifest.write_text(json.dumps(data))
+        return old
+
+    @staticmethod
+    def _cli(*argv):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parent.parent)}
+        return subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    @pytest.mark.parametrize("argv", [
+        ("query", "{store}", "instance_usage", "--agg", "count"),
+        ("validate", "{store}"),
+    ])
+    def test_one_line_and_exit_2(self, old_store, argv):
+        proc = self._cli(*(a.format(store=old_store) for a in argv))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{argv[0]}: ")
+        assert "borg-repro convert" in lines[0]
 
 
 class TestReport:

@@ -291,36 +291,78 @@ class TestTimeouts:
 
 
 class TestReconcile:
+    """Rows are grouped by (fleet slot, window) and each group is scaled
+    to 98% of its machine's capacity; ``tests/test_reconcile_oracle.py``
+    checks the result byte for byte against the reference spelling."""
+
     def test_overloaded_window_scaled_to_capacity(self):
         usage = {
             "window_start": np.array([0.0, 0.0]),
-            "machine_id": np.array([0, 0]),
             "avg_cpu": np.array([0.8, 0.8]),
             "max_cpu": np.array([0.9, 0.9]),
             "avg_mem": np.array([0.1, 0.1]),
             "max_mem": np.array([0.1, 0.1]),
         }
         machines = [Machine(0, Resources(1.0, 1.0))]
-        _reconcile_machine_usage(usage, FleetState(machines), 300.0)
+        _reconcile_machine_usage(usage, np.array([0, 0], dtype=np.int32),
+                                 FleetState(machines), 300.0)
         assert float(usage["avg_cpu"].sum()) == pytest.approx(0.98)
         assert float(usage["avg_mem"].sum()) == pytest.approx(0.2)  # untouched
 
     def test_underloaded_window_untouched(self):
         usage = {
             "window_start": np.array([0.0]),
-            "machine_id": np.array([0]),
             "avg_cpu": np.array([0.3]),
             "max_cpu": np.array([0.4]),
             "avg_mem": np.array([0.3]),
             "max_mem": np.array([0.4]),
         }
         _reconcile_machine_usage(
-            usage, FleetState([Machine(0, Resources(1.0, 1.0))]), 300.0)
+            usage, np.array([0], dtype=np.int32),
+            FleetState([Machine(0, Resources(1.0, 1.0))]), 300.0)
         assert usage["avg_cpu"][0] == 0.3
+
+    def test_capacity_is_gathered_by_slot(self):
+        """Slot 0 holds machine id 70 (small) and slot 1 machine id 5
+        (large): each row is throttled by its slot's capacity, whatever
+        the machine ids are."""
+        usage = {
+            "window_start": np.array([0.0, 0.0, 300.0]),
+            "avg_cpu": np.array([0.6, 0.6, 0.6]),
+            "max_cpu": np.array([0.7, 0.7, 0.7]),
+            "avg_mem": np.array([0.1, 0.1, 0.1]),
+            "max_mem": np.array([0.1, 0.1, 0.1]),
+        }
+        fleet = FleetState([Machine(70, Resources(0.5, 1.0)),
+                            Machine(5, Resources(2.0, 1.0))])
+        _reconcile_machine_usage(usage, np.array([0, 1, 0], dtype=np.int32),
+                                 fleet, 300.0)
+        assert usage["avg_cpu"].tolist() == [0.5 * 0.98, 0.6, 0.5 * 0.98]
+
+    @pytest.mark.parametrize("slot", [1, -1])
+    def test_slot_outside_the_fleet_raises(self, slot):
+        """Groups are keyed by fleet slot, so a machine the fleet does not
+        hold has no capacity to throttle against: rather than leave its
+        rows unthrottled (what an unknown id did when groups were keyed
+        by machine id), the reconcile refuses them.  The simulator never
+        produces one: ``_stop_run`` resolves every slot through
+        ``FleetState.slot_of``."""
+        usage = {
+            "window_start": np.array([0.0, 0.0]),
+            "avg_cpu": np.array([0.3, 0.3]),
+            "max_cpu": np.array([0.4, 0.4]),
+            "avg_mem": np.array([0.3, 0.3]),
+            "max_mem": np.array([0.4, 0.4]),
+        }
+        with pytest.raises(SimulationError, match="outside the fleet"):
+            _reconcile_machine_usage(
+                usage, np.array([0, slot], dtype=np.int32),
+                FleetState([Machine(0, Resources(1.0, 1.0))]), 300.0)
 
     def test_empty_usage_ok(self):
         usage = {"window_start": np.empty(0)}
-        _reconcile_machine_usage(usage, FleetState([]), 300.0)
+        _reconcile_machine_usage(usage, np.empty(0, dtype=np.int32),
+                                 FleetState([]), 300.0)
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ grid built with ``np.arange``, its four noise streams drawn by four
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -85,14 +85,18 @@ _KEY_DTYPES = {
 
 
 def reference_finalize(model: UsageModel, autopilot: AutopilotParams,
-                       records: List[Mapping], rng: np.random.Generator
-                       ) -> Dict[str, np.ndarray]:
-    """What ``UsageBatch.finalize`` returns for ``records``, one at a time.
+                       machine_ids: np.ndarray, records: List[Mapping],
+                       rng: np.random.Generator
+                       ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """What ``UsageBatch.finalize`` returns for ``records``, one at a time:
+    the usage columns and each row's slot.
 
     Each record is a mapping with ``is_alloc`` plus the keyword
-    arguments of ``UsageBatch.add_task`` (task) or ``add_alloc`` (alloc).
+    arguments of ``UsageBatch.add_task`` (task) or ``add_alloc`` (alloc);
+    its machine is ``machine_ids[slot]``.
     """
     parts: Dict[str, List[np.ndarray]] = {c: [] for c in UsageBatch.COLUMNS}
+    slots: List[np.ndarray] = []
     for r in records:
         if r["is_alloc"]:
             starts = window_starts(model, r["start"], r["end"])
@@ -118,12 +122,16 @@ def reference_finalize(model: UsageModel, autopilot: AutopilotParams,
                 mode, r["mem_limit"], sample["max_mem"], autopilot)
             in_alloc = r["in_alloc"]
         n = len(sample["window_start"])
-        keys = {**{k: r[k] for k in _KEY_DTYPES if k != "in_alloc"},
-                "in_alloc": in_alloc}
+        keys = {**{k: r[k] for k in _KEY_DTYPES
+                   if k not in ("machine_id", "in_alloc")},
+                "machine_id": machine_ids[r["slot"]], "in_alloc": in_alloc}
         for k, dtype in _KEY_DTYPES.items():
             parts[k].append(np.full(n, keys[k], dtype=dtype))
         for k, v in sample.items():
             parts[k].append(v)
+        slots.append(np.full(n, r["slot"], dtype=np.int32))
     if not sum(len(v) for v in parts["window_start"]):
-        return {c: np.empty(0) for c in UsageBatch.COLUMNS}
-    return {c: np.concatenate(v) for c, v in parts.items()}
+        return ({c: np.empty(0) for c in UsageBatch.COLUMNS},
+                np.empty(0, dtype=np.int32))
+    return ({c: np.concatenate(v) for c, v in parts.items()},
+            np.concatenate(slots))
