@@ -26,9 +26,9 @@ from repro.workload import scenarios_2019
 
 # Bench-scale knobs, not simulation inputs: they size the fixture and are
 # echoed in the bench output, so reruns are comparable at equal settings.
-MACHINES = int(os.environ.get("REPRO_BENCH_STORE_MACHINES", "200"))  # repro: noqa[RPR008] bench size knob
-HOURS = float(os.environ.get("REPRO_BENCH_STORE_HOURS", "48"))  # repro: noqa[RPR008] bench size knob
-SCALE = float(os.environ.get("REPRO_BENCH_STORE_SCALE", "0.02"))  # repro: noqa[RPR008] bench size knob
+MACHINES = int(os.environ.get("REPRO_BENCH_STORE_MACHINES", "200"))
+HOURS = float(os.environ.get("REPRO_BENCH_STORE_HOURS", "48"))
+SCALE = float(os.environ.get("REPRO_BENCH_STORE_SCALE", "0.02"))
 
 #: The query under test: CPU usage statistics over a window covering one
 #: twelfth of the horizon, starting mid-trace (4 hours at the default 48).

@@ -33,10 +33,9 @@ campaign
     probe its cache state, or render the trade-study / Pareto report.
 lint
     Run the repo's AST-based static-analysis pass (schema consistency,
-    determinism, fork safety, exception hygiene, unit discipline, hot-
-    loop guards, plus whole-program flow rules: determinism taint,
-    fork-share races, iteration-order stability) over source files or
-    directories, with content-hash incremental caching.
+    determinism, fork safety, exception hygiene, unit discipline, obs
+    discipline, hot-loop guards) over source files or directories; each
+    rule reads one file at a time.
 """
 
 from __future__ import annotations
@@ -680,8 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_crep.set_defaults(func=_campaign_report)
 
     p_lint = sub.add_parser(
-        "lint", help="run the repo's static-analysis rules (RPR001-RPR010, "
-                     "incl. whole-program flow rules)")
+        "lint", help="run the repo's per-file static-analysis rules "
+                     "(RPR001-RPR007)")
     p_lint.add_argument("paths", nargs="+",
                         help="files or directories to lint (e.g. src/)")
     p_lint.add_argument("--format", choices=("text", "json"), default="text",

@@ -8,28 +8,26 @@ runtime cost with a small rule engine (see :mod:`repro.lint.core`) and
 a catalogue of repo-specific rules (see :mod:`repro.lint.rules`), wired
 into the ``borg-repro lint`` CLI subcommand and CI.
 
-One driver, :func:`lint_project`, runs every rule.  It parses the
-whole tree once into an import/call graph (:mod:`repro.lint.graph`)
-and hands each file to every selected rule: the per-file rules
-(RPR001–RPR007) read that file's AST and import map, the whole-program
-rules (RPR008–RPR010) read the taint engine's (:mod:`repro.lint.flow`)
-project-wide verdicts.  Every run analyzes every file.
+One driver, :func:`lint_project`, runs every rule.  It parses each
+file once (:class:`repro.lint.graph.ModuleInfo`: AST plus import map)
+and hands it to every selected rule (RPR001–RPR007); each rule reads
+one file at a time.  Every run analyzes every file.
+
+Properties that span modules or processes (hash-order independence,
+serial-vs-pooled equality, fork-inherited state) are checked by running
+the program, not by this pass: see DESIGN.md §8.
 
 Quick use::
 
     from repro.lint import lint_project
     result = lint_project(["src"])            # all rules
-    result = lint_project(["src"], select=["RPR008"])
+    result = lint_project(["src"], select=["RPR002", "RPR003"])
     for violation in result.violations:
         print(violation.format())
 
 Suppress a single finding with a line comment::
 
     window = horizon / 3600.0  # repro: noqa[RPR005] legacy figure script
-
-Flow-rule violations anchor at the line where the taint *enters* the
-file (the source), never the sink, so a ``noqa`` is always a judgement
-about exactly one source.
 """
 
 from repro.lint.core import (
@@ -51,7 +49,6 @@ from repro.lint.reporting import (
 )
 import repro.lint.rules  # noqa: F401,E402  (registers the built-in rules)
 from repro.lint.project import (  # noqa: E402
-    ProjectContext,
     ProjectLintResult,
     iter_python_files,
     lint_project,
@@ -62,7 +59,6 @@ __all__ = [
     "EXIT_ERROR",
     "EXIT_VIOLATIONS",
     "FileContext",
-    "ProjectContext",
     "ProjectLintResult",
     "RULES",
     "Rule",

@@ -4,9 +4,9 @@ A *rule* is a class with an ``id`` (``RPR001`` ...), a one-line
 ``summary``, and a ``check(context)`` generator yielding
 :class:`Violation` objects.  Rules register themselves with the
 :func:`rule` decorator; the driver (:func:`repro.lint.project.lint_project`)
-parses each file once, into the project graph, and hands every selected
-rule the same :class:`FileContext` (the parsed module, the project, the
-comment map), so adding a rule never adds a parse.
+parses each file once and hands every selected rule the same
+:class:`FileContext` (the parsed module and its comment map), so adding
+a rule never adds a parse.
 
 Suppressions are explicit and narrow: a ``# repro: noqa[RPR001]``
 comment suppresses that rule on its line, ``# repro: noqa`` suppresses
@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, Set, Type
 
 if TYPE_CHECKING:
     from repro.lint.graph import ModuleInfo
-    from repro.lint.project import ProjectContext
 
 #: ``# repro: noqa`` or ``# repro: noqa[RPR001,RPR005]`` (case-insensitive).
 _NOQA_RE = re.compile(
@@ -57,10 +56,8 @@ class Violation:
 class FileContext:
     """Everything a rule may inspect about one file (parsed once)."""
 
-    #: The file's graph entry: path, AST and import map.
+    #: The parsed file: path, AST and import map.
     module: ModuleInfo
-    #: The whole program: graph plus memoized project-wide analyses.
-    project: ProjectContext
     #: line number -> set of suppressed rule ids ("*" means all rules).
     noqa: Dict[int, Set[str]] = field(default_factory=dict)
 

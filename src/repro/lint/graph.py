@@ -1,11 +1,14 @@
 """Project-wide symbol tables and call resolution.
 
-The per-file rules (RPR001-RPR007) see one AST at a time; the flow
-rules (RPR008-RPR010) need to know what a call *refers to* across
-module boundaries — ``from repro.util.timeutil import hours`` followed
-by ``hours(x)`` is a call into another project module, and taint must
-follow it.  :class:`ProjectGraph` parses every file under the lint
-roots once and answers two questions:
+:class:`ModuleInfo` is one parsed file: its AST, its import map and its
+module-level symbol table.  The lint driver builds one per file and
+hands it to every rule.
+
+:class:`ProjectGraph` puts many of them together and answers what a
+name *refers to* across module boundaries (``from repro.util.timeutil
+import hours`` followed by ``hours(x)`` is a call into another project
+module).  No rule needs that; the reachability walk in the test suite
+does:
 
 * **symbols** — which module-level functions and classes does M define,
   including re-exports (``repro/lint/__init__`` re-exporting
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.names import ImportMap, dotted_name
 
@@ -57,7 +60,7 @@ class ModuleInfo:
     """One parsed module: AST, imports, and module-level symbol table."""
 
     __slots__ = ("name", "path", "source", "tree", "import_map",
-                 "functions", "classes", "global_values")
+                 "functions", "classes")
 
     def __init__(self, name: str, path: Path, source: str, tree: ast.Module):
         self.name = name
@@ -68,8 +71,6 @@ class ModuleInfo:
         #: qualname -> def node; methods appear as ``Class.method``.
         self.functions: Dict[str, ast.AST] = {}
         self.classes: Dict[str, ast.ClassDef] = {}
-        #: module-level ``NAME = <expr>`` assignments: name -> value node.
-        self.global_values: Dict[str, ast.expr] = {}
         self._index()
 
     def _index(self) -> None:
@@ -82,25 +83,13 @@ class ModuleInfo:
                     if isinstance(item, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):
                         self.functions[f"{node.name}.{item.name}"] = item
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self.global_values[target.id] = node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None \
-                    and isinstance(node.target, ast.Name):
-                self.global_values[node.target.id] = node.value
+
 
 class ProjectGraph:
     """All parsed modules plus import and call resolution."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
-        self._by_path: Dict[str, ModuleInfo] = {}
-        #: All module names in the *project* (may exceed the parsed set:
-        #: a file with a syntax error is declared but not parsed).
-        self.known_modules: Set[str] = set()
-
-    # -- construction --------------------------------------------------------
 
     @classmethod
     def build(cls, files: Iterable[Tuple[Path, str]]) -> "ProjectGraph":
@@ -110,35 +99,13 @@ class ProjectGraph:
             graph.add_source(path, source)
         return graph
 
-    def add_source(self, path: Path, source: str,
-                   name: Optional[str] = None) -> ModuleInfo:
-        """Parse and register one module (``SyntaxError`` propagates).
-
-        ``name`` overrides the derived module name — the driver passes
-        its collision-disambiguated name so two same-stem scripts in
-        different non-package directories never overwrite each other's
-        graph entry.
-        """
+    def add_source(self, path: Path, source: str) -> ModuleInfo:
+        """Parse and register one module (``SyntaxError`` propagates)."""
         path = Path(path)
         tree = ast.parse(source, filename=str(path))
-        info = ModuleInfo(name or module_name(path), path, source, tree)
+        info = ModuleInfo(module_name(path), path, source, tree)
         self.modules[info.name] = info
-        self._by_path[str(path)] = info
-        self.known_modules.add(info.name)
         return info
-
-    def declare_module(self, name: str) -> None:
-        """Register a module *name* without parsing it (the driver
-        declares every lint-set file, so imports of one that fails to
-        parse still resolve)."""
-        self.known_modules.add(name)
-
-    # -- lookups -------------------------------------------------------------
-
-    def module_for_path(self, path: Path) -> Optional[ModuleInfo]:
-        return self._by_path.get(str(path))
-
-    # -- symbol / call resolution --------------------------------------------
 
     def resolve_symbol(self, dotted: str,
                        _depth: int = 0) -> Optional[Tuple[ModuleInfo, str]]:
@@ -161,8 +128,7 @@ class ProjectGraph:
             if not rest:
                 return (info, "")
             qual = ".".join(rest)
-            if qual in info.functions or qual in info.classes \
-                    or qual in info.global_values:
+            if qual in info.functions or qual in info.classes:
                 return (info, qual)
             # Re-export: the first component is an import alias there.
             canonical = info.import_map.canonical(rest[0])
@@ -203,12 +169,3 @@ class ProjectGraph:
         if resolved is not None and resolved[1]:
             return resolved
         return None
-
-    def project_functions(self) -> List[Tuple[ModuleInfo, str, ast.AST]]:
-        """Every function in the parsed set, deterministically ordered."""
-        out: List[Tuple[ModuleInfo, str, ast.AST]] = []
-        for name in sorted(self.modules):
-            info = self.modules[name]
-            for qual in sorted(info.functions):
-                out.append((info, qual, info.functions[qual]))
-        return out

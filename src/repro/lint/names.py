@@ -9,7 +9,7 @@ statements and resolves attribute chains back to canonical dotted
 names, so each rule can match on the canonical spelling alone.
 
 :func:`pool_submission` is the one table of calls that hand callables
-to worker processes, shared by the fork-safety rules RPR003 and RPR009.
+to worker processes, read by the fork-safety rule RPR003.
 """
 
 from __future__ import annotations

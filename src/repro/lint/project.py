@@ -1,61 +1,28 @@
-"""The lint driver: every rule, per-file and whole-program, over one tree.
+"""The lint driver: every selected rule over every file of one tree.
 
 :func:`lint_project` is what ``borg-repro lint`` runs, and the only
 driver there is:
 
 1. read and parse every file once into a
-   :class:`~repro.lint.graph.ProjectGraph` (import and call resolution
-   across modules); a file that does not parse is reported as
-   ``RPR000`` and checked by no rule;
+   :class:`~repro.lint.graph.ModuleInfo` (AST plus import map); a file
+   that does not parse is reported as ``RPR000`` and checked by no rule;
 2. run every selected rule over every parsed file, timing each call.
-   A whole-program rule builds its project-wide analysis (the taint
-   fixpoints behind RPR008/RPR010, RPR009's fork-share verdict map)
-   on its first call, memoized in the :class:`ProjectContext`, so that
-   cost is booked to the rule it belongs to.
 
-Every run analyzes the whole tree from scratch, so a result depends
-only on the files linted, never on an earlier run.
-
-Flow violations anchor at the *source* line (where taint enters the
-file), so a ``# repro: noqa[RPR008]`` is a judgement about one source:
-a suppression on a sink line hides nothing, and two sources reaching
-the same sink need two justifications.
+Every rule reads one file at a time, so a result depends only on the
+files linted, never on an earlier run or on the other files named.
 """
 
 from __future__ import annotations
 
-import hashlib
+import ast
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, TypeVar, Union)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.lint.core import RULES, FileContext, Rule, Violation, parse_noqa
-from repro.lint.flow import FlowAnalysis, FlowSpec
-from repro.lint.graph import ModuleInfo, ProjectGraph, module_name
+from repro.lint.graph import ModuleInfo, module_name
 from repro.obs.timing import TimingHistogram
-
-T = TypeVar("T")
-
-
-class ProjectContext:
-    """What every rule sees via ``FileContext.project``."""
-
-    def __init__(self, graph: ProjectGraph):
-        self.graph = graph
-        self._memo: Dict[str, object] = {}
-
-    def flow(self, spec: FlowSpec) -> FlowAnalysis:
-        """The (memoized) taint fixpoint for one flow spec."""
-        return self.memo(f"flow.{spec.rule_id}",
-                         lambda: FlowAnalysis(self.graph, spec))
-
-    def memo(self, key: str, factory: Callable[[], T]) -> T:
-        """Generic once-per-project memo for rule-owned analyses."""
-        if key not in self._memo:
-            self._memo[key] = factory()
-        return self._memo[key]  # type: ignore[return-value]
 
 
 @dataclass
@@ -66,29 +33,6 @@ class ProjectLintResult:
     files_total: int
     #: rule id -> wall-time histogram, one observation per file checked.
     timings: Dict[str, TimingHistogram] = field(default_factory=dict)
-
-
-def _module_names(path_strs: Sequence[str]) -> Dict[str, str]:
-    """path -> dotted module name, disambiguated on collision.
-
-    Two lint-set files can resolve to the same dotted name (same-stem
-    scripts in different non-package directories, e.g. ``tests/x.py``
-    vs ``benchmarks/x.py``).  The first occurrence keeps the plain name
-    (and stays import-resolvable); later ones get a path-derived unique
-    suffix so per-module bookkeeping (graph entries, fact summaries)
-    never silently collides.  The ``@`` can never appear in a real
-    dotted name, so no import resolves to a disambiguated module —
-    deliberately conservative.
-    """
-    out: Dict[str, str] = {}
-    taken: Set[str] = set()
-    for s in path_strs:
-        name = module_name(Path(s))
-        if name in taken:
-            name = f"{name}@{hashlib.sha256(s.encode('utf-8')).hexdigest()[:8]}"
-        taken.add(name)
-        out[s] = name
-    return out
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
@@ -120,41 +64,30 @@ def _selected_rules(select: Optional[Sequence[str]]) -> List[Rule]:
 
 def lint_project(paths: Iterable[Union[str, Path]],
                  select: Optional[Sequence[str]] = None) -> ProjectLintResult:
-    """Lint ``paths`` with every selected rule, whole-program rules
-    included, analyzing every file."""
+    """Lint ``paths`` with every selected rule, analyzing every file."""
     checkers = _selected_rules(select)
-    path_strs = [str(p) for p in iter_python_files(paths)]
-    modnames = _module_names(path_strs)
-
+    files = list(iter_python_files(paths))
+    timings = {type(c).id: TimingHistogram() for c in checkers}
     violations: List[Violation] = []
-    graph = ProjectGraph()
-    for s in path_strs:
-        # Declared even when unparsable, so imports of it still resolve.
-        graph.declare_module(modnames[s])
+    for path in files:
+        source = path.read_text(encoding="utf-8")
         try:
-            graph.add_source(Path(s), Path(s).read_text(encoding="utf-8"),
-                             name=modnames[s])
+            tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            violations.append(Violation("RPR000", s, exc.lineno or 1,
+            violations.append(Violation("RPR000", str(path), exc.lineno or 1,
                                         exc.offset or 1,
                                         f"syntax error: {exc.msg}"))
-    context = ProjectContext(graph)
-
-    timings = {type(c).id: TimingHistogram() for c in checkers}
-    for s in path_strs:
-        info = graph.module_for_path(Path(s))
-        if info is not None:  # None: a syntax error, reported above
-            violations.extend(_check_file(info, context, checkers, timings))
+            continue
+        info = ModuleInfo(module_name(path), path, source, tree)
+        violations.extend(_check_file(info, checkers, timings))
     violations.sort(key=lambda v: (v.path, v.line, v.column, v.rule))
-    return ProjectLintResult(violations=violations,
-                             files_total=len(path_strs), timings=timings)
+    return ProjectLintResult(violations=violations, files_total=len(files),
+                             timings=timings)
 
 
-def _check_file(info: ModuleInfo, context: ProjectContext,
-                checkers: List[Rule],
+def _check_file(info: ModuleInfo, checkers: List[Rule],
                 timings: Dict[str, TimingHistogram]) -> List[Violation]:
-    file_context = FileContext(module=info, project=context,
-                               noqa=parse_noqa(info.source))
+    file_context = FileContext(module=info, noqa=parse_noqa(info.source))
     out: List[Violation] = []
     for checker in checkers:
         start = time.perf_counter()

@@ -19,19 +19,6 @@ RPR007  hot-loop guards — recorder/profiler calls inside repro.sim loops
         must sit behind an if-guard naming the handle, keeping opt-in
         telemetry off the per-event path of unrecorded runs.
 
-Whole-program rules (their verdicts come from an analysis over every
-file :func:`repro.lint.project.lint_project` parsed, memoized per run):
-
-RPR008  determinism taint — nondeterministic values (wall clocks, global
-        RNG, entropy, environment reads) may not flow — across modules —
-        into repro.sim / repro.workload / repro.analysis calls.
-RPR009  fork-share races — functions submitted to process pools (and
-        their transitive callees) must not touch module-level mutable
-        state; the scoped-registry pattern is the sanctioned escape.
-RPR010  iteration order — set/filesystem-order iterables must pass
-        through sorted() before reaching JSON output or the campaign
-        cache-key functions.
-
 Adding a rule: create a module here defining a :class:`repro.lint.Rule`
 subclass with the next free ``RPR`` id, decorate it with
 ``@repro.lint.core.rule``, and import the module below.  The driver,
@@ -41,11 +28,8 @@ reporters, ``noqa`` handling, CLI, and CI pick it up automatically.
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
     determinism,
     exception_hygiene,
-    flow_determinism,
     fork_safety,
-    fork_share,
     hot_loop_guards,
-    iteration_order,
     obs_discipline,
     schema_consistency,
     unit_discipline,

@@ -5,13 +5,27 @@ campaign points (DESIGN.md §9).
 (:func:`pool_size`), the chunking, and the metrics contract.  Every
 item runs inside a *fresh* :func:`~repro.obs.registry.scoped_registry`,
 inline and pooled alike, and its snapshot merges into the caller's
-registry exactly once, before the item's result is yielded.  Under
-``fork`` a worker starts with a copy of the parent's registry; the
-fresh scope makes each snapshot exactly the item's delta, so serial and
-pooled runs agree on every metric except the pool's own
-``<section>.pool_workers`` gauge and ``<section>.parallel_batches``
-counter.  ``fn`` crosses the process boundary by pickle: pass a
-module-level function or a ``functools.partial`` of one (RPR003).
+registry exactly once, before the item's result is yielded.
+
+The pool's start method is ``fork``, named explicitly rather than left
+to the platform default (``forkserver`` on Linux from Python 3.14), so
+the path the tests cover is the path users run.  ``spawn`` would pay a
+fresh interpreter and the library's imports once per worker, about 1.2
+CPU-seconds per two-worker ``simulate`` or ``campaign run`` on a 2-core
+box (EXPERIMENTS.md, "Start method of the one pool").  ``--workers``
+above 1 therefore needs a platform with ``fork``, and the program must
+start no thread of its own before a pool (a forked child gets only the
+forking thread, so a lock another thread held stays held).
+
+A forked worker starts with a copy of the parent's module state,
+registry included; the fresh scope makes each snapshot exactly the
+item's delta, so serial and pooled runs agree on every metric except
+the pool's own ``<section>.pool_workers`` gauge and
+``<section>.parallel_batches`` counter.  Tier-1 tests hold serial and
+pooled runs to the same output (DESIGN.md §9 names them), which is what
+catches a worker that reads or writes state it inherited.  ``fn``
+crosses the process boundary by pickle: pass a module-level function or
+a ``functools.partial`` of one (RPR003).
 """
 
 from __future__ import annotations
@@ -69,7 +83,7 @@ def fan_out(fn: Callable[[T], R], items: Iterable[T],
     # At least four batches per process, so a slow batch cannot hold a
     # long tail behind it; a handful of cells or points gets 1.
     chunksize = max(1, len(items) // (size * 4))
-    with multiprocessing.Pool(processes=size) as pool:
+    with multiprocessing.get_context("fork").Pool(processes=size) as pool:
         for result, snapshot in pool.imap(functools.partial(_scoped_call, fn),
                                           items, chunksize=chunksize):
             registry.merge_snapshot(snapshot)

@@ -204,13 +204,16 @@ def _group_rows(slots: np.ndarray, window_start: np.ndarray, n_slots: int,
     """``(order, bounds, group_slot)``: rows grouped by (slot, window).
 
     Group ``g`` is rows ``order[bounds[g]:bounds[g + 1]]``, in row order,
-    on slot ``group_slot[g]``; the window is ``trunc(start / period)``,
-    as ``astype(np.int64)`` takes it.
+    on slot ``group_slot[g]``; the window is ``rint(start / period)``.
+    A row's start is ``grid_index * period + k * step`` with ``step``
+    within a few ulps of ``period`` (``UsageBatch``), so rounding
+    recovers the grid window at any period, where truncation would split
+    one window whenever the ratio lands just below an integer.
     """
     n = len(slots)
-    # trunc of a division is monotone, so the extremes bound the windows.
-    w_lo = int(window_start.min() / sample_period)
-    n_windows = int(window_start.max() / sample_period) - w_lo + 1
+    # rint of a division is monotone, so the extremes bound the windows.
+    w_lo = int(np.rint(window_start.min() / sample_period))
+    n_windows = int(np.rint(window_start.max() / sample_period)) - w_lo + 1
     row_bits = (n - 1).bit_length()
     if (n_windows * n_slots - 1).bit_length() + row_bits > 63:
         raise SimulationError(
@@ -225,7 +228,9 @@ def _group_rows(slots: np.ndarray, window_start: np.ndarray, n_slots: int,
         r1 = min(r0 + _KEY_BLOCK_ROWS, n)
         block = words[r0:r1]
         np.multiply(slots[r0:r1], n_windows, out=block, dtype=np.int64)
-        block += (window_start[r0:r1] / sample_period).astype(np.int64)
+        window = window_start[r0:r1] / sample_period
+        np.rint(window, out=window)
+        block += window.astype(np.int64)
         block -= w_lo
         block <<= row_bits
         block |= np.arange(r0, r1)

@@ -2,10 +2,11 @@
 
 :func:`repro.sim.cell._reconcile_machine_usage` must leave the usage
 columns exactly as this function does, byte for byte: rows grouped by
-(machine, window) through :func:`repro.table.segment.segments` (a
-stable argsort, so each group keeps its row order), group sums by
-``np.add.reduceat``, and every row multiplied by a per-row ``scale``
-that is 1.0 outside the over-capacity groups.
+(machine, ``rint(window_start / period)``) through
+:func:`repro.table.segment.segments` (a stable argsort, so each group
+keeps its row order), group sums by ``np.add.reduceat``, and every row
+multiplied by a per-row ``scale`` that is 1.0 outside the over-capacity
+groups.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def reference_reconcile(usage: Dict[str, np.ndarray], slots: np.ndarray,
     if n == 0:
         return
     machine_ids = fleet.machine_id[slots]
-    window = (usage["window_start"] / sample_period).astype(np.int64)
+    window = np.rint(usage["window_start"] / sample_period).astype(np.int64)
     key = machine_ids * 10_000_000 + window
     order, starts = segments(key)
     group_slots = slots[order[starts]]

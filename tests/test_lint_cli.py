@@ -76,8 +76,7 @@ def test_statistics_flag(tmp_path, capsys):
 
 
 def test_statistics_calls_equal_files_checked(tmp_path, capsys):
-    # Whole-program rules included: each rule is called once per file,
-    # and its project-wide analysis is part of a call, not an extra one.
+    # Each rule is called once per file.
     for name in ("a.py", "b.py", "c.py"):
         write(tmp_path, name, "import json\n\n\ndef f(x):\n"
                               "    return json.dumps(sorted(x))\n")
@@ -98,14 +97,14 @@ def test_directory_lint_counts_files(tmp_path, capsys):
 
 def test_repo_src_is_lint_clean():
     """Dogfood gate: the tree the CI lint job checks stays clean, under
-    every rule, whole-program ones included."""
+    every rule."""
     result = lint_project([REPO_SRC])
     assert set(result.timings) == set(RULES)
     assert result.violations == [], \
         "\n".join(v.format() for v in result.violations)
 
 
-#: One violation of each rule, RPR001-RPR010, in one package tree.
+#: One violation of each rule, RPR001-RPR007, in one package tree.
 ALL_RULES_TREE = {
     "repro/__init__.py": "",
     "repro/analysis/__init__.py": "",
@@ -118,10 +117,6 @@ ALL_RULES_TREE = {
         import numpy as np
 
 
-        def step(now):
-            return now
-
-
         def jitter():
             return np.random.rand()
 
@@ -129,21 +124,6 @@ ALL_RULES_TREE = {
         def run(self):
             while self._heap:
                 self.recorder.tick(self.now)
-        """,
-    "repro/clockutil.py": """\
-        import time
-
-
-        def stamp():
-            return time.time()
-        """,
-    "repro/driver.py": """\
-        from repro.clockutil import stamp
-        from repro.sim.engine import step
-
-
-        def run():
-            return step(stamp())
         """,
     "repro/scan.py": """\
         def total_rows(scan):
@@ -165,42 +145,10 @@ ALL_RULES_TREE = {
             with obs.span("sim." + kind):
                 pass
         """,
-    "repro/state.py": """\
-        CACHE = {}
-
-
-        def bump(key):
-            CACHE[key] = 1
-        """,
-    "repro/work.py": """\
-        from repro.state import bump
-
-
-        def task(item):
-            bump(item)
-            return item
-        """,
-    "repro/runner.py": """\
-        from multiprocessing import Pool
-
-        from repro.work import task
-
-
-        def run(items):
-            with Pool() as pool:
-                return list(pool.imap(task, items))
-        """,
-    "repro/emit.py": """\
-        import json
-
-
-        def dump(items):
-            return json.dumps(list(set(items)))
-        """,
 }
 
 
-def test_all_ten_rules_through_the_cli(tmp_path, capsys):
+def test_all_seven_rules_through_the_cli(tmp_path, capsys):
     for rel, source in ALL_RULES_TREE.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -211,15 +159,12 @@ def test_all_ten_rules_through_the_cli(tmp_path, capsys):
               v["line"]) for v in document["violations"]]
     assert sorted(found) == [
         ("RPR001", "repro/analysis/columns.py", 2),
-        ("RPR002", "repro/sim/engine.py", 9),
+        ("RPR002", "repro/sim/engine.py", 5),
         ("RPR003", "repro/scan.py", 2),
         ("RPR004", "repro/loader.py", 4),
         ("RPR005", "repro/units.py", 1),
         ("RPR006", "repro/spans.py", 5),
-        ("RPR007", "repro/sim/engine.py", 14),
-        ("RPR008", "repro/driver.py", 6),
-        ("RPR009", "repro/state.py", 5),
-        ("RPR010", "repro/emit.py", 5),
+        ("RPR007", "repro/sim/engine.py", 10),
     ]
     assert document["files_checked"] == len(ALL_RULES_TREE)
     assert document["exit_code"] == 1
@@ -238,10 +183,10 @@ def test_a_file_inside_a_named_tree_is_checked_once(tmp_path, capsys):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    emit = tmp_path / "repro" / "emit.py"
-    assert main(["lint", str(tmp_path), str(emit), "--format", "json"]) == 1
+    units = tmp_path / "repro" / "units.py"
+    assert main(["lint", str(tmp_path), str(units), "--format", "json"]) == 1
     document = json.loads(capsys.readouterr().out)
     rules = [v["rule"] for v in document["violations"]]
-    assert rules.count("RPR010") == 1
-    assert len(rules) == 10
+    assert rules.count("RPR005") == 1
+    assert len(rules) == 7
     assert document["files_checked"] == len(ALL_RULES_TREE)

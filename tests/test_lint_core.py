@@ -29,7 +29,7 @@ SIM_PATH = "src/repro/sim/fixture.py"
 
 def test_builtin_rules_registered():
     assert set(RULES) == {"RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                          "RPR006", "RPR007", "RPR008", "RPR009", "RPR010"}
+                          "RPR006", "RPR007"}
     for rule_id, cls in RULES.items():
         assert cls.id == rule_id
         assert cls.summary

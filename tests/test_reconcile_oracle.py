@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Machine, Resources
+from repro.sim.autopilot import AutopilotParams
 from repro.sim.cell import _reconcile_machine_usage
 from repro.sim.fleet import FleetState
+from repro.sim.usage import UsageBatch, UsageModel, UsageModelParams
 from tests.reconcile_oracles import reference_reconcile
 
 COLUMNS = ("avg_cpu", "max_cpu", "avg_mem", "max_mem")
@@ -134,3 +136,32 @@ def test_peak_memory_per_row():
         tracemalloc.stop()
     assert 0.1 < np.mean(usage["avg_cpu"] != before) < 0.3
     assert peak / n < PEAK_BYTES_PER_ROW, f"{peak / n:.1f} B/row"
+
+
+def test_grid_windows_stay_within_capacity_at_an_inexact_period():
+    """At 0.7 s, intervals with different starts put rows of one grid
+    window at window starts that differ in the last bits
+    (``grid * period + k * step``, ``UsageBatch``).  The reconcile must
+    still see each (slot, grid window) as one group, so no window's
+    summed usage ends above 98% of the machine's capacity."""
+    period = 0.7
+    fleet = _fleet([(1.0, 1.0)] * 3)
+    batch = UsageBatch(UsageModel(UsageModelParams(), sample_period=period),
+                       AutopilotParams(), fleet.machine_id)
+    draw = np.random.default_rng(11)
+    for i in range(600):
+        start = float(draw.uniform(0.0, 300.0))
+        batch.add_task(collection_id=i, instance_index=0, slot=i % 3,
+                       tier_code=0, autopilot_code=0, in_alloc=False,
+                       start=start, end=start + float(draw.uniform(1.0, 30.0)),
+                       cpu_limit=0.3, mem_limit=0.3,
+                       cpu_fraction=0.8, mem_fraction=0.8)
+    usage, slots = batch.finalize(np.random.default_rng(12))
+    _reconcile_machine_usage(usage, slots, fleet, period)
+    # The nearest grid point names a row's window: its start is within
+    # a few ulps of ``grid * period``.
+    grid = np.rint(usage["window_start"] / period).astype(np.int64)
+    key = slots.astype(np.int64) * (int(grid.max()) + 1) + grid
+    for column in ("avg_cpu", "avg_mem"):
+        sums = np.bincount(key, weights=usage[column])
+        assert sums.max() <= 0.98 * (1.0 + 1e-12), column
