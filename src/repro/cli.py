@@ -367,16 +367,22 @@ def _query(args) -> int:
 
 
 def _run_query(args) -> int:
+    try:
+        predicates = [_parse_where(clause) for clause in args.where or []]
+        aggs = [_parse_agg(spec) for spec in args.agg]
+    except ValueError as exc:
+        # An unknown operator or aggregate kind, or bad histogram edges:
+        # one line and exit 2, before any chunk is dispatched.
+        print(f"query: {exc}", file=sys.stderr)
+        return 2
     store = open_store(args.store_dir)
     scan = store.scan(args.table)
-    predicates = [_parse_where(clause) for clause in args.where or []]
     if predicates:
         scan = scan.where(And(*predicates) if len(predicates) > 1 else predicates[0])
     if args.select:
         scan = scan.select(*[c for c in args.select.split(",") if c])
     workers: Optional[int] = args.workers
-    if args.agg:
-        aggs = [_parse_agg(spec) for spec in args.agg]
+    if aggs:
         result = scan.aggregate(*aggs, workers=workers)
         for alias, value in result.items():
             if hasattr(value, "tolist"):
@@ -386,7 +392,6 @@ def _run_query(args) -> int:
         table = scan.to_table(workers=workers)
         print(table.to_string(max_rows=args.limit))
     print(f"scan: {scan.last_stats}", file=sys.stderr)
-    print(f"cache: {store.cache.stats}", file=sys.stderr)
     _write_obs_report(args, "query",
                       {"store": str(args.store_dir), "table": args.table,
                        "workers": args.workers})

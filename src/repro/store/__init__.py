@@ -13,9 +13,9 @@ This package is that idea at laptop scale:
 * :mod:`~repro.store.scan` — lazy scans with projection and predicate
   pushdown;
 * :mod:`~repro.store.executor` — scan → filter → partial-aggregate chunk
-  tasks with associative merge, fanned out by :func:`repro.obs.fan_out`;
-* :mod:`~repro.store.cache` — an LRU of decoded chunks with hit/miss
-  counters;
+  tasks with associative merge, run inline or fanned out by
+  :func:`repro.obs.fan_out`; every chunk any reader decodes goes through
+  its one task function, and no decoded chunk is kept;
 * :mod:`~repro.store.writer` / :mod:`~repro.store.reader` — atomic
   store writing, :class:`TraceStore`, and a lazily-backed
   :class:`~repro.trace.dataset.TraceDataset`;
@@ -35,7 +35,6 @@ Quick tour::
 """
 
 from repro.obs.fanout import default_workers
-from repro.store.cache import CacheStats, ChunkCache
 from repro.store.convert import convert_csv_to_store, convert_store_to_csv
 from repro.store.executor import (
     AGG_KINDS,
@@ -45,7 +44,7 @@ from repro.store.executor import (
 )
 from repro.store.format import read_chunk, write_chunk
 from repro.store.manifest import MANIFEST_FILE, Manifest, chunk_stats
-from repro.store.predicates import And, Between, Compare, IsIn, Or, Predicate
+from repro.store.predicates import And, Between, Compare, IsIn, Predicate
 from repro.store.reader import StoreBackedTraceDataset, TraceStore, open_store
 from repro.store.scan import Scan, ScanStats
 from repro.store.writer import (DEFAULT_CHUNK_ROWS, DEFAULT_CLUSTER_BY,
@@ -56,15 +55,12 @@ __all__ = [
     "Agg",
     "And",
     "Between",
-    "CacheStats",
-    "ChunkCache",
     "Compare",
     "DEFAULT_CHUNK_ROWS",
     "DEFAULT_CLUSTER_BY",
     "IsIn",
     "MANIFEST_FILE",
     "Manifest",
-    "Or",
     "Predicate",
     "Scan",
     "ScanStats",

@@ -42,9 +42,16 @@ class Agg:
             raise ValueError(f"aggregate {kind!r} needs a column")
         if kind == "histogram" and edges is None:
             raise ValueError("histogram aggregate needs bucket edges")
+        self.edges = tuple(edges) if edges is not None else None
+        if self.edges is not None and (
+                len(self.edges) < 2
+                or any(not a < b for a, b in zip(self.edges, self.edges[1:]))):
+            # Checked here, not in the chunk tasks: a pooled scan would
+            # otherwise fail in a worker after every chunk was dispatched.
+            raise ValueError("histogram edges must be at least two strictly "
+                             f"increasing values, got {list(self.edges)}")
         self.kind = kind
         self.column = column
-        self.edges = tuple(edges) if edges is not None else None
         self.alias = alias or (kind if column is None else f"{kind}({column})")
 
     def columns(self) -> Set[str]:

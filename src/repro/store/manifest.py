@@ -199,10 +199,6 @@ class Manifest:
         return self.data["meta"]
 
     @property
-    def chunk_rows(self) -> int:
-        return self.data["chunk_rows"]
-
-    @property
     def table_names(self) -> List[str]:
         return list(self.data["tables"])
 

@@ -29,7 +29,7 @@ _OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 class Predicate:
-    """Base class; combine with ``&`` and ``|``."""
+    """Base class; combine with ``&``."""
 
     def columns(self) -> Set[str]:
         raise NotImplementedError
@@ -42,9 +42,6 @@ class Predicate:
 
     def __and__(self, other: "Predicate") -> "Predicate":
         return And(self, other)
-
-    def __or__(self, other: "Predicate") -> "Predicate":
-        return Or(self, other)
 
     def __repr__(self) -> str:
         return self.describe()
@@ -162,12 +159,14 @@ class IsIn(Predicate):
         return f"({self.column} in {list(self.values)!r})"
 
 
-class _Combined(Predicate):
+class And(Predicate):
+    """Conjunction; nested ``And`` parts flatten into one."""
+
     def __init__(self, *parts: Predicate):
         flat = []
         for part in parts:
-            if type(part) is type(self):
-                flat.extend(part.parts)  # type: ignore[attr-defined]
+            if isinstance(part, And):
+                flat.extend(part.parts)
             else:
                 flat.append(part)
         self.parts: Sequence[Predicate] = tuple(flat)
@@ -178,8 +177,6 @@ class _Combined(Predicate):
             out |= part.columns()
         return out
 
-
-class And(_Combined):
     def maybe_matches(self, stats: Stats) -> bool:
         return all(part.maybe_matches(stats) for part in self.parts)
 
@@ -192,16 +189,3 @@ class And(_Combined):
     def describe(self) -> str:
         return "(" + " & ".join(p.describe() for p in self.parts) + ")"
 
-
-class Or(_Combined):
-    def maybe_matches(self, stats: Stats) -> bool:
-        return any(part.maybe_matches(stats) for part in self.parts)
-
-    def mask(self, table: Table) -> np.ndarray:
-        out = np.zeros(len(table), dtype=bool)
-        for part in self.parts:
-            out |= part.mask(table)
-        return out
-
-    def describe(self) -> str:
-        return "(" + " | ".join(p.describe() for p in self.parts) + ")"

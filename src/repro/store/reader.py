@@ -1,9 +1,9 @@
 """Reading a store: :class:`TraceStore` and the lazily-backed dataset.
 
 ``TraceStore`` is the query entry point — open the manifest, build
-:class:`~repro.store.scan.Scan` objects, materialize tables.  Decoded
-chunks are served through an LRU :class:`~repro.store.cache.ChunkCache`,
-so repeated analyses over the same store mostly hit memory.
+:class:`~repro.store.scan.Scan` objects, materialize tables.  It keeps
+no decoded chunks: every read, a whole-table one included, is a scan
+whose chunks decode through :func:`~repro.store.executor.run_chunk_task`.
 
 ``StoreBackedTraceDataset`` makes a store quack like a fully-loaded
 :class:`~repro.trace.dataset.TraceDataset`: every existing analysis
@@ -18,22 +18,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.store.cache import ChunkCache
 from repro.store.manifest import Manifest
-from repro.store.format import read_chunk
 from repro.store.scan import Scan
 from repro.table.column import empty_column
-from repro.table.table import Table, concat
+from repro.table.table import Table
 
 
 class TraceStore:
     """One on-disk chunked columnar store (one cell's trace)."""
 
-    def __init__(self, directory: Union[str, os.PathLike],
-                 cache_chunks: int = 64):
+    def __init__(self, directory: Union[str, os.PathLike]):
         self.path = Path(directory)
         self.manifest = Manifest.load(self.path)
-        self.cache = ChunkCache(cache_chunks)
 
     # -- metadata ------------------------------------------------------------
 
@@ -50,23 +46,6 @@ class TraceStore:
 
     def chunk_path(self, file: str) -> Path:
         return self.path / file
-
-    # -- chunk access (cached) ----------------------------------------------
-
-    def load_chunk(self, table: str, chunk: dict,
-                   columns: Optional[Sequence[str]] = None) -> Table:
-        """Decode one chunk (a :meth:`Manifest.chunks` entry, projected),
-        via the LRU cache."""
-        key = (table, chunk["file"],
-               tuple(columns) if columns is not None else None)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        decoded = read_chunk(self.chunk_path(chunk["file"]),
-                             self.manifest.schema(table), chunk["rows"],
-                             columns)
-        self.cache.put(key, decoded)
-        return decoded
 
     def empty_table(self, table: str,
                     columns: Optional[Sequence[str]] = None) -> Table:
@@ -85,13 +64,12 @@ class TraceStore:
 
     def read_table(self, table: str,
                    columns: Optional[Sequence[str]] = None) -> Table:
-        """Materialize a whole table (optionally projected)."""
-        chunks = self.manifest.chunks(table)
-        if not chunks:
-            return self.empty_table(table, columns)
-        wanted = tuple(columns) if columns is not None else None
-        parts = [self.load_chunk(table, c, wanted) for c in chunks]
-        return concat(parts)
+        """Materialize a whole table (optionally projected): an
+        unfiltered scan."""
+        scan = self.scan(table)
+        if columns is not None:
+            scan = scan.select(*columns)
+        return scan.to_table()
 
     def to_dataset(self) -> "StoreBackedTraceDataset":
         """A lazy :class:`TraceDataset` view over this store."""
@@ -103,10 +81,9 @@ class TraceStore:
         return f"TraceStore({str(self.path)!r}, rows={rows})"
 
 
-def open_store(directory: Union[str, os.PathLike],
-               cache_chunks: int = 64) -> TraceStore:
+def open_store(directory: Union[str, os.PathLike]) -> TraceStore:
     """Open an existing store directory."""
-    return TraceStore(directory, cache_chunks=cache_chunks)
+    return TraceStore(directory)
 
 
 class _LazyTables(Mapping):

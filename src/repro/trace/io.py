@@ -76,8 +76,7 @@ def detect_format(directory: Union[str, os.PathLike]) -> Optional[str]:
 
 
 def load_trace(directory: Union[str, os.PathLike],
-               format: Optional[str] = None,
-               cache_chunks: int = 64) -> TraceDataset:
+               format: Optional[str] = None) -> TraceDataset:
     """Read a trace previously written by :func:`save_trace`.
 
     The format is auto-detected unless forced.  Store-backed traces come
@@ -94,7 +93,7 @@ def load_trace(directory: Union[str, os.PathLike],
     elif format not in FORMATS:
         raise ValueError(f"unknown trace format {format!r}; use one of {FORMATS}")
     if format == "store":
-        return TraceStore(path, cache_chunks=cache_chunks).to_dataset()
+        return TraceStore(path).to_dataset()
 
     meta_path = path / _META_FILE
     if not meta_path.exists():

@@ -237,6 +237,26 @@ class TestQuery:
             main(["query", str(store_dir), "instance_usage",
                   "--agg", "histogram:avg_cpu"])
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--where", "tier =~ prod"], "unknown operator '=~'"),
+        (["--where", "start_time between 0"], "unknown operator 'between'"),
+        (["--agg", "median:avg_cpu"], "unknown aggregate 'median'"),
+        (["--agg", "histogram:avg_cpu:0.5,0.1"], "strictly increasing"),
+        (["--agg", "histogram:avg_cpu:0.5,0.1", "--workers", "2"],
+         "strictly increasing"),
+    ], ids=["operator", "between_arity", "aggregate", "edges", "edges_pooled"])
+    def test_bad_clause_or_aggregate_is_one_line_and_exit_2(
+            self, store_dir, capsys, extra, message):
+        argv = ["query", str(store_dir), "instance_usage"]
+        if "--agg" not in extra:
+            argv += ["--agg", "count"]
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("query: ")
+        assert message in lines[0]
+
 
 class TestOlderStoreFormat:
     """A store whose manifest the reader rejects (here: an older format

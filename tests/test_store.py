@@ -1,6 +1,6 @@
 """Tests for repro.store: chunk format, manifest statistics, predicate
-pushdown, the parallel executor, the chunk cache, and end-to-end
-integration with the trace layer and the store-aware analysis reducers."""
+pushdown, the parallel executor, and end-to-end integration with the
+trace layer and the store-aware analysis reducers."""
 
 import hashlib
 import io
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.analysis.common import (
     alloc_set_ids,
     alloc_set_ids_store,
@@ -30,11 +31,9 @@ from repro.store import (
     Agg,
     And,
     Between,
-    ChunkCache,
     Compare,
     IsIn,
     Manifest,
-    Or,
     chunk_stats,
     merge_partials,
     open_store,
@@ -43,6 +42,7 @@ from repro.store import (
     write_chunk,
     write_store,
 )
+from repro.store import executor as executor_module
 from repro.store import manifest as manifest_module
 from repro.store.format import MAGIC
 from repro.table import Table, concat
@@ -482,13 +482,12 @@ class TestPredicates:
     def test_ne_prunes_constant_chunk(self):
         assert Compare("x", "!=", 5).maybe_matches({"x": {"min": 5, "max": 5}}) is False
 
-    def test_and_or_combinators(self):
+    def test_and_combinator(self):
         yes = Compare("x", "==", 15)
         no = Compare("x", "==", 99)
         assert (yes & no).maybe_matches(self.STATS) is False
-        assert (yes | no).maybe_matches(self.STATS) is True
         assert And(yes, yes).maybe_matches(self.STATS) is True
-        assert Or(no, no).maybe_matches(self.STATS) is False
+        assert len(((yes & no) & yes).parts) == 3  # nested parts flatten
 
     def test_type_confusion_never_prunes(self):
         assert Compare("s", "<", 5).maybe_matches(self.STATS) is True
@@ -504,14 +503,11 @@ class TestPredicates:
         np.testing.assert_array_equal(
             (Compare("x", "==", 5) & IsIn("s", ["b"])).mask(table),
             [False, True, False, False])
-        np.testing.assert_array_equal(
-            (Compare("x", "==", 1) | Compare("x", "==", 10)).mask(table),
-            [True, False, True, False])
 
     def test_predicates_are_picklable(self):
-        pred = (Between("t", 0, 10) & Compare("tier", "==", "prod")) | IsIn("p", [1, 2])
+        pred = Between("t", 0, 10) & Compare("tier", "==", "prod") & IsIn("p", [1, 2])
         clone = pickle.loads(pickle.dumps(pred))
-        table = Table({"t": [5.0], "tier": ["prod"], "p": [9]})
+        table = Table({"t": [5.0, 5.0], "tier": ["prod", "prod"], "p": [9, 1]})
         np.testing.assert_array_equal(clone.mask(table), pred.mask(table))
 
     def test_unknown_operator(self):
@@ -722,7 +718,9 @@ class TestChunksAgreeWithManifest:
                 Agg("sum", "avg_cpu"), workers=workers)
         # Chunk 0 still agrees with the manifest, so it still reads.
         first = store.manifest.chunks("instance_usage")[0]
-        assert len(store.load_chunk("instance_usage", first)) == 128
+        assert len(read_chunk(store.chunk_path(first["file"]),
+                              store.manifest.schema("instance_usage"),
+                              first["rows"])) == 128
 
     def test_edited_kind_fails_the_read(self, store_dir):
         path, _ = store_dir
@@ -761,7 +759,6 @@ class TestManifestCache:
         assert first.manifest is second.manifest
         assert first.manifest.chunks("instance_usage") is \
             second.manifest.chunks("instance_usage")
-        assert first.cache is not second.cache  # chunk caches stay per handle
 
     def test_rewritten_store_is_seen_on_next_open(self, tmp_path):
         path = tmp_path / "s"
@@ -853,17 +850,31 @@ class TestScan:
         np.testing.assert_allclose(np.sort(got.column("avg_cpu").values),
                                    np.sort(iu.column("avg_cpu").values[mask]))
 
-    def test_projection_narrows_decoding(self, store_dir):
+    def test_projection_narrows_decoding(self, store_dir, tmp_path,
+                                         monkeypatch):
+        """Inline and pooled, every chunk decodes only the selected and
+        predicate columns.  Forked workers inherit the spy, which logs
+        to a file so their calls are seen too."""
         path, _ = store_dir
+        log = tmp_path / "decoded.log"
+        real = executor_module.read_chunk
+
+        def spy(chunk_path, schema, rows, columns=None):
+            with open(log, "a") as f:
+                f.write(",".join(columns) + "\n")
+            return real(chunk_path, schema, rows, columns)
+
+        monkeypatch.setattr(executor_module, "read_chunk", spy)
         store = open_store(path)
         scan = (store.scan("instance_usage")
                      .where(Compare("tier", "==", "prod"))
                      .select("avg_mem"))
-        scan.to_table()
-        decoded_keys = list(store.cache._entries)
-        assert decoded_keys, "serial scans should populate the cache"
-        for _, _, columns in decoded_keys:
-            assert set(columns) == {"tier", "avg_mem"}
+        for workers in (None, 2):
+            log.write_text("")
+            scan.to_table(workers=workers)
+            decoded = log.read_text().splitlines()
+            assert len(decoded) == scan.last_stats.chunks_decoded > 1
+            assert set(decoded) == {"tier,avg_mem"}, workers
 
     def test_count_fast_path_decodes_nothing(self, store_dir):
         path, ds = store_dir
@@ -881,11 +892,11 @@ class TestScan:
             store.scan("instance_usage").select("nope")
 
     def test_scan_composition_is_immutable(self, store_dir):
-        path, _ = store_dir
+        path, ds = store_dir
         store = open_store(path)
         base = store.scan("instance_usage")
         narrowed = base.select("avg_cpu").where(Between("start_time", 0, 3600))
-        assert base.predicate is None
+        assert narrowed.count() < base.count() == len(ds.instance_usage)
         assert base.output_columns() != narrowed.output_columns()
 
     def test_empty_result_keeps_projection(self, store_dir):
@@ -942,6 +953,39 @@ class TestExecutor:
                 result["histogram(avg_cpu)"],
                 np.histogram(np.clip(vals, 0, 1), bins=np.asarray(self.EDGES))[0])
 
+    def test_serial_and_pooled_scans_are_identical(self, store_dir):
+        """Both paths run the same chunk tasks: byte-equal columns, equal
+        stats, and the same store counters after the workers' merge."""
+        path, _ = store_dir
+        scan = (open_store(path).scan("instance_usage")
+                .where(Between("start_time", 2 * 3600, 20 * 3600)
+                       & Compare("tier", "!=", "free"))
+                .select("start_time", "tier", "avg_cpu"))
+        runs = []
+        for workers in (None, 2):
+            with obs.scoped_registry() as registry:
+                table = scan.to_table(workers=workers)
+            counters = registry.snapshot().counters
+            runs.append((table, scan.last_stats,
+                         {k: counters.get(k) for k in (
+                             "store.chunks_decoded", "store.rows_decoded",
+                             "store.rows_matched")}))
+        (serial, serial_stats, serial_counts), (pooled, pooled_stats,
+                                                pooled_counts) = runs
+        assert serial_stats.chunks_decoded > 1
+        assert serial_stats.chunks_skipped > 0
+        assert pooled_stats == serial_stats
+        assert pooled_counts == serial_counts
+        assert serial_counts["store.rows_matched"] == len(serial)
+        assert pooled.column_names == serial.column_names
+        for name in serial.column_names:
+            a, b = serial.column(name), pooled.column(name)
+            assert a.kind == b.kind
+            if a.kind == "str":
+                assert a.values.tolist() == b.values.tolist()
+            else:
+                assert a.values.tobytes() == b.values.tobytes()
+
     def test_histogram_partials_merge_by_addition(self):
         aggs = [Agg("histogram", "x", edges=[0, 1, 2])]
         p1 = partial_aggregate(Table({"x": [0.5, 1.5]}), aggs)
@@ -973,46 +1017,15 @@ class TestExecutor:
             Agg("sum")
         with pytest.raises(ValueError, match="edges"):
             Agg("histogram", "x")
+        # Bad edges fail here, before a pooled scan dispatches a chunk.
+        for edges in ([0.5], [0.5, 0.1], [0, 1, 1], [0, float("nan")]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Agg("histogram", "x", edges=edges)
 
     def test_aggs_are_picklable(self):
         agg = Agg("histogram", "x", edges=[0, 1], alias="h")
         clone = pickle.loads(pickle.dumps(agg))
         assert clone.alias == "h" and clone.edges == (0, 1)
-
-
-class TestChunkCache:
-    def test_hit_miss_counters(self, store_dir):
-        path, _ = store_dir
-        store = open_store(path)
-        scan = store.scan("instance_usage").select("avg_cpu")
-        scan.to_table()
-        first = store.cache.stats
-        misses_after_cold = first.misses
-        assert first.hits == 0 and misses_after_cold > 0
-        scan.to_table()
-        assert store.cache.stats.hits == misses_after_cold
-        assert store.cache.stats.misses == misses_after_cold
-
-    def test_lru_eviction(self):
-        cache = ChunkCache(capacity=2)
-        t = Table({"a": [1]})
-        cache.put("k1", t)
-        cache.put("k2", t)
-        assert cache.get("k1") is t  # k1 now most-recent
-        cache.put("k3", t)           # evicts k2
-        assert cache.get("k2") is None
-        assert cache.get("k1") is t
-        assert cache.stats.evictions == 1
-
-    def test_zero_capacity_never_stores(self):
-        cache = ChunkCache(capacity=0)
-        cache.put("k", Table({"a": [1]}))
-        assert len(cache) == 0
-        assert cache.get("k") is None
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ChunkCache(capacity=-1)
 
 
 class TestLazyDataset:
