@@ -18,6 +18,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.store.predicates import Compare
 from repro.table import Table, segments
 from repro.table.column import empty_column
 from repro.trace.dataset import TraceDataset
@@ -201,10 +202,6 @@ def collection_metadata(trace: TraceDataset) -> Table:
 def alloc_set_ids_store(store, workers: Optional[int] = None) -> np.ndarray:
     """Store-backed :func:`alloc_set_ids`: pushes the alloc-set filter
     and a two-column projection into the scan."""
-    # Imported here, not at module top: repro.store's package init pulls
-    # in repro.trace, whose sample module imports this module.
-    from repro.store.predicates import Compare
-
     table = (store.scan("collection_events")
                   .where(Compare("collection_type", "==", "alloc_set"))
                   .select("collection_id")

@@ -24,7 +24,6 @@ from repro.campaign.report import (
     render_report_json,
 )
 from repro.campaign.runner import (
-    CAMPAIGN_FRAMES_SCHEMA,
     RESULT_SCHEMA,
     CampaignRunResult,
     campaign_status,
@@ -50,7 +49,6 @@ from repro.campaign.summary import (
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "CAMPAIGN_FRAMES_SCHEMA",
     "OBJECTIVES",
     "REPORT_SCHEMA",
     "RESULT_SCHEMA",

@@ -24,11 +24,10 @@ Execution model
    ``error`` result (the exception is printed to stderr worker-side)
    and the campaign keeps going; the run summary's ``errors`` count is
    what the CLI turns into a partial-failure exit code.
-4. **Progress.**  Every completed point appends one frame (schema
-   ``repro.campaign.frames/1``) to ``<out>/frames.jsonl`` through the
-   flight recorder's :class:`~repro.obs.recorder.FrameSink` — opened in
-   append mode, so the frames file is a crash-safe journal of the whole
-   campaign across resumes.
+4. **Progress.**  When the fan-out returns, each evaluated point is
+   written to its result file and counted on the status line.  The
+   result files are the campaign's whole on-disk state: resume,
+   ``campaign status`` and ``campaign report`` read nothing else.
 
 Determinism: a point's result payload is a pure function of its params
 and seed (the simulators derive all randomness from the scenario seed),
@@ -57,9 +56,6 @@ from repro.workload.scenarios import CellScenario, scenario_2011, scenarios_2019
 
 #: Per-point result schema (one JSONL line per ``result.json``).
 RESULT_SCHEMA = "repro.campaign.result/1"
-
-#: Campaign progress-frame schema (``<out>/frames.jsonl``).
-CAMPAIGN_FRAMES_SCHEMA = "repro.campaign.frames/1"
 
 #: File name of a point's cached result under ``<out>/<key>/``.
 RESULT_FILENAME = "result.json"
@@ -223,20 +219,6 @@ class CampaignRunResult:
                 f"{self.errors} error(s) in {self.elapsed_s:.1f}s")
 
 
-def _progress_frame(seq: int, payload: dict, cached: bool) -> dict:
-    return {
-        "schema": CAMPAIGN_FRAMES_SCHEMA,
-        "kind": "point",
-        "seq": seq,
-        "point_id": payload["point_id"],
-        "key": payload["key"],
-        "seed": payload["seed"],
-        "status": payload["status"],
-        "cached": cached,
-        "wall": {"elapsed_s": (payload.get("wall") or {}).get("elapsed_s")},
-    }
-
-
 def run_campaign(spec: CampaignSpec, out_dir: Union[str, os.PathLike],
                  workers: Optional[int] = None, force: bool = False,
                  status: Optional[StatusLine] = None) -> CampaignRunResult:
@@ -264,24 +246,13 @@ def run_campaign(spec: CampaignSpec, out_dir: Union[str, os.PathLike],
         status.update(f"[campaign {spec.name}] probing cache "
                       f"{i + 1}/{len(spec.points)} ({summary.hits} hit(s))")
 
-    # Phase 2: evaluate the misses, journaling each completion.
-    frames = FrameSink(out / "frames.jsonl", append=True)
-    if frames.recovered_bytes:
-        print(f"campaign: dropped a torn {frames.recovered_bytes}-byte tail "
-              f"from {frames.path}", file=sys.stderr)
-    seq = 0
+    # Phase 2: evaluate the misses, persisting each result.
     try:
-        for i, payload in by_point.items():
-            frames.append(_progress_frame(seq, payload, cached=True))
-            seq += 1
-
         payloads = obs.fan_out(evaluate_point, [p for _, p in misses],
                                workers, section="campaign")
         for (i, point), payload in zip(misses, payloads):
             by_point[i] = payload
             write_point_result(out, payload)
-            frames.append(_progress_frame(seq, payload, cached=False))
-            seq += 1
             summary.ran += 1
             if payload["status"] != "ok":
                 summary.errors += 1
@@ -294,19 +265,7 @@ def run_campaign(spec: CampaignSpec, out_dir: Union[str, os.PathLike],
                           f"last: {point.describe()}")
 
         summary.elapsed_s = time.perf_counter() - t0
-        frames.append({
-            "schema": CAMPAIGN_FRAMES_SCHEMA,
-            "kind": "final",
-            "seq": seq,
-            "campaign": spec.name,
-            "points": summary.total,
-            "hits": summary.hits,
-            "ran": summary.ran,
-            "errors": summary.errors,
-            "wall": {"elapsed_s": round(summary.elapsed_s, 6)},
-        })
     finally:
-        frames.close()
         status.close()
     summary.results = [by_point[i] for i in sorted(by_point)]
     return summary

@@ -80,8 +80,6 @@ from repro.store import (
     Between,
     Compare,
     IsIn,
-    convert_csv_to_store,
-    convert_store_to_csv,
     open_store,
 )
 from repro.store.writer import DEFAULT_CHUNK_ROWS
@@ -166,6 +164,13 @@ def _print_fault_summary(name: str, result, trace,
 
 
 def _simulate(args) -> int:
+    profiler: Optional[SamplingProfiler] = None
+    if args.profile:
+        try:
+            profiler = SamplingProfiler()
+        except ValueError as exc:
+            print(f"simulate: {exc}", file=sys.stderr)
+            return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cells: List[str] = [c for c in args.cells.split(",") if c]
@@ -197,10 +202,8 @@ def _simulate(args) -> int:
     record: Optional[RunRecorder] = None
     if args.record:
         record = RunRecorder(args.record, interval=args.record_interval)
-    profiler: Optional[SamplingProfiler] = None
     profile_payload: Optional[dict] = None
-    if args.profile:
-        profiler = SamplingProfiler()
+    if profiler is not None:
         profiler.start()
     try:
         t0 = time.perf_counter()
@@ -232,8 +235,7 @@ def _simulate(args) -> int:
             profiler.stop()
     if profiler is not None:
         stacks = profiler.write_collapsed(args.profile)
-        print(f"profile: {profiler.sample_count} samples "
-              f"({profiler.engine} engine) -> {args.profile} "
+        print(f"profile: {profiler.sample_count} samples -> {args.profile} "
               f"({stacks} collapsed stack(s))", file=sys.stderr)
         profile_payload = profiler.to_dict()
     if record is not None:
@@ -299,14 +301,16 @@ def _report(args) -> int:
 def _convert(args) -> int:
     t0 = time.perf_counter()
     if args.to == "store":
-        store = convert_csv_to_store(args.src, args.dst,
-                                     chunk_rows=args.chunk_rows)
+        save_trace(load_trace(args.src, format="csv"), args.dst,
+                   format="store", chunk_rows=args.chunk_rows)
+        store = open_store(args.dst)
         chunks = sum(len(store.manifest.chunks(t)) for t in store.table_names)
         rows = sum(store.rows(t) for t in store.table_names)
         print(f"{args.src} -> {args.dst}: {rows} rows in {chunks} chunks "
               f"({args.chunk_rows} rows/chunk) in {time.perf_counter() - t0:.1f}s")
     else:
-        convert_store_to_csv(args.src, args.dst)
+        save_trace(load_trace(args.src, format="store"), args.dst,
+                   format="csv")
         print(f"{args.src} -> {args.dst}: store re-encoded as CSV "
               f"in {time.perf_counter() - t0:.1f}s")
     return 0
@@ -332,7 +336,7 @@ def _parse_where(clause: str):
     if len(parts) == 4 and parts[1] == "between":
         return Between(parts[0], _parse_scalar(parts[2]), _parse_scalar(parts[3]))
     if len(parts) != 3:
-        raise SystemExit(f"bad --where clause {clause!r}: expected "
+        raise ValueError(f"bad --where clause {clause!r}: expected "
                          "'col OP value', 'col in v1,v2', or 'col between lo hi'")
     column, op, value = parts
     if op == "in":
@@ -347,12 +351,12 @@ def _parse_agg(spec: str) -> Agg:
         return Agg("count")
     if parts[0] == "histogram":
         if len(parts) != 3:
-            raise SystemExit(f"bad --agg {spec!r}: histogram needs "
+            raise ValueError(f"bad --agg {spec!r}: histogram needs "
                              "'histogram:column:edge0,edge1,...'")
         edges = [float(e) for e in parts[2].split(",") if e]
         return Agg("histogram", parts[1], edges=edges)
     if len(parts) != 2:
-        raise SystemExit(f"bad --agg {spec!r}: expected 'count', 'kind:column',"
+        raise ValueError(f"bad --agg {spec!r}: expected 'count', 'kind:column',"
                          " or 'histogram:column:edges'")
     return Agg(parts[0], parts[1])
 
@@ -370,15 +374,17 @@ def _run_query(args) -> int:
     try:
         predicates = [_parse_where(clause) for clause in args.where or []]
         aggs = [_parse_agg(spec) for spec in args.agg]
+        scan = open_store(args.store_dir).scan(args.table)
+        if predicates:
+            scan = scan.where(And(*predicates) if len(predicates) > 1
+                              else predicates[0])
     except ValueError as exc:
-        # An unknown operator or aggregate kind, or bad histogram edges:
-        # one line and exit 2, before any chunk is dispatched.
+        # A malformed clause or aggregate, an unknown operator or
+        # aggregate kind, bad histogram edges, or a value that cannot be
+        # ordered against its column: one line and exit 2, before any
+        # chunk is dispatched.
         print(f"query: {exc}", file=sys.stderr)
         return 2
-    store = open_store(args.store_dir)
-    scan = store.scan(args.table)
-    if predicates:
-        scan = scan.where(And(*predicates) if len(predicates) > 1 else predicates[0])
     if args.select:
         scan = scan.select(*[c for c in args.select.split(",") if c])
     workers: Optional[int] = args.workers

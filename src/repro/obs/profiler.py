@@ -10,25 +10,16 @@ call stack, aggregates identical stacks, and produces
 * a **collapsed-stack file** (``frame;frame;frame count`` per line —
   the flamegraph.pl / speedscope interchange format) for flame graphs.
 
-Two engines, both stdlib-only:
-
-``signal`` (default where available)
-    ``signal.setitimer(ITIMER_PROF, interval)`` delivers ``SIGPROF``
-    every ``interval`` seconds of *CPU* time; the handler walks the
-    interrupted frame's back-chain and counts one stack.  Sampling cost
-    is proportional to wall samples, not to events — at the default
-    5 ms CPU cadence the measured overhead on the simulator throughput
-    benchmark is well under the 5% budget (enforced by
-    ``tests/test_obs_profiler.py``).  Only usable in the main thread of
-    the main interpreter (a signal constraint).
-
-``setprofile`` (fallback)
-    ``sys.setprofile`` fires on every call/return; the hook counts
-    calls and captures a stack every N-th call event.  Much higher
-    constant overhead (the hook itself is a Python call per event), so
-    it is only selected where signals are unavailable; it exists so
-    ``--profile`` degrades instead of failing on exotic platforms or
-    non-main threads.
+One engine, stdlib-only: ``signal.setitimer(ITIMER_PROF, interval)``
+delivers ``SIGPROF`` every ``interval`` seconds of *CPU* time; the
+handler walks the interrupted frame's back-chain and counts one stack.
+Sampling cost is proportional to wall samples, not to events — at the
+default 5 ms CPU cadence the measured overhead on the simulator
+throughput benchmark is well under the 5% budget (enforced by
+``tests/test_obs_profiler.py``).  Signals are only usable in the main
+thread of the main interpreter, on platforms with ``SIGPROF`` (Linux
+and macOS, the same ones ``--workers`` needs); elsewhere construction
+raises ``ValueError``.
 
 The profiler is **off by default** everywhere: no hook is installed and
 no hot-path code pays anything unless ``--profile`` is given (lint rule
@@ -40,7 +31,6 @@ from __future__ import annotations
 
 import os
 import signal
-import sys
 import threading
 import time
 from pathlib import Path
@@ -54,9 +44,6 @@ DEFAULT_INTERVAL = 0.005
 
 #: Frames kept per captured stack (deeper tails are folded into the root).
 MAX_STACK_DEPTH = 64
-
-#: setprofile fallback: capture one stack every N-th call event.
-SETPROFILE_STRIDE = 512
 
 
 def _signal_engine_available() -> bool:
@@ -87,22 +74,14 @@ class SamplingProfiler:
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL,
-                 engine: str = "auto",
-                 max_depth: int = MAX_STACK_DEPTH,
-                 stride: int = SETPROFILE_STRIDE) -> None:
+                 max_depth: int = MAX_STACK_DEPTH) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
-        if engine not in ("auto", "signal", "setprofile"):
-            raise ValueError(f"unknown profiler engine {engine!r}")
-        if engine == "auto":
-            engine = "signal" if _signal_engine_available() else "setprofile"
-        if engine == "signal" and not _signal_engine_available():
-            raise ValueError("signal engine needs setitimer/SIGPROF in the "
-                             "main thread; use engine='setprofile'")
-        self.engine = engine
+        if not _signal_engine_available():
+            raise ValueError("the sampling profiler needs setitimer/SIGPROF "
+                             "in the main thread")
         self.interval = float(interval)
         self.max_depth = int(max_depth)
-        self.stride = max(1, int(stride))
         #: stack (root-first tuple of code objects) -> sample count.
         self._samples: Dict[Tuple, int] = {}
         self.sample_count = 0
@@ -110,8 +89,6 @@ class SamplingProfiler:
         self.wall_seconds = 0.0
         self._running = False
         self._old_handler = None
-        self._old_profile = None
-        self._calls = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -120,23 +97,15 @@ class SamplingProfiler:
             raise ValueError("profiler already running")
         self._running = True
         self.started_at = time.perf_counter()
-        if self.engine == "signal":
-            self._old_handler = signal.signal(signal.SIGPROF, self._on_signal)
-            signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
-        else:
-            self._old_profile = sys.getprofile()
-            sys.setprofile(self._on_profile_event)
+        self._old_handler = signal.signal(signal.SIGPROF, self._on_signal)
+        signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
 
     def stop(self) -> None:
         if not self._running:
             return
-        if self.engine == "signal":
-            signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
-            signal.signal(signal.SIGPROF, self._old_handler or signal.SIG_DFL)
-            self._old_handler = None
-        else:
-            sys.setprofile(self._old_profile)
-            self._old_profile = None
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        signal.signal(signal.SIGPROF, self._old_handler or signal.SIG_DFL)
+        self._old_handler = None
         self._running = False
         if self.started_at is not None:
             self.wall_seconds += time.perf_counter() - self.started_at
@@ -166,14 +135,6 @@ class SamplingProfiler:
         self.sample_count += 1
 
     def _on_signal(self, signum, frame) -> None:
-        self._capture(frame)
-
-    def _on_profile_event(self, frame, event, arg) -> None:
-        if event != "call":
-            return
-        self._calls += 1
-        if self._calls % self.stride:
-            return
         self._capture(frame)
 
     # -- queries --------------------------------------------------------------
@@ -226,10 +187,9 @@ class SamplingProfiler:
         return len(lines)
 
     def to_dict(self, top: int = 30) -> dict:
-        """The report payload: engine, cadence, totals, hot table."""
+        """The report payload: cadence, totals, hot table."""
         return {
             "schema": PROFILE_SCHEMA,
-            "engine": self.engine,
             "interval_s": self.interval,
             "samples": self.sample_count,
             "wall_s": round(self.wall_seconds, 3),

@@ -26,10 +26,11 @@ The run ends with one ``"final"`` frame sampled from the parent
 registry after all cells merged; its cumulative counters equal the
 ``--obs-out`` report's counters exactly (same snapshot source).
 
-Crash safety: the sink appends whole lines and flushes on a small
-frame-count cadence; on opening an existing file it truncates a
-trailing partial line (a crash mid-write) so the file is always a
-valid JSONL prefix of the run.  See DESIGN.md §11.
+Crash safety: the sink writes whole lines and flushes on a small
+frame-count cadence, so a run killed mid-write leaves a JSONL prefix of
+the run with at most one torn last line, which :func:`recover_jsonl`
+truncates (the campaign's result cache runs it on every probe).  See
+DESIGN.md §11.
 """
 
 from __future__ import annotations
@@ -113,25 +114,18 @@ class FrameSink:
     ``SINK_BUFFER_FRAMES`` appends — and on :meth:`flush`/:meth:`close`
     — the buffer is written and flushed to the OS in one call, so a
     crash loses at most the buffered tail and never interleaves partial
-    lines.  Opening a path that already exists first runs
-    :func:`recover_jsonl` and then appends.
+    lines.  Opening a path truncates it.
     """
 
     def __init__(self, path: Union[str, os.PathLike],
-                 buffer_frames: int = SINK_BUFFER_FRAMES,
-                 append: bool = False) -> None:
+                 buffer_frames: int = SINK_BUFFER_FRAMES) -> None:
         self.path = Path(path)
         self.frames_written = 0
         self._buffer: List[str] = []
         self._buffer_frames = max(1, buffer_frames)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if append:
-            self.recovered_bytes = recover_jsonl(self.path)
-            self._file: Optional[TextIO] = open(self.path, "a",
-                                                encoding="utf-8")
-        else:
-            self.recovered_bytes = 0
-            self._file = open(self.path, "w", encoding="utf-8")
+        self._file: Optional[TextIO] = open(self.path, "w",
+                                            encoding="utf-8")
 
     def append(self, frame: dict) -> None:
         """Queue one frame; flushes on the buffering cadence."""

@@ -126,8 +126,7 @@ def render_report(report: dict) -> str:
     profile = report.get("profile") or {}
     if profile:
         lines.append("")
-        lines.append(f"profile ({profile.get('engine', '?')} engine, "
-                     f"{profile.get('samples', 0)} samples, "
+        lines.append(f"profile ({profile.get('samples', 0)} samples, "
                      f"interval {profile.get('interval_s', 0.0):g}s):")
         lines.append(f"  {'self%':>6s} {'cum%':>6s} {'self':>7s} "
                      f"{'cum':>7s}  function")

@@ -18,8 +18,10 @@ This package is that idea at laptop scale:
   its one task function, and no decoded chunk is kept;
 * :mod:`~repro.store.writer` / :mod:`~repro.store.reader` — atomic
   store writing, :class:`TraceStore`, and a lazily-backed
-  :class:`~repro.trace.dataset.TraceDataset`;
-* :mod:`~repro.store.convert` — CSV layout ↔ store conversion.
+  :class:`~repro.trace.dataset.TraceDataset`.
+
+A format conversion is ``save_trace(load_trace(src), dst, format=...)``
+(what ``borg-repro convert`` runs).
 
 Quick tour::
 
@@ -35,7 +37,6 @@ Quick tour::
 """
 
 from repro.obs.fanout import default_workers
-from repro.store.convert import convert_csv_to_store, convert_store_to_csv
 from repro.store.executor import (
     AGG_KINDS,
     Agg,
@@ -67,8 +68,6 @@ __all__ = [
     "StoreBackedTraceDataset",
     "TraceStore",
     "chunk_stats",
-    "convert_csv_to_store",
-    "convert_store_to_csv",
     "default_workers",
     "merge_partials",
     "open_store",

@@ -10,6 +10,11 @@ Every predicate answers two questions:
 * :meth:`Predicate.mask` — given a decoded :class:`Table`, the exact
   boolean row mask.
 
+Before either runs, :meth:`Predicate.check_kinds` rejects an ordering
+(``<``, ``between``, ...) whose value cannot be ordered against the
+column's kind, e.g. ``tier < 5`` on a string column: that is a
+``ValueError`` at plan time, not a ``TypeError`` from inside a chunk.
+
 Predicates are plain data objects, not closures, so the parallel
 executor can ship them to worker processes, and scans can reason about
 which columns they touch.
@@ -17,7 +22,8 @@ which columns they touch.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Set, Tuple
+import numbers
+from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -26,6 +32,8 @@ from repro.table.table import Table
 Stats = Dict[str, Dict[str, object]]
 
 _OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+_ORDERING_OPS = ("<", "<=", ">", ">=")
 
 
 class Predicate:
@@ -40,6 +48,10 @@ class Predicate:
     def mask(self, table: Table) -> np.ndarray:
         raise NotImplementedError
 
+    def check_kinds(self, kinds: Mapping[str, str]) -> None:
+        """Raise ``ValueError`` if an ordering's value cannot be ordered
+        against its column's kind (``kinds``: column name -> kind)."""
+
     def __and__(self, other: "Predicate") -> "Predicate":
         return And(self, other)
 
@@ -48,6 +60,16 @@ class Predicate:
 
     def describe(self) -> str:
         raise NotImplementedError
+
+
+def _check_orderable(kinds: Mapping[str, str], column: str, value) -> None:
+    kind = kinds.get(column)
+    if kind is None:
+        return
+    expected = str if kind == "str" else numbers.Real
+    if not isinstance(value, expected):
+        raise ValueError(f"cannot order {kind} column {column!r} "
+                         f"against {value!r}")
 
 
 def _bounds(stats: Stats, column: str) -> Tuple[object, object]:
@@ -101,6 +123,10 @@ class Compare(Predicate):
             ">": column.__gt__, ">=": column.__ge__,
         }[self.op](self.value)
 
+    def check_kinds(self, kinds: Mapping[str, str]) -> None:
+        if self.op in _ORDERING_OPS:
+            _check_orderable(kinds, self.column, self.value)
+
     def describe(self) -> str:
         return f"({self.column} {self.op} {self.value!r})"
 
@@ -128,6 +154,10 @@ class Between(Predicate):
     def mask(self, table: Table) -> np.ndarray:
         values = table.column(self.column).values
         return np.asarray((values >= self.lo) & (values <= self.hi), dtype=bool)
+
+    def check_kinds(self, kinds: Mapping[str, str]) -> None:
+        _check_orderable(kinds, self.column, self.lo)
+        _check_orderable(kinds, self.column, self.hi)
 
     def describe(self) -> str:
         return f"({self.column} between {self.lo!r} and {self.hi!r})"
@@ -185,6 +215,10 @@ class And(Predicate):
         for part in self.parts:
             out &= part.mask(table)
         return out
+
+    def check_kinds(self, kinds: Mapping[str, str]) -> None:
+        for part in self.parts:
+            part.check_kinds(kinds)
 
     def describe(self) -> str:
         return "(" + " & ".join(p.describe() for p in self.parts) + ")"

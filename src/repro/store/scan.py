@@ -74,7 +74,12 @@ class Scan:
         return Scan(self._store, self._table, tuple(columns), self._predicate)
 
     def where(self, predicate: Predicate) -> "Scan":
-        """AND another predicate onto the scan (filter pushdown)."""
+        """AND another predicate onto the scan (filter pushdown).
+
+        Raises ``ValueError`` when the predicate orders a column against
+        a value of another kind (:meth:`Predicate.check_kinds`).
+        """
+        predicate.check_kinds(self._store.manifest.column_kinds(self._table))
         combined = predicate if self._predicate is None \
             else And(self._predicate, predicate)
         return Scan(self._store, self._table, self._columns, combined)

@@ -5,17 +5,16 @@ is one binary file (see :mod:`repro.store.format`) and the manifest
 records its per-column min/max statistics.  The whole store is staged in
 a temp directory and renamed into place atomically.
 
-Tables whose rows arrive roughly time-ordered (every table the simulator
-emits) get tight per-chunk time bounds for free, which is what makes
-time-window pushdown effective; ``cluster_by`` can force a sort when
-converting foreign data that is not already ordered.
+Every table with a time column is stably sorted by it before chunking
+(:data:`DEFAULT_CLUSTER_BY`), so each chunk gets tight time bounds,
+which is what makes time-window pushdown effective.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from repro.util.fs import atomic_directory
 #: per-chunk overhead stays negligible.
 DEFAULT_CHUNK_ROWS = 8192
 
-#: Default clustering: the event and usage tables are stably sorted by
+#: Clustering: the event and usage tables are stably sorted by
 #: their time column before chunking, exactly like the clustered
 #: BigQuery tables the 2019 trace ships as.  The simulator emits usage
 #: rows grouped per instance (each group spanning the whole horizon), so
@@ -42,14 +41,13 @@ DEFAULT_CLUSTER_BY: Dict[str, str] = dict(TIME_COLUMNS)
 
 
 def write_store(trace, directory: Union[str, os.PathLike],
-                chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                cluster_by: Optional[Dict[str, str]] = DEFAULT_CLUSTER_BY) -> None:
+                chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
     """Persist ``trace`` (a :class:`TraceDataset`) under ``directory``.
 
-    ``cluster_by`` maps table name -> column to stably sort by before
-    chunking (BigQuery-style clustering; tables without their listed
-    column, and unlisted tables, keep their row order).  Pass ``None``
-    or ``{}`` to preserve the exact input row order everywhere.
+    Each table listed in :data:`DEFAULT_CLUSTER_BY` is stably sorted by
+    its column before chunking (BigQuery-style clustering); tables
+    without their listed column, and unlisted tables, keep their row
+    order.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -62,11 +60,10 @@ def write_store(trace, directory: Union[str, os.PathLike],
         "capacity_cpu": trace.capacity_cpu,
         "capacity_mem": trace.capacity_mem,
     }
-    cluster_by = cluster_by or {}
     with obs.span("store.write"), atomic_directory(directory) as tmp:
         manifest = Manifest.new(meta, chunk_rows)
         for name, table in trace.tables.items():
-            key = cluster_by.get(name)
+            key = DEFAULT_CLUSTER_BY.get(name)
             if key is not None and key in table and len(table) > 1:
                 table = table.sort(key)
             _write_table(manifest, tmp, name, table, chunk_rows)

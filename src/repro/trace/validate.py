@@ -120,7 +120,12 @@ def _check_machine_usage_within_capacity(trace: TraceDataset) -> List[Violation]
     window = iu.column("start_time").values
     cpu = iu.column("avg_cpu").values
     mem = iu.column("avg_mem").values
-    key = machine.astype(np.int64) * 10_000_000 + (window / trace.sample_period).astype(np.int64)
+    # Rows start on the sample grid, so rounding (as the simulator's
+    # capacity reconcile does) recovers each row's window at any period;
+    # truncation would split one window when the ratio lands just below
+    # an integer.
+    window_index = np.rint(window / trace.sample_period).astype(np.int64)
+    key = machine.astype(np.int64) * 10_000_000 + window_index
     order, bounds = segments(key)
     cpu_sums = np.add.reduceat(cpu[order], bounds)
     mem_sums = np.add.reduceat(mem[order], bounds)

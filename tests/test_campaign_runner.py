@@ -171,18 +171,6 @@ class TestDeterminism:
             assert pooled.get(key) == serial[key], key
         assert pooled.get("campaign.parallel_batches") == 1
 
-    def test_frames_journal_appends_across_runs(self, tmp_path):
-        spec = tiny_spec(n_values=1, seeds=(0,))
-        run_campaign(spec, tmp_path)
-        run_campaign(spec, tmp_path)
-        lines = [json.loads(line) for line in
-                 (tmp_path / "frames.jsonl").read_text().splitlines()]
-        # Two runs: (point + final) then (cached point + final).
-        kinds = [(f["kind"], f.get("cached")) for f in lines]
-        assert kinds == [("point", False), ("final", None),
-                         ("point", True), ("final", None)]
-
-
 class TestCli:
     @pytest.fixture()
     def spec_file(self, tmp_path):

@@ -49,6 +49,26 @@ class TestSimulate:
             assert (trace_dirs / cell / "metadata.json").exists()
             assert (trace_dirs / cell / "instance_usage.csv").exists()
 
+    def test_profile_without_sigprof_is_one_line_and_exit_2(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.obs import profiler
+
+        monkeypatch.setattr(profiler, "_signal_engine_available",
+                            lambda: False)
+        out = tmp_path / "traces"
+        rc = main(["simulate", "--cells", "d", "--out", str(out),
+                   "--machines", "4", "--hours", "1", "--scale", "0.01",
+                   "--profile", str(tmp_path / "p.collapsed")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("simulate: ")
+        assert "SIGPROF" in lines[0]
+        # Nothing ran: no trace directory, no stacks file.
+        assert not out.exists()
+        assert not (tmp_path / "p.collapsed").exists()
+
 
 class TestValidate:
     def test_clean_trace_returns_zero(self, trace_dirs, capsys):
@@ -227,15 +247,23 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "start_time" in out and "avg_cpu" in out
 
-    def test_bad_where_clause_exits(self, store_dir):
-        with pytest.raises(SystemExit):
-            main(["query", str(store_dir), "instance_usage",
-                  "--where", "nonsense"])
+    def test_bad_where_clause_exits(self, store_dir, capsys):
+        assert main(["query", str(store_dir), "instance_usage",
+                     "--where", "nonsense"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "query: bad --where clause 'nonsense': expected 'col OP value', "
+            "'col in v1,v2', or 'col between lo hi'"]
 
-    def test_bad_agg_spec_exits(self, store_dir):
-        with pytest.raises(SystemExit):
-            main(["query", str(store_dir), "instance_usage",
-                  "--agg", "histogram:avg_cpu"])
+    def test_bad_agg_spec_exits(self, store_dir, capsys):
+        assert main(["query", str(store_dir), "instance_usage",
+                     "--agg", "histogram:avg_cpu"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "query: bad --agg 'histogram:avg_cpu': histogram needs "
+            "'histogram:column:edge0,edge1,...'"]
 
     @pytest.mark.parametrize("extra, message", [
         (["--where", "tier =~ prod"], "unknown operator '=~'"),
@@ -244,7 +272,13 @@ class TestQuery:
         (["--agg", "histogram:avg_cpu:0.5,0.1"], "strictly increasing"),
         (["--agg", "histogram:avg_cpu:0.5,0.1", "--workers", "2"],
          "strictly increasing"),
-    ], ids=["operator", "between_arity", "aggregate", "edges", "edges_pooled"])
+        (["--where", "tier < 5"], "cannot order str column 'tier' against 5"),
+        (["--where", "tier < 5", "--workers", "2"],
+         "cannot order str column 'tier' against 5"),
+        (["--where", "start_time between a b"],
+         "cannot order float column 'start_time' against 'a'"),
+    ], ids=["operator", "between_arity", "aggregate", "edges", "edges_pooled",
+            "ordered_kind", "ordered_kind_pooled", "between_kind"])
     def test_bad_clause_or_aggregate_is_one_line_and_exit_2(
             self, store_dir, capsys, extra, message):
         argv = ["query", str(store_dir), "instance_usage"]

@@ -1,4 +1,4 @@
-"""Sampling-profiler tests: engines, output formats, the overhead budget.
+"""Sampling-profiler tests: the signal engine, output formats, the overhead budget.
 
 The overhead test enforces the profiler's core promise — ``--profile``
 costs less than 5% of simulator-like throughput — using the same
@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.obs import profiler as profiler_mod
 from repro.obs.profiler import (
     PROFILE_SCHEMA,
     SamplingProfiler,
@@ -44,15 +45,18 @@ def _helper_leaf(n):
     return acc
 
 
+@needs_signal
 class TestConstruction:
-    def test_rejects_bad_interval_and_engine(self):
+    def test_rejects_bad_interval_and_engine(self, monkeypatch):
         with pytest.raises(ValueError, match="positive"):
             SamplingProfiler(interval=0.0)
-        with pytest.raises(ValueError, match="unknown profiler engine"):
-            SamplingProfiler(engine="dtrace")
+        monkeypatch.setattr(profiler_mod, "_signal_engine_available",
+                            lambda: False)
+        with pytest.raises(ValueError, match="SIGPROF"):
+            SamplingProfiler()
 
     def test_double_start_raises(self):
-        prof = SamplingProfiler(engine="setprofile")
+        prof = SamplingProfiler()
         prof.start()
         try:
             with pytest.raises(ValueError, match="already running"):
@@ -61,7 +65,7 @@ class TestConstruction:
             prof.stop()
 
     def test_stop_is_idempotent(self):
-        prof = SamplingProfiler(engine="setprofile")
+        prof = SamplingProfiler()
         prof.stop()  # never started: a no-op
         assert prof.sample_count == 0
 
@@ -69,9 +73,8 @@ class TestConstruction:
 @needs_signal
 class TestSignalEngine:
     def test_collects_samples_from_busy_loop(self):
-        with SamplingProfiler(interval=0.001, engine="signal") as prof:
+        with SamplingProfiler(interval=0.001) as prof:
             _busy_work(300_000)
-        assert prof.engine == "signal"
         assert prof.sample_count > 0
         hot = prof.hot_table(10)
         assert hot
@@ -80,35 +83,18 @@ class TestSignalEngine:
     def test_restores_previous_handler(self):
         import signal as signal_mod
         before = signal_mod.getsignal(signal_mod.SIGPROF)
-        with SamplingProfiler(interval=0.001, engine="signal"):
+        with SamplingProfiler(interval=0.001):
             _busy_work(50_000)
         assert signal_mod.getsignal(signal_mod.SIGPROF) == before
 
 
-class TestSetprofileEngine:
-    def test_collects_samples_via_call_stride(self):
-        with SamplingProfiler(engine="setprofile", stride=10) as prof:
-            for _ in range(500):
-                _helper_leaf(5)
-        assert prof.engine == "setprofile"
-        assert prof.sample_count > 0
-        assert any("_helper_leaf" in row["func"]
-                   for row in prof.hot_table(20))
-
-    def test_restores_previous_profile_hook(self):
-        import sys
-        assert sys.getprofile() is None
-        with SamplingProfiler(engine="setprofile"):
-            _helper_leaf(10)
-        assert sys.getprofile() is None
-
-
+@needs_signal
 class TestOutputs:
     @pytest.fixture(scope="class")
     def profiled(self):
-        with SamplingProfiler(engine="setprofile", stride=5) as prof:
+        with SamplingProfiler(interval=0.001) as prof:
             for _ in range(400):
-                _helper_leaf(10)
+                _helper_leaf(2000)
         return prof
 
     def test_hot_table_shape_and_ordering(self, profiled):
@@ -141,7 +127,7 @@ class TestOutputs:
     def test_to_dict_payload(self, profiled):
         payload = profiled.to_dict(top=5)
         assert payload["schema"] == PROFILE_SCHEMA
-        assert payload["engine"] == "setprofile"
+        assert "engine" not in payload
         assert payload["samples"] == profiled.sample_count
         assert len(payload["hot"]) <= 5
 
@@ -151,7 +137,8 @@ class TestOutputs:
             report = obs.run_report(command="simulate",
                                     profile=profiled.to_dict())
         text = obs.render_report(report)
-        assert "profile (setprofile engine" in text
+        assert (f"profile ({profiled.sample_count} samples, "
+                "interval 0.001s):") in text
         assert "self%" in text
 
     def test_report_without_profile_has_no_section(self):
@@ -174,7 +161,7 @@ class TestOverheadBudget:
             t0 = time.perf_counter()
             _busy_work()
             base.append(time.perf_counter() - t0)
-            prof = SamplingProfiler(engine="signal")
+            prof = SamplingProfiler()
             prof.start()
             t0 = time.perf_counter()
             _busy_work()

@@ -97,18 +97,6 @@ class TestFrameSink:
         empty.write_bytes(b"")
         assert recover_jsonl(empty) == 0
 
-    def test_append_mode_recovers_then_continues(self, tmp_path):
-        path = tmp_path / "frames.jsonl"
-        with FrameSink(path) as sink:
-            sink.append(_frame(0))
-        with open(path, "ab") as f:
-            f.write(b'{"half": ')
-        sink = FrameSink(path, append=True)
-        assert sink.recovered_bytes == len(b'{"half": ')
-        sink.append(_frame(1))
-        sink.close()
-        assert [f["seq"] for f in read_frames(path)] == [0, 1]
-
     def test_read_frames_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "frames.jsonl"
         path.write_text(json.dumps(_frame(0)) + "\n"

@@ -28,6 +28,7 @@ from repro.analysis.common import (
 )
 from repro.analysis.sched_delay import scheduling_delays
 from repro.store import (
+    DEFAULT_CLUSTER_BY,
     Agg,
     And,
     Between,
@@ -515,12 +516,21 @@ class TestPredicates:
             Compare("x", "~=", 1)
 
 
+def _clustered(name, table):
+    """``table`` in the row order the writer stores it in."""
+    key = DEFAULT_CLUSTER_BY.get(name)
+    return table.sort(key) if key is not None else table
+
+
 class TestWriterReader:
     def test_exact_roundtrip_without_clustering(self, tmp_path):
+        # Every value and kind survives exactly; the only change is the
+        # writer's stable sort of each clustered table by its time column.
         ds = _dataset(usage_rows=300)
-        write_store(ds, tmp_path / "s", chunk_rows=64, cluster_by=None)
+        write_store(ds, tmp_path / "s", chunk_rows=64)
         store = open_store(tmp_path / "s")
         for name, table in ds.tables.items():
+            table = _clustered(name, table)
             back = store.read_table(name)
             assert back.column_names == table.column_names
             for c in table.column_names:
@@ -836,6 +846,21 @@ class TestScan:
         expected = ds.instance_usage.column("avg_cpu").values[mask]
         assert result["count"] == int(mask.sum())
         assert result["sum(avg_cpu)"] == pytest.approx(expected.sum())
+
+    def test_ordering_against_another_kind_fails_at_where(self, store_dir):
+        path, _ = store_dir
+        scan = open_store(path).scan("instance_usage")
+        for pred in (Compare("tier", "<", 5),
+                     Between("start_time", "a", "b"),
+                     Between("start_time", 0, "b"),
+                     Compare("start_time", ">=", 0) & Compare("tier", ">", 1.5)):
+            with pytest.raises(ValueError, match="cannot order"):
+                scan.where(pred)
+        # Orderings within a kind, and equality across kinds, still plan.
+        ok = scan.where(Compare("tier", "<", "prod")
+                        & Between("start_time", 0, 1.5)
+                        & Compare("tier", "==", 5))
+        assert ok.count() == 0
 
     def test_filtered_table_matches_in_memory(self, store_dir):
         path, ds = store_dir
@@ -1158,9 +1183,10 @@ class TestStoreRoundTripProperty:
                           capacity_cpu=1.0, capacity_mem=1.0,
                           tables=dict(tables))
         path = tmp_path_factory.mktemp("prop") / "s"
-        write_store(ds, path, chunk_rows=chunk_rows, cluster_by=None)
+        write_store(ds, path, chunk_rows=chunk_rows)
         store = open_store(path)
         for name, table in ds.tables.items():
+            table = _clustered(name, table)
             back = store.read_table(name)
             assert back.column_names == table.column_names
             for c in table.column_names:

@@ -167,6 +167,33 @@ class TestValidate:
         assert len(expected) == 20
         assert [v.detail for v in violations] == expected
 
+    @pytest.mark.parametrize("first_start", [0.7 * 3, 2.1],
+                             ids=["inexact_grid_start", "same_start"])
+    def test_machine_window_is_rounded_at_an_inexact_period(self, first_start):
+        # 0.7 * 3 is 2.0999999999999996: truncating start / period puts
+        # that row in window 2 and the row at 2.1 in window 3.  Both are
+        # window 3, where two 0.7-CPU rows overload a 1.0-CPU machine.
+        rows = [{"start_time": start, "duration": 0.7, "collection_id": 1,
+                 "instance_index": i, "machine_id": 0, "tier": "prod",
+                 "vertical_scaling": "none", "in_alloc": False,
+                 "avg_cpu": 0.7, "max_cpu": 0.7, "avg_mem": 0.1,
+                 "max_mem": 0.1, "limit_cpu": 1.0, "limit_mem": 1.0}
+                for i, start in enumerate([first_start, 2.1])]
+        attrs = rows_table([{"machine_id": 0, "cpu_capacity": 1.0,
+                             "mem_capacity": 1.0, "platform": "p",
+                             "utc_offset_hours": 0.0}],
+                           columns=SCHEMA_2019["machine_attributes"])
+        ds = TraceDataset(cell="x", era="2019", horizon=7.0,
+                          sample_period=0.7, utc_offset_hours=0.0,
+                          capacity_cpu=1.0, capacity_mem=1.0,
+                          tables={"instance_usage": rows_table(
+                                      rows, SCHEMA_2019["instance_usage"]),
+                                  "machine_attributes": attrs})
+        violations = validate_trace(ds, only=["machine-usage-within-capacity"])
+        assert [v.detail for v in violations] == [
+            "machine 0: window CPU usage 1.400 exceeds capacity 1.000 "
+            "(x1.2 allowance)"]
+
     def test_violation_str(self):
         v = Violation("check", "something off")
         assert "check" in str(v) and "something off" in str(v)
