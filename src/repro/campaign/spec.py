@@ -34,11 +34,12 @@ from typing import Dict, List, Tuple, Union
 
 from repro.campaign.cache_key import point_key
 from repro.faults import FAULT_PROFILES
+from repro.util.errors import ReproError
 from repro.workload.archetypes import ARCHETYPE_MIXES
 from repro.workload.scenarios import CELL_PROFILES_2019
 
 
-class CampaignSpecError(ValueError):
+class CampaignSpecError(ReproError):
     """A campaign spec that fails validation (bad key, type, or value)."""
 
 

@@ -36,6 +36,9 @@ lint
     determinism, fork safety, exception hygiene, unit discipline, obs
     discipline, hot-loop guards) over source files or directories; each
     rule reads one file at a time.
+
+Exit codes (README, "Command line"): 0 done, 1 the command found
+failures, 2 the input could not be used (see :func:`main`).
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from repro import obs
 from repro.analysis import failures
 from repro.analysis.report import full_report
 from repro.campaign import (
-    CampaignSpecError,
     build_report,
     campaign_status,
     load_campaign_results,
@@ -61,6 +63,7 @@ from repro.campaign import (
     render_report_json,
     run_campaign,
 )
+from repro.campaign.spec import _validate_cells_for_era, _validate_param
 from repro.lint import lint_project
 from repro.lint import render as render_lint
 from repro.obs.profiler import SamplingProfiler
@@ -72,7 +75,7 @@ from repro.obs.recorder import (
     iter_frames,
     render_frames,
 )
-from repro.obs.regress import BenchDataError, compare_dirs, load_contract
+from repro.obs.regress import compare_dirs, load_contract
 from repro.sim.driver import run_cells
 from repro.store import (
     Agg,
@@ -85,7 +88,7 @@ from repro.store import (
 from repro.store.writer import DEFAULT_CHUNK_ROWS
 from repro.trace import encode_cell, load_trace, save_trace, validate_trace
 from repro.trace.io import detect_format
-from repro.util.errors import SchemaError
+from repro.util.errors import QueryError, ReproError, SimulationError
 from repro.faults import FAULT_PROFILES
 from repro.workload import ARCHETYPE_MIXES, scenario_2011, scenarios_2019
 
@@ -103,6 +106,17 @@ def _write_obs_report(args, command: str, meta: dict,
         return
     obs.write_report(args.obs_out, command=command, meta=meta, profile=profile)
     print(f"obs report written to {args.obs_out}", file=sys.stderr)
+
+
+def _positive(cast):
+    """An argparse ``type``: ``cast(text)``, which must be above zero."""
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be above zero, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid int value" names it
+    return parse
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -164,16 +178,15 @@ def _print_fault_summary(name: str, result, trace,
 
 
 def _simulate(args) -> int:
-    profiler: Optional[SamplingProfiler] = None
-    if args.profile:
-        try:
-            profiler = SamplingProfiler()
-        except ValueError as exc:
-            print(f"simulate: {exc}", file=sys.stderr)
-            return 2
+    profiler = SamplingProfiler() if args.profile else None
+    # The range rules a campaign point gets, before anything runs.
+    cells: List[str] = _validate_param("cells", args.cells)
+    _validate_cells_for_era(
+        {"era": "2019", "cells": [c for c in cells if c != "2011"]})
+    for name in ("machines", "hours", "scale", "fault_rate"):
+        _validate_param(name, getattr(args, name))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cells: List[str] = [c for c in args.cells.split(",") if c]
     scenarios = []
     for name in cells:
         if name == "2011":
@@ -251,15 +264,8 @@ def _simulate(args) -> int:
 
 
 def _validate(args) -> int:
-    try:
-        trace = load_trace(args.trace_dir)
-        violations = validate_trace(trace)
-    except SchemaError as exc:
-        # An unreadable trace (e.g. a store of an older format, whose
-        # message says to run `borg-repro convert`) is one line, not a
-        # traceback.
-        print(f"validate: {exc}", file=sys.stderr)
-        return 2
+    trace = load_trace(args.trace_dir)
+    violations = validate_trace(trace)
     if not violations:
         print(f"{args.trace_dir}: all invariants hold "
               f"({len(trace.instance_usage)} usage rows checked)")
@@ -275,23 +281,22 @@ def _report(args) -> int:
     dirs = sorted(p for p in root.iterdir()
                   if p.is_dir() and detect_format(p) is not None)
     if not dirs:
-        print(f"no traces under {root} (expected subdirectories with "
-              "metadata.json or manifest.json; create them with "
-              "'borg-repro simulate')",
-              file=sys.stderr)
-        return 1
-    traces_2011, traces_2019 = [], []
-    for d in dirs:
-        trace = load_trace(d)
-        (traces_2011 if trace.era == "2011" else traces_2019).append(trace)
-        print(f"loaded {d.name} (era {trace.era})", file=sys.stderr)
+        raise ReproError(f"no traces under {root} (expected subdirectories "
+                         "with metadata.json or manifest.json; create them "
+                         "with 'borg-repro simulate')")
+    traces = [load_trace(d) for d in dirs]
+    traces_2011 = [t for t in traces if t.era == "2011"]
+    traces_2019 = [t for t in traces if t.era != "2011"]
     if not traces_2011 or not traces_2019:
-        print("the report needs at least one 2011-era and one 2019-era trace",
-              file=sys.stderr)
-        return 1
+        raise ReproError("the report needs at least one 2011-era and one "
+                         "2019-era trace")
     text = full_report(traces_2011, traces_2019)
     if args.out:
         Path(args.out).write_text(text)
+    # Printed once the report is out, so a failed write is the only line.
+    for d, trace in zip(dirs, traces):
+        print(f"loaded {d.name} (era {trace.era})", file=sys.stderr)
+    if args.out:
         print(f"report written to {args.out}", file=sys.stderr)
     else:
         print(text)
@@ -336,7 +341,7 @@ def _parse_where(clause: str):
     if len(parts) == 4 and parts[1] == "between":
         return Between(parts[0], _parse_scalar(parts[2]), _parse_scalar(parts[3]))
     if len(parts) != 3:
-        raise ValueError(f"bad --where clause {clause!r}: expected "
+        raise QueryError(f"bad --where clause {clause!r}: expected "
                          "'col OP value', 'col in v1,v2', or 'col between lo hi'")
     column, op, value = parts
     if op == "in":
@@ -351,56 +356,40 @@ def _parse_agg(spec: str) -> Agg:
         return Agg("count")
     if parts[0] == "histogram":
         if len(parts) != 3:
-            raise ValueError(f"bad --agg {spec!r}: histogram needs "
+            raise QueryError(f"bad --agg {spec!r}: histogram needs "
                              "'histogram:column:edge0,edge1,...'")
-        edges = [float(e) for e in parts[2].split(",") if e]
+        edges = [_parse_scalar(e) for e in parts[2].split(",") if e]
         return Agg("histogram", parts[1], edges=edges)
     if len(parts) != 2:
-        raise ValueError(f"bad --agg {spec!r}: expected 'count', 'kind:column',"
+        raise QueryError(f"bad --agg {spec!r}: expected 'count', 'kind:column',"
                          " or 'histogram:column:edges'")
     return Agg(parts[0], parts[1])
 
 
 def _query(args) -> int:
-    try:
-        return _run_query(args)
-    except SchemaError as exc:
-        # As in _validate: an unreadable store is one line and exit 2.
-        print(f"query: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run_query(args) -> int:
-    try:
-        predicates = [_parse_where(clause) for clause in args.where or []]
-        aggs = [_parse_agg(spec) for spec in args.agg]
-        scan = open_store(args.store_dir).scan(args.table)
-        if predicates:
-            scan = scan.where(And(*predicates) if len(predicates) > 1
-                              else predicates[0])
-    except ValueError as exc:
-        # A malformed clause or aggregate, an unknown operator or
-        # aggregate kind, bad histogram edges, or a value that cannot be
-        # ordered against its column: one line and exit 2, before any
-        # chunk is dispatched.
-        print(f"query: {exc}", file=sys.stderr)
-        return 2
+    # Every clause and aggregate is checked here, before any chunk is
+    # dispatched.
+    predicates = [_parse_where(clause) for clause in args.where]
+    aggs = [_parse_agg(spec) for spec in args.agg]
+    scan = open_store(args.store_dir).scan(args.table)
+    if predicates:
+        scan = scan.where(And(*predicates) if len(predicates) > 1
+                          else predicates[0])
     if args.select:
         scan = scan.select(*[c for c in args.select.split(",") if c])
-    workers: Optional[int] = args.workers
     if aggs:
-        result = scan.aggregate(*aggs, workers=workers)
+        result = scan.aggregate(*aggs, workers=args.workers)
         for alias, value in result.items():
             if hasattr(value, "tolist"):
                 value = value.tolist()
             print(f"{alias} = {value}")
     else:
-        table = scan.to_table(workers=workers)
+        table = scan.to_table(workers=args.workers)
         print(table.to_string(max_rows=args.limit))
-    print(f"scan: {scan.last_stats}", file=sys.stderr)
     _write_obs_report(args, "query",
                       {"store": str(args.store_dir), "table": args.table,
                        "workers": args.workers})
+    print(f"scan: {scan.last_stats}", file=sys.stderr)
     return 0
 
 
@@ -408,19 +397,16 @@ def _stats(args) -> int:
     """Render either supported ``repro.obs`` file format.
 
     A run report (``repro.obs/1``) is one indented JSON object; a
-    flight-recorder frames file (``repro.obs.frames/1``) is JSONL with
-    one frame per line.  Anything else — including a *future*
-    ``repro.obs*`` schema this build does not know — is a clean error
-    on stderr and exit code 2, never a traceback.
+    frames file (``repro.obs.frames/1``) is JSONL ending in the final
+    frame, so an empty file is a cut-short one.  Anything else raises
+    :class:`FrameSchemaError`.
     """
+    raw = Path(args.report).read_bytes()
+    if not raw.strip():
+        raise FrameSchemaError(f"{args.report}: empty (a run report or a "
+                               "frames file holds at least one JSON object)")
     try:
-        with open(args.report, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        print(f"stats: {exc}", file=sys.stderr)
-        return 2
-    try:
-        payload = json.loads(text)
+        payload = json.loads(raw)
     except ValueError:
         payload = None  # multi-line JSONL (or garbage): handled below
     if isinstance(payload, dict) and payload.get("schema") == obs.SCHEMA:
@@ -431,16 +417,11 @@ def _stats(args) -> int:
             sys.stdout.write(obs.render_report(payload))
         return 0
     if isinstance(payload, dict) and payload.get("schema") != FRAMES_SCHEMA:
-        print(f"stats: {args.report}: unsupported repro.obs schema "
-              f"{payload.get('schema')!r} (this build renders "
-              f"{obs.SCHEMA!r} reports and {FRAMES_SCHEMA!r} frames)",
-              file=sys.stderr)
-        return 2
-    try:
-        frames = list(iter_frames(io.StringIO(text), source=str(args.report)))
-    except FrameSchemaError as exc:
-        print(f"stats: {exc}", file=sys.stderr)
-        return 2
+        raise FrameSchemaError(
+            f"{args.report}: unsupported repro.obs schema "
+            f"{payload.get('schema')!r} (this build renders "
+            f"{obs.SCHEMA!r} reports and {FRAMES_SCHEMA!r} frames)")
+    frames = list(iter_frames(io.BytesIO(raw), source=str(args.report)))
     if args.format == "json":
         json.dump(frames, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -450,21 +431,13 @@ def _stats(args) -> int:
 
 
 def _bench_compare(args) -> int:
-    try:
-        result = compare_dirs(args.parent, args.change, load_contract())
-    except BenchDataError as exc:
-        print(f"bench compare: {exc}", file=sys.stderr)
-        return 2
+    result = compare_dirs(args.parent, args.change, load_contract())
     sys.stdout.write(result.render())
     return 0 if result.passed else 1
 
 
 def _campaign_run(args) -> int:
-    try:
-        spec = load_spec(args.spec)
-    except (OSError, CampaignSpecError) as exc:
-        print(f"campaign run: {exc}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
     summary = run_campaign(spec, args.out, workers=args.workers,
                            force=args.force)
     print(summary.render())
@@ -480,11 +453,7 @@ def _campaign_run(args) -> int:
 
 
 def _campaign_status(args) -> int:
-    try:
-        spec = load_spec(args.spec)
-    except (OSError, CampaignSpecError) as exc:
-        print(f"campaign status: {exc}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
     records = campaign_status(spec, args.out)
     counts = {"hit": 0, "error": 0, "missing": 0}
     for record in records:
@@ -507,17 +476,11 @@ def _campaign_status(args) -> int:
 
 
 def _campaign_report(args) -> int:
-    try:
-        spec = load_spec(args.spec)
-    except (OSError, CampaignSpecError) as exc:
-        print(f"campaign report: {exc}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
     results = load_campaign_results(spec, args.out)
     if not results:
-        print(f"campaign report: no cached results for {spec.name} under "
-              f"{args.out} (run 'borg-repro campaign run' first)",
-              file=sys.stderr)
-        return 1
+        raise ReproError(f"no cached results for {spec.name} under "
+                         f"{args.out} (run 'borg-repro campaign run' first)")
     report = build_report(spec, results)
     text = render_report_json(report) if args.format == "json" \
         else render_report(report)
@@ -535,11 +498,7 @@ def _lint(args) -> int:
         select = sorted({rule_id.strip().upper()
                          for spec in args.select
                          for rule_id in spec.split(",") if rule_id.strip()})
-    try:
-        result = lint_project(args.paths, select=select)
-    except (OSError, ValueError) as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+    result = lint_project(args.paths, select=select)
     return render_lint(result.violations, result.files_total, sys.stdout,
                        format=args.format, statistics=args.statistics,
                        timings=result.timings)
@@ -565,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "per simulated interval per cell) to this file "
                             "(default frames.jsonl); render with "
                             "'borg-repro stats'")
-    p_sim.add_argument("--record-interval", type=float,
+    p_sim.add_argument("--record-interval", type=_positive(float),
                        default=DEFAULT_RECORD_INTERVAL, metavar="SECONDS",
                        help="simulated seconds between frames "
                             "(default: one hour)")
@@ -594,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("dst", help="destination directory")
     p_conv.add_argument("--to", choices=("store", "csv"), default="store",
                         help="target format (default store)")
-    p_conv.add_argument("--chunk-rows", type=int, default=DEFAULT_CHUNK_ROWS,
+    p_conv.add_argument("--chunk-rows", type=_positive(int),
+                        default=DEFAULT_CHUNK_ROWS,
                         help=f"rows per chunk (default {DEFAULT_CHUNK_ROWS})")
     p_conv.set_defaults(func=_convert)
 
@@ -709,8 +669,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place an input error becomes exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        if isinstance(exc, SimulationError):
+            raise  # a simulator bug, not bad input: keep the traceback
+        command = " ".join(getattr(args, key) for key in (
+            "command", "bench_command", "campaign_command") if hasattr(args, key))
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

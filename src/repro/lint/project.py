@@ -23,6 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Unio
 from repro.lint.core import RULES, FileContext, Rule, Violation, parse_noqa
 from repro.lint.graph import ModuleInfo, module_name
 from repro.obs.timing import TimingHistogram
+from repro.util.errors import ReproError
 
 
 @dataclass
@@ -58,7 +59,7 @@ def _selected_rules(select: Optional[Sequence[str]]) -> List[Rule]:
         return [cls() for cls in RULES.values()]
     unknown = sorted(set(select) - set(RULES))
     if unknown:
-        raise ValueError(f"unknown rule ids {unknown}; known: {sorted(RULES)}")
+        raise ReproError(f"unknown rule ids {unknown}; known: {sorted(RULES)}")
     return [RULES[rule_id]() for rule_id in select]
 
 
@@ -70,7 +71,10 @@ def lint_project(paths: Iterable[Union[str, Path]],
     timings = {type(c).id: TimingHistogram() for c in checkers}
     violations: List[Violation] = []
     for path in files:
-        source = path.read_text(encoding="utf-8")
+        try:
+            source = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ReproError(f"{path}: not UTF-8 source ({exc})") from None
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:

@@ -19,7 +19,7 @@ throughput benchmark is well under the 5% budget (enforced by
 ``tests/test_obs_profiler.py``).  Signals are only usable in the main
 thread of the main interpreter, on platforms with ``SIGPROF`` (Linux
 and macOS, the same ones ``--workers`` needs); elsewhere construction
-raises ``ValueError``.
+raises :class:`~repro.util.errors.ReproError`.
 
 The profiler is **off by default** everywhere: no hook is installed and
 no hot-path code pays anything unless ``--profile`` is given (lint rule
@@ -35,6 +35,8 @@ import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
+
+from repro.util.errors import ReproError
 
 #: The profile payload schema embedded in obs run reports.
 PROFILE_SCHEMA = "repro.obs.profile/1"
@@ -78,7 +80,7 @@ class SamplingProfiler:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         if not _signal_engine_available():
-            raise ValueError("the sampling profiler needs setitimer/SIGPROF "
+            raise ReproError("the sampling profiler needs setitimer/SIGPROF "
                              "in the main thread")
         self.interval = float(interval)
         self.max_depth = int(max_depth)

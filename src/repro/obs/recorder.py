@@ -36,15 +36,16 @@ DESIGN.md §11.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, TextIO, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    TextIO, Union)
 
 from repro.obs.registry import MetricsRegistry, get_registry
+from repro.util.errors import ReproError
 from repro.util.timeutil import HOUR_SECONDS
 
 #: The frames schema identifier (bump on incompatible frame layout changes).
@@ -62,8 +63,9 @@ DEFAULT_INTERVAL = HOUR_SECONDS
 SINK_BUFFER_FRAMES = 8
 
 
-class FrameSchemaError(ValueError):
-    """A frames file with a missing, foreign, or unsupported schema."""
+class FrameSchemaError(ReproError):
+    """An obs file that is empty, not JSON, or of a missing, foreign, or
+    unsupported schema."""
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +177,10 @@ def frames_fingerprint(frames: List[dict]) -> str:
     return h.hexdigest()
 
 
-def iter_frames(stream: Union[TextIO, io.TextIOBase],
+def iter_frames(stream: Iterable[Union[str, bytes]],
                 source: str = "<frames>") -> Iterator[dict]:
-    """Parse frames from an open JSONL stream, validating each schema."""
+    """Parse frames from an open JSONL stream (text or bytes), validating
+    each schema."""
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, NamedTuple, Sequence, Union
 
+from repro.util.errors import ReproError
+
 #: The benchmark contract of this checkout (``src/repro/obs`` -> root).
 CONTRACT = Path(__file__).resolve().parents[3] / "BENCHMARK.json"
 
@@ -32,7 +34,7 @@ CONTRACT = Path(__file__).resolve().parents[3] / "BENCHMARK.json"
 FAILED = "failed/attempted"
 
 
-class BenchDataError(ValueError):
+class BenchDataError(ReproError):
     """A contract or result file the gate cannot read."""
 
 
@@ -60,8 +62,6 @@ def load_contract(path: Union[str, os.PathLike] = CONTRACT) -> Contract:
         workloads = [str(w["name"]) for w in payload["workloads"]]
         metrics = [Metric(str(m["name"]), m["better"], float(m["bound"]))
                    for m in payload["end_to_end"]]
-    except OSError as exc:
-        raise BenchDataError(f"{path}: {exc.strerror or exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise BenchDataError(
             f"{path}: not a benchmark contract ({exc!r})") from None
@@ -75,10 +75,7 @@ def load_contract(path: Union[str, os.PathLike] = CONTRACT) -> Contract:
 
 def load_runs(path: Path, names: Sequence[str]) -> List[Run]:
     """The runs of one ``<workload>.jsonl`` file (blank lines skipped)."""
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise BenchDataError(f"{path}: {exc.strerror or exc}") from None
+    lines = path.read_bytes().splitlines()  # json.loads decodes UTF-8
     runs = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip():

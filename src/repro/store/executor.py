@@ -16,6 +16,7 @@ by addition — reusing :func:`repro.stats.histogram.histogram`).
 
 from __future__ import annotations
 
+import numbers
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.stats.histogram import histogram
 from repro.store.format import read_chunk
 from repro.store.predicates import Predicate
 from repro.table.table import Table
-from repro.util.errors import SchemaError
+from repro.util.errors import QueryError, SchemaError
 
 AGG_KINDS = ("count", "sum", "min", "max", "mean", "histogram")
 
@@ -37,19 +38,18 @@ class Agg:
                  edges: Optional[Sequence[float]] = None,
                  alias: Optional[str] = None):
         if kind not in AGG_KINDS:
-            raise ValueError(f"unknown aggregate {kind!r}; use one of {AGG_KINDS}")
+            raise QueryError(f"unknown aggregate {kind!r}; use one of {AGG_KINDS}")
         if kind != "count" and column is None:
-            raise ValueError(f"aggregate {kind!r} needs a column")
-        if kind == "histogram" and edges is None:
-            raise ValueError("histogram aggregate needs bucket edges")
+            raise QueryError(f"aggregate {kind!r} needs a column")
         self.edges = tuple(edges) if edges is not None else None
-        if self.edges is not None and (
-                len(self.edges) < 2
+        if (kind == "histogram" or edges is not None) and (
+                self.edges is None or len(self.edges) < 2
+                or not all(isinstance(e, numbers.Real) for e in self.edges)
                 or any(not a < b for a, b in zip(self.edges, self.edges[1:]))):
             # Checked here, not in the chunk tasks: a pooled scan would
             # otherwise fail in a worker after every chunk was dispatched.
-            raise ValueError("histogram edges must be at least two strictly "
-                             f"increasing values, got {list(self.edges)}")
+            raise QueryError("histogram edges must be at least two strictly "
+                             f"increasing numbers, got {edges!r}")
         self.kind = kind
         self.column = column
         self.alias = alias or (kind if column is None else f"{kind}({column})")

@@ -195,10 +195,6 @@ class Manifest:
     # -- reader side ---------------------------------------------------------
 
     @property
-    def meta(self) -> dict:
-        return self.data["meta"]
-
-    @property
     def table_names(self) -> List[str]:
         return list(self.data["tables"])
 

@@ -13,7 +13,8 @@ Every predicate answers two questions:
 Before either runs, :meth:`Predicate.check_kinds` rejects an ordering
 (``<``, ``between``, ...) whose value cannot be ordered against the
 column's kind, e.g. ``tier < 5`` on a string column: that is a
-``ValueError`` at plan time, not a ``TypeError`` from inside a chunk.
+:class:`~repro.util.errors.QueryError` at plan time, not a
+``TypeError`` from inside a chunk.
 
 Predicates are plain data objects, not closures, so the parallel
 executor can ship them to worker processes, and scans can reason about
@@ -28,6 +29,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple
 import numpy as np
 
 from repro.table.table import Table
+from repro.util.errors import QueryError
 
 Stats = Dict[str, Dict[str, object]]
 
@@ -49,7 +51,7 @@ class Predicate:
         raise NotImplementedError
 
     def check_kinds(self, kinds: Mapping[str, str]) -> None:
-        """Raise ``ValueError`` if an ordering's value cannot be ordered
+        """Raise :class:`QueryError` if an ordering's value cannot be ordered
         against its column's kind (``kinds``: column name -> kind)."""
 
     def __and__(self, other: "Predicate") -> "Predicate":
@@ -68,7 +70,7 @@ def _check_orderable(kinds: Mapping[str, str], column: str, value) -> None:
         return
     expected = str if kind == "str" else numbers.Real
     if not isinstance(value, expected):
-        raise ValueError(f"cannot order {kind} column {column!r} "
+        raise QueryError(f"cannot order {kind} column {column!r} "
                          f"against {value!r}")
 
 
@@ -85,7 +87,7 @@ class Compare(Predicate):
 
     def __init__(self, column: str, op: str, value):
         if op not in _OPS:
-            raise ValueError(f"unknown operator {op!r}; use one of {_OPS}")
+            raise QueryError(f"unknown operator {op!r}; use one of {_OPS}")
         self.column = column
         self.op = op
         self.value = value

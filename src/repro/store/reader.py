@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.store.manifest import Manifest
+from repro.store.manifest import MANIFEST_FILE, Manifest
 from repro.store.scan import Scan
 from repro.table.column import empty_column
 from repro.table.table import Table
+from repro.util.errors import SchemaError
 
 
 class TraceStore:
@@ -35,7 +36,9 @@ class TraceStore:
 
     @property
     def meta(self) -> dict:
-        return self.manifest.meta
+        """The trace metadata, checked by ``check_meta``."""
+        return check_meta(self.manifest.data.get("meta"),
+                          self.path / MANIFEST_FILE)
 
     @property
     def table_names(self) -> List[str]:
@@ -113,6 +116,7 @@ class _LazyTables(Mapping):
 # Imported late to dodge the repro.trace <-> repro.store import cycle
 # (trace.io imports the writer/reader; the dataset only needs the class).
 from repro.trace.dataset import SCHEMA_2019, TraceDataset
+from repro.trace.schema import check_meta
 
 
 @dataclass
@@ -135,7 +139,7 @@ class StoreBackedTraceDataset(TraceDataset):
                     f"table {name!r} has columns {got}, expected {columns}"
                 )
         if problems:
-            raise ValueError("; ".join(problems))
+            raise SchemaError("; ".join(problems))
 
     @property
     def loaded_tables(self) -> List[str]:

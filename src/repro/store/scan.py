@@ -76,8 +76,9 @@ class Scan:
     def where(self, predicate: Predicate) -> "Scan":
         """AND another predicate onto the scan (filter pushdown).
 
-        Raises ``ValueError`` when the predicate orders a column against
-        a value of another kind (:meth:`Predicate.check_kinds`).
+        Raises :class:`~repro.util.errors.QueryError` when the predicate
+        orders a column against a value of another kind
+        (:meth:`Predicate.check_kinds`).
         """
         predicate.check_kinds(self._store.manifest.column_kinds(self._table))
         combined = predicate if self._predicate is None \

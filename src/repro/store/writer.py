@@ -22,7 +22,7 @@ from repro import obs
 from repro.store.format import write_chunk
 from repro.store.manifest import Manifest, chunk_stats
 from repro.table.table import Table
-from repro.trace.schema import TIME_COLUMNS
+from repro.trace.schema import TIME_COLUMNS, trace_meta
 from repro.util.fs import atomic_directory
 
 #: Default rows per chunk.  Small enough that a 48-hour cell yields tens
@@ -51,17 +51,8 @@ def write_store(trace, directory: Union[str, os.PathLike],
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    meta = {
-        "cell": trace.cell,
-        "era": trace.era,
-        "horizon": trace.horizon,
-        "sample_period": trace.sample_period,
-        "utc_offset_hours": trace.utc_offset_hours,
-        "capacity_cpu": trace.capacity_cpu,
-        "capacity_mem": trace.capacity_mem,
-    }
     with obs.span("store.write"), atomic_directory(directory) as tmp:
-        manifest = Manifest.new(meta, chunk_rows)
+        manifest = Manifest.new(trace_meta(trace), chunk_rows)
         for name, table in trace.tables.items():
             key = DEFAULT_CLUSTER_BY.get(name)
             if key is not None and key in table and len(table) > 1:

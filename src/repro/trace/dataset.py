@@ -7,6 +7,7 @@ from typing import Dict
 
 from repro.table import Table
 from repro.trace.schema import TABLE_COLUMNS, empty_table
+from repro.util.errors import SchemaError
 from repro.util.timeutil import HOUR_SECONDS
 
 #: Schema of each 2019-style table (column name order is canonical).
@@ -39,7 +40,7 @@ class TraceDataset:
                 self.tables[name] = empty_table(name)
             got = self.tables[name].column_names
             if got != columns:
-                raise ValueError(
+                raise SchemaError(
                     f"table {name!r} has columns {got}, expected {columns}"
                 )
 

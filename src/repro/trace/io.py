@@ -26,23 +26,12 @@ from repro.store.reader import TraceStore
 from repro.store.writer import DEFAULT_CHUNK_ROWS, write_store
 from repro.table import read_csv, write_csv
 from repro.trace.dataset import SCHEMA_2019, TraceDataset
+from repro.trace.schema import check_meta, trace_meta
 from repro.util.errors import SchemaError
 from repro.util.fs import atomic_directory
 
 _META_FILE = "metadata.json"
 FORMATS = ("csv", "store")
-
-
-def _trace_meta(trace: TraceDataset) -> dict:
-    return {
-        "cell": trace.cell,
-        "era": trace.era,
-        "horizon": trace.horizon,
-        "sample_period": trace.sample_period,
-        "utc_offset_hours": trace.utc_offset_hours,
-        "capacity_cpu": trace.capacity_cpu,
-        "capacity_mem": trace.capacity_mem,
-    }
 
 
 def save_trace(trace: TraceDataset, directory: Union[str, os.PathLike],
@@ -62,7 +51,7 @@ def save_trace(trace: TraceDataset, directory: Union[str, os.PathLike],
         for name, table in trace.tables.items():
             write_csv(table, tmp / f"{name}.csv")
         with open(tmp / _META_FILE, "w") as f:
-            json.dump(_trace_meta(trace), f, indent=2)
+            json.dump(trace_meta(trace), f, indent=2)
 
 
 def detect_format(directory: Union[str, os.PathLike]) -> Optional[str]:
@@ -98,8 +87,11 @@ def load_trace(directory: Union[str, os.PathLike],
     meta_path = path / _META_FILE
     if not meta_path.exists():
         raise SchemaError(f"no trace metadata at {meta_path}")
-    with open(meta_path) as f:
-        meta = json.load(f)
+    try:
+        meta = json.loads(meta_path.read_bytes())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise SchemaError(f"{meta_path} is not JSON: {exc}") from None
+    check_meta(meta, meta_path)
     tables = {}
     problems: List[str] = []
     for name, columns in SCHEMA_2019.items():

@@ -12,14 +12,17 @@ Two derived views are computed from the same declaration:
 * :data:`TABLE_COLUMNS` — name -> ordered tuple of column names;
 * :data:`TIME_COLUMNS` — name -> the column that orders the table in
   time (used for store clustering and the event-time invariants).
+
+A trace's metadata fields are declared here too (:data:`META_FIELDS`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.table.column import empty_column
 from repro.table.table import Table
+from repro.util.errors import SchemaError
 
 #: Per-table column declarations: ``name -> ((column, kind), ...)``.
 #: Order is canonical — writers emit and readers verify this order.
@@ -108,6 +111,30 @@ TIME_COLUMNS: Dict[str, str] = {
 EVENT_TABLES: Tuple[str, ...] = tuple(
     name for name, col in TIME_COLUMNS.items() if col == "time"
 )
+
+
+#: A trace's metadata fields, in ``TraceDataset`` (and written) order.
+META_FIELDS: Tuple[str, ...] = ("cell", "era", "horizon", "sample_period",
+                                "utc_offset_hours", "capacity_cpu",
+                                "capacity_mem")
+
+
+def trace_meta(trace) -> Dict[str, object]:
+    """The :data:`META_FIELDS` of ``trace`` (a ``TraceDataset``)."""
+    return {name: getattr(trace, name) for name in META_FIELDS}
+
+
+def check_meta(meta: object, source: object) -> Dict[str, Any]:
+    """``meta``, if it is a mapping of exactly the :data:`META_FIELDS` with
+    era 2011 or 2019; else a :class:`SchemaError` naming ``source``."""
+    if not isinstance(meta, dict) or set(meta) != set(META_FIELDS):
+        got = sorted(meta) if isinstance(meta, dict) else type(meta).__name__
+        raise SchemaError(f"{source}: trace metadata needs exactly the fields "
+                          f"{list(META_FIELDS)}, got {got}")
+    if meta["era"] not in ("2011", "2019"):
+        raise SchemaError(f"{source}: era must be '2011' or '2019', "
+                          f"got {meta['era']!r}")
+    return meta
 
 
 def columns_of(table: str) -> List[str]:

@@ -2,7 +2,8 @@
 
 Every error raised deliberately by this library derives from
 :class:`ReproError`, so callers can catch library failures without
-swallowing programming errors such as ``TypeError``.
+swallowing programming errors such as ``TypeError``; ``repro.cli.main``
+turns one into a one-line error and exit code 2 (DESIGN.md §16).
 """
 
 
@@ -16,6 +17,10 @@ class SchemaError(ReproError):
     Raised by the columnar engine for mismatched column lengths or unknown
     column names, and by trace readers for malformed trace files.
     """
+
+
+class QueryError(ReproError):
+    """A store query that cannot be planned (a bad clause or aggregate)."""
 
 
 class SimulationError(ReproError):

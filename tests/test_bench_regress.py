@@ -107,7 +107,7 @@ class TestContract:
                             "bound": 0}]}))
         with pytest.raises(BenchDataError, match="a bound > 0"):
             load_contract(bad)
-        with pytest.raises(BenchDataError):
+        with pytest.raises(OSError):
             load_contract(tmp_path / "missing.json")
 
 
@@ -124,7 +124,7 @@ class TestLoading:
             path.write_text(body + "\n")
             with pytest.raises(BenchDataError, match=match):
                 load_runs(path, NAMES)
-        with pytest.raises(BenchDataError):
+        with pytest.raises(OSError):
             load_runs(tmp_path / "missing.jsonl", NAMES)
 
     def test_reads_one_run_per_line(self, tmp_path):

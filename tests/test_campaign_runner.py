@@ -225,13 +225,6 @@ class TestCli:
         assert main(["campaign", "run", str(bad)]) == 2
         assert "campaign run:" in capsys.readouterr().err
 
-    def test_report_without_results_exits_1(self, spec_file, tmp_path,
-                                            capsys):
-        rc = main(["campaign", "report", str(spec_file), "--out",
-                   str(tmp_path / "empty")])
-        assert rc == 1
-        assert "no cached results" in capsys.readouterr().err
-
     def test_status_text_lists_points(self, spec_file, tmp_path, capsys):
         rc = main(["campaign", "status", str(spec_file), "--out",
                    str(tmp_path / "none")])

@@ -294,8 +294,10 @@ class TestQuery:
 
 class TestOlderStoreFormat:
     """A store whose manifest the reader rejects (here: an older format
-    version) ends ``query`` and ``validate`` with one stderr line that
-    keeps the ``borg-repro convert`` hint, and exit code 2."""
+    version) ends ``query`` with one stderr line that keeps the
+    ``borg-repro convert`` hint, and exit code 2, through the console
+    entry in a subprocess.  The in-process rows of every command are in
+    ``tests/test_cli_input_faults.py``."""
 
     @pytest.fixture
     def old_store(self, store_dir, tmp_path):
@@ -317,7 +319,6 @@ class TestOlderStoreFormat:
 
     @pytest.mark.parametrize("argv", [
         ("query", "{store}", "instance_usage", "--agg", "count"),
-        ("validate", "{store}"),
     ])
     def test_one_line_and_exit_2(self, old_store, argv):
         proc = self._cli(*(a.format(store=old_store) for a in argv))
@@ -336,15 +337,3 @@ class TestReport:
         assert rc == 0
         text = out.read_text()
         assert "Table 1" in text and "Figure 12" in text
-
-    def test_report_missing_dir(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["report", str(empty)]) == 1
-
-    def test_report_needs_both_eras(self, trace_dirs, tmp_path):
-        import shutil
-        only_2019 = tmp_path / "only2019"
-        only_2019.mkdir()
-        shutil.copytree(trace_dirs / "d", only_2019 / "d")
-        assert main(["report", str(only_2019)]) == 1

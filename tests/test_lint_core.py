@@ -21,6 +21,7 @@ from repro.lint import (
     render_text,
     rule,
 )
+from repro.util.errors import ReproError
 
 SIM_PATH = "src/repro/sim/fixture.py"
 
@@ -62,7 +63,7 @@ def test_rule_decorator_rejects_duplicate_ids():
 
 
 def test_unknown_select_raises(lint_fixture):
-    with pytest.raises(ValueError, match="RPR042"):
+    with pytest.raises(ReproError, match="RPR042"):
         lint_fixture("x = 1\n", "a.py", select=["RPR042"])
 
 

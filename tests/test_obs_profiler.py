@@ -21,6 +21,7 @@ from repro.obs.profiler import (
     SamplingProfiler,
     _signal_engine_available,
 )
+from repro.util.errors import ReproError
 
 needs_signal = pytest.mark.skipif(
     not _signal_engine_available(),
@@ -52,7 +53,7 @@ class TestConstruction:
             SamplingProfiler(interval=0.0)
         monkeypatch.setattr(profiler_mod, "_signal_engine_available",
                             lambda: False)
-        with pytest.raises(ValueError, match="SIGPROF"):
+        with pytest.raises(ReproError, match="SIGPROF"):
             SamplingProfiler()
 
     def test_double_start_raises(self):

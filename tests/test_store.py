@@ -49,7 +49,7 @@ from repro.store.format import MAGIC
 from repro.table import Table, concat
 from repro.trace import load_trace, save_trace
 from repro.trace.dataset import SCHEMA_2019, TraceDataset
-from repro.util.errors import SchemaError
+from repro.util.errors import QueryError, SchemaError
 
 
 def _dataset(usage_rows=2000, chunk_seed=0):
@@ -512,7 +512,7 @@ class TestPredicates:
         np.testing.assert_array_equal(clone.mask(table), pred.mask(table))
 
     def test_unknown_operator(self):
-        with pytest.raises(ValueError, match="unknown operator"):
+        with pytest.raises(QueryError, match="unknown operator"):
             Compare("x", "~=", 1)
 
 
@@ -854,7 +854,7 @@ class TestScan:
                      Between("start_time", "a", "b"),
                      Between("start_time", 0, "b"),
                      Compare("start_time", ">=", 0) & Compare("tier", ">", 1.5)):
-            with pytest.raises(ValueError, match="cannot order"):
+            with pytest.raises(QueryError, match="cannot order"):
                 scan.where(pred)
         # Orderings within a kind, and equality across kinds, still plan.
         ok = scan.where(Compare("tier", "<", "prod")
@@ -1036,15 +1036,16 @@ class TestExecutor:
                               [Agg("sum", "tier")])
 
     def test_agg_validation(self):
-        with pytest.raises(ValueError, match="unknown aggregate"):
+        with pytest.raises(QueryError, match="unknown aggregate"):
             Agg("median", "x")
-        with pytest.raises(ValueError, match="needs a column"):
+        with pytest.raises(QueryError, match="needs a column"):
             Agg("sum")
-        with pytest.raises(ValueError, match="edges"):
+        with pytest.raises(QueryError, match="edges"):
             Agg("histogram", "x")
         # Bad edges fail here, before a pooled scan dispatches a chunk.
-        for edges in ([0.5], [0.5, 0.1], [0, 1, 1], [0, float("nan")]):
-            with pytest.raises(ValueError, match="strictly increasing"):
+        for edges in ([0.5], [0.5, 0.1], [0, 1, 1], [0, float("nan")],
+                      ["a", "b"]):
+            with pytest.raises(QueryError, match="strictly increasing"):
                 Agg("histogram", "x", edges=edges)
 
     def test_aggs_are_picklable(self):
@@ -1083,7 +1084,7 @@ class TestLazyDataset:
         manifest["tables"]["machine_attributes"]["columns"] = [
             {"name": "bogus", "kind": "int"}]
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(SchemaError) as err:
             load_trace(path)
         message = str(err.value)
         assert "machine_events" in message

@@ -59,7 +59,7 @@ class TestEncode:
 
     def test_bad_schema_rejected(self):
         tables = {"collection_events": Table({"nope": [1]})}
-        with pytest.raises(ValueError, match="expected"):
+        with pytest.raises(SchemaError, match="expected"):
             TraceDataset(cell="x", era="2019", horizon=1.0, sample_period=300.0,
                          utc_offset_hours=0.0, capacity_cpu=1.0,
                          capacity_mem=1.0, tables=tables)
