@@ -108,11 +108,15 @@ def _write_obs_report(args, command: str, meta: dict,
     print(f"obs report written to {args.obs_out}", file=sys.stderr)
 
 
-def _positive(cast):
-    """An argparse ``type``: ``cast(text)``, which must be above zero."""
+def _positive(cast, zero: bool = False):
+    """An argparse ``type``: ``cast(text)``, which must be above zero (or
+    at least zero, with ``zero``)."""
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
+        if zero and not value >= 0:
+            raise argparse.ArgumentTypeError(
+                f"must not be negative, got {text}")
+        if not zero and not value > 0:
             raise argparse.ArgumentTypeError(f"must be above zero, got {text}")
         return value
     parse.__name__ = cast.__name__  # argparse's "invalid int value" names it
@@ -578,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--workers", type=int, default=None,
                          help="worker processes for the parallel executor "
                               "(default: serial)")
-    p_query.add_argument("--limit", type=int, default=10,
+    p_query.add_argument("--limit", type=_positive(int, zero=True), default=10,
                          help="max rows to print without --agg (default 10)")
     _add_obs_out_arg(p_query)
     p_query.set_defaults(func=_query)

@@ -6,12 +6,13 @@ This package is that idea at laptop scale:
 
 * :mod:`~repro.store.format` — a typed, columnar row-group chunk file;
 * :mod:`~repro.store.manifest` — JSON schema and chunk index with
-  per-chunk min/max statistics (≈ partition metadata + clustering),
-  parsed once per process;
-* :mod:`~repro.store.predicates` — picklable filters that prune chunks
-  from statistics alone;
+  per-chunk min/max statistics and NaN counts (≈ partition metadata +
+  clustering) under a CRC-32, parsed once per process;
+* :mod:`~repro.store.predicates` — picklable filters whose verdict per
+  chunk, from statistics alone, is no row, every row, or a residual;
 * :mod:`~repro.store.scan` — lazy scans with projection and predicate
-  pushdown;
+  pushdown: skipped chunks are never opened, and a count over chunks
+  wholly inside the predicate is their manifest row count;
 * :mod:`~repro.store.executor` — scan → filter → partial-aggregate chunk
   tasks with associative merge, run inline or fanned out by
   :func:`repro.obs.fan_out`; every chunk any reader decodes goes through
@@ -33,7 +34,7 @@ Quick tour::
                         & Compare("tier", "==", "prod"))
                  .select("avg_cpu", "duration"))
     result = busy.aggregate(Agg("sum", "avg_cpu"), Agg("count"), workers=4)
-    print(result, busy.last_stats)   # ... chunks 3/40 decoded (37 skipped) ...
+    print(result, busy.last_stats)  # chunks 3/40 decoded (37 skipped), ...
 """
 
 from repro.obs.fanout import default_workers

@@ -1,9 +1,10 @@
 """Parallel scan -> filter -> partial-aggregate executor.
 
-The BigQuery stand-in's execution model: every surviving chunk (after
-manifest pruning) becomes one independent task — decode the needed
-columns, apply the predicate mask, compute *partial* aggregates — and
-partials merge associatively at the end.  :func:`run_chunk_task` is the
+The BigQuery stand-in's execution model: every chunk that must be read
+(after the manifest's verdicts, see :mod:`repro.store.scan`) becomes
+one independent task — decode the needed columns, apply the residual
+predicate's mask, compute *partial* aggregates — and partials merge
+associatively at the end.  :func:`run_chunk_task` is the
 unit of work that :func:`repro.obs.fan_out` ships to worker processes
 when a scan runs with ``workers > 1``; everything in a task (chunk path,
 schema and row count, predicate, aggregate specs) is plain picklable
@@ -125,11 +126,11 @@ def merge_partials(partials: Sequence[Dict[str, object]],
 # -- chunk tasks --------------------------------------------------------------
 
 #: One task: (chunk path, the table's ``(name, kind)`` schema, the
-#: chunk's row count, columns to decode, predicate or None, columns to
-#: keep after filtering, reducer).  Schema and row count come from the
-#: manifest, which workers never open.  The reducer is a tuple of Agg
-#: specs, a picklable callable ``Table -> payload``, or None (return the
-#: filtered projection itself).
+#: chunk's row count, columns to decode, the residual predicate or None
+#: when every row matches, columns to keep after filtering, reducer).
+#: Schema and row count come from the manifest, which workers never
+#: open.  The reducer is a tuple of Agg specs, a picklable callable
+#: ``Table -> payload``, or None (return the filtered projection itself).
 ChunkTask = Tuple[str, Tuple[Tuple[str, str], ...], int, Tuple[str, ...],
                   Optional[Predicate], Tuple[str, ...], object]
 

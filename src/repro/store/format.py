@@ -65,12 +65,13 @@ those bytes.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 import struct
 import zlib
 from itertools import accumulate
-from typing import BinaryIO, NoReturn, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -263,7 +264,7 @@ def _read_chunk(f: BinaryIO, schema: Schema, rows: int,
         raise SchemaError(f"chunk payload lengths do not fill the file: its "
                           f"directory lists {listed} payload bytes, the file "
                           f"holds {held}")
-    index = {name: i for i, (name, _) in enumerate(schema)}
+    index = _column_index(tuple(schema))
     wanted = list(index) if columns is None else list(columns)
     starts = list(accumulate(lengths, initial=header_size))
     decoded = {}
@@ -282,6 +283,13 @@ def _read_chunk(f: BinaryIO, schema: Schema, rows: int,
     registry.inc("store.chunks_read")
     registry.inc("store.bytes_read", bytes_read)
     return Table(decoded)
+
+
+@functools.lru_cache(maxsize=64)
+def _column_index(schema: Tuple[Tuple[str, str], ...]) -> Dict[str, int]:
+    """Column name -> directory position, built once per schema (a scan
+    reads every chunk of a table against one schema)."""
+    return {name: i for i, (name, _) in enumerate(schema)}
 
 
 def _reject_magic(magic: bytes) -> NoReturn:

@@ -2,13 +2,33 @@
 
 Every predicate answers two questions:
 
-* :meth:`Predicate.maybe_matches` — given a chunk's ``{column: {"min",
-  "max"}}`` statistics, *could* any row match?  ``False`` proves the
-  chunk is irrelevant and it is skipped without decoding (pushdown).
-  ``True`` is conservative: statistics can never prove a match, only
-  rule one out.
+* :meth:`Predicate.verdicts` — given every chunk's statistics
+  (:meth:`~repro.store.manifest.Manifest.bounds`), one verdict per
+  chunk: ``False`` when no row can match (the chunk is skipped without
+  decoding: pushdown), ``True`` when every row matches (nothing is
+  filtered), else the residual predicate the chunk's rows still need.
+  For a conjunction the residual is the parts not proved true there.
 * :meth:`Predicate.mask` — given a decoded :class:`Table`, the exact
   boolean row mask.
+
+A part is proved by evaluating its own :meth:`~Predicate.mask` on the
+chunks' bounds, each a column of the stored column's kind, so the
+proof and the row test share one comparison and one dtype promotion
+(an ``int`` column against a ``float`` value compares as float64 in
+both).  "Every row" is proved two ways:
+
+* when a chunk's min equals its max, every row holds that value, and
+  the mask at the min is the answer for any part;
+* for a part whose matching values form an interval — ``between``,
+  ``==``, ``<``, ``<=``, ``>`` and ``>=`` — every row matches when
+  both the min and the max do.
+
+Both need a chunk without NaN in the column: bounds skip NaN, which no
+ordering matches and ``!=`` always does.  "No row" needs only the
+bounds: an interval part that the max falls below or the min above,
+an ``in`` whose values all lie outside, or a single-valued chunk the
+mask rejects.  Anything unproved stays a residual, so statistics never
+change an answer, only how much of it is computed.
 
 Before either runs, :meth:`Predicate.check_kinds` rejects an ordering
 (``<``, ``between``, ...) whose value cannot be ordered against the
@@ -24,14 +44,21 @@ which columns they touch.
 from __future__ import annotations
 
 import numbers
-from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.store.manifest import ColumnBounds
+from repro.table.column import Column
 from repro.table.table import Table
 from repro.util.errors import QueryError
 
-Stats = Dict[str, Dict[str, object]]
+#: One chunk's verdict: ``False`` (no row matches), ``True`` (every row
+#: matches) or the residual predicate its rows still need.
+Verdict = Union[bool, "Predicate"]
+
+#: Per chunk: (no row can match, every row matches).
+Proofs = Tuple[np.ndarray, np.ndarray]
 
 _OPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -44,8 +71,38 @@ class Predicate:
     def columns(self) -> Set[str]:
         raise NotImplementedError
 
-    def maybe_matches(self, stats: Stats) -> bool:
+    def conjuncts(self) -> Sequence["Predicate"]:
+        """The parts a verdict proves, and may drop, one by one."""
+        return (self,)
+
+    def proofs(self, bounds: Mapping[str, ColumnBounds],
+               chunks: int) -> Proofs:
+        """What ``bounds`` prove of each chunk: (no row can match, every
+        row matches), for a conjunct (see the module docstring)."""
         raise NotImplementedError
+
+    def verdicts(self, bounds: Mapping[str, ColumnBounds],
+                 chunks: int) -> List[Verdict]:
+        """One :data:`Verdict` per chunk, from the statistics of all
+        ``chunks`` chunks."""
+        parts = self.conjuncts()
+        proofs = [part.proofs(bounds, chunks) for part in parts]
+        pruned = np.logical_or.reduce([none for none, _ in proofs])
+        unproved = ~np.array([every for _, every in proofs], dtype=bool)
+        residuals: Dict[Tuple[bool, ...], Verdict] = {}
+        out: List[Verdict] = []
+        for none, key in zip(pruned.tolist(), map(tuple, unproved.T.tolist())):
+            if none:
+                out.append(False)
+                continue
+            residual = residuals.get(key)
+            if residual is None:
+                kept = [part for part, keep in zip(parts, key) if keep]
+                residual = residuals[key] = (
+                    True if not kept else kept[0] if len(kept) == 1
+                    else And(*kept))
+            out.append(residual)
+        return out
 
     def mask(self, table: Table) -> np.ndarray:
         raise NotImplementedError
@@ -74,15 +131,42 @@ def _check_orderable(kinds: Mapping[str, str], column: str, value) -> None:
                          f"against {value!r}")
 
 
-def _bounds(stats: Stats, column: str) -> Tuple[object, object]:
-    """(min, max) for ``column``, or ``(None, None)`` when unknown."""
-    entry = stats.get(column)
-    if not entry:
-        return None, None
-    return entry.get("min"), entry.get("max")
+class _ColumnTest(Predicate):
+    """A test of one column's values; subclasses say which interval
+    bounds rule a chunk out (:meth:`_outside`)."""
+
+    column: str
+    #: Whether the matching values form an interval of the column's order.
+    interval = True
+
+    def columns(self) -> Set[str]:
+        return {self.column}
+
+    def proofs(self, bounds: Mapping[str, ColumnBounds],
+               chunks: int) -> Proofs:
+        stats = bounds.get(self.column)
+        if stats is None:
+            return np.zeros(chunks, dtype=bool), np.zeros(chunks, dtype=bool)
+        try:
+            at_lo = self.mask(Table({self.column: stats.lo}))
+            at_hi = self.mask(Table({self.column: stats.hi}))
+            outside = self._outside(stats.lo, stats.hi, at_lo, at_hi)
+            single = stats.nan_free & (stats.lo.values == stats.hi.values)
+        except TypeError:
+            # Bounds of another kind than the value (a str column
+            # against a number): nothing is proved.
+            return np.zeros(chunks, dtype=bool), np.zeros(chunks, dtype=bool)
+        every = at_lo & at_hi & (stats.nan_free if self.interval else single)
+        none = (stats.known & outside) | (single & ~at_lo)
+        return none, every
+
+    def _outside(self, lo: Column, hi: Column, at_lo: np.ndarray,
+                 at_hi: np.ndarray) -> np.ndarray:
+        """Per chunk: its bounds show no value in ``[lo, hi]`` matches."""
+        raise NotImplementedError
 
 
-class Compare(Predicate):
+class Compare(_ColumnTest):
     """``column <op> value`` for a scalar value."""
 
     def __init__(self, column: str, op: str, value):
@@ -91,31 +175,16 @@ class Compare(Predicate):
         self.column = column
         self.op = op
         self.value = value
+        self.interval = op != "!="
 
-    def columns(self) -> Set[str]:
-        return {self.column}
-
-    def maybe_matches(self, stats: Stats) -> bool:
-        lo, hi = _bounds(stats, self.column)
-        if lo is None:
-            return True
-        v, op = self.value, self.op
-        try:
-            if op == "==":
-                return lo <= v <= hi
-            if op == "!=":
-                return not (lo == hi == v)
-            if op == "<":
-                return lo < v
-            if op == "<=":
-                return lo <= v
-            if op == ">":
-                return hi > v
-            return hi >= v
-        except TypeError:
-            # Incomparable stat/value types (e.g. str stats vs numeric
-            # predicate): never prune on type confusion.
-            return True
+    def _outside(self, lo, hi, at_lo, at_hi):
+        if self.op in ("<", "<="):
+            return ~at_lo  # the smallest value fails, so every one does
+        if self.op in (">", ">="):
+            return ~at_hi
+        if self.op == "==":
+            return (lo > self.value) | (hi < self.value)
+        return np.zeros(len(lo), dtype=bool)  # != : only a single value
 
     def mask(self, table: Table) -> np.ndarray:
         column = table.column(self.column)
@@ -133,7 +202,7 @@ class Compare(Predicate):
         return f"({self.column} {self.op} {self.value!r})"
 
 
-class Between(Predicate):
+class Between(_ColumnTest):
     """Inclusive range test (SQL ``BETWEEN``) — the time-window workhorse."""
 
     def __init__(self, column: str, lo, hi):
@@ -141,17 +210,8 @@ class Between(Predicate):
         self.lo = lo
         self.hi = hi
 
-    def columns(self) -> Set[str]:
-        return {self.column}
-
-    def maybe_matches(self, stats: Stats) -> bool:
-        lo, hi = _bounds(stats, self.column)
-        if lo is None:
-            return True
-        try:
-            return hi >= self.lo and lo <= self.hi
-        except TypeError:
-            return True
+    def _outside(self, lo, hi, at_lo, at_hi):
+        return ~(hi >= self.lo) | ~(lo <= self.hi)
 
     def mask(self, table: Table) -> np.ndarray:
         values = table.column(self.column).values
@@ -165,24 +225,20 @@ class Between(Predicate):
         return f"({self.column} between {self.lo!r} and {self.hi!r})"
 
 
-class IsIn(Predicate):
+class IsIn(_ColumnTest):
     """Membership in a finite value set."""
+
+    interval = False
 
     def __init__(self, column: str, values: Iterable):
         self.column = column
         self.values = tuple(values)
 
-    def columns(self) -> Set[str]:
-        return {self.column}
-
-    def maybe_matches(self, stats: Stats) -> bool:
-        lo, hi = _bounds(stats, self.column)
-        if lo is None:
-            return True
-        try:
-            return any(lo <= v <= hi for v in self.values)
-        except TypeError:
-            return True
+    def _outside(self, lo, hi, at_lo, at_hi):
+        out = np.ones(len(lo), dtype=bool)
+        for value in self.values:
+            out &= (lo > value) | (hi < value)
+        return out
 
     def mask(self, table: Table) -> np.ndarray:
         return table.column(self.column).isin(self.values)
@@ -195,22 +251,19 @@ class And(Predicate):
     """Conjunction; nested ``And`` parts flatten into one."""
 
     def __init__(self, *parts: Predicate):
-        flat = []
+        flat: List[Predicate] = []
         for part in parts:
-            if isinstance(part, And):
-                flat.extend(part.parts)
-            else:
-                flat.append(part)
-        self.parts: Sequence[Predicate] = tuple(flat)
+            flat.extend(part.conjuncts())
+        self.parts: Tuple[Predicate, ...] = tuple(flat)
+
+    def conjuncts(self) -> Sequence[Predicate]:
+        return self.parts
 
     def columns(self) -> Set[str]:
         out: Set[str] = set()
         for part in self.parts:
             out |= part.columns()
         return out
-
-    def maybe_matches(self, stats: Stats) -> bool:
-        return all(part.maybe_matches(stats) for part in self.parts)
 
     def mask(self, table: Table) -> np.ndarray:
         out = np.ones(len(table), dtype=bool)
@@ -224,4 +277,3 @@ class And(Predicate):
 
     def describe(self) -> str:
         return "(" + " & ".join(p.describe() for p in self.parts) + ")"
-

@@ -2,8 +2,9 @@
 
 Each table is split into row groups of ``chunk_rows`` rows; every chunk
 is one binary file (see :mod:`repro.store.format`) and the manifest
-records its per-column min/max statistics.  The whole store is staged in
-a temp directory and renamed into place atomically.
+records its per-column min/max statistics and float NaN counts.  The
+whole store is staged in a temp directory and renamed into place
+atomically.
 
 Every table with a time column is stably sorted by it before chunking
 (:data:`DEFAULT_CLUSTER_BY`), so each chunk gets tight time bounds,

@@ -113,8 +113,15 @@ class Column:
                 raise SchemaError(
                     f"unsupported code-table entry {name!r} of type "
                     f"{type(name).__name__}; code tables hold strings")
+        return cls._typed(table[np.asarray(codes)])
+
+    @classmethod
+    def _typed(cls, values: np.ndarray) -> "Column":
+        """A column over ``values``, a 1-D array already in one of the
+        four storage dtypes (a take from a column, say): no check, no
+        copy."""
         column = cls.__new__(cls)
-        column._data = table[np.asarray(codes)]
+        column._data = values
         return column
 
     # -- basic protocol ----------------------------------------------------
@@ -145,7 +152,8 @@ class Column:
         out = self._data[idx]
         if isinstance(idx, (int, np.integer)):
             return out
-        return Column(out)
+        # A mask, slice or index array keeps the dtype: no coercion.
+        return Column._typed(out) if out.ndim == 1 else Column(out)
 
     def __eq__(self, other) -> np.ndarray:  # type: ignore[override]
         return self._compare(other, "eq")

@@ -48,12 +48,22 @@ def read_csv(source: PathOrBuffer, columns: Optional[List[str]] = None):
 def _read(f, columns):
     from repro.table.table import Table
 
-    reader = csv.reader(f)
+    last = [""]
+
+    def lines():
+        # The physical lines, the last one kept: the writer ends every
+        # row with a newline, so a final line without one was cut.
+        for line in f:
+            last[0] = line
+            yield line
+
+    reader = csv.reader(lines())
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("CSV file is empty (no header row)") from None
     raw: Dict[str, List[str]] = {name: [] for name in header}
+    lineno = 1
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise SchemaError(
@@ -61,6 +71,9 @@ def _read(f, columns):
             )
         for name, value in zip(header, row):
             raw[name].append(value)
+    if not last[0].endswith("\n"):
+        raise SchemaError(f"CSV line {lineno} ends without a newline: the "
+                          f"file was cut inside its last row")
     wanted = columns or header
     for name in wanted:
         if name not in raw:

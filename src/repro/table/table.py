@@ -73,12 +73,12 @@ class Table:
             raise SchemaError(f"filter mask must be boolean, got dtype {mask.dtype}")
         if len(mask) != self._length:
             raise SchemaError(f"filter mask has {len(mask)} rows, table has {self._length}")
-        return Table({n: Column(c.values[mask]) for n, c in self._columns.items()})
+        return Table({n: c[mask] for n, c in self._columns.items()})
 
     def take(self, indices: Union[np.ndarray, Sequence[int]]) -> "Table":
         """Rows at the given positions, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Table({n: Column(c.values[idx]) for n, c in self._columns.items()})
+        return Table({n: c[idx] for n, c in self._columns.items()})
 
     def sort(self, *names: str) -> "Table":
         """Stable sort by one or more columns."""

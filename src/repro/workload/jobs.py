@@ -34,6 +34,7 @@ from repro.stats.distributions import (
     bounded_pareto_sample,
     stratified_uniforms,
 )
+from repro.util.errors import ReproError
 from repro.util.rng import RngFactory, pick, uniform
 from repro.util.timeutil import HOUR_SECONDS
 from repro.workload.params import AUTOPILOT_MODES, EraParams
@@ -242,7 +243,9 @@ class WorkloadGenerator:
                        * self.capacity.cpu * horizon_hours)
         cap = self.max_job_hours
         if need_window >= (0.5 * n_body + n_tail) * cap * 0.98:
-            raise ValueError(
+            # A scale the range checks accept can still be too small to
+            # plan: bad input, not a bug.
+            raise ReproError(
                 f"tier {tier}: target load {need_window:.1f} NCU-hours cannot be "
                 f"carried by {m} jobs capped at {cap:.1f} each; increase the "
                 "arrival scale or the horizon"

@@ -8,10 +8,13 @@ exactly one stderr line, ``<command>: <message>``.  An exception
 escaping ``main`` fails the row.
 
 Bit flips hit bytes a format guards: a store chunk's column payload
-(under its CRC-32) or a JSON file's first byte.  CSV tables carry no
-checksum, so a flipped or cut CSV row is not a row here; the CSV
-trace's guarded file is ``metadata.json``.  Unwritable outputs are
-paths under a regular file, which fail for every user, root included.
+(under its CRC-32) or a JSON file's first byte.  A store manifest
+carries a CRC-32 too, so an edited chunk bound is a row.  CSV tables
+carry no checksum, so a flipped CSV value is not a row here; a CSV
+table cut inside its last row is (the writer ends every row with a
+newline).  The CSV trace's guarded file is ``metadata.json``.
+Unwritable outputs are paths under a regular file, which fail for every
+user, root included.
 
 Not every fault applies to every command: ``simulate`` reads no input
 path, ``validate``, ``report`` and ``query`` detect the format, and
@@ -27,6 +30,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.regress import load_contract
+from repro.store import manifest as store_manifest
 from repro.util.errors import SimulationError
 
 TINY = ["--machines", "4", "--hours", "1", "--scale", "0.01"]
@@ -63,8 +67,28 @@ def _copy(src, dst, edit=None):
     return dst
 
 
+def _cut_last_value(path):
+    """Cut ``path`` three bytes into the last value of its last row."""
+    data = path.read_bytes()
+    path.write_bytes(data[:data.rindex(b",") + 4])
+
+
 def _edit_json(path, change):
     path.write_text(json.dumps(change(json.loads(path.read_text()))))
+
+
+def _sealed(manifest):
+    """A store manifest with the checksum of its edited body, as a writer
+    would have written it: the row reaches the check behind it."""
+    body = {key: value for key, value in manifest.items()
+            if key != "checksum"}
+    return {**body, "checksum": store_manifest._checksum(body)}
+
+
+def _edit_bound(manifest):
+    """Move the first chunk's start_time bound, checksum untouched."""
+    manifest["tables"]["instance_usage"]["stats"]["start_time"]["max"][0] += 1
+    return manifest
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +121,9 @@ def paths(tmp_path_factory):
         d / "manifest.json", lambda m: {**m, "version": 2}))
     _copy(store, root / "era_store", lambda d: _edit_json(
         d / "manifest.json",
-        lambda m: {**m, "meta": {**m["meta"], "era": "2o19"}}))
+        lambda m: _sealed({**m, "meta": {**m["meta"], "era": "2o19"}})))
+    _copy(store, root / "bound_store", lambda d: _edit_json(
+        d / "manifest.json", _edit_bound))
     _copy(store, root / "cut_manifest", lambda d: _cut(d / "manifest.json"))
     _copy(store, root / "cut_chunk", lambda d: _cut(d / chunk))
     _copy(store, root / "flip_chunk", lambda d: _flip(
@@ -113,6 +139,8 @@ def paths(tmp_path_factory):
         d / meta.name, lambda m: list(m)))
     _copy(traces / "d", root / "era_meta", lambda d: _edit_json(
         d / meta.name, lambda m: {**m, "era": "2o19"}))
+    _copy(traces / "d", root / "cut_csv",
+          lambda d: _cut_last_value(d / "instance_usage.csv"))
 
     # Report roots: the 2011 cell beside one broken 2019 cell.
     for name, cell in (("report_old", root / "old_store"),
@@ -187,6 +215,9 @@ ROWS = [
     ("simulate-negative-fault-rate",
      ["simulate", "--cells", "d", *TINY, "--faults", "heavy",
       "--fault-rate", "-1", "--out", "{root}/sim-x"]),
+    # a scale the range rules accept but the workload planner cannot fill
+    ("simulate-scale-too-small-to-plan",
+     ["simulate", "--cells", "2011", *TINY, "--out", "{root}/sim-x"]),
     # validate
     ("validate-missing", ["validate", "{missing}"]),
     ("validate-empty-dir", ["validate", "{empty}"]),
@@ -200,6 +231,8 @@ ROWS = [
     ("validate-metadata-list", ["validate", "{root}/list_meta"]),
     ("validate-metadata-unknown-era", ["validate", "{root}/era_meta"]),
     ("validate-store-metadata-unknown-era", ["validate", "{root}/era_store"]),
+    ("validate-manifest-edited-bound", ["validate", "{root}/bound_store"]),
+    ("validate-csv-cut-inside-last-row", ["validate", "{root}/cut_csv"]),
     # report
     ("report-missing", ["report", "{missing}"]),
     ("report-empty-dir", ["report", "{empty}"]),
@@ -235,6 +268,9 @@ ROWS = [
      ["query", "{root}/cut_chunk", "instance_usage", "--agg", "sum:avg_cpu"]),
     ("query-bit-flipped-chunk",
      ["query", "{root}/flip_chunk", "instance_usage", "--agg", "sum:avg_cpu"]),
+    ("query-manifest-edited-bound",
+     ["query", "{root}/bound_store", "instance_usage",
+      "--where", "start_time between 0 3600", "--agg", "count"]),
     ("query-unwritable-obs-out",
      ["query", "{store}", "instance_usage", "--agg", "count",
       "--obs-out", "{blocked}/obs.json"]),
@@ -297,15 +333,20 @@ def test_unusable_input_is_one_line_and_exit_2(paths, capsys, argv):
     assert lines[0].startswith(f"{command}: "), lines
 
 
-@pytest.mark.parametrize("argv", [
-    ["convert", "src", "dst", "--chunk-rows", "0"],
-    ["simulate", "--record-interval", "0"],
-], ids=["chunk-rows", "record-interval"])
-def test_non_positive_sizes_fail_at_argparse(capsys, argv):
+@pytest.mark.parametrize("argv,message", [
+    (["convert", "src", "dst", "--chunk-rows", "0"],
+     "must be above zero, got 0"),
+    (["simulate", "--record-interval", "0"], "must be above zero, got 0"),
+    (["query", "store", "table", "--limit", "-1"],
+     "must not be negative, got -1"),
+], ids=["chunk-rows", "record-interval", "negative-limit"])
+def test_non_positive_sizes_fail_at_argparse(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    assert "must be above zero, got 0" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(message), errors
 
 
 @pytest.mark.parametrize("error", [SimulationError, ValueError])

@@ -74,7 +74,7 @@ def test_chunk_work_counted_exactly_once(store_dir):
     """Each surviving chunk is read and decoded exactly once — a fork
     that re-counted inherited parent state would inflate these."""
     store = open_store(store_dir)
-    n_chunks = len(store.scan("instance_usage").surviving_chunks())
+    n_chunks = len(store.scan("instance_usage").plan())
     assert n_chunks > 1  # the parallel path needs real fan-out
 
     _, counters, structure = _map_reduce_run(store_dir, 2)
@@ -102,7 +102,7 @@ def test_fan_out_chunk_task_snapshot_is_the_task_delta(store_dir):
 
     store = open_store(store_dir)
     scan = store.scan("instance_usage")
-    chunk = scan.surviving_chunks()[0]
+    chunk, _ = scan.plan()[0]
     task = (str(store.chunk_path(chunk["file"])),
             store.manifest.schema("instance_usage"), chunk["rows"],
             tuple(store.manifest.column_names("instance_usage")),

@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -46,7 +46,7 @@ from repro.store import (
 from repro.store import executor as executor_module
 from repro.store import manifest as manifest_module
 from repro.store.format import MAGIC
-from repro.table import Table, concat
+from repro.table import Column, Table, concat
 from repro.trace import load_trace, save_trace
 from repro.trace.dataset import SCHEMA_2019, TraceDataset
 from repro.util.errors import QueryError, SchemaError
@@ -440,13 +440,13 @@ class TestChunkStats:
             "flag": [True, False, True],
         }))
         assert stats["i"] == {"min": -1, "max": 7}
-        assert stats["f"] == {"min": 0.5, "max": 2.5}
+        assert stats["f"] == {"min": 0.5, "max": 2.5, "nans": 0}
         assert stats["s"] == {"min": "a", "max": "c"}
         assert "flag" not in stats  # booleans carry no pruning power
 
     def test_nan_aware_bounds(self):
         stats = chunk_stats(Table({"f": [float("nan"), 1.0, 3.0]}))
-        assert stats["f"] == {"min": 1.0, "max": 3.0}
+        assert stats["f"] == {"min": 1.0, "max": 3.0, "nans": 1}
 
     def test_all_nan_column_has_no_stats(self):
         stats = chunk_stats(Table({"f": [float("nan")], "i": [1]}))
@@ -454,6 +454,16 @@ class TestChunkStats:
 
     def test_empty_table(self):
         assert chunk_stats(Table({"a": []})) == {}
+
+
+def _verdict(pred, stats, kinds=(("x", "int"), ("s", "str")), rows=10):
+    """``pred``'s verdict on one chunk of ``rows`` rows whose
+    :func:`chunk_stats` are ``stats``, as a written manifest holds it."""
+    manifest = Manifest.new({}, rows)
+    manifest.add_table("t", [{"name": n, "kind": k} for n, k in kinds])
+    manifest.add_chunk("t", rows, stats)
+    [verdict] = pred.verdicts(manifest.bounds("t"), 1)
+    return verdict
 
 
 class TestPredicates:
@@ -478,20 +488,70 @@ class TestPredicates:
         (Compare("unknown", "==", 5), True),  # no stats -> cannot prune
     ])
     def test_maybe_matches(self, pred, expected):
-        assert pred.maybe_matches(self.STATS) is expected
+        # Whether the chunk survives pruning: any verdict but False.
+        assert (_verdict(pred, self.STATS) is not False) is expected
 
     def test_ne_prunes_constant_chunk(self):
-        assert Compare("x", "!=", 5).maybe_matches({"x": {"min": 5, "max": 5}}) is False
+        assert _verdict(Compare("x", "!=", 5),
+                        {"x": {"min": 5, "max": 5}}) is False
 
     def test_and_combinator(self):
         yes = Compare("x", "==", 15)
         no = Compare("x", "==", 99)
-        assert (yes & no).maybe_matches(self.STATS) is False
-        assert And(yes, yes).maybe_matches(self.STATS) is True
+        assert _verdict(yes & no, self.STATS) is False
+        assert _verdict(And(yes, yes), self.STATS).parts == (yes, yes)
         assert len(((yes & no) & yes).parts) == 3  # nested parts flatten
 
     def test_type_confusion_never_prunes(self):
-        assert Compare("s", "<", 5).maybe_matches(self.STATS) is True
+        pred = Compare("s", "<", 5)
+        assert _verdict(pred, self.STATS) is pred
+
+    @pytest.mark.parametrize("pred", [
+        Between("x", 10, 20), Between("x", 0, 99), Compare("x", ">=", 10),
+        Compare("x", "<", 21), Compare("x", "<=", 20.0),
+        Compare("s", ">", "a"), Between("s", "b", "d"),
+    ])
+    def test_interval_covering_the_bounds_matches_every_row(self, pred):
+        assert _verdict(pred, self.STATS) is True
+
+    @pytest.mark.parametrize("pred", [
+        Between("x", 11, 20), Compare("x", ">", 10), Compare("x", "==", 15),
+        Compare("x", "!=", 15), Compare("x", "!=", 99), IsIn("x", [10, 15]),
+        IsIn("s", ["b", "c", "d"]),
+    ])
+    def test_partial_cover_or_non_interval_stays_residual(self, pred):
+        # != and in are proved only on a single-valued chunk.
+        assert _verdict(pred, self.STATS) is pred
+
+    def test_single_valued_chunk_decides_every_part(self):
+        point = {"x": {"min": 7, "max": 7}, "s": {"min": "b", "max": "b"}}
+        assert _verdict(Compare("x", "!=", 5), point) is True
+        assert _verdict(IsIn("x", [1, 7]), point) is True
+        assert _verdict(IsIn("s", ["a", "c"]), point) is False
+        assert _verdict(Compare("s", "==", "b") & Compare("x", "<", 8),
+                        point) is True
+
+    def test_residual_keeps_only_unproved_parts(self):
+        window, tier = Between("x", 0, 30), Compare("s", "==", "c")
+        above = Compare("x", ">", 12)
+        assert _verdict(window & tier, self.STATS) is tier
+        assert _verdict(tier & window & above, self.STATS).parts == (tier,
+                                                                     above)
+
+    def test_nan_rows_block_every_row_but_not_pruning(self):
+        kinds = (("f", "float"),)
+        some_nan = {"f": {"min": 1.0, "max": 2.0, "nans": 1}}
+        assert _verdict(Between("f", 0, 5), some_nan, kinds) is not True
+        assert _verdict(Between("f", 3, 5), some_nan, kinds) is False
+        # NaN != 1.5 holds, so a NaN row keeps a constant chunk alive.
+        point = {"f": {"min": 1.5, "max": 1.5, "nans": 1}}
+        assert _verdict(Compare("f", "!=", 1.5), point, kinds) is not False
+        assert _verdict(Between("f", 0, 5), {"f": {"min": 1.0, "max": 2.0,
+                                                   "nans": 0}}, kinds) is True
+
+    def test_chunk_without_bounds_proves_nothing(self):
+        pred = Compare("f", "<", 0)
+        assert _verdict(pred, {}, (("f", "float"),)) is pred
 
     def test_masks_match_numpy(self):
         table = Table({"x": [1, 5, 10, 5], "s": ["a", "b", "c", "a"]})
@@ -634,9 +694,8 @@ class TestWriterReader:
         {"name": "a"}, {"name": "a", "kind": "decimal"}, {"kind": "int"}, "a"])
     def test_manifest_rejects_malformed_columns(self, store_dir, column):
         path, _ = store_dir
-        data = json.loads((path / "manifest.json").read_text())
-        data["tables"]["instance_usage"]["columns"][0] = column
-        (path / "manifest.json").write_text(json.dumps(data))
+        _edit_manifest(path, lambda data: data["tables"]["instance_usage"][
+            "columns"].__setitem__(0, column))
         with pytest.raises(SchemaError, match="malformed column entry"):
             open_store(path)
 
@@ -644,9 +703,8 @@ class TestWriterReader:
     def test_manifest_rejects_chunk_rows_that_are_not_counts(self, store_dir,
                                                              rows):
         path, _ = store_dir
-        data = json.loads((path / "manifest.json").read_text())
-        data["tables"]["instance_usage"]["chunk_rows"][3] = rows
-        (path / "manifest.json").write_text(json.dumps(data))
+        _edit_manifest(path, lambda data: data["tables"]["instance_usage"][
+            "chunk_rows"].__setitem__(3, rows))
         with pytest.raises(SchemaError, match="not a count"):
             open_store(path)
 
@@ -655,12 +713,11 @@ class TestWriterReader:
         with pytest.raises(SchemaError, match="not JSON"):
             Manifest.load(tmp_path)
 
-    @pytest.mark.parametrize("bounds", ["min", "max"])
+    @pytest.mark.parametrize("bounds", ["min", "max", "nans"])
     def test_manifest_rejects_stats_of_wrong_length(self, store_dir, bounds):
         path, _ = store_dir
-        data = json.loads((path / "manifest.json").read_text())
-        data["tables"]["instance_usage"]["stats"]["avg_cpu"][bounds].pop()
-        (path / "manifest.json").write_text(json.dumps(data))
+        _edit_manifest(path, lambda data: data["tables"]["instance_usage"][
+            "stats"]["avg_cpu"][bounds].pop())
         with pytest.raises(SchemaError, match=rf"'avg_cpu' needs a '{bounds}' "
                            rf"list of 16 chunk bounds, got 15"):
             open_store(path)
@@ -677,11 +734,13 @@ class TestWriterReader:
                    for b in entry["stats"].values())
 
     def test_chunks_rebuild_per_chunk_stats(self, tmp_path):
-        # Manifest.chunks gives back exactly chunk_stats of each chunk;
-        # an all-NaN chunk is stored as null and has no bound.
+        # Manifest.bounds gives back exactly chunk_stats of each chunk;
+        # an all-NaN chunk is stored as null with every row a NaN, and
+        # has no bound.
         ds = _dataset(usage_rows=300)
         cpu = ds.tables["instance_usage"].column("avg_cpu").values.copy()
         cpu[100:200] = float("nan")
+        cpu[5] = float("nan")
         usage = ds.tables["instance_usage"]
         ds.tables["instance_usage"] = Table({
             name: cpu if name == "avg_cpu" else usage.column(name)
@@ -690,23 +749,43 @@ class TestWriterReader:
         manifest = Manifest.load(tmp_path / "s")
         raw = manifest.table("instance_usage")["stats"]["avg_cpu"]
         assert raw["min"][1] is None and raw["max"][1] is None
+        assert raw["nans"] == [1, 100, 0]
+        assert "nans" not in manifest.table("instance_usage")["stats"]["tier"]
         chunks = manifest.chunks("instance_usage")
         assert manifest.chunks("instance_usage") is chunks  # built once
-        assert [c["file"] for c in chunks] == [
-            f"instance_usage/chunk-{i:05d}.rsc" for i in range(3)]
-        for i, chunk in enumerate(chunks):
+        assert chunks == [{"file": f"instance_usage/chunk-{i:05d}.rsc",
+                           "rows": 100} for i in range(3)]
+        bounds = manifest.bounds("instance_usage")
+        assert manifest.bounds("instance_usage") is bounds  # built once
+        assert set(bounds) == set(manifest.table("instance_usage")["stats"])
+        for i in range(3):
             rows = ds.tables["instance_usage"].take(
                 np.arange(100 * i, 100 * (i + 1)))
-            assert chunk["rows"] == 100
-            assert chunk["stats"] == chunk_stats(rows)
-        assert "avg_cpu" not in chunks[1]["stats"]
+            for name, stats in chunk_stats(rows).items():
+                b = bounds[name]
+                assert b.known[i]
+                assert b.lo.values[i] == stats["min"]
+                assert b.hi.values[i] == stats["max"]
+                assert b.lo.kind == b.hi.kind == rows.column(name).kind
+                assert b.nan_free[i] == (stats.get("nans", 0) == 0)
+        assert not bounds["avg_cpu"].known[1]
+        assert list(bounds["avg_cpu"].nan_free) == [False, False, True]
+
+
+def _sealed(data):
+    """``data`` with the checksum of its current body, as if a writer had
+    written it: edits made through this reach the checks behind the
+    checksum."""
+    body = {key: value for key, value in data.items() if key != "checksum"}
+    return {**body, "checksum": manifest_module._checksum(body)}
 
 
 def _edit_manifest(path, edit):
-    """Rewrite ``path``'s manifest.json as ``edit`` leaves its dict."""
+    """Rewrite ``path``'s manifest.json as ``edit`` leaves its dict, with
+    a matching checksum."""
     data = json.loads((path / "manifest.json").read_text())
     edit(data)
-    (path / "manifest.json").write_text(json.dumps(data))
+    (path / "manifest.json").write_text(json.dumps(_sealed(data)))
 
 
 class TestChunksAgreeWithManifest:
@@ -793,6 +872,9 @@ class TestManifestCache:
         stat = manifest.stat()
         text = manifest.read_text()
         edited = text.replace('"cell":"t"', '"cell":"u"')
+        edited = edited.replace(  # the fixed-width checksum, resealed
+            f'"checksum":"{json.loads(text)["checksum"]}"',
+            f'"checksum":"{_sealed(json.loads(edited))["checksum"]}"')
         assert len(edited) == len(text) and edited != text
         with open(manifest, "r+") as f:  # same file, same length
             f.write(edited)
@@ -1079,11 +1161,13 @@ class TestLazyDataset:
 
     def test_schema_mismatch_reports_all_tables(self, store_dir):
         path, _ = store_dir
-        manifest = json.loads((path / "manifest.json").read_text())
-        del manifest["tables"]["machine_events"]
-        manifest["tables"]["machine_attributes"]["columns"] = [
-            {"name": "bogus", "kind": "int"}]
-        (path / "manifest.json").write_text(json.dumps(manifest))
+
+        def edit(manifest):
+            del manifest["tables"]["machine_events"]
+            manifest["tables"]["machine_attributes"]["columns"] = [
+                {"name": "bogus", "kind": "int"}]
+
+        _edit_manifest(path, edit)
         with pytest.raises(SchemaError) as err:
             load_trace(path)
         message = str(err.value)
@@ -1172,6 +1256,215 @@ def _trace_tables(draw):
                 data[column] = np.asarray(values)
         tables[name] = Table(data)
     return tables
+
+
+_BIG = 2 ** 53
+_NAN, _INF = float("nan"), float("inf")
+#: Per kind: row values, and predicate values to test them against.
+#: Small pools, so chunks repeat values and predicates hit them; int
+#: rows meet float values around 2**53, where float64 rounds.
+_VERDICT_VALUES = {
+    "int": (st.one_of(st.integers(-3, 3), st.integers(_BIG - 2, _BIG + 2),
+                      st.integers(-2 ** 63, 2 ** 63 - 1)),
+            st.one_of(st.integers(-3, 3), st.integers(_BIG - 2, _BIG + 2),
+                      st.sampled_from([float(_BIG), _BIG + 0.5, -0.5, 1.5,
+                                       _INF, -_INF, _NAN]))),
+    "float": (st.sampled_from([-1.0, 0.0, -0.0, 1.0, 1.5, 2.0, _INF, -_INF,
+                               _NAN]),
+              st.sampled_from([-1.0, 0.0, 1.0, 1.5, 2.0, 1, 2, _INF, -_INF,
+                               _NAN])),
+    "str": (st.sampled_from(["", "a", "b", "ba", "c"]),
+            st.sampled_from(["", "a", "b", "bb", "c", "zz"])),
+}
+
+
+@st.composite
+def _verdict_case(draw):
+    """(kind, chunks of row values, predicate) for the verdict property."""
+    kind = draw(st.sampled_from(sorted(_VERDICT_VALUES)))
+    rows, values = _VERDICT_VALUES[kind]
+    chunks = draw(st.lists(st.lists(rows, max_size=6), min_size=1,
+                           max_size=4))
+    # Orderings take values of the column's own kind (check_kinds
+    # rejects the rest at plan time); equality and in take any.
+    anything = st.one_of(values, _VERDICT_VALUES["int"][1],
+                         _VERDICT_VALUES["str"][1])
+    part = st.one_of(
+        st.builds(Compare, st.just("c"), st.sampled_from(_ORDERINGS), values),
+        st.builds(Compare, st.just("c"), st.sampled_from(["==", "!="]),
+                  anything),
+        st.builds(Between, st.just("c"), values, values),
+        st.builds(IsIn, st.just("c"), st.lists(anything, max_size=3)))
+    parts = draw(st.lists(part, min_size=1, max_size=3))
+    return kind, chunks, parts[0] if len(parts) == 1 else And(*parts)
+
+
+_ORDERINGS = ["<", "<=", ">", ">="]
+
+
+class TestVerdicts:
+    """Statistics decide answers: every verdict must agree with the row
+    masks, and a covered count never opens its chunks."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_verdict_case())
+    # A NaN row keeps a single-valued chunk from proving != or in; int
+    # rows compare with a float value as float64, in proof and mask.
+    @example(case=("float", [[1.5, _NAN]], Compare("c", "!=", 1.5)))
+    @example(case=("float", [[1.0, _NAN, 1.0]], IsIn("c", [1.0])))
+    @example(case=("int", [[_BIG + 1]], Compare("c", "==", float(_BIG))))
+    @example(case=("int", [[_BIG + 1, _BIG + 2]],
+                   Between("c", float(_BIG), float(_BIG))))
+    def test_verdicts_agree_with_row_masks(self, case):
+        kind, chunks, pred = case
+        manifest = Manifest.new({}, 8)
+        manifest.add_table("t", [{"name": "c", "kind": kind}])
+        tables = []
+        for values in chunks:
+            column = Column(np.array(values, dtype={
+                "int": np.int64, "float": np.float64, "str": object}[kind]))
+            table = Table({"c": column})
+            tables.append(table)
+            manifest.add_chunk("t", len(table), chunk_stats(table))
+        verdicts = pred.verdicts(manifest.bounds("t"), len(tables))
+        for table, verdict in zip(tables, verdicts):
+            mask = pred.mask(table)
+            if verdict is True:
+                assert mask.all(), (table.column("c").values, pred)
+            elif verdict is False:
+                assert not mask.any(), (table.column("c").values, pred)
+            else:  # the residual drops only parts true on every row
+                np.testing.assert_array_equal(verdict.mask(table), mask)
+
+    def test_covered_count_opens_no_chunk(self, store_dir):
+        path, ds = store_dir
+        store = open_store(path)
+        window = Between("start_time", 3 * 3600, 30 * 3600)
+        plan = store.scan("instance_usage").where(window).plan()
+        covered = [chunk for chunk, residual in plan if residual is None]
+        assert 0 < len(covered) < len(plan)
+        for chunk in covered:
+            os.remove(store.chunk_path(chunk["file"]))
+        t = ds.instance_usage.column("start_time").values
+        scan = store.scan("instance_usage").where(window)
+        assert scan.count() == int(((t >= 3 * 3600) & (t <= 30 * 3600)).sum())
+        stats = scan.last_stats
+        assert stats.chunks_answered == len(covered)
+        assert stats.chunks_decoded == len(plan) - len(covered)
+        assert stats.chunks_total == (stats.chunks_skipped
+                                      + stats.chunks_answered
+                                      + stats.chunks_decoded)
+        # A sum over the same window needs the deleted payloads.
+        with pytest.raises(OSError):
+            scan.aggregate(Agg("sum", "avg_cpu"))
+
+    def test_covered_chunks_skip_the_predicate_columns(self, store_dir,
+                                                       tmp_path, monkeypatch):
+        path, _ = store_dir
+        log = tmp_path / "decoded.log"
+        real = executor_module.read_chunk
+
+        def spy(chunk_path, schema, rows, columns=None):
+            with open(log, "a") as f:
+                f.write(",".join(columns) + "\n")
+            return real(chunk_path, schema, rows, columns)
+
+        monkeypatch.setattr(executor_module, "read_chunk", spy)
+        scan = (open_store(path).scan("instance_usage")
+                .where(Between("start_time", 3 * 3600, 30 * 3600)))
+        plan = scan.plan()
+        scan.aggregate(Agg("count"), Agg("sum", "avg_cpu"))
+        decoded = log.read_text().splitlines()
+        assert decoded == ["avg_cpu" if residual is None
+                           else "start_time,avg_cpu"
+                           for _, residual in plan]
+
+    @pytest.mark.parametrize("tier", [None, Compare("tier", "!=", "free")])
+    def test_serial_and_pooled_mixed_verdicts_agree(self, store_dir, tier):
+        # Pruned, covered and partial chunks in one scan; with the tier
+        # clause the covered chunks keep it as their residual.
+        path, _ = store_dir
+        window = Between("start_time", 3 * 3600, 30 * 3600)
+        scan = open_store(path).scan("instance_usage").where(
+            window if tier is None else window & tier)
+        residuals = [residual for _, residual in scan.plan()]
+        assert len(set(map(repr, residuals))) == 2
+        assert len(residuals) < len(open_store(path).manifest.chunks(
+            "instance_usage"))  # and some chunks are pruned
+        aggs = (Agg("count"), Agg("sum", "avg_cpu"), Agg("mean", "avg_mem"),
+                Agg("histogram", "avg_cpu", edges=(0.0, 0.5, 1.0)))
+        runs = []
+        for workers in (None, 2):
+            result = scan.aggregate(*aggs, workers=workers)
+            stats = scan.last_stats
+            table = scan.select("start_time", "avg_cpu").to_table(
+                workers=workers)
+            runs.append((result["count"], result["sum(avg_cpu)"].hex(),
+                         result["mean(avg_mem)"].hex(),
+                         result["histogram(avg_cpu)"].tolist(), stats,
+                         table.column("start_time").values.tobytes(),
+                         table.column("avg_cpu").values.tobytes()))
+        assert runs[0] == runs[1]
+
+
+class TestManifestChecksum:
+    """Stats decide answers, so the manifest carries a CRC-32 of its
+    canonical body and every parse checks it."""
+
+    def test_checksum_is_crc32_of_canonical_body(self, store_dir):
+        path, _ = store_dir
+        text = (path / "manifest.json").read_text()
+        data = json.loads(text)
+        assert list(data)[-1] == "checksum" and data["version"] == 4
+        body = {k: v for k, v in data.items() if k != "checksum"}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        assert data["checksum"] == f"{zlib.crc32(canonical.encode()):08x}"
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t["stats"]["start_time"]["min"].__setitem__(
+            3, t["stats"]["start_time"]["min"][3] + 1.0),
+        lambda t: t["stats"]["start_time"]["max"].__setitem__(2, 1e9),
+        lambda t: t["stats"]["avg_cpu"]["nans"].__setitem__(0, 1),
+        lambda t: t["chunk_rows"].__setitem__(5, 127),
+        lambda t: t.__setitem__("rows", 1999),
+    ], ids=["min", "max", "nans", "chunk-rows", "rows"])
+    def test_edited_statistic_fails_at_open(self, store_dir, edit):
+        path, _ = store_dir
+        data = json.loads((path / "manifest.json").read_text())
+        edit(data["tables"]["instance_usage"])
+        (path / "manifest.json").write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="fails its checksum"):
+            open_store(path)
+
+    def test_version_3_is_rewritten(self, store_dir):
+        path, _ = store_dir
+
+        def edit(data):
+            data["version"] = 3
+            del data["checksum"]
+
+        _edit_manifest(path, edit)
+        with pytest.raises(SchemaError, match="store version 3 .*rewrite"):
+            open_store(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(where=st.floats(0, 1), bit=st.integers(0, 7))
+    def test_bit_flips_never_change_a_count(self, tmp_path_factory, where,
+                                            bit):
+        path = tmp_path_factory.mktemp("flip") / "s"
+        ds = _dataset(usage_rows=600)
+        write_store(ds, path, chunk_rows=64)
+        raw = bytearray((path / "manifest.json").read_bytes())
+        raw[min(int(where * len(raw)), len(raw) - 1)] ^= 1 << bit
+        (path / "manifest.json").write_bytes(bytes(raw))
+        t = ds.instance_usage.column("start_time").values
+        window = Between("start_time", 6 * 3600, 30 * 3600)
+        try:
+            got = open_store(path).scan("instance_usage").where(
+                window).count()
+        except SchemaError:
+            return
+        assert got == int(((t >= 6 * 3600) & (t <= 30 * 3600)).sum())
 
 
 class TestStoreRoundTripProperty:

@@ -9,6 +9,7 @@ import pytest
 from repro.sim.entities import CollectionType, SchedulerKind
 from repro.sim.priority import Tier, tier_of_priority_2011, tier_of_priority_2019
 from repro.sim.resources import Resources
+from repro.util.errors import ReproError
 from repro.util.rng import RngFactory
 from repro.util.timeutil import HOUR_SECONDS
 from repro.workload import (
@@ -253,7 +254,7 @@ class TestGenerator:
 
     def test_infeasible_target_raises(self):
         # Tiny arrival scale: too few jobs to carry the target load.
-        with pytest.raises(ValueError, match="increase the arrival scale"):
+        with pytest.raises(ReproError, match="increase the arrival scale"):
             WorkloadGenerator(era=era_2019(), capacity=Resources(30.0, 30.0),
                               horizon=24 * HOUR_SECONDS, rng=RngFactory(0),
                               arrival_scale=1e-5).generate()
