@@ -52,7 +52,7 @@ from repro.campaign.spec import CampaignSpec, EvalPoint
 from repro.campaign.summary import point_metrics
 from repro.obs.recorder import FrameSink, StatusLine, recover_jsonl
 from repro.sim.driver import run_cells
-from repro.workload.scenarios import CellScenario, scenario_2011, scenarios_2019
+from repro.workload.scenarios import CellScenario, build_cells
 
 #: Per-point result schema (one JSONL line per ``result.json``).
 RESULT_SCHEMA = "repro.campaign.result/1"
@@ -70,31 +70,17 @@ def build_scenarios(params: Dict[str, object], seed: int
     — the era preset stays the source of every knob the point does not
     override.
     """
-    machines = int(params["machines"])
-    hours = float(params["hours"])
-    scale = float(params["scale"])
-    sample_period = float(params["sample_period"])
-    faults = params.get("faults")
-    fault_rate = float(params.get("fault_rate", 1.0))
-    archetype_mix = params.get("archetype_mix")
-    if params["era"] == "2011":
-        scenarios = [scenario_2011(seed=seed, machines_per_cell=machines,
-                                   horizon_hours=hours, arrival_scale=scale,
-                                   sample_period=sample_period,
-                                   faults=faults, fault_rate=fault_rate,
-                                   archetype_mix=archetype_mix)]
-    else:
-        scenarios = scenarios_2019(seed=seed, machines_per_cell=machines,
-                                   horizon_hours=hours, arrival_scale=scale,
-                                   sample_period=sample_period,
-                                   cells=list(params["cells"]),
-                                   faults=faults, fault_rate=fault_rate,
-                                   archetype_mix=archetype_mix)
-    overrides = {}
-    if params.get("overcommit_cpu") is not None:
-        overrides["overcommit_cpu"] = float(params["overcommit_cpu"])
-    if params.get("overcommit_mem") is not None:
-        overrides["overcommit_mem"] = float(params["overcommit_mem"])
+    scenarios = build_cells(list(params["cells"]), seed=seed,
+                            machines_per_cell=int(params["machines"]),
+                            horizon_hours=float(params["hours"]),
+                            arrival_scale=float(params["scale"]),
+                            sample_period=float(params["sample_period"]),
+                            faults=params.get("faults"),
+                            fault_rate=float(params.get("fault_rate", 1.0)),
+                            archetype_mix=params.get("archetype_mix"))
+    overrides = {knob: float(params[knob])
+                 for knob in ("overcommit_cpu", "overcommit_mem")
+                 if params.get(knob) is not None}
     if overrides:
         for scenario in scenarios:
             scheduler = dataclasses.replace(scenario.config.scheduler,

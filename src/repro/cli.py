@@ -49,7 +49,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.analysis import failures
@@ -90,7 +90,7 @@ from repro.trace import encode_cell, load_trace, save_trace, validate_trace
 from repro.trace.io import detect_format
 from repro.util.errors import QueryError, ReproError, SimulationError
 from repro.faults import FAULT_PROFILES
-from repro.workload import ARCHETYPE_MIXES, scenario_2011, scenarios_2019
+from repro.workload import ARCHETYPE_MIXES, build_cells
 
 
 def _add_obs_out_arg(parser: argparse.ArgumentParser) -> None:
@@ -191,25 +191,11 @@ def _simulate(args) -> int:
         _validate_param(name, getattr(args, name))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenarios = []
-    for name in cells:
-        if name == "2011":
-            scenarios.append(scenario_2011(seed=args.seed,
-                                           machines_per_cell=args.machines,
-                                           horizon_hours=args.hours,
-                                           arrival_scale=args.scale,
-                                           faults=args.faults,
-                                           fault_rate=args.fault_rate,
-                                           archetype_mix=args.archetype_mix))
-        else:
-            scenarios.append(scenarios_2019(seed=args.seed,
-                                            machines_per_cell=args.machines,
-                                            horizon_hours=args.hours,
-                                            arrival_scale=args.scale,
-                                            cells=[name],
-                                            faults=args.faults,
-                                            fault_rate=args.fault_rate,
-                                            archetype_mix=args.archetype_mix)[0])
+    scenarios = build_cells(cells, seed=args.seed,
+                            machines_per_cell=args.machines,
+                            horizon_hours=args.hours, arrival_scale=args.scale,
+                            faults=args.faults, fault_rate=args.fault_rate,
+                            archetype_mix=args.archetype_mix)
     meta = {"cells": ",".join(cells), "machines": args.machines,
             "hours": args.hours, "scale": args.scale,
             "seed": args.seed, "format": args.format,
@@ -294,6 +280,15 @@ def _report(args) -> int:
     if not traces_2011 or not traces_2019:
         raise ReproError("the report needs at least one 2011-era and one "
                          "2019-era trace")
+    # Section 5.2 pools collections across cells by id.
+    seen: Dict[str, set] = {}
+    for d, trace in zip(dirs, traces):
+        ids = set(trace.collection_events["collection_id"].values.tolist())
+        for other, other_ids in seen.items():
+            if not ids.isdisjoint(other_ids):
+                raise ReproError(f"cells {other!r} and {d.name!r} share collection "
+                                 "ids; the report needs cells of one 'simulate' run")
+        seen[d.name] = ids
     text = full_report(traces_2011, traces_2019)
     if args.out:
         Path(args.out).write_text(text)

@@ -34,6 +34,7 @@ from repro.workload.replay import (
 )
 from repro.workload.scenarios import (
     CellScenario,
+    build_cells,
     scenario_2011,
     scenarios_2019,
     small_test_scenario,
@@ -61,6 +62,7 @@ __all__ = [
     "replay_components",
     "workload_from_trace",
     "CellScenario",
+    "build_cells",
     "scenario_2011",
     "scenarios_2019",
     "small_test_scenario",

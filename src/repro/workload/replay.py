@@ -37,6 +37,8 @@ from repro.sim.priority import Tier
 from repro.sim.resources import Resources
 from repro.table.segment import segments
 from repro.trace.dataset import TraceDataset
+from repro.workload.params import era_2011, era_2019
+from repro.workload.scenarios import CELL_PROFILES_2019, cell_config
 
 _END_REASON = {
     "FINISH": EndReason.FINISH,
@@ -202,18 +204,16 @@ def replay_components(trace: TraceDataset,
     """Package a trace as a runnable cell.
 
     Pass a ``config`` to run the what-if variant (different over-commit,
-    batch queueing, hazards, ...); the default reuses the trace's
-    metadata with the standard knobs for its era.
+    batch queueing, hazards, ...); the default is the recorded preset
+    cell's own :func:`~repro.workload.scenarios.cell_config`, faults off
+    (the 2011 cell and names outside the presets get no tier multipliers).
     """
     if config is None:
-        config = CellConfig(
-            name=f"replay-{trace.cell}",
-            era=trace.era,
-            utc_offset_hours=trace.utc_offset_hours,
-            horizon=trace.horizon,
-            sample_period=trace.sample_period,
-            batch_queueing=trace.era == "2019",
-        )
+        era = era_2011() if trace.era == "2011" else era_2019()
+        _, multipliers, fractions = CELL_PROFILES_2019.get(trace.cell, (None, {}, {}))
+        config = cell_config(
+            f"replay-{trace.cell}", era, trace.horizon, trace.sample_period,
+            (trace.utc_offset_hours, multipliers, fractions))
     return ReplayComponents(
         config=config,
         machines=machines_from_trace(trace),

@@ -13,7 +13,8 @@ import pytest
 import repro
 from repro.analysis import failures
 from repro.cli import build_parser, main
-from repro.trace import load_trace
+from repro.trace import encode_cell, load_trace, save_trace
+from repro.workload import build_cells
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,29 @@ class TestSimulate:
         for cell in ("2011", "d"):
             assert (trace_dirs / cell / "metadata.json").exists()
             assert (trace_dirs / cell / "instance_usage.csv").exists()
+
+    def test_cells_of_one_run_are_the_library_cells(self, tmp_path):
+        """One run's cells get ``build_cells``' collection ids, unique
+        across the cells (section 5.2 pools collections by id), and the
+        library's trace bytes."""
+        cells = ["2011", "a", "g"]
+        out = tmp_path / "cli"
+        assert main(["simulate", "--cells", ",".join(cells), "--out", str(out),
+                     "--machines", "12", "--hours", "3", "--scale", "0.02",
+                     "--seed", "4"]) == 0
+        ids = [set(load_trace(out / cell).collection_events["collection_id"]
+                   .values.tolist()) for cell in cells]
+        assert all(ids)
+        assert sum(map(len, ids)) == len(set.union(*ids))
+        lib = tmp_path / "lib"
+        for scenario in build_cells(cells, seed=4, machines_per_cell=12,
+                                    horizon_hours=3.0, arrival_scale=0.02):
+            save_trace(encode_cell(scenario.run()), lib / scenario.name)
+            files = sorted(p.name for p in (lib / scenario.name).iterdir())
+            assert files == sorted(p.name for p in (out / scenario.name).iterdir())
+            for name in files:
+                assert ((lib / scenario.name / name).read_bytes()
+                        == (out / scenario.name / name).read_bytes()), name
 
     def test_profile_without_sigprof_is_one_line_and_exit_2(
             self, tmp_path, capsys, monkeypatch):

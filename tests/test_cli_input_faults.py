@@ -151,6 +151,13 @@ def paths(tmp_path_factory):
         shutil.copytree(cell, root / name / "d")
     (root / "report_2019").mkdir()
     shutil.copytree(traces / "d", root / "report_2019" / "d")
+    # A report root mixing two `simulate` runs: cell g of a second run
+    # has the ids of cell d (each run numbers its 2019 cells from 1e7).
+    assert main(["simulate", "--cells", "g", "--out", str(root / "other"),
+                 "--machines", "8", "--hours", "2", "--scale", "0.01",
+                 "--seed", "3"]) == 0
+    shutil.copytree(traces, root / "report_two_runs")
+    shutil.copytree(root / "other" / "g", root / "report_two_runs" / "g")
 
     # obs files for `stats`.
     for name, edit in (("cut_obs.json", _cut), ("flip_obs.json", _flip)):
@@ -240,6 +247,7 @@ ROWS = [
     ("report-older-store", ["report", "{root}/report_old"]),
     ("report-truncated-metadata", ["report", "{root}/report_cut"]),
     ("report-bit-flipped-chunk", ["report", "{root}/report_flip"]),
+    ("report-cells-of-two-runs", ["report", "{root}/report_two_runs"]),
     ("report-unwritable-out",
      ["report", "{traces}", "--out", "{blocked}/report.txt"]),
     # convert
@@ -331,6 +339,12 @@ def test_unusable_input_is_one_line_and_exit_2(paths, capsys, argv):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"{command}: "), lines
+
+
+def test_report_names_both_cells_of_two_runs(paths, capsys):
+    assert main(["report", f"{paths['root']}/report_two_runs"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("report: cells 'd' and 'g' share collection ids")
 
 
 @pytest.mark.parametrize("argv,message", [

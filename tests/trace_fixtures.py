@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.table import Table
 from repro.trace import encode_cell
 from repro.trace.dataset import TraceDataset
-from repro.workload import scenario_2011, scenarios_2019
+from repro.workload import build_cells
 
 ALL_CELLS_2019 = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -99,21 +99,14 @@ def build_traces_2019(scale: TraceScale,
 
 def build_scenarios(era: str, scale: TraceScale):
     """Fresh (unrun) scenarios of ``era`` at ``scale``; one per cell."""
-    if era == "2011":
-        return [scenario_2011(seed=scale.seed,
-                              machines_per_cell=scale.machines,
-                              horizon_hours=scale.hours,
-                              arrival_scale=scale.arrival_scale * scale.boost_2011,
-                              sample_period=scale.sample_period,
-                              faults=scale.faults, fault_rate=scale.fault_rate,
-                              archetype_mix=scale.archetype_mix)]
-    return scenarios_2019(seed=scale.seed, machines_per_cell=scale.machines,
-                          horizon_hours=scale.hours,
-                          arrival_scale=scale.arrival_scale,
-                          sample_period=scale.sample_period,
-                          cells=list(scale.cells_2019),
-                          faults=scale.faults, fault_rate=scale.fault_rate,
-                          archetype_mix=scale.archetype_mix)
+    cells = ["2011"] if era == "2011" else list(scale.cells_2019)
+    boost = scale.boost_2011 if era == "2011" else 1.0
+    return build_cells(cells, seed=scale.seed, machines_per_cell=scale.machines,
+                       horizon_hours=scale.hours,
+                       arrival_scale=scale.arrival_scale * boost,
+                       sample_period=scale.sample_period, faults=scale.faults,
+                       fault_rate=scale.fault_rate,
+                       archetype_mix=scale.archetype_mix)
 
 
 def _encode(scenario, verbose: bool) -> TraceDataset:
